@@ -25,20 +25,21 @@ import numpy as np
 
 from .lindblad import (BlockIdentity, block_identity_test, evolve_expm,
                        liouvillian_matrix, subspace_block, vec)
-from .observables import (Coherence, EntropySeries, coherence_verdict,
-                          von_neumann_entropy)
+from .observables import (DEFAULT_COH_TOL, DEFAULT_DEC_TOL, Coherence,
+                          coherence_verdict, observe_subspace)
 from .operators import (ComplexMatrix, OperatorSpec, build_coupling,
                         build_hamiltonian, spin_matrices)
 from .response import delta_rho
-from .spectra import (GroundSubspace, ground_subspace, normalize_subspace,
-                      subspace_density)
-from .symmetry import (AntiUnitaryOp, SchurResult, UnitaryGroup,
+from .spectra import GroundSubspace, ground_subspace, normalize_subspace
+from .symmetry import (DEFAULT_TOL, AntiUnitaryOp, SchurResult, UnitaryGroup,
                        commutes_with_antiunitary, commutes_with_unitary, frob,
                        is_hermitian, quaternion_group, schur_test,
                        time_reversal)
 
 DEFAULT_GAMMA = 0.1
 DEFAULT_HORIZON = 20.0
+# Samples per probe trajectory on the table's gamma*t-uniform grid.
+TABLE_SAMPLES = 201
 
 
 class CatalogIntegrityError(Exception):
@@ -82,8 +83,10 @@ class Verdict:
     """Measured outcome of one scenario, with every verdict route attached."""
 
     name: str
+    claims: SymmetryClaims
     expected_coherence: Coherence
     measured_coherence: Coherence
+    oracle_coherent: bool
     block_identity: bool
     block_residual: float
     block_coefficient: complex
@@ -181,30 +184,31 @@ def catalog() -> list:
 class ScenarioSystem:
     """A scenario instantiated as concrete matrices and a ground doublet."""
 
-    scenario: Scenario
     h: ComplexMatrix
     o: ComplexMatrix
-    group: UnitaryGroup
     trev: AntiUnitaryOp
     ground: GroundSubspace
 
 
-def prepare(sc: Scenario, spin: float = 1.5) -> ScenarioSystem:
-    """Build matrices and the doublet basis for a scenario.
+def prepare(sc, spin: float = 1.5) -> ScenarioSystem:
+    """Build matrices and the doublet basis for a scenario or run config.
 
-    The doublet basis is paired through the anti-unitary only when the
-    Hamiltonian actually commutes with it; the q_symmetric Hamiltonian
-    anticommutes, and pairing there would pull in excited states.
+    sc is anything carrying `hamiltonian` and `coupling` OperatorSpecs: a
+    catalog Scenario or a configured run. The doublet basis is paired
+    through time reversal only when the Hamiltonian actually commutes with
+    it; the q_symmetric Hamiltonian anticommutes, and pairing there would
+    pull in excited states.
+
+    Raises:
+        ValueError: invalid spin, operator spec, or pairing.
     """
     spins = spin_matrices(spin)
     h = build_hamiltonian(sc.hamiltonian, spins)
     o = build_coupling(sc.coupling, spins)
-    group = quaternion_group()
     trev = time_reversal(spin)
     pairing = trev if commutes_with_antiunitary(h, trev) else None
-    ground = ground_subspace(h, pairing=pairing)
-    return ScenarioSystem(scenario=sc, h=h, o=o, group=group, trev=trev,
-                          ground=ground)
+    return ScenarioSystem(h=h, o=o, trev=trev,
+                          ground=ground_subspace(h, pairing=pairing))
 
 
 def probe_states(ground: GroundSubspace) -> dict:
@@ -222,27 +226,18 @@ def probe_states(ground: GroundSubspace) -> dict:
     }
 
 
-def _entropy_series(traj, basis) -> EntropySeries:
-    s_v = np.empty(len(traj))
-    trace_g = np.empty(len(traj))
-    for k in range(len(traj)):
-        rg = subspace_density(traj.states[k], basis)
-        trace_g[k] = float(np.trace(rg).real)
-        s_v[k] = von_neumann_entropy(normalize_subspace(rg))
-    return EntropySeries(times=traj.times, s_v=s_v, trace_g=trace_g)
-
-
 def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
                  horizon: float = DEFAULT_HORIZON,
-                 n_samples: int = 201, tol_scale: float = 1.0) -> Verdict:
+                 tol_scale: float = 1.0) -> Verdict:
     """Run one scenario end to end and assemble its Verdict.
 
     Dynamics run on a gamma*t-uniform grid up to gamma*t = horizon through
     the exact propagator, for all three probe states; the reported series
     quantities come from the equal superposition, while the coherence
-    verdict takes the worst probe. The Liouvillian doublet block and the
-    Schur projection supply the two non-dynamical verdicts. tol_scale
-    multiplies every default tolerance.
+    verdict takes the worst probe. The Liouvillian doublet block, the
+    Schur projection and the first-order response oracle supply the
+    non-dynamical verdicts, all on the one prepared system. tol_scale
+    multiplies the verdict thresholds and the block/Schur tolerance.
 
     Raises:
         CatalogIntegrityError: claimed symmetry signature fails verification.
@@ -250,7 +245,7 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
             coherent and decoherent thresholds.
     """
     system = prepare(sc)
-    measured = compute_signature(system.o, system.group, system.trev)
+    measured = compute_signature(system.o, quaternion_group(), system.trev)
     if measured.signature() != sc.claims.signature():
         raise CatalogIntegrityError(
             f"{sc.name}: claims {sc.claims.signature()} but measured "
@@ -258,22 +253,20 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
 
     basis = system.ground.basis
     l_mat = liouvillian_matrix(system.h, system.o, gamma)
-    times = np.linspace(0.0, horizon / gamma, n_samples)
+    times = np.linspace(0.0, horizon / gamma, TABLE_SAMPLES)
 
     peaks = {}
     probe_verdicts = {}
     trace_err = herm_err = 0.0
     min_eig = np.inf
-    main_series = None
-    terminal_rho_g = None
-    stationarity = max_drift = np.nan
     for probe_name, psi in probe_states(system.ground).items():
         rho0 = np.outer(psi, psi.conj())
         traj = evolve_expm(rho0, system.h, system.o, gamma, times)
-        series = _entropy_series(traj, basis)
+        series, blocks = observe_subspace(traj, basis)
         peaks[probe_name] = float(np.max(series.s_v))
         probe_verdicts[probe_name] = coherence_verdict(
-            series, coh_tol=1e-6 * tol_scale, dec_tol=1e-2 * tol_scale)
+            series, coh_tol=DEFAULT_COH_TOL * tol_scale,
+            dec_tol=DEFAULT_DEC_TOL * tol_scale)
         for state in traj.states:
             trace_err = max(trace_err, abs(np.trace(state) - 1.0))
             herm_err = max(herm_err, frob(state - state.conj().T))
@@ -281,12 +274,8 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
                 (state + state.conj().T) / 2).min()))
         if probe_name == "equal":
             main_series = series
-            rg0 = normalize_subspace(subspace_density(traj.states[0], basis))
-            max_drift = max(
-                frob(normalize_subspace(subspace_density(s, basis)) - rg0)
-                for s in traj.states)
-            terminal_rho_g = normalize_subspace(
-                subspace_density(traj.states[-1], basis))
+            rho_g = [normalize_subspace(b) for b in blocks]
+            max_drift = max(frob(r - rho_g[0]) for r in rho_g)
             stationarity = float(np.linalg.norm(l_mat @ vec(traj.states[-1])))
 
     if any(v is Coherence.AMBIGUOUS for v in probe_verdicts.values()):
@@ -298,21 +287,23 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
     else:
         combined = Coherence.COHERENT
 
-    block = subspace_block(l_mat, basis)
-    bi: BlockIdentity = block_identity_test(block, tol=1e-9 * tol_scale)
+    tol = DEFAULT_TOL * tol_scale
+    bi: BlockIdentity = block_identity_test(subspace_block(l_mat, basis),
+                                            tol=tol)
     schur_o: SchurResult = schur_test(system.ground.projector, system.o,
-                                      tol=1e-9 * tol_scale)
+                                      tol=tol)
     schur_q: SchurResult = schur_test(system.ground.projector,
-                                      system.o.conj().T @ system.o,
-                                      tol=1e-9 * tol_scale)
+                                      system.o.conj().T @ system.o, tol=tol)
     schur_yes = schur_o.proportional and schur_q.proportional
 
     passed = (combined == sc.expected_coherence
               and bi.proportional == sc.expected_block_identity)
     return Verdict(
         name=sc.name,
+        claims=sc.claims,
         expected_coherence=sc.expected_coherence,
         measured_coherence=combined,
+        oracle_coherent=response_oracle_coherent(system),
         block_identity=bi.proportional,
         block_residual=bi.residual,
         block_coefficient=bi.coefficient,
@@ -323,7 +314,7 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
         peak_entropy=max(peaks.values()),
         terminal_entropy=float(main_series.s_v[-1]),
         terminal_trace_g=float(main_series.trace_g[-1]),
-        terminal_rho_g=terminal_rho_g,
+        terminal_rho_g=rho_g[-1],
         max_drift=float(max_drift),
         stationarity=stationarity,
         trace_err=float(trace_err),
@@ -371,8 +362,7 @@ class TableReport:
     oracle_all_agree: bool
 
     def signature_map(self) -> list:
-        by_name = {sc.name: sc for sc in catalog()}
-        return [(v.name, str(by_name[v.name].claims), v.expected_coherence.value)
+        return [(v.name, str(v.claims), v.expected_coherence.value)
                 for v in self.verdicts]
 
     def text_table(self) -> str:
@@ -403,7 +393,6 @@ class TableReport:
 def reproduce_table(gamma: float = DEFAULT_GAMMA,
                     horizon: float = DEFAULT_HORIZON,
                     scenarios: list | None = None,
-                    with_oracle: bool = True,
                     tol_scale: float = 1.0) -> TableReport:
     """Run the full table and cross-check against the response oracle.
 
@@ -417,19 +406,12 @@ def reproduce_table(gamma: float = DEFAULT_GAMMA,
         scenarios = catalog()
     if not scenarios:
         raise CatalogIntegrityError("scenario catalog is empty")
-    scenarios = sorted(scenarios, key=lambda sc: sc.name)
-    verdicts = []
-    oracle = {}
-    for sc in scenarios:
-        v = run_scenario(sc, gamma=gamma, horizon=horizon, tol_scale=tol_scale)
-        verdicts.append(v)
-        if with_oracle:
-            system = prepare(sc)
-            agrees = (response_oracle_coherent(system)
-                      == (v.measured_coherence is Coherence.COHERENT))
-        else:
-            agrees = True
-        oracle[sc.name] = agrees
+    verdicts = [run_scenario(sc, gamma=gamma, horizon=horizon,
+                             tol_scale=tol_scale)
+                for sc in sorted(scenarios, key=lambda sc: sc.name)]
+    oracle = {v.name: v.oracle_coherent == (v.measured_coherence
+                                            is Coherence.COHERENT)
+              for v in verdicts}
     return TableReport(
         gamma=gamma,
         horizon=horizon,

@@ -26,18 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import catalog, reproduce_table, run_scenario
+from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
+                       prepare, reproduce_table)
 from .lindblad import (block_identity_test, evolve_expm, evolve_rk4,
                        liouvillian_matrix, subspace_block, vec)
-from .observables import (DEFAULT_COH_TOL, DEFAULT_DEC_TOL, Coherence,
-                          EntropySeries, coherence_verdict,
-                          von_neumann_entropy)
-from .operators import (OperatorSpec, build_coupling, build_hamiltonian,
-                        canonical_name, spin_matrices)
+from .observables import (DEFAULT_COH_TOL, DEFAULT_DEC_TOL,
+                          coherence_verdict, observe_subspace)
+from .operators import (OperatorSpec, build_coupling, canonical_name,
+                        spin_matrices)
 from .response import delta_rho, scaling_exponent
-from .spectra import ground_subspace, normalize_subspace, subspace_density
-from .symmetry import commutes_with_antiunitary, commutes_with_unitary, \
-    is_hermitian, quaternion_group, time_reversal
+from .symmetry import DEFAULT_TOL, commutes_with_antiunitary, \
+    commutes_with_unitary, is_hermitian, quaternion_group, time_reversal
 
 
 class ConfigError(Exception):
@@ -196,60 +195,28 @@ def _fmt(x: float) -> str:
     return "%.11e" % (0.0 if x == 0 else x)
 
 
-@dataclass
-class PreparedRun:
-    """Matrices and doublet data shared by simulate and sweep."""
-
-    cfg: RunConfig
-    h: np.ndarray
-    o: np.ndarray
-    basis: np.ndarray
-    psi0: np.ndarray
-
-
-def _prepare_run(cfg: RunConfig) -> PreparedRun:
-    spins = spin_matrices(cfg.spin)
+def _prepare_doublet(cfg: RunConfig) -> tuple[ScenarioSystem, np.ndarray]:
+    """The prepared system and the alpha/beta initial density matrix."""
     try:
-        h = build_hamiltonian(cfg.hamiltonian, spins)
-        o = build_coupling(cfg.coupling, spins)
+        system = prepare(cfg, cfg.spin)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    trev = time_reversal(cfg.spin)
-    pairing = trev if commutes_with_antiunitary(h, trev) else None
-    ground = ground_subspace(h, pairing=pairing)
-    if ground.dim != 2:
+    if system.ground.dim != 2:
         raise ConfigError(
-            f"ground subspace has dimension {ground.dim}; the alpha/beta "
-            f"initial state needs a doublet")
-    psi0 = cfg.alpha * ground.basis[:, 0] + cfg.beta * ground.basis[:, 1]
-    return PreparedRun(cfg=cfg, h=h, o=o, basis=ground.basis, psi0=psi0)
+            f"ground subspace has dimension {system.ground.dim}; the "
+            f"alpha/beta initial state needs a doublet")
+    basis = system.ground.basis
+    psi0 = cfg.alpha * basis[:, 0] + cfg.beta * basis[:, 1]
+    return system, np.outer(psi0, psi0.conj())
 
 
-def _trajectory_rows(run: PreparedRun, gamma: float, t_max: float):
-    """Run one trajectory; return (csv rows, EntropySeries, final state)."""
-    cfg = run.cfg
-    rho0 = np.outer(run.psi0, run.psi0.conj())
+def _evolve(cfg: RunConfig, system: ScenarioSystem, rho0: np.ndarray,
+            gamma: float, t_max: float):
     if cfg.integrator == "rk4":
-        traj = evolve_rk4(rho0, run.h, run.o, gamma, t_max, dt=cfg.dt,
+        return evolve_rk4(rho0, system.h, system.o, gamma, t_max, dt=cfg.dt,
                           n_samples=cfg.n_samples)
-    else:
-        times = np.linspace(0.0, t_max, cfg.n_samples)
-        traj = evolve_expm(rho0, run.h, run.o, gamma, times)
-    rows = []
-    s_v = np.empty(len(traj))
-    trace_g = np.empty(len(traj))
-    for k in range(len(traj)):
-        rg = subspace_density(traj.states[k], run.basis)
-        trace_g[k] = np.trace(rg).real
-        s_v[k] = von_neumann_entropy(normalize_subspace(rg))
-        t = traj.times[k]
-        rows.append(",".join([
-            _fmt(t), _fmt(gamma * t), _fmt(s_v[k]), _fmt(trace_g[k]),
-            _fmt(rg[0, 0].real), _fmt(rg[0, 1].real), _fmt(rg[0, 1].imag),
-            _fmt(rg[1, 1].real),
-        ]))
-    series = EntropySeries(times=traj.times, s_v=s_v, trace_g=trace_g)
-    return rows, series, traj.states[-1]
+    times = np.linspace(0.0, t_max, cfg.n_samples)
+    return evolve_expm(rho0, system.h, system.o, gamma, times)
 
 
 CSV_HEADER = "t,gamma_t,s_v,trace_g,re_rho_pp,re_rho_pm,im_rho_pm,re_rho_mm"
@@ -259,23 +226,31 @@ def cmd_simulate(args) -> int:
     scale = tolerance_scale()
     cfg = load_config(args.config)
     if args.gamma is not None:
-        cfg.gamma = float(args.gamma)
+        cfg.gamma = args.gamma
         cfg.validate()
     if args.integrator is not None:
         cfg.integrator = args.integrator
         cfg.validate()
     t_max = cfg.t_max
     if args.horizon is not None or t_max is None:
-        horizon = args.horizon if args.horizon is not None else 20.0
+        horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
         t_max = horizon / cfg.gamma
 
-    run = _prepare_run(cfg)
-    rows, series, rho_end = _trajectory_rows(run, cfg.gamma, t_max)
+    system, rho0 = _prepare_doublet(cfg)
+    traj = _evolve(cfg, system, rho0, cfg.gamma, t_max)
+    series, blocks = observe_subspace(traj, system.ground.basis)
     verdict = coherence_verdict(series, DEFAULT_COH_TOL * scale,
                                 DEFAULT_DEC_TOL * scale)
-    l_mat = liouvillian_matrix(run.h, run.o, cfg.gamma)
-    block = block_identity_test(subspace_block(l_mat, run.basis))
+    l_mat = liouvillian_matrix(system.h, system.o, cfg.gamma)
+    block = block_identity_test(subspace_block(l_mat, system.ground.basis),
+                                tol=DEFAULT_TOL * scale)
 
+    rows = [",".join([
+        _fmt(t), _fmt(cfg.gamma * t), _fmt(s_v), _fmt(trace_g),
+        _fmt(rg[0, 0].real), _fmt(rg[0, 1].real), _fmt(rg[0, 1].imag),
+        _fmt(rg[1, 1].real),
+    ]) for t, s_v, trace_g, rg in zip(series.times, series.s_v,
+                                      series.trace_g, blocks)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / cfg.csv_name, "\n".join([CSV_HEADER] + rows) + "\n")
@@ -289,7 +264,7 @@ def cmd_simulate(args) -> int:
         "verdict": verdict.value,
         "block_identity": bool(block.proportional),
         "block_residual": float(block.residual),
-        "stationarity": float(np.linalg.norm(l_mat @ vec(rho_end))),
+        "stationarity": float(np.linalg.norm(l_mat @ vec(traj.states[-1]))),
         "csv": cfg.csv_name,
     }
     _atomic_write(out_dir / cfg.summary_name,
@@ -300,11 +275,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table(args, scenarios=None) -> int:
-    scale = tolerance_scale()
-    gamma = float(args.gamma) if args.gamma is not None else 0.1
-    horizon = args.horizon if args.horizon is not None else 20.0
-    report = reproduce_table(gamma=gamma, horizon=horizon,
-                             scenarios=scenarios, tol_scale=scale)
+    report = reproduce_table(gamma=args.gamma, horizon=args.horizon,
+                             scenarios=scenarios, tol_scale=tolerance_scale())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = report.text_table() + "\n"
@@ -350,17 +322,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep gammas must be positive")
     t_max = cfg.t_max if cfg.t_max is not None else 5.0
 
-    run = _prepare_run(cfg)
+    system, rho0 = _prepare_doublet(cfg)
     times = np.linspace(0.0, t_max, cfg.n_samples)
-    rho0 = np.outer(run.psi0, run.psi0.conj())
-    traj0 = evolve_expm(rho0, run.h, run.o, 0.0, times)
+    traj0 = evolve_expm(rho0, system.h, system.o, 0.0, times)
 
     rows = []
     discrepancies = []
     for gamma in gammas:
-        _, series, rho_end = _trajectory_rows(run, gamma, t_max)
-        delta = delta_rho(traj0, run.o, run.h, gamma, t_max, cfg.n_quad)
-        disc = float(np.linalg.norm(rho_end - traj0.states[-1] - delta))
+        traj = _evolve(cfg, system, rho0, gamma, t_max)
+        series, _ = observe_subspace(traj, system.ground.basis)
+        delta = delta_rho(traj0, system.o, system.h, gamma, t_max, cfg.n_quad)
+        disc = float(np.linalg.norm(traj.states[-1] - traj0.states[-1]
+                                    - delta))
         discrepancies.append(disc)
         rows.append(",".join([_fmt(gamma), _fmt(series.s_v[-1]), _fmt(disc)]))
 
@@ -424,26 +397,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symmetry-protected coherence in dissipative spin models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required):
-        p.add_argument("--config", required=config_required,
-                       help="path to a JSON run configuration")
-        p.add_argument("--gamma", default=None,
-                       help="dissipation rate (sweep: comma-separated list)")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--integrator", choices=("rk4", "expm"), default=None)
-        p.add_argument("--horizon", type=float, default=None,
-                       help="dimensionless horizon gamma*t")
-
     p_sim = sub.add_parser("simulate", help="run one configured scenario")
-    common(p_sim, config_required=True)
+    p_sim.add_argument("--config", required=True,
+                       help="path to a JSON run configuration")
+    p_sim.add_argument("--gamma", type=float, default=None,
+                       help="dissipation rate (overrides the config)")
+    p_sim.add_argument("--integrator", choices=("rk4", "expm"), default=None,
+                       help="propagator (overrides the config)")
+    p_sim.add_argument("--horizon", type=float, default=None,
+                       help="dimensionless horizon gamma*t (overrides t_max)")
+    p_sim.add_argument("--out", default=".", help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_tab = sub.add_parser("table", help="reproduce the 16-row classification")
-    common(p_tab, config_required=False)
+    p_tab.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
+                       help="dissipation rate")
+    p_tab.add_argument("--horizon", type=float, default=DEFAULT_HORIZON,
+                       help="dimensionless horizon gamma*t")
+    p_tab.add_argument("--out", default=".", help="output directory")
     p_tab.set_defaults(func=cmd_table)
 
     p_sw = sub.add_parser("sweep", help="gamma sweep with first-order oracle")
-    common(p_sw, config_required=True)
+    p_sw.add_argument("--config", required=True,
+                      help="path to a JSON run configuration")
+    p_sw.add_argument("--gamma", default=None,
+                      help="comma-separated dissipation rates "
+                           "(overrides 'gammas')")
+    p_sw.add_argument("--out", default=".", help="output directory")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_cls = sub.add_parser("classify-op",

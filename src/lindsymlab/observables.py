@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import ComplexMatrix
+from .spectra import normalize_subspace, subspace_density
 from .symmetry import frob
 
 
@@ -72,6 +73,29 @@ class EntropySeries:
     def __post_init__(self):
         if not (len(self.times) == len(self.s_v) == len(self.trace_g)):
             raise ValueError("series arrays must share one length")
+
+
+def observe_subspace(
+        traj, basis: ComplexMatrix) -> tuple[EntropySeries, np.ndarray]:
+    """Observe a trajectory inside the span of basis, one visit per sample.
+
+    Returns the EntropySeries and the raw (unnormalized) subspace blocks
+    basis^dag rho(t_k) basis, stacked as an array of shape (samples, g, g).
+
+    Raises:
+        ValueError: if a sample is not Hermitian unit-trace.
+        SubspaceDepletedError: if a sample's subspace population is too
+            small to normalize.
+    """
+    g = basis.shape[1]
+    blocks = np.empty((len(traj), g, g), dtype=complex)
+    s_v = np.empty(len(traj))
+    trace_g = np.empty(len(traj))
+    for k, state in enumerate(traj.states):
+        blocks[k] = subspace_density(state, basis)
+        trace_g[k] = float(np.trace(blocks[k]).real)
+        s_v[k] = von_neumann_entropy(normalize_subspace(blocks[k]))
+    return EntropySeries(times=traj.times, s_v=s_v, trace_g=trace_g), blocks
 
 
 def entropy_response(s: EntropySeries, s0: EntropySeries) -> np.ndarray:

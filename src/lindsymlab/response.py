@@ -10,8 +10,6 @@ as gamma squared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lindblad import Trajectory
@@ -19,15 +17,6 @@ from .observables import von_neumann_entropy
 from .operators import ComplexMatrix, anticommutator
 from .spectra import eigh
 from .symmetry import frob
-
-
-@dataclass(frozen=True)
-class PerturbativeResult:
-    """Bundle of first-order diagnostics produced by sweep validation."""
-
-    delta_rho: ComplexMatrix
-    delta_s_v: float
-    order_estimate: float
 
 
 def interaction_picture(o: ComplexMatrix, h: ComplexMatrix,

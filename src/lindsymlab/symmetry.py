@@ -50,7 +50,6 @@ class AntiUnitaryOp:
     """
 
     u: ComplexMatrix
-    conjugates: bool = True
 
     def act_state(self, v: np.ndarray) -> np.ndarray:
         return self.u @ np.conj(v)

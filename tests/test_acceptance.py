@@ -27,7 +27,7 @@ GAMMA = 0.1
 @pytest.fixture(scope="module")
 def table():
     start = time.perf_counter()
-    report = reproduce_table(gamma=GAMMA, horizon=20.0, with_oracle=True)
+    report = reproduce_table(gamma=GAMMA, horizon=20.0)
     elapsed = time.perf_counter() - start
     return report, elapsed
 

@@ -147,6 +147,16 @@ def test_reproduce_table_subset(scenarios):
             assert "ok" in line
 
 
+def test_audit_lists_rows_outside_the_catalog(scenarios):
+    import dataclasses
+    custom = dataclasses.replace(scenarios["tr_invariant:sz"],
+                                 name="custom:sz")
+    text = reproduce_table(scenarios=[custom]).text_table()
+    audit = text.split("signature -> row assignment (audit):")[1]
+    assert "custom:sz" in audit
+    assert str(custom.claims) in audit
+
+
 def test_reproduce_table_rejects_empty():
     with pytest.raises(CatalogIntegrityError):
         reproduce_table(scenarios=[])

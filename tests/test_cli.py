@@ -6,7 +6,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from lindsymlab.classify import catalog
+from lindsymlab.classify import catalog, run_scenario
 from lindsymlab.cli import build_parser, cmd_table, main
 from lindsymlab.observables import Coherence
 
@@ -243,6 +243,13 @@ def test_config_error_paths(tmp_path, capsys):
     assert code == 2
     assert "invalid value" in err
 
+    # not a half-integer, and beyond the dense-storage cap
+    for spin in (0.7, 40):
+        code, err = run(_write_cfg(tmp_path, name=f"spin{spin}.json",
+                                   spin=spin))
+        assert code == 2
+        assert "spin" in err
+
     absent = main(["simulate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(out)])
     assert absent == 2
@@ -260,6 +267,34 @@ def test_tolerance_scale_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LSL_TOLERANCE_SCALE", "10")
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
+
+
+def test_simulate_block_test_uses_the_tolerance_scale(tmp_path,
+                                                     monkeypatch):
+    # tr_invariant:sz has block residual / |c| = 0.4, so a scale of 1e9
+    # turns the block test from "no" into "yes" on both routes
+    sc = next(sc for sc in catalog() if sc.name == "tr_invariant:sz")
+    cfg = _write_cfg(tmp_path, coupling="sz", t_max=5.0, n_samples=11)
+    out = tmp_path / "out"
+    monkeypatch.setenv("LSL_TOLERANCE_SCALE", "1e9")
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["block_identity"] == \
+        run_scenario(sc, tol_scale=1e9).block_identity
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--config", "run.json"],
+    ["table", "--integrator", "rk4"],
+    ["sweep", "--config", "run.json", "--integrator", "rk4"],
+    ["sweep", "--config", "run.json", "--horizon", "99"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_script_installed():
