@@ -23,15 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import (BlockIdentity, block_identity_test, evolve_expm,
-                       liouvillian_matrix, subspace_block, vec)
+from .lindblad import (block_identity_test, evolve_expm, liouvillian_matrix,
+                       subspace_block, vec)
 from .observables import (DEFAULT_COH_TOL, DEFAULT_DEC_TOL, Coherence,
                           coherence_verdict, observe_subspace)
 from .operators import (ComplexMatrix, OperatorSpec, build_coupling,
                         build_hamiltonian, spin_matrices)
 from .response import delta_rho
 from .spectra import GroundSubspace, ground_subspace, normalize_subspace
-from .symmetry import (DEFAULT_TOL, AntiUnitaryOp, SchurResult, UnitaryGroup,
+from .symmetry import (DEFAULT_TOL, AntiUnitaryOp, UnitaryGroup,
                        commutes_with_antiunitary, commutes_with_unitary, frob,
                        is_hermitian, quaternion_group, schur_test,
                        time_reversal)
@@ -257,8 +257,7 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
 
     peaks = {}
     probe_verdicts = {}
-    trace_err = herm_err = 0.0
-    min_eig = np.inf
+    states = []
     for probe_name, psi in probe_states(system.ground).items():
         rho0 = np.outer(psi, psi.conj())
         traj = evolve_expm(rho0, system.h, system.o, gamma, times)
@@ -267,33 +266,30 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
         probe_verdicts[probe_name] = coherence_verdict(
             series, coh_tol=DEFAULT_COH_TOL * tol_scale,
             dec_tol=DEFAULT_DEC_TOL * tol_scale)
-        for state in traj.states:
-            trace_err = max(trace_err, abs(np.trace(state) - 1.0))
-            herm_err = max(herm_err, frob(state - state.conj().T))
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(
-                (state + state.conj().T) / 2).min()))
+        states.append(traj.states)
         if probe_name == "equal":
             main_series = series
-            rho_g = [normalize_subspace(b) for b in blocks]
-            max_drift = max(frob(r - rho_g[0]) for r in rho_g)
+            rho_g = normalize_subspace(blocks)
+            max_drift = np.linalg.norm(rho_g - rho_g[0], axis=(-2, -1)).max()
             stationarity = float(np.linalg.norm(l_mat @ vec(traj.states[-1])))
+    states = np.concatenate(states)
+    adjoint = states.conj().swapaxes(-2, -1)
+    trace_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0).max()
+    herm_err = np.linalg.norm(states - adjoint, axis=(-2, -1)).max()
+    min_eig = np.linalg.eigvalsh((states + adjoint) / 2).min()
 
     if any(v is Coherence.AMBIGUOUS for v in probe_verdicts.values()):
         raise AmbiguousVerdictError(
             f"{sc.name}: probe peak entropies {peaks} straddle the verdict "
             f"thresholds")
-    if any(v is Coherence.DECOHERENT for v in probe_verdicts.values()):
-        combined = Coherence.DECOHERENT
-    else:
-        combined = Coherence.COHERENT
+    combined = (Coherence.DECOHERENT if Coherence.DECOHERENT
+                in probe_verdicts.values() else Coherence.COHERENT)
 
     tol = DEFAULT_TOL * tol_scale
-    bi: BlockIdentity = block_identity_test(subspace_block(l_mat, basis),
-                                            tol=tol)
-    schur_o: SchurResult = schur_test(system.ground.projector, system.o,
-                                      tol=tol)
-    schur_q: SchurResult = schur_test(system.ground.projector,
-                                      system.o.conj().T @ system.o, tol=tol)
+    bi = block_identity_test(subspace_block(l_mat, basis), tol=tol)
+    schur_o = schur_test(system.ground.projector, system.o, tol=tol)
+    schur_q = schur_test(system.ground.projector,
+                         system.o.conj().T @ system.o, tol=tol)
     schur_yes = schur_o.proportional and schur_q.proportional
 
     passed = (combined == sc.expected_coherence

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -43,24 +44,35 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
 
 
+def _positive(text: str) -> float:
+    """A finite number above zero; raises argparse's error type otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def tolerance_scale() -> float:
     raw = os.environ.get("LSL_TOLERANCE_SCALE", "1")
     try:
-        scale = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"LSL_TOLERANCE_SCALE={raw!r} is not a number") from exc
-    if scale <= 0:
-        raise ConfigError("LSL_TOLERANCE_SCALE must be positive")
-    return scale
+        return _positive(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"LSL_TOLERANCE_SCALE {exc}") from None
 
 
 def _parse_complex(value, key: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{key}: expected a number or [re, im] pair, got {value!r}")
+    pair = [value, 0] if isinstance(value, (int, float)) else value
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(isinstance(x, (int, float)) for x in pair)):
+        raise ConfigError(
+            f"{key}: expected a number or [re, im] pair, got {value!r}")
+    if not all(map(math.isfinite, pair)):
+        raise ConfigError(f"{key}: {value!r} is not finite")
+    return complex(*pair)
 
 
 def _parse_matrix(rows, key: str) -> np.ndarray:
@@ -108,20 +120,33 @@ class RunConfig:
     summary_name: str = "summary.json"
 
     def validate(self) -> None:
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        # products, unlike ** 2, overflow to inf instead of raising
+        norm = (abs(self.alpha) * abs(self.alpha)
+                + abs(self.beta) * abs(self.beta))
         if abs(norm - 1.0) > 1e-9:
             raise ConfigError(f"alpha/beta: |a|^2 + |b|^2 = {norm!r}, need 1")
-        if self.t_max is not None and self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        for key in ("gamma", "t_max", "dt"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be finite and positive")
+        if not all(0 < g < math.inf for g in self.gammas):
+            raise ConfigError("gammas must be finite and positive")
+        if not math.isfinite(self.e_g):
+            raise ConfigError("e_g must be finite")
+        for key in ("hamiltonian", "coupling"):
+            if not math.isfinite(getattr(self, key).scale):
+                raise ConfigError(f"{key}: scale must be finite")
         if self.integrator not in ("rk4", "expm"):
             raise ConfigError(f"integrator must be rk4 or expm, "
                               f"got {self.integrator!r}")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        for key in ("n_samples", "n_quad"):
+            if type(getattr(self, key)) is not int:
+                raise ConfigError(f"{key} must be an integer, "
+                                  f"got {getattr(self, key)!r}")
         if self.n_samples < 2:
             raise ConfigError("n_samples must be at least 2")
+        if self.n_quad < 16 or self.n_quad % 2:
+            raise ConfigError("n_quad must be an even panel count >= 16")
 
 
 _KNOWN_KEYS = {"spin", "hamiltonian", "coupling", "gamma", "e_g", "t_max",
@@ -165,18 +190,17 @@ def load_config(path: str) -> RunConfig:
             t_max=float(doc["t_max"]) if doc.get("t_max") is not None else None,
             dt=float(doc["dt"]) if doc.get("dt") is not None else None,
             integrator=str(doc.get("integrator", "expm")),
-            n_samples=int(doc.get("n_samples", 201)),
-            n_quad=int(doc.get("n_quad", 128)),
+            n_samples=doc.get("n_samples", 201),
+            n_quad=doc.get("n_quad", 128),
             gammas=[float(g) for g in doc.get("gammas", [])],
             csv_name=str(doc.get("csv", "trajectory.csv")),
             summary_name=str(doc.get("summary", "summary.json")),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: invalid value ({exc})") from None
-    if "alpha" in doc:
-        cfg.alpha = _parse_complex(doc["alpha"], "alpha")
-    if "beta" in doc:
-        cfg.beta = _parse_complex(doc["beta"], "beta")
+    for key in ("alpha", "beta"):
+        if key in doc:
+            setattr(cfg, key, _parse_complex(doc[key], key))
     try:
         cfg.validate()
     except ConfigError as exc:
@@ -225,16 +249,12 @@ CSV_HEADER = "t,gamma_t,s_v,trace_g,re_rho_pp,re_rho_pm,im_rho_pm,re_rho_mm"
 def cmd_simulate(args) -> int:
     scale = tolerance_scale()
     cfg = load_config(args.config)
-    if args.gamma is not None:
-        cfg.gamma = args.gamma
-        cfg.validate()
-    if args.integrator is not None:
-        cfg.integrator = args.integrator
-        cfg.validate()
+    # argparse has already checked both overrides
+    cfg.gamma = args.gamma or cfg.gamma
+    cfg.integrator = args.integrator or cfg.integrator
     t_max = cfg.t_max
     if args.horizon is not None or t_max is None:
-        horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
-        t_max = horizon / cfg.gamma
+        t_max = (args.horizon or DEFAULT_HORIZON) / cfg.gamma
 
     system, rho0 = _prepare_doublet(cfg)
     traj = _evolve(cfg, system, rho0, cfg.gamma, t_max)
@@ -312,14 +332,10 @@ def cmd_table(args, scenarios=None) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    gammas = list(cfg.gammas)
-    if args.gamma is not None:
-        gammas = [float(tok) for tok in str(args.gamma).split(",") if tok]
+    gammas = cfg.gammas if args.gamma is None else args.gamma
     if len(gammas) < 2:
         raise ConfigError("sweep needs at least two gamma values "
                           "(config key 'gammas' or --gamma g1,g2,...)")
-    if any(g <= 0 for g in gammas):
-        raise ConfigError("sweep gammas must be positive")
     t_max = cfg.t_max if cfg.t_max is not None else 5.0
 
     system, rho0 = _prepare_doublet(cfg)
@@ -378,9 +394,8 @@ def cmd_classify_op(args) -> int:
     comm_t = commutes_with_antiunitary(o, trev)
     failing = [lbl for lbl, q in zip(group.labels, group.elements)
                if not commutes_with_unitary(o, q)]
-    shown = spec.name if spec.name is not None else "<literal matrix>"
-    if spec.name is not None:
-        shown = f"{spec.name} (canonical: {canonical_name(spec.name)})"
+    shown = (f"{spec.name} (canonical: {canonical_name(spec.name)})"
+             if spec.name is not None else "<literal matrix>")
     print(f"operator:  {shown}")
     print(f"hermitian: {'yes' if herm else 'no'}")
     print(f"[O,T]=0:   {'yes' if comm_t else 'no'}")
@@ -400,19 +415,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one configured scenario")
     p_sim.add_argument("--config", required=True,
                        help="path to a JSON run configuration")
-    p_sim.add_argument("--gamma", type=float, default=None,
+    p_sim.add_argument("--gamma", type=_positive, default=None,
                        help="dissipation rate (overrides the config)")
     p_sim.add_argument("--integrator", choices=("rk4", "expm"), default=None,
                        help="propagator (overrides the config)")
-    p_sim.add_argument("--horizon", type=float, default=None,
+    p_sim.add_argument("--horizon", type=_positive, default=None,
                        help="dimensionless horizon gamma*t (overrides t_max)")
     p_sim.add_argument("--out", default=".", help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_tab = sub.add_parser("table", help="reproduce the 16-row classification")
-    p_tab.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
+    p_tab.add_argument("--gamma", type=_positive, default=DEFAULT_GAMMA,
                        help="dissipation rate")
-    p_tab.add_argument("--horizon", type=float, default=DEFAULT_HORIZON,
+    p_tab.add_argument("--horizon", type=_positive, default=DEFAULT_HORIZON,
                        help="dimensionless horizon gamma*t")
     p_tab.add_argument("--out", default=".", help="output directory")
     p_tab.set_defaults(func=cmd_table)
@@ -421,6 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--config", required=True,
                       help="path to a JSON run configuration")
     p_sw.add_argument("--gamma", default=None,
+                      type=lambda text: [_positive(tok)
+                                         for tok in text.split(",") if tok],
                       help="comma-separated dissipation rates "
                            "(overrides 'gammas')")
     p_sw.add_argument("--out", default=".", help="output directory")

@@ -9,7 +9,6 @@ import numpy as np
 
 from .operators import ComplexMatrix
 from .spectra import normalize_subspace, subspace_density
-from .symmetry import frob
 
 
 class PositivityError(Exception):
@@ -21,31 +20,39 @@ class PositivityError(Exception):
 NEG_EIG_FLOOR = -1e-7
 
 
-def von_neumann_entropy(rho: ComplexMatrix) -> float:
+def von_neumann_entropy(rho: ComplexMatrix) -> float | np.ndarray:
     """Von Neumann entropy -tr(rho ln rho) in nats.
 
-    Accepts any Hermitian positive matrix; if the trace is off unity by
-    more than 1e-8 the matrix is normalized first, so subspace blocks can
-    be passed directly. Eigenvalues in [NEG_EIG_FLOOR, 0) are clamped to
-    zero and 0 ln 0 counts as 0.
+    Accepts any Hermitian positive matrix, or a stack of them of shape
+    (..., d, d); a single matrix gives a float, a stack an array of shape
+    (...). A matrix whose trace is off unity by more than 1e-8 is
+    normalized first, so subspace blocks can be passed directly.
+    Eigenvalues in [NEG_EIG_FLOOR, 0) are clamped to zero and 0 ln 0
+    counts as 0.
 
     Raises:
+        ValueError: if a matrix is not finite or not Hermitian.
         PositivityError: if any eigenvalue lies below NEG_EIG_FLOOR.
     """
     rho = np.asarray(rho, dtype=complex)
-    if frob(rho - rho.conj().T) > 1e-8 * max(1.0, frob(rho)):
+    if not np.isfinite(rho).all():
+        raise ValueError("entropy needs a finite matrix")
+    norm = np.linalg.norm(rho, axis=(-2, -1))
+    skew = np.linalg.norm(rho - rho.conj().swapaxes(-2, -1), axis=(-2, -1))
+    if np.any(skew > 1e-8 * np.maximum(1.0, norm)):
         raise ValueError("entropy needs a Hermitian matrix")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-8:
-        if tr <= 0:
-            raise PositivityError(f"cannot normalize trace {tr:.3e}")
-        rho = rho / tr
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    off = abs(tr - 1.0) > 1e-8
+    if np.any(off & (tr <= 0)):
+        raise PositivityError(f"cannot normalize trace {np.min(tr):.3e}")
+    rho = np.where(off[..., None, None], rho / tr[..., None, None], rho)
     lam = np.linalg.eigvalsh(rho)
     if lam.min() < NEG_EIG_FLOOR:
         raise PositivityError(f"eigenvalue {lam.min():.3e} below {NEG_EIG_FLOOR}")
     lam = np.clip(lam, 0.0, 1.0)
-    pos = lam[lam > 0]
-    return float(-(pos * np.log(pos)).sum()) + 0.0  # avoid IEEE -0.0
+    terms = np.where(lam > 0, lam * np.log(np.where(lam > 0, lam, 1.0)), 0.0)
+    s = 0.0 - terms.sum(axis=-1)  # 0.0 - x is never IEEE -0.0
+    return float(s) if s.ndim == 0 else s
 
 
 def purity(rho: ComplexMatrix) -> float:
@@ -77,7 +84,7 @@ class EntropySeries:
 
 def observe_subspace(
         traj, basis: ComplexMatrix) -> tuple[EntropySeries, np.ndarray]:
-    """Observe a trajectory inside the span of basis, one visit per sample.
+    """Observe a whole trajectory inside the span of basis in one pass.
 
     Returns the EntropySeries and the raw (unnormalized) subspace blocks
     basis^dag rho(t_k) basis, stacked as an array of shape (samples, g, g).
@@ -87,14 +94,9 @@ def observe_subspace(
         SubspaceDepletedError: if a sample's subspace population is too
             small to normalize.
     """
-    g = basis.shape[1]
-    blocks = np.empty((len(traj), g, g), dtype=complex)
-    s_v = np.empty(len(traj))
-    trace_g = np.empty(len(traj))
-    for k, state in enumerate(traj.states):
-        blocks[k] = subspace_density(state, basis)
-        trace_g[k] = float(np.trace(blocks[k]).real)
-        s_v[k] = von_neumann_entropy(normalize_subspace(blocks[k]))
+    blocks = subspace_density(traj.states, basis)
+    trace_g = np.trace(blocks, axis1=-2, axis2=-1).real
+    s_v = von_neumann_entropy(normalize_subspace(blocks))
     return EntropySeries(times=traj.times, s_v=s_v, trace_g=trace_g), blocks
 
 

@@ -8,7 +8,7 @@ catalog so that scenarios, configs, and tests all speak the same names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -14,22 +14,26 @@ import numpy as np
 
 from .lindblad import Trajectory
 from .observables import von_neumann_entropy
-from .operators import ComplexMatrix, anticommutator
+from .operators import ComplexMatrix
 from .spectra import eigh
 from .symmetry import frob
 
 
 def interaction_picture(o: ComplexMatrix, h: ComplexMatrix,
-                        t: float) -> ComplexMatrix:
+                        t: float | np.ndarray) -> ComplexMatrix:
     """Return exp(iHt) O exp(-iHt) through the eigenbasis of H.
+
+    t is a time or an array of times; an array gives one operator per
+    time, stacked along the leading axes, from one eigendecomposition.
 
     Raises:
         ValueError: if h is not Hermitian (from the eigendecomposition gate).
     """
     vals, vecs = eigh(h)
     w = vecs.conj().T @ o @ vecs
-    phase = np.exp(1j * vals * t)
-    return vecs @ (w * np.outer(phase, phase.conj())) @ vecs.conj().T
+    phase = np.exp(1j * vals * np.asarray(t)[..., None])
+    rotated = w * (phase[..., :, None] * phase.conj()[..., None, :])
+    return vecs @ rotated @ vecs.conj().T
 
 
 def _simpson_weights(n_panels: int, width: float) -> np.ndarray:
@@ -71,14 +75,15 @@ def delta_rho(rho0_traj: Trajectory, o: ComplexMatrix, h: ComplexMatrix,
         raise ValueError(f"t={t} is not on the reference trajectory grid")
     rho0_t = rho0_traj.states[int(hits[0])]
 
-    weights = _simpson_weights(n_quad, t)
+    # every node's integrand from one eigh(h), summed in node order
+    o_tp = interaction_picture(o, h, -(t * np.arange(n_quad + 1) / n_quad))
+    o_dag = o_tp.conj().swapaxes(-2, -1)
+    odo = o_dag @ o_tp
+    terms = (2.0 * (o_tp @ rho0_t @ o_dag)
+             - (odo @ rho0_t + rho0_t @ odo))
     acc = np.zeros_like(rho0_t)
-    for k, w in enumerate(weights):
-        tp = t * k / n_quad
-        o_tp = interaction_picture(o, h, -tp)
-        odo = o_tp.conj().T @ o_tp
-        acc = acc + w * (2.0 * (o_tp @ rho0_t @ o_tp.conj().T)
-                         - anticommutator(odo, rho0_t))
+    for w, term in zip(_simpson_weights(n_quad, t), terms):
+        acc = acc + w * term
     return gamma * acc
 
 

@@ -73,16 +73,12 @@ def ground_subspace(h: ComplexMatrix, rel_tol: float = 1e-9,
     """
     vals, vecs = eigh(h)
     spread = float(vals[-1] - vals[0])
-    if spread <= 1e-14 * max(1.0, abs(float(vals[0]))):
-        basis = np.ascontiguousarray(vecs)
-        basis = np.column_stack([_phase_fix(basis[:, k]) for k in range(basis.shape[1])])
-        proj = basis @ basis.conj().T
-        return GroundSubspace(energy=float(vals[0]), basis=basis, projector=proj,
-                              dim=basis.shape[1], spans_full_space=True)
-    mask = vals - vals[0] <= rel_tol * spread
-    basis = np.column_stack([_phase_fix(vecs[:, k]) for k in np.nonzero(mask)[0]])
+    full = spread <= 1e-14 * max(1.0, abs(float(vals[0])))
+    columns = (range(len(vals)) if full
+               else np.flatnonzero(vals - vals[0] <= rel_tol * spread))
+    basis = np.column_stack([_phase_fix(vecs[:, k]) for k in columns])
     proj = basis @ basis.conj().T
-    if pairing is not None and basis.shape[1] == 2:
+    if pairing is not None and basis.shape[1] == 2 and not full:
         phi_plus = basis[:, 0]
         partner = pairing.act_state(phi_plus)
         leak = partner - proj @ partner
@@ -94,7 +90,7 @@ def ground_subspace(h: ComplexMatrix, rel_tol: float = 1e-9,
         basis = np.column_stack([phi_plus, _phase_fix(partner)])
         proj = basis @ basis.conj().T
     return GroundSubspace(energy=float(vals[0]), basis=basis, projector=proj,
-                          dim=basis.shape[1], spans_full_space=False)
+                          dim=basis.shape[1], spans_full_space=full)
 
 
 def kramers_check(h: ComplexMatrix, t: AntiUnitaryOp,
@@ -112,42 +108,43 @@ def kramers_check(h: ComplexMatrix, t: AntiUnitaryOp,
         raise ValueError("Hamiltonian does not commute with the anti-unitary")
     vals, _ = eigh(h)
     spread = max(float(vals[-1] - vals[0]), 1e-30)
-    groups = []
-    for v in vals:
-        if groups and abs(v - groups[-1][-1]) <= rel_tol * spread:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return all(len(g) % 2 == 0 for g in groups)
+    # a level ends where the sorted spectrum jumps by more than the tolerance
+    ends = np.flatnonzero(np.diff(vals) > rel_tol * spread)
+    sizes = np.diff(np.concatenate([[-1], ends, [len(vals) - 1]]))
+    return bool(np.all(sizes % 2 == 0))
 
 
 def subspace_density(rho: ComplexMatrix, basis: ComplexMatrix,
                      tol: float = DEFAULT_TOL) -> ComplexMatrix:
-    """Restrict a density matrix to the span of basis columns.
+    """Restrict a density matrix, or a stack of them, to the span of basis.
 
-    Returns basis^dag rho basis; its trace is the subspace population and
-    is generally below one once leakage sets in.
+    rho has shape (..., d, d); returns basis^dag rho basis of shape
+    (..., g, g). Its trace is the subspace population and is generally
+    below one once leakage sets in.
 
     Raises:
-        ValueError: if rho is not Hermitian unit-trace within tol.
+        ValueError: if any rho is not Hermitian unit-trace within tol.
     """
     rho = np.asarray(rho, dtype=complex)
-    if frob(rho - rho.conj().T) > tol * max(1.0, frob(rho)):
+    norm = np.linalg.norm(rho, axis=(-2, -1))
+    skew = np.linalg.norm(rho - rho.conj().swapaxes(-2, -1), axis=(-2, -1))
+    if np.any(skew > tol * np.maximum(1.0, norm)):
         raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if np.any(abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > tol):
         raise ValueError("density matrix must have unit trace")
     return basis.conj().T @ rho @ basis
 
 
 def normalize_subspace(rho_g: ComplexMatrix,
                        trace_floor: float = 1e-12) -> ComplexMatrix:
-    """Rescale a subspace block to unit trace.
+    """Rescale a subspace block, or each of a stack of them, to unit trace.
 
     Raises:
-        SubspaceDepletedError: if the block trace is at or below trace_floor,
+        SubspaceDepletedError: if a block trace is at or below trace_floor,
             where normalization would amplify numerical noise.
     """
-    tr = float(np.trace(rho_g).real)
-    if tr <= trace_floor:
-        raise SubspaceDepletedError(f"subspace population {tr:.3e} below floor")
-    return rho_g / tr
+    tr = np.trace(rho_g, axis1=-2, axis2=-1).real
+    if np.any(tr <= trace_floor):
+        raise SubspaceDepletedError(
+            f"subspace population {np.min(tr):.3e} below floor")
+    return rho_g / tr[..., None, None]

@@ -11,6 +11,7 @@ All closeness checks use the Frobenius norm.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,9 @@ class AntiUnitaryOp:
         return self.u @ np.conj(self.u)
 
 
-# Abstract quaternion units for the labeling search: (sign, axis) with
-# axis 0 = identity, 1 = i, 2 = j, 3 = k.
-_UNIT_NAMES = {(1, 0): "e", (-1, 0): "e_bar", (1, 1): "i", (-1, 1): "i_bar",
-               (1, 2): "j", (-1, 2): "j_bar", (1, 3): "k", (-1, 3): "k_bar"}
+# Quaternion units as (sign, axis): axis 0 = identity, 1 = i, 2 = j, 3 = k.
+_UNITS = {"e": (1, 0), "e_bar": (-1, 0), "i": (1, 1), "i_bar": (-1, 1),
+          "j": (1, 2), "j_bar": (-1, 2), "k": (1, 3), "k_bar": (-1, 3)}
 
 
 def _unit_mul(a, b):
@@ -84,33 +84,28 @@ def _unit_mul(a, b):
 
 
 def _numeric_cayley(elements) -> np.ndarray:
-    n = len(elements)
-    table = -np.ones((n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            prod = elements[a] @ elements[b]
-            for c in range(n):
-                if frob(prod - elements[c]) < 1e-12:
-                    table[a, b] = c
-                    break
-            if table[a, b] < 0:
-                raise ValueError("matrix set is not closed under multiplication")
-    return table
+    stack = np.array(elements)
+    products = np.einsum("aij,bjk->abik", stack, stack)
+    dist = np.linalg.norm(products[:, :, None] - stack, axis=(-2, -1))
+    if not np.all(dist.min(axis=-1) < 1e-12):
+        raise ValueError("matrix set is not closed under multiplication")
+    return dist.argmin(axis=-1)
 
 
+@functools.cache
 def quaternion_group() -> UnitaryGroup:
-    """Build the quaternion group acting on the spin-3/2 Hilbert space.
+    """The quaternion group acting on the spin-3/2 Hilbert space.
 
     The representation is block-structured: identity, the negated identity,
     and three staggered Pauli pairs. The multiplication table is computed
-    numerically and then labeled with quaternion units e, i, j, k (and
-    their negatives) by a validated search, so the labels are guaranteed
-    to satisfy the abstract group law. Every non-central element has
-    order 4.
+    numerically, and the fixed quaternion-unit labels e, i, j, k (and their
+    negatives) are checked against the abstract group law on it. Every
+    non-central element has order 4. Built once per process; the element
+    matrices and the table are read-only.
 
     Raises:
-        ValueError: if the numeric table fails to close or no consistent
-            labeling exists.
+        ValueError: if the numeric table fails to close or the labels
+            violate the group law.
     """
     i2 = np.eye(2)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -121,35 +116,15 @@ def quaternion_group() -> UnitaryGroup:
     q5 = -1j * np.kron(sx, sy)
     q7 = -1j * np.kron(sx, sx)
     elements = (q1, -q1, q3, -q3, q5, -q5, q7, -q7)
+    labels = ("e", "e_bar", "i", "i_bar", "j", "j_bar", "k_bar", "k")
     table = _numeric_cayley(elements)
-
-    # Label deterministically: identity -> e, the order-2 element -> e_bar,
-    # first unassigned -> i, next unassigned -> j, and k is forced by ij.
-    units = [None] * 8
-    for a in range(8):
-        if table[a, a] == a:
-            units[a] = (1, 0)
-    identity = units.index((1, 0))
-    for a in range(8):
-        if a != identity and table[a, a] == identity:
-            units[a] = (-1, 0)
-    e_bar = units.index((-1, 0))
-    free_axes = [1, 2]
-    for a in range(8):
-        if units[a] is None and free_axes:
-            axis = free_axes.pop(0)
-            units[a] = (1, axis)
-            units[table[a, e_bar]] = (-1, axis)
-    i_idx = units.index((1, 1))
-    j_idx = units.index((1, 2))
-    units[table[i_idx, j_idx]] = (1, 3)
-    units[table[table[i_idx, j_idx], e_bar]] = (-1, 3)
-
     for a in range(8):
         for b in range(8):
-            if _unit_mul(units[a], units[b]) != units[table[a, b]]:
-                raise ValueError("no consistent quaternion labeling found")
-    labels = tuple(_UNIT_NAMES[u] for u in units)
+            if (_unit_mul(_UNITS[labels[a]], _UNITS[labels[b]])
+                    != _UNITS[labels[table[a, b]]]):
+                raise ValueError("quaternion labels violate the group law")
+    for arr in (*elements, table):
+        arr.setflags(write=False)
     return UnitaryGroup(elements=elements, cayley=table, labels=labels)
 
 

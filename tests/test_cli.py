@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +246,30 @@ def test_config_error_paths(tmp_path, capsys):
     assert code == 2
     assert "invalid value" in err
 
+    # NaN and Infinity are valid JSON to Python but not valid inputs
+    nan, inf = float("nan"), float("inf")
+    sz_rows = [[1.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, -0.5, 0], [0, 0, 0, nan]]
+    for key, kw in [
+            ("gamma", {"gamma": nan}),
+            ("gamma", {"gamma": inf}),
+            ("e_g", {"e_g": inf}),
+            ("t_max", {"t_max": nan}),
+            ("dt", {"dt": inf}),
+            ("gammas", {"gammas": [1e-3, nan]}),
+            ("alpha", {"alpha": [nan, 0.0]}),
+            ("beta", {"beta": inf}),
+            ("alpha", {"alpha": [1e308, 0.0]}),  # |alpha|^2 overflows
+            ("coupling", {"coupling": {"name": "sx2", "scale": nan}}),
+            ("hamiltonian", {"hamiltonian": {"name": "tr_invariant",
+                                             "scale": -inf}}),
+            ("coupling", {"coupling": {"matrix": sz_rows}}),
+            ("n_samples", {"n_samples": 2.7}),
+            ("n_quad", {"n_quad": 130.5}),
+            ("n_quad", {"n_quad": 15})]:
+        code, err = run(_write_cfg(tmp_path, name="nonfinite.json", **kw))
+        assert code == 2, kw
+        assert key in err, (kw, err)
+
     # not a half-integer, and beyond the dense-storage cap
     for spin in (0.7, 40):
         code, err = run(_write_cfg(tmp_path, name=f"spin{spin}.json",
@@ -264,6 +291,10 @@ def test_tolerance_scale_env(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     monkeypatch.setenv("LSL_TOLERANCE_SCALE", "-2")
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    for raw in ("nan", "inf"):
+        monkeypatch.setenv("LSL_TOLERANCE_SCALE", raw)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
     monkeypatch.setenv("LSL_TOLERANCE_SCALE", "10")
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
@@ -295,6 +326,39 @@ def test_subcommands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["table", "--gamma", "0"], "--gamma"),
+    (["table", "--gamma", "-0.1"], "--gamma"),
+    (["table", "--gamma", "nan"], "--gamma"),
+    (["table", "--horizon", "0"], "--horizon"),
+    (["table", "--horizon", "inf"], "--horizon"),
+    (["simulate", "--config", "CFG", "--gamma", "nan"], "--gamma"),
+    (["simulate", "--config", "CFG", "--horizon", "-1"], "--horizon"),
+    (["sweep", "--config", "CFG", "--gamma", "1e-3,abc"], "--gamma"),
+    (["sweep", "--config", "CFG", "--gamma", "1e-3,-2e-3"], "--gamma"),
+    (["sweep", "--config", "CFG", "--gamma", "1e-3,inf"], "--gamma"),
+])
+def test_bad_numeric_flags_exit_2(argv, flag, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11)
+    out = tmp_path / "out"
+    argv = [cfg if a == "CFG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli_without_an_install():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "lindsymlab", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for sub in ("simulate", "table", "sweep", "classify-op"):
+        assert sub in proc.stdout
 
 
 def test_console_script_installed():

@@ -103,3 +103,32 @@ def test_coherence_values_are_report_labels():
     assert Coherence.COHERENT.value == "Coherence"
     assert Coherence.DECOHERENT.value == "Decoherence"
     assert Coherence.AMBIGUOUS.value == "Ambiguous"
+
+
+def test_entropy_of_a_stack_matches_one_call_per_matrix():
+    rng = np.random.default_rng(5)
+    for d in (2, 4):
+        stack = []
+        for k in range(9):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = a @ a.conj().T
+            # some unit trace, some subspace-like blocks of lower trace
+            stack.append(rho / np.trace(rho).real * (1.0 if k % 2 else 0.4))
+        stack[0] = np.zeros((d, d), dtype=complex)
+        stack[0][0, 0] = 1.0  # pure: a zero eigenvalue
+        stack = np.array(stack)
+        got = von_neumann_entropy(stack)
+        assert got.shape == (9,)
+        assert np.array_equal(got, [von_neumann_entropy(r) for r in stack])
+        assert type(von_neumann_entropy(stack[1])) is float
+        assert von_neumann_entropy(stack.reshape(3, 3, d, d)).shape == (3, 3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_entropy_rejects_non_finite_input(value):
+    rho = np.diag([value, 0.5]).astype(complex)
+    with pytest.raises(ValueError, match="finite"):
+        von_neumann_entropy(rho)
+    stack = np.array([np.diag([0.5, 0.5]), rho])
+    with pytest.raises(ValueError, match="finite"):
+        von_neumann_entropy(stack)

@@ -163,3 +163,12 @@ def test_scaling_exponent_recovers_power_law():
     assert scaling_exponent(g, 3.0 * g ** 2) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError):
         scaling_exponent([1e-3], [1e-6])
+
+
+def test_interaction_picture_of_many_times_matches_one_call_per_time(hams):
+    o = _op("sxsysz")
+    times = -(3.7 * np.arange(17) / 16)
+    stacked = interaction_picture(o, hams["both_symmetric"], times)
+    assert stacked.shape == (17, 4, 4)
+    assert np.array_equal(stacked, np.array(
+        [interaction_picture(o, hams["both_symmetric"], t) for t in times]))

@@ -157,3 +157,28 @@ def test_ground_subspace_respects_rel_tol():
     h = np.diag([0.0, 1e-12, 1.0, 2.0])
     assert ground_subspace(h, rel_tol=1e-9).dim == 2
     assert ground_subspace(h, rel_tol=1e-15).dim == 1
+
+
+def test_stacks_match_one_call_per_matrix(hams, trev):
+    rng = np.random.default_rng(11)
+    gs = ground_subspace(hams["tr_invariant"], pairing=trev)
+    stack = []
+    for _ in range(7):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = a @ a.conj().T
+        stack.append(rho / np.trace(rho).real)
+    stack = np.array(stack)
+    blocks = subspace_density(stack, gs.basis)
+    assert np.array_equal(
+        blocks, np.array([subspace_density(r, gs.basis) for r in stack]))
+    assert np.array_equal(normalize_subspace(blocks),
+                          np.array([normalize_subspace(b) for b in blocks]))
+    # one bad matrix anywhere in the stack fails the whole call
+    bad = stack.copy()
+    bad[3] = 2 * bad[3]
+    with pytest.raises(ValueError, match="unit trace"):
+        subspace_density(bad, gs.basis)
+    depleted = blocks.copy()
+    depleted[5] = 0.0
+    with pytest.raises(SubspaceDepletedError):
+        normalize_subspace(depleted)

@@ -164,3 +164,12 @@ def test_antiunitary_op_requires_conjugation_flag_semantics():
     op = AntiUnitaryOp(u=u)
     a = np.array([[0, 1j], [0, 0]], dtype=complex)
     assert np.allclose(op.act_operator(a), a.conj())
+
+
+def test_quaternion_group_is_built_once_and_read_only():
+    group = quaternion_group()
+    assert quaternion_group() is group
+    for arr in (*group.elements, group.cayley):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        group.elements[0][0, 0] = 2.0
