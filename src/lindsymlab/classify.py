@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import (block_identity_test, evolve_expm, liouvillian_matrix,
-                       subspace_block, vec)
-from .observables import (DEFAULT_COH_TOL, DEFAULT_DEC_TOL, Coherence,
-                          coherence_verdict, observe_subspace)
+from .lindblad import (BlockIdentity, PropagationError, Trajectory,
+                       block_identity_test, evolve_expm, evolve_rk4,
+                       liouvillian_matrix, subspace_block, vec)
+from .observables import Coherence, coherence_verdict, observe_subspace
 from .operators import (ComplexMatrix, OperatorSpec, build_coupling,
                         build_hamiltonian, spin_matrices)
 from .response import delta_rho
@@ -44,10 +44,6 @@ TABLE_SAMPLES = 201
 
 class CatalogIntegrityError(Exception):
     """A scenario's claimed symmetry signature fails computational checks."""
-
-
-class AmbiguousVerdictError(Exception):
-    """A trajectory's peak entropy fell between the verdict thresholds."""
 
 
 @dataclass(frozen=True)
@@ -226,23 +222,59 @@ def probe_states(ground: GroundSubspace) -> dict:
     }
 
 
+def propagate(system: ScenarioSystem, rho0: ComplexMatrix, gamma: float,
+              t_max: float, n_samples: int = TABLE_SAMPLES,
+              integrator: str = "expm", dt: float | None = None) -> Trajectory:
+    """rho0 at n_samples uniform times up to t_max, by "expm" or "rk4".
+
+    Raises:
+        PropagationError: RK4 is over its step budget or loses the trace
+            (StepSizeError), or a sampled state is not finite.
+    """
+    if integrator == "rk4":
+        traj = evolve_rk4(rho0, system.h, system.o, gamma, t_max, dt=dt,
+                          n_samples=n_samples)
+    else:
+        traj = evolve_expm(rho0, system.h, system.o, gamma,
+                           np.linspace(0.0, t_max, n_samples))
+    if not np.isfinite(traj.states).all():
+        raise PropagationError(
+            f"the {integrator} trajectory at gamma={gamma:g} is not finite: "
+            f"hamiltonian (e_g), coupling, gamma or t_max too large")
+    return traj
+
+
+def doublet_block(system: ScenarioSystem, gamma: float,
+                  tol_scale: float) -> tuple[ComplexMatrix, BlockIdentity]:
+    """The Liouvillian and the test of its doublet block against c * I.
+
+    The test tolerance is symmetry.DEFAULT_TOL times tol_scale.
+    """
+    l_mat = liouvillian_matrix(system.h, system.o, gamma)
+    block = subspace_block(l_mat, system.ground.basis)
+    return l_mat, block_identity_test(block, tol=DEFAULT_TOL * tol_scale)
+
+
+# Order in which one probe's verdict overrides another's for the row.
+_WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
+
+
 def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
                  horizon: float = DEFAULT_HORIZON,
                  tol_scale: float = 1.0) -> Verdict:
     """Run one scenario end to end and assemble its Verdict.
 
-    Dynamics run on a gamma*t-uniform grid up to gamma*t = horizon through
-    the exact propagator, for all three probe states; the reported series
-    quantities come from the equal superposition, while the coherence
-    verdict takes the worst probe. The Liouvillian doublet block, the
-    Schur projection and the first-order response oracle supply the
-    non-dynamical verdicts, all on the one prepared system. tol_scale
+    Propagate the three probe states exactly up to gamma*t = horizon,
+    observe each in the doublet, and decide: the worst probe (Ambiguous,
+    then Decoherence, then Coherence) sets the coherence verdict, and the
+    series quantities come from the equal superposition. The doublet
+    block, the Schur projection and the first-order response oracle add
+    the non-dynamical verdicts on the same prepared system. tol_scale
     multiplies the verdict thresholds and the block/Schur tolerance.
 
     Raises:
         CatalogIntegrityError: claimed symmetry signature fails verification.
-        AmbiguousVerdictError: some probe's peak entropy lies between the
-            coherent and decoherent thresholds.
+        PropagationError: a probe trajectory is not finite.
     """
     system = prepare(sc)
     measured = compute_signature(system.o, quaternion_group(), system.trev)
@@ -251,49 +283,28 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
             f"{sc.name}: claims {sc.claims.signature()} but measured "
             f"{measured.signature()}")
 
-    basis = system.ground.basis
-    l_mat = liouvillian_matrix(system.h, system.o, gamma)
-    times = np.linspace(0.0, horizon / gamma, TABLE_SAMPLES)
+    trajs = [propagate(system, np.outer(psi, psi.conj()), gamma,
+                       horizon / gamma)
+             for psi in probe_states(system.ground).values()]
+    observed = [observe_subspace(traj, system.ground.basis) for traj in trajs]
 
-    peaks = {}
-    probe_verdicts = {}
-    states = []
-    for probe_name, psi in probe_states(system.ground).items():
-        rho0 = np.outer(psi, psi.conj())
-        traj = evolve_expm(rho0, system.h, system.o, gamma, times)
-        series, blocks = observe_subspace(traj, basis)
-        peaks[probe_name] = float(np.max(series.s_v))
-        probe_verdicts[probe_name] = coherence_verdict(
-            series, coh_tol=DEFAULT_COH_TOL * tol_scale,
-            dec_tol=DEFAULT_DEC_TOL * tol_scale)
-        states.append(traj.states)
-        if probe_name == "equal":
-            main_series = series
-            rho_g = normalize_subspace(blocks)
-            max_drift = np.linalg.norm(rho_g - rho_g[0], axis=(-2, -1)).max()
-            stationarity = float(np.linalg.norm(l_mat @ vec(traj.states[-1])))
-    states = np.concatenate(states)
+    verdicts = {coherence_verdict(series, tol_scale) for series, _ in observed}
+    combined = next(v for v in _WORST_FIRST if v in verdicts)
+    (series, blocks), equal = observed[0], trajs[0]  # the equal superposition
+    rho_g = normalize_subspace(blocks)
+    max_drift = np.linalg.norm(rho_g - rho_g[0], axis=(-2, -1)).max()
+    states = np.concatenate([traj.states for traj in trajs])
     adjoint = states.conj().swapaxes(-2, -1)
     trace_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0).max()
     herm_err = np.linalg.norm(states - adjoint, axis=(-2, -1)).max()
     min_eig = np.linalg.eigvalsh((states + adjoint) / 2).min()
 
-    if any(v is Coherence.AMBIGUOUS for v in probe_verdicts.values()):
-        raise AmbiguousVerdictError(
-            f"{sc.name}: probe peak entropies {peaks} straddle the verdict "
-            f"thresholds")
-    combined = (Coherence.DECOHERENT if Coherence.DECOHERENT
-                in probe_verdicts.values() else Coherence.COHERENT)
-
+    l_mat, bi = doublet_block(system, gamma, tol_scale)
     tol = DEFAULT_TOL * tol_scale
-    bi = block_identity_test(subspace_block(l_mat, basis), tol=tol)
     schur_o = schur_test(system.ground.projector, system.o, tol=tol)
     schur_q = schur_test(system.ground.projector,
                          system.o.conj().T @ system.o, tol=tol)
-    schur_yes = schur_o.proportional and schur_q.proportional
 
-    passed = (combined == sc.expected_coherence
-              and bi.proportional == sc.expected_block_identity)
     return Verdict(
         name=sc.name,
         claims=sc.claims,
@@ -303,41 +314,42 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
         block_identity=bi.proportional,
         block_residual=bi.residual,
         block_coefficient=bi.coefficient,
-        schur_proportional=schur_yes,
+        schur_proportional=schur_o.proportional and schur_q.proportional,
         schur_residual=schur_o.residual,
         schur_coefficient=schur_o.coefficient,
         schur_norm=schur_o.norm_projected,
-        peak_entropy=max(peaks.values()),
-        terminal_entropy=float(main_series.s_v[-1]),
-        terminal_trace_g=float(main_series.trace_g[-1]),
+        peak_entropy=max(float(np.max(s.s_v)) for s, _ in observed),
+        terminal_entropy=float(series.s_v[-1]),
+        terminal_trace_g=float(series.trace_g[-1]),
         terminal_rho_g=rho_g[-1],
         max_drift=float(max_drift),
-        stationarity=stationarity,
+        stationarity=float(np.linalg.norm(l_mat @ vec(equal.states[-1]))),
         trace_err=float(trace_err),
         herm_err=float(herm_err),
         min_eig=float(min_eig),
-        passed=passed,
+        passed=(combined == sc.expected_coherence
+                and bi.proportional == sc.expected_block_identity),
     )
 
 
-def response_oracle_coherent(system: ScenarioSystem, gamma: float = 1e-3,
-                             n_quad: int = 128) -> bool:
+def response_oracle_coherent(system: ScenarioSystem) -> bool:
     """Verdict from the first-order response, independent of the propagators.
 
-    For each probe state the first-order correction is projected onto the
-    doublet and compared against the initial subspace state: coherence
-    means the correction only rescales it. The projected integrand is
+    For each probe state the first-order correction at gamma = 1e-3 and
+    gamma*t = 0.5 is projected onto the doublet and compared against the
+    initial subspace state: coherence means the correction only rescales
+    it. A probe lies in the ground eigenspace, so it is its own coherent
+    evolution and no propagator is called. The projected integrand is
     constant in the quadrature variable, so Simpson is exact here and the
-    check is insensitive to n_quad.
+    check is insensitive to the panel count.
     """
+    gamma = 1e-3
     t = 0.5 / gamma
     basis = system.ground.basis
     coherent = True
     for psi in probe_states(system.ground).values():
         rho0 = np.outer(psi, psi.conj())
-        traj0 = evolve_expm(rho0, system.h, system.o, 0.0,
-                            np.array([0.0, t]))
-        delta = delta_rho(traj0, system.o, system.h, gamma, t, n_quad)
+        delta = delta_rho(rho0, system.o, system.h, gamma, t, 128)
         d_g = basis.conj().T @ delta @ basis
         r_g = basis.conj().T @ rho0 @ basis
         coeff = np.trace(r_g.conj().T @ d_g) / np.trace(r_g.conj().T @ r_g)

@@ -20,8 +20,16 @@ import scipy.linalg
 from .operators import ComplexMatrix, anticommutator, commutator
 
 
-class StepSizeError(Exception):
-    """Raised when fixed-step integration visibly loses the trace."""
+class PropagationError(Exception):
+    """A propagator cannot integrate its input to a finite trajectory."""
+
+
+class StepSizeError(PropagationError):
+    """RK4 would exceed its step budget, or visibly loses the trace."""
+
+
+# Most RK4 steps one evolve_rk4 call may take; checked before the first.
+RK4_MAX_STEPS = 10**6
 
 
 def rhs(rho: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
@@ -80,9 +88,6 @@ class Trajectory:
     states: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
                gamma: float, t_max: float, dt: float | None = None,
@@ -95,8 +100,10 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     trace and hermiticity of the raw state is recorded in meta.
 
     Raises:
-        StepSizeError: if the running trace deviates from one by more than
-            1e-6, the signature of a step size outside the stable region.
+        StepSizeError: if the run needs more than RK4_MAX_STEPS steps, or
+            if the running trace deviates from one by more than 1e-6 (or
+            is not a number), the signature of a step size outside the
+            stable region.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -105,7 +112,13 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     if dt is None:
         dt = default_dt(h, o, gamma)
     intervals = n_samples - 1
-    steps_per_sample = max(1, int(np.ceil(t_max / dt / intervals)))
+    steps_per_sample = max(1.0, np.ceil(t_max / dt / intervals))
+    if steps_per_sample * intervals > RK4_MAX_STEPS:
+        raise StepSizeError(
+            f"t_max={t_max:g} at dt={dt:.3g} needs "
+            f"{steps_per_sample * intervals:.3g} RK4 steps, more than the "
+            f"budget of {RK4_MAX_STEPS}")
+    steps_per_sample = int(steps_per_sample)
     dt_eff = t_max / (intervals * steps_per_sample)
 
     times = np.linspace(0.0, t_max, n_samples)
@@ -126,7 +139,7 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
         err = abs(np.trace(rho) - 1.0)
         trace_drift = max(trace_drift, err)
         herm_drift = max(herm_drift, float(np.linalg.norm(rho - rho.conj().T)))
-        if err > 1e-6:
+        if not err <= 1e-6:  # NaN fails too
             raise StepSizeError(
                 f"trace drifted to {err:.3e} at t={times[k]:.4g}; reduce dt")
         states[k] = (rho + rho.conj().T) / 2
@@ -141,8 +154,9 @@ def evolve_expm(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     """Propagate through the matrix exponential of the Liouvillian.
 
     Exact up to roundoff for any step, so it serves as the reference the
-    RK4 route is validated against. Propagators are cached per distinct
-    time increment, which reduces a uniform grid to a single expm call.
+    RK4 route is validated against. One propagator is built per distinct
+    step of the grid (a grid starting at t > 0 adds the step from 0), so a
+    uniform grid costs a single expm call.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or times[0] < 0:
@@ -150,23 +164,15 @@ def evolve_expm(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     l_mat = liouvillian_matrix(h, o, gamma)
+    grid = times if times[0] == 0 else np.concatenate(([0.0], times))
+    steps, which = np.unique(np.diff(grid), return_inverse=True)
+    props = [scipy.linalg.expm(l_mat * step) for step in steps]
+    out = np.empty((len(grid), rho0.size), dtype=complex)
+    out[0] = vec(rho0)
+    for k, j in enumerate(which):
+        out[k + 1] = props[j] @ out[k]
     d = rho0.shape[0]
-    states = np.empty((len(times), d, d), dtype=complex)
-    props: dict[float, np.ndarray] = {}
-
-    def prop(delta: float) -> np.ndarray:
-        key = float(delta)
-        if key not in props:
-            props[key] = scipy.linalg.expm(l_mat * key)
-        return props[key]
-
-    v = vec(rho0)
-    if times[0] > 0:
-        v = prop(times[0]) @ v
-    states[0] = unvec(v)
-    for k in range(1, len(times)):
-        v = prop(times[k] - times[k - 1]) @ v
-        states[k] = unvec(v)
+    states = out[len(grid) - len(times):].reshape(len(times), d, d)
     meta = {"integrator": "expm", "gamma": gamma}
     return Trajectory(times=times, states=states, meta=meta)
 

@@ -2,17 +2,16 @@
 
 For an initial state inside an eigenspace of H, the exact first-order
 correction to the density matrix is a time integral of dissipator terms
-conjugated into the frame comoving with the coherent evolution. Because the
-formula never touches the Lindblad propagators, it validates them: the
-difference between the full evolution and (rho_0 + delta_rho) must shrink
-as gamma squared.
+conjugated into the frame comoving with the coherent evolution. The
+formula takes the coherent state rho_0(t) as an input and never calls the
+Lindblad propagators, so it validates them: the difference between the
+full evolution and (rho_0 + delta_rho) must shrink as gamma squared.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lindblad import Trajectory
 from .observables import von_neumann_entropy
 from .operators import ComplexMatrix
 from .spectra import eigh
@@ -43,7 +42,7 @@ def _simpson_weights(n_panels: int, width: float) -> np.ndarray:
     return w * (width / n_panels / 3.0)
 
 
-def delta_rho(rho0_traj: Trajectory, o: ComplexMatrix, h: ComplexMatrix,
+def delta_rho(rho0_t: ComplexMatrix, o: ComplexMatrix, h: ComplexMatrix,
               gamma: float, t: float, n_quad: int = 128) -> ComplexMatrix:
     """First-order correction delta_rho(t), composite Simpson in t'.
 
@@ -58,22 +57,15 @@ def delta_rho(rho0_traj: Trajectory, o: ComplexMatrix, h: ComplexMatrix,
     in gamma.
 
     Args:
-        rho0_traj: reference trajectory integrated with gamma = 0; must
-            contain the requested time t on its grid.
+        rho0_t: the coherent (gamma = 0) state at time t. A state inside an
+            eigenspace of h is its own coherent evolution.
         n_quad: even number of Simpson panels, at least 16.
 
     Raises:
-        ValueError: gamma-nonzero reference, odd or too-small n_quad, or t
-            missing from the reference grid.
+        ValueError: odd or too-small n_quad.
     """
-    if rho0_traj.meta.get("gamma", None) != 0:
-        raise ValueError("reference trajectory must be integrated at gamma = 0")
     if n_quad < 16 or n_quad % 2 != 0:
         raise ValueError("n_quad must be an even panel count >= 16")
-    hits = np.nonzero(np.abs(rho0_traj.times - t) <= 1e-9 * max(1.0, abs(t)))[0]
-    if len(hits) == 0:
-        raise ValueError(f"t={t} is not on the reference trajectory grid")
-    rho0_t = rho0_traj.states[int(hits[0])]
 
     # every node's integrand from one eigh(h), summed in node order
     o_tp = interaction_picture(o, h, -(t * np.arange(n_quad + 1) / n_quad))

@@ -21,14 +21,15 @@ class SubspaceDepletedError(Exception):
     """Raised when the subspace population is too small to normalize."""
 
 
-def eigh(h: ComplexMatrix, tol: float = DEFAULT_TOL):
+def eigh(h: ComplexMatrix):
     """Hermitian eigendecomposition with an explicit hermiticity gate.
 
     Raises:
-        ValueError: if h is not Hermitian within tol (relative, Frobenius).
+        ValueError: if h is not Hermitian within DEFAULT_TOL (relative,
+            Frobenius).
     """
     h = np.asarray(h, dtype=complex)
-    if frob(h - h.conj().T) > tol * max(1.0, frob(h)):
+    if frob(h - h.conj().T) > DEFAULT_TOL * max(1.0, frob(h)):
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigh(h)
 
@@ -93,9 +94,10 @@ def ground_subspace(h: ComplexMatrix, rel_tol: float = 1e-9,
                           dim=basis.shape[1], spans_full_space=full)
 
 
-def kramers_check(h: ComplexMatrix, t: AntiUnitaryOp,
-                  rel_tol: float = 1e-9) -> bool:
+def kramers_check(h: ComplexMatrix, t: AntiUnitaryOp) -> bool:
     """True when every eigenvalue of h has even multiplicity.
+
+    Eigenvalues closer than 1e-9 times the spectral spread form one level.
 
     Meaningful for anti-unitary symmetries squaring to -1, where even
     degeneracy is forced; with t squaring to +1 odd multiplicities can
@@ -109,13 +111,12 @@ def kramers_check(h: ComplexMatrix, t: AntiUnitaryOp,
     vals, _ = eigh(h)
     spread = max(float(vals[-1] - vals[0]), 1e-30)
     # a level ends where the sorted spectrum jumps by more than the tolerance
-    ends = np.flatnonzero(np.diff(vals) > rel_tol * spread)
+    ends = np.flatnonzero(np.diff(vals) > 1e-9 * spread)
     sizes = np.diff(np.concatenate([[-1], ends, [len(vals) - 1]]))
     return bool(np.all(sizes % 2 == 0))
 
 
-def subspace_density(rho: ComplexMatrix, basis: ComplexMatrix,
-                     tol: float = DEFAULT_TOL) -> ComplexMatrix:
+def subspace_density(rho: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatrix:
     """Restrict a density matrix, or a stack of them, to the span of basis.
 
     rho has shape (..., d, d); returns basis^dag rho basis of shape
@@ -123,28 +124,28 @@ def subspace_density(rho: ComplexMatrix, basis: ComplexMatrix,
     below one once leakage sets in.
 
     Raises:
-        ValueError: if any rho is not Hermitian unit-trace within tol.
+        ValueError: if any rho is not Hermitian unit-trace within
+            DEFAULT_TOL.
     """
     rho = np.asarray(rho, dtype=complex)
     norm = np.linalg.norm(rho, axis=(-2, -1))
     skew = np.linalg.norm(rho - rho.conj().swapaxes(-2, -1), axis=(-2, -1))
-    if np.any(skew > tol * np.maximum(1.0, norm)):
+    if np.any(skew > DEFAULT_TOL * np.maximum(1.0, norm)):
         raise ValueError("density matrix must be Hermitian")
-    if np.any(abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > tol):
+    if np.any(abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > DEFAULT_TOL):
         raise ValueError("density matrix must have unit trace")
     return basis.conj().T @ rho @ basis
 
 
-def normalize_subspace(rho_g: ComplexMatrix,
-                       trace_floor: float = 1e-12) -> ComplexMatrix:
+def normalize_subspace(rho_g: ComplexMatrix) -> ComplexMatrix:
     """Rescale a subspace block, or each of a stack of them, to unit trace.
 
     Raises:
-        SubspaceDepletedError: if a block trace is at or below trace_floor,
+        SubspaceDepletedError: if a block trace is at or below 1e-12,
             where normalization would amplify numerical noise.
     """
     tr = np.trace(rho_g, axis1=-2, axis2=-1).real
-    if np.any(tr <= trace_floor):
+    if np.any(tr <= 1e-12):
         raise SubspaceDepletedError(
             f"subspace population {np.min(tr):.3e} below floor")
     return rho_g / tr[..., None, None]

@@ -25,9 +25,9 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def is_hermitian(a: ComplexMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """True when a equals its conjugate transpose up to tol (relative)."""
-    return frob(a - a.conj().T) <= tol * max(1.0, frob(a))
+def is_hermitian(a: ComplexMatrix) -> bool:
+    """True when a equals its adjoint up to DEFAULT_TOL (relative)."""
+    return frob(a - a.conj().T) <= DEFAULT_TOL * max(1.0, frob(a))
 
 
 @dataclass(frozen=True)
@@ -156,16 +156,14 @@ def time_reversal(s: float = 1.5) -> AntiUnitaryOp:
     return t
 
 
-def commutes_with_unitary(a: ComplexMatrix, q: ComplexMatrix,
-                          tol: float = DEFAULT_TOL) -> bool:
-    """True when [a, q] vanishes up to tol relative to ||a||."""
-    return frob(a @ q - q @ a) <= tol * max(1.0, frob(a))
+def commutes_with_unitary(a: ComplexMatrix, q: ComplexMatrix) -> bool:
+    """True when [a, q] vanishes up to DEFAULT_TOL relative to ||a||."""
+    return frob(a @ q - q @ a) <= DEFAULT_TOL * max(1.0, frob(a))
 
 
-def commutes_with_antiunitary(a: ComplexMatrix, t: AntiUnitaryOp,
-                              tol: float = DEFAULT_TOL) -> bool:
+def commutes_with_antiunitary(a: ComplexMatrix, t: AntiUnitaryOp) -> bool:
     """True when a is invariant under conjugation by the anti-unitary t."""
-    return frob(t.act_operator(a) - a) <= tol * max(1.0, frob(a))
+    return frob(t.act_operator(a) - a) <= DEFAULT_TOL * max(1.0, frob(a))
 
 
 @dataclass(frozen=True)

@@ -155,8 +155,8 @@ def test_ac07_first_order_response(systems):
     resid = []
     for g in gammas:
         full = evolve_expm(rho0, system.h, system.o, g, grid).states[-1]
-        corr = ref.states[-1] + delta_rho(ref, system.o, system.h, g, t,
-                                          n_quad=256)
+        corr = ref.states[-1] + delta_rho(ref.states[-1], system.o,
+                                          system.h, g, t, n_quad=256)
         resid.append(float(np.linalg.norm(full - corr)))
     slope = scaling_exponent(gammas, resid)
     assert abs(slope - 2.0) <= 0.1, (slope, resid)

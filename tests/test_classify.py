@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lindsymlab.classify import (AmbiguousVerdictError, CatalogIntegrityError,
-                                 SymmetryClaims, catalog, compute_signature,
-                                 prepare, probe_states, reproduce_table,
+from lindsymlab import classify
+from lindsymlab.classify import (CatalogIntegrityError, SymmetryClaims,
+                                 catalog, compute_signature, prepare,
+                                 probe_states, reproduce_table,
                                  response_oracle_coherent, run_scenario)
 from lindsymlab.observables import Coherence
 from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
@@ -114,9 +115,14 @@ def test_run_scenario_worst_probe_decides(scenarios):
     assert v.passed
 
 
-def test_run_scenario_ambiguous_raises(scenarios):
-    with pytest.raises(AmbiguousVerdictError):
-        run_scenario(scenarios["tr_invariant:sz"], tol_scale=1e4)
+def test_run_scenario_reports_an_ambiguous_row(scenarios):
+    # at 1e4 the thresholds are 1e-2 and 1e2: one probe stays frozen
+    # (Coherence), the other two peak at ln 2 between the thresholds
+    # (Ambiguous), and the worst probe decides the row
+    v = run_scenario(scenarios["both_symmetric:sx"], tol_scale=1e4)
+    assert v.measured_coherence is Coherence.AMBIGUOUS
+    assert not v.passed
+    assert 1e-2 < v.peak_entropy < 1e2
 
 
 def test_response_oracle_matches_on_gauge_trap(scenarios):
@@ -126,6 +132,21 @@ def test_response_oracle_matches_on_gauge_trap(scenarios):
     # decoherent despite one probe's correction staying proportional
     assert not response_oracle_coherent(prepare(by["both_symmetric:sx"]))
     assert not response_oracle_coherent(prepare(by["tr_invariant:sxsysz"]))
+
+
+def test_response_oracle_calls_no_propagator(scenarios, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a propagator")
+
+    monkeypatch.setattr(classify, "evolve_expm", refuse)
+    monkeypatch.setattr(classify, "evolve_rk4", refuse)
+    verdicts = {name: response_oracle_coherent(prepare(scenarios[name]))
+                for name in ("q_symmetric:sy2", "both_symmetric:sxsysz",
+                             "both_symmetric:sx", "tr_invariant:sxsysz")}
+    assert verdicts == {"q_symmetric:sy2": True,
+                        "both_symmetric:sxsysz": True,
+                        "both_symmetric:sx": False,
+                        "tr_invariant:sxsysz": False}
 
 
 def test_reproduce_table_subset(scenarios):

@@ -149,6 +149,59 @@ def test_table_subset_exit_codes(tmp_path):
     assert doc["all_pass"] is False
 
 
+def test_table_reports_an_ambiguous_row(tmp_path, capsys, monkeypatch):
+    # at 1e4 the decohering probes of both_symmetric:sx peak at ln 2,
+    # between the thresholds 1e-2 and 1e2
+    picks = [sc for sc in catalog() if sc.name == "both_symmetric:sx"]
+    monkeypatch.setenv("LSL_TOLERANCE_SCALE", "1e4")
+    args = build_parser().parse_args(["table", "--out", str(tmp_path)])
+    assert cmd_table(args, scenarios=picks) == 1
+    capsys.readouterr()
+    row, = json.loads((tmp_path / "table.json").read_text())["rows"]
+    assert row["measured"] == "Ambiguous"
+    assert row["passed"] is False
+    line, = [ln for ln in (tmp_path / "table.txt").read_text().splitlines()
+             if ln.startswith("both_symmetric:sx ")]
+    assert "Ambiguous" in line
+    assert line.split()[-1] == "FAIL"
+
+
+def _diag_coupling(big):
+    return {"matrix": [[big, 0, 0, 0], [0, big, 0, 0], [0, 0, 1, 0],
+                       [0, 0, 0, 1]]}
+
+
+@pytest.mark.parametrize("command, kw, keys", [
+    pytest.param("simulate", {"integrator": "rk4", "t_max": 1e9},
+                 ("t_max", "dt"), id="rk4-step-budget"),
+    pytest.param("simulate", {"integrator": "rk4", "dt": 1000, "t_max": 5000},
+                 ("dt",), id="rk4-trace-lost"),
+    pytest.param("sweep", {"integrator": "rk4", "t_max": 1e7},
+                 ("t_max", "dt"), id="sweep-rk4-step-budget"),
+    pytest.param("simulate", {"coupling": _diag_coupling(1e308)},
+                 ("coupling",), id="matrix-1e308"),
+    pytest.param("simulate", {"coupling": _diag_coupling(1e154)},
+                 ("coupling",), id="matrix-1e154"),
+    pytest.param("sweep", {"coupling": _diag_coupling(1e308)},
+                 ("coupling",), id="sweep-matrix-1e308"),
+    pytest.param("simulate", {"gamma": 1e300, "t_max": 10.0}, ("gamma",),
+                 id="gamma-1e300"),
+    pytest.param("simulate", {"e_g": 1e300}, ("e_g",), id="e_g-1e300"),
+    pytest.param("simulate", {"coupling": {"name": "sz", "scale": 1e200}},
+                 ("coupling",), id="scale-1e200"),
+])
+def test_inputs_the_propagators_cannot_integrate_exit_2(command, kw, keys,
+                                                        tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, n_samples=3, gammas=[1e-3, 2e-3], **kw)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    for key in keys:
+        assert key in err, (key, err)
+    assert not out.exists()
+
+
 def test_sweep_recovers_first_order_scaling(tmp_path):
     cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
                      n_quad=128, gammas=[1e-3, 2e-3, 4e-3, 8e-3])

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindsymlab.lindblad import (StepSizeError, block_identity_test,
-                                 default_dt, evolve_expm, evolve_rk4,
-                                 liouvillian_matrix, rhs, subspace_block,
-                                 unvec, vec)
+import scipy.linalg
+
+from lindsymlab import lindblad
+from lindsymlab.lindblad import (RK4_MAX_STEPS, StepSizeError,
+                                 block_identity_test, default_dt, evolve_expm,
+                                 evolve_rk4, liouvillian_matrix, rhs,
+                                 subspace_block, unvec, vec)
 from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
 from lindsymlab.spectra import ground_subspace
 from lindsymlab.symmetry import schur_test
@@ -133,6 +136,31 @@ def test_rk4_step_size_error(hams):
                    dt=0.3, n_samples=11)
 
 
+def test_rk4_checks_its_step_budget_before_the_first_step(hams,
+                                                          monkeypatch):
+    def refuse(*args):
+        raise AssertionError("stepped past the budget check")
+
+    monkeypatch.setattr(lindblad, "rhs", refuse)
+    rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    h, o = hams["tr_invariant"], _op("sz")
+    with pytest.raises(StepSizeError, match="t_max"):
+        evolve_rk4(rho0, h, o, 0.1, 1e9, n_samples=3)
+    with pytest.raises(StepSizeError, match="t_max"):
+        evolve_rk4(rho0, h, o, 0.1, 1e300, dt=1e-300, n_samples=3)
+    with pytest.raises(StepSizeError):
+        evolve_rk4(rho0, h, o, 0.1, 1.0, dt=0.5 / RK4_MAX_STEPS, n_samples=3)
+
+
+def test_rk4_trace_guard_fails_on_nan(hams):
+    # a Hamiltonian far too stiff for dt overflows to inf - inf = NaN
+    rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    with pytest.raises(StepSizeError, match="nan"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        evolve_rk4(rho0, 1e200 * hams["both_symmetric"], _op("sx2sz"), 0.1,
+                   1.0, dt=0.5, n_samples=3)
+
+
 def test_default_dt_scales_with_system():
     half = spin_matrices(0.5)
     h = half.sz
@@ -151,6 +179,23 @@ def test_evolve_expm_grid_validation(hams):
         evolve_expm(rho0, hams["tr_invariant"], o, 0.1, np.array([0.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
         evolve_expm(rho0, hams["tr_invariant"], o, 0.1, np.array([-1.0, 0.0]))
+
+
+def test_evolve_expm_on_a_grid_starting_after_zero(hams):
+    # steps 0.3 (from t = 0), 0.5, 0.25 and 0.5 again: one propagator each
+    # for 0.25, 0.3 and 0.5, applied one step at a time
+    h, o = hams["both_symmetric"], _op("sxsy")
+    times = np.array([0.3, 0.8, 1.05, 1.55])
+    rho0 = _random_density(np.random.default_rng(3))
+    l_mat = liouvillian_matrix(h, o, 0.2)
+    v = vec(rho0)
+    expected = []
+    for step in np.diff(times, prepend=0.0):
+        v = scipy.linalg.expm(l_mat * step) @ v
+        expected.append(unvec(v))
+    traj = evolve_expm(rho0, h, o, 0.2, times)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, np.array(expected))
 
 
 def test_subspace_block_identity_on_protected_channel(hams):

@@ -94,9 +94,9 @@ def test_coherence_verdict_thresholds():
     assert coherence_verdict(series(1e-9)) is Coherence.COHERENT
     assert coherence_verdict(series(0.5)) is Coherence.DECOHERENT
     assert coherence_verdict(series(1e-4)) is Coherence.AMBIGUOUS
-    # thresholds are adjustable
-    assert coherence_verdict(series(1e-4), coh_tol=1e-3) is Coherence.COHERENT
-    assert coherence_verdict(series(1e-4), dec_tol=1e-5) is Coherence.DECOHERENT
+    # one scale moves both thresholds
+    assert coherence_verdict(series(1e-4), 1e3) is Coherence.COHERENT
+    assert coherence_verdict(series(1e-4), 1e-3) is Coherence.DECOHERENT
 
 
 def test_coherence_values_are_report_labels():

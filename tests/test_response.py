@@ -42,31 +42,27 @@ def test_interaction_picture_identity_cases(spins, hams):
 
 
 def _reference(h, o, t_max, n_samples=41):
-    rho0 = _density(7)
-    return rho0, evolve_expm(rho0, h, o, 0.0, np.linspace(0, t_max, n_samples))
+    """The coherent (gamma = 0) state at t_max of a fixed mixed state."""
+    grid = np.linspace(0, t_max, n_samples)
+    return evolve_expm(_density(7), h, o, 0.0, grid).states[-1]
 
 
 def test_delta_rho_validation(hams):
     o = _op("isz")
     h = hams["tr_invariant"]
-    rho0, traj = _reference(h, o, 2.0)
+    rho_t = _reference(h, o, 2.0)
     with pytest.raises(ValueError):
-        delta_rho(traj, o, h, 0.01, 2.0, n_quad=15)
+        delta_rho(rho_t, o, h, 0.01, 2.0, n_quad=15)
     with pytest.raises(ValueError):
-        delta_rho(traj, o, h, 0.01, 2.0, n_quad=8)
-    with pytest.raises(ValueError):
-        delta_rho(traj, o, h, 0.01, 1.234)  # off grid
-    driven = evolve_expm(rho0, h, o, 0.05, np.linspace(0, 2, 5))
-    with pytest.raises(ValueError):
-        delta_rho(driven, o, h, 0.01, 2.0)  # reference must be gamma = 0
+        delta_rho(rho_t, o, h, 0.01, 2.0, n_quad=8)
 
 
 def test_delta_rho_trace_free_hermitian_linear(hams):
     o = _op("sysz")
     h = hams["q_symmetric"]
-    _, traj = _reference(h, o, 2.0)
-    d1 = delta_rho(traj, o, h, 1.0, 2.0)
-    dg = delta_rho(traj, o, h, 0.013, 2.0)
+    rho_t = _reference(h, o, 2.0)
+    d1 = delta_rho(rho_t, o, h, 1.0, 2.0)
+    dg = delta_rho(rho_t, o, h, 0.013, 2.0)
     assert abs(np.trace(d1)) < 1e-13
     assert np.linalg.norm(d1 - d1.conj().T) < 1e-13
     # manifest linearity: same quadrature scaled by gamma, bitwise
@@ -79,9 +75,8 @@ def test_delta_rho_commuting_channel_closed_form(spins):
     h = spins.sz @ spins.sz
     o = spins.sz
     gamma, t = 0.37, 1.7
-    rho0, traj = _reference(h, o, t, n_samples=18)
-    got = delta_rho(traj, o, h, gamma, t, n_quad=16)
-    rho_t = traj.states[-1]
+    rho_t = _reference(h, o, t, n_samples=18)
+    got = delta_rho(rho_t, o, h, gamma, t, n_quad=16)
     expected = gamma * t * (2 * o @ rho_t @ o.conj().T
                             - (o.conj().T @ o @ rho_t + rho_t @ o.conj().T @ o))
     assert np.linalg.norm(got - expected) < 1e-13
@@ -90,9 +85,9 @@ def test_delta_rho_commuting_channel_closed_form(spins):
 def test_delta_rho_quadrature_converged(hams):
     o = _op("isz")
     h = hams["tr_invariant"]
-    _, traj = _reference(h, o, 2.0)
-    coarse = delta_rho(traj, o, h, 0.01, 2.0, n_quad=128)
-    fine = delta_rho(traj, o, h, 0.01, 2.0, n_quad=256)
+    rho_t = _reference(h, o, 2.0)
+    coarse = delta_rho(rho_t, o, h, 0.01, 2.0, n_quad=128)
+    fine = delta_rho(rho_t, o, h, 0.01, 2.0, n_quad=256)
     assert np.linalg.norm(fine - coarse) < 1e-9
 
 
@@ -111,7 +106,8 @@ def test_delta_rho_first_order_accuracy(hams, trev):
     resid = []
     for g in gammas:
         full = evolve_expm(rho0, h, o, g, grid).states[-1]
-        corr = ref.states[-1] + delta_rho(ref, o, h, g, t, n_quad=128)
+        corr = ref.states[-1] + delta_rho(ref.states[-1], o, h, g, t,
+                                          n_quad=128)
         resid.append(np.linalg.norm(full - corr))
     slope = scaling_exponent(gammas, resid)
     assert abs(slope - 2.0) < 0.1
@@ -145,7 +141,7 @@ def test_delta_entropy_on_projected_response(hams, trev):
     gamma, t = 0.005, 5.0
     grid = np.linspace(0, t, 11)
     ref = evolve_expm(rho0, h, o, 0.0, grid)
-    d = delta_rho(ref, o, h, gamma, t, n_quad=128)
+    d = delta_rho(ref.states[-1], o, h, gamma, t, n_quad=128)
     rho0_sub = subspace_density(ref.states[-1], gs.basis)
     d_sub = gs.basis.conj().T @ d @ gs.basis
     predicted = delta_entropy(rho0_sub, d_sub)
