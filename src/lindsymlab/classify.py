@@ -85,11 +85,9 @@ class Verdict:
     oracle_coherent: bool
     block_identity: bool
     block_residual: float
-    block_coefficient: complex
     schur_proportional: bool
     schur_residual: float
     schur_coefficient: complex
-    schur_norm: float
     peak_entropy: float
     terminal_entropy: float
     terminal_trace_g: float
@@ -145,49 +143,37 @@ def compute_signature(o: ComplexMatrix, group: UnitaryGroup,
 
 
 def catalog() -> list:
-    """All 16 scenarios, each carrying its verified-by-construction claims.
+    """All 16 scenarios, each carrying the symmetry signature its row claims.
 
-    Operators are matched to table rows by computed signature: every
-    operator's measured (hermiticity, [O,T], [O,Q]) triple must coincide
-    with exactly one unconsumed row of its Hamiltonian block.
-
-    Raises:
-        CatalogIntegrityError: if any computed signature fails to match its
-            row (the table text and the operator algebra disagree).
+    The catalog is data only: run_scenario checks each claimed signature
+    against the operator algebra when it builds the row's system.
     """
-    spins = spin_matrices(1.5)
-    group = quaternion_group()
-    trev = time_reversal(1.5)
-    scenarios = []
-    for ham, op, claimed, coherent in _TABLE_ROWS:
-        coupling = OperatorSpec(name=op)
-        measured = compute_signature(build_coupling(coupling, spins), group, trev)
-        if measured.signature() != claimed:
-            raise CatalogIntegrityError(
-                f"{ham}:{op} claimed {claimed} but measured {measured.signature()}")
-        scenarios.append(Scenario(
-            name=f"{ham}:{op}",
-            hamiltonian=OperatorSpec(name=ham),
-            coupling=coupling,
-            expected_coherence=Coherence.COHERENT if coherent else Coherence.DECOHERENT,
-            expected_block_identity=coherent,
-            claims=measured,
-        ))
-    return scenarios
+    return [Scenario(
+        name=f"{ham}:{op}",
+        hamiltonian=OperatorSpec(name=ham),
+        coupling=OperatorSpec(name=op),
+        expected_coherence=(Coherence.COHERENT if coherent
+                            else Coherence.DECOHERENT),
+        expected_block_identity=coherent,
+        claims=SymmetryClaims(*claimed),
+    ) for ham, op, claimed, coherent in _TABLE_ROWS]
 
 
 @dataclass(frozen=True)
 class ScenarioSystem:
-    """A scenario instantiated as concrete matrices and a ground doublet."""
+    """A scenario as an open system: matrices, doublet and Liouvillian."""
 
     h: ComplexMatrix
     o: ComplexMatrix
     trev: AntiUnitaryOp
     ground: GroundSubspace
+    gamma: float
+    liouvillian: ComplexMatrix
 
 
-def prepare(sc, spin: float = 1.5) -> ScenarioSystem:
-    """Build matrices and the doublet basis for a scenario or run config.
+def prepare(sc, gamma: float = DEFAULT_GAMMA,
+            spin: float = 1.5) -> ScenarioSystem:
+    """Build the open system of a scenario or run config at gamma.
 
     sc is anything carrying `hamiltonian` and `coupling` OperatorSpecs: a
     catalog Scenario or a configured run. The doublet basis is paired
@@ -204,7 +190,9 @@ def prepare(sc, spin: float = 1.5) -> ScenarioSystem:
     trev = time_reversal(spin)
     pairing = trev if commutes_with_antiunitary(h, trev) else None
     return ScenarioSystem(h=h, o=o, trev=trev,
-                          ground=ground_subspace(h, pairing=pairing))
+                          ground=ground_subspace(h, pairing=pairing),
+                          gamma=gamma,
+                          liouvillian=liouvillian_matrix(h, o, gamma))
 
 
 def probe_states(ground: GroundSubspace) -> dict:
@@ -222,37 +210,37 @@ def probe_states(ground: GroundSubspace) -> dict:
     }
 
 
-def propagate(system: ScenarioSystem, rho0: ComplexMatrix, gamma: float,
-              t_max: float, n_samples: int = TABLE_SAMPLES,
-              integrator: str = "expm", dt: float | None = None) -> Trajectory:
+def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
+              n_samples: int = TABLE_SAMPLES, integrator: str = "expm",
+              dt: float | None = None) -> Trajectory:
     """rho0 at n_samples uniform times up to t_max, by "expm" or "rk4".
+
+    expm propagates the system's Liouvillian; RK4 reads only h, o and gamma.
 
     Raises:
         PropagationError: RK4 is over its step budget or loses the trace
             (StepSizeError), or a sampled state is not finite.
     """
     if integrator == "rk4":
-        traj = evolve_rk4(rho0, system.h, system.o, gamma, t_max, dt=dt,
-                          n_samples=n_samples)
+        traj = evolve_rk4(rho0, system.h, system.o, system.gamma, t_max,
+                          dt=dt, n_samples=n_samples)
     else:
-        traj = evolve_expm(rho0, system.h, system.o, gamma,
+        traj = evolve_expm(rho0, system.liouvillian,
                            np.linspace(0.0, t_max, n_samples))
     if not np.isfinite(traj.states).all():
         raise PropagationError(
-            f"the {integrator} trajectory at gamma={gamma:g} is not finite: "
-            f"hamiltonian (e_g), coupling, gamma or t_max too large")
+            f"the {integrator} trajectory at gamma={system.gamma:g} is not "
+            f"finite: hamiltonian (e_g), coupling, gamma or t_max too large")
     return traj
 
 
-def doublet_block(system: ScenarioSystem, gamma: float,
-                  tol_scale: float) -> tuple[ComplexMatrix, BlockIdentity]:
-    """The Liouvillian and the test of its doublet block against c * I.
+def doublet_block(system: ScenarioSystem, tol_scale: float) -> BlockIdentity:
+    """Test the doublet block of the system's Liouvillian against c * I.
 
     The test tolerance is symmetry.DEFAULT_TOL times tol_scale.
     """
-    l_mat = liouvillian_matrix(system.h, system.o, gamma)
-    block = subspace_block(l_mat, system.ground.basis)
-    return l_mat, block_identity_test(block, tol=DEFAULT_TOL * tol_scale)
+    block = subspace_block(system.liouvillian, system.ground.basis)
+    return block_identity_test(block, tol=DEFAULT_TOL * tol_scale)
 
 
 # Order in which one probe's verdict overrides another's for the row.
@@ -276,15 +264,14 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
         CatalogIntegrityError: claimed symmetry signature fails verification.
         PropagationError: a probe trajectory is not finite.
     """
-    system = prepare(sc)
+    system = prepare(sc, gamma)
     measured = compute_signature(system.o, quaternion_group(), system.trev)
     if measured.signature() != sc.claims.signature():
         raise CatalogIntegrityError(
             f"{sc.name}: claims {sc.claims.signature()} but measured "
             f"{measured.signature()}")
 
-    trajs = [propagate(system, np.outer(psi, psi.conj()), gamma,
-                       horizon / gamma)
+    trajs = [propagate(system, np.outer(psi, psi.conj()), horizon / gamma)
              for psi in probe_states(system.ground).values()]
     observed = [observe_subspace(traj, system.ground.basis) for traj in trajs]
 
@@ -299,7 +286,7 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
     herm_err = np.linalg.norm(states - adjoint, axis=(-2, -1)).max()
     min_eig = np.linalg.eigvalsh((states + adjoint) / 2).min()
 
-    l_mat, bi = doublet_block(system, gamma, tol_scale)
+    bi = doublet_block(system, tol_scale)
     tol = DEFAULT_TOL * tol_scale
     schur_o = schur_test(system.ground.projector, system.o, tol=tol)
     schur_q = schur_test(system.ground.projector,
@@ -313,17 +300,16 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
         oracle_coherent=response_oracle_coherent(system),
         block_identity=bi.proportional,
         block_residual=bi.residual,
-        block_coefficient=bi.coefficient,
         schur_proportional=schur_o.proportional and schur_q.proportional,
         schur_residual=schur_o.residual,
         schur_coefficient=schur_o.coefficient,
-        schur_norm=schur_o.norm_projected,
         peak_entropy=max(float(np.max(s.s_v)) for s, _ in observed),
         terminal_entropy=float(series.s_v[-1]),
         terminal_trace_g=float(series.trace_g[-1]),
         terminal_rho_g=rho_g[-1],
         max_drift=float(max_drift),
-        stationarity=float(np.linalg.norm(l_mat @ vec(equal.states[-1]))),
+        stationarity=float(np.linalg.norm(system.liouvillian
+                                          @ vec(equal.states[-1]))),
         trace_err=float(trace_err),
         herm_err=float(herm_err),
         min_eig=float(min_eig),

@@ -31,10 +31,11 @@ import numpy as np
 from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
                        doublet_block, prepare, propagate, reproduce_table)
 from .lindblad import PropagationError, evolve_expm, vec
-from .observables import coherence_verdict, observe_subspace
+from .observables import PositivityError, coherence_verdict, observe_subspace
 from .operators import (OperatorSpec, build_coupling, canonical_name,
                         spin_matrices)
 from .response import delta_rho, scaling_exponent
+from .spectra import SubspaceDepletedError
 from .symmetry import (commutes_with_antiunitary, commutes_with_unitary,
                        is_hermitian, quaternion_group, time_reversal)
 
@@ -90,6 +91,9 @@ def _parse_operator(value, key: str, scale: float = 1.0) -> OperatorSpec:
     if isinstance(value, dict):
         extra = scale * float(value.get("scale", 1.0))
         if "name" in value:
+            if not isinstance(value["name"], str):
+                raise ConfigError(f"{key}: name must be a string, "
+                                  f"got {value['name']!r}")
             return OperatorSpec(name=value["name"], scale=extra)
         if "matrix" in value:
             return OperatorSpec(matrix=_parse_matrix(value["matrix"], key),
@@ -115,8 +119,9 @@ class RunConfig:
     n_samples: int = 201
     n_quad: int = 128
     gammas: list = field(default_factory=list)
-    csv_name: str = "trajectory.csv"
-    summary_name: str = "summary.json"
+    # None: each command writes its own default file names
+    csv_name: str | None = None
+    summary_name: str | None = None
 
     def validate(self) -> None:
         # products, unlike ** 2, overflow to inf instead of raising
@@ -146,6 +151,13 @@ class RunConfig:
             raise ConfigError("n_samples must be at least 2")
         if self.n_quad < 16 or self.n_quad % 2:
             raise ConfigError("n_quad must be an even panel count >= 16")
+        for key, value in (("csv", self.csv_name),
+                           ("summary", self.summary_name)):
+            if value is not None and (not isinstance(value, str)
+                                      or value in ("", ".", "..")
+                                      or Path(value).name != value):
+                raise ConfigError(f"{key} must be a plain file name, "
+                                  f"got {value!r}")
 
 
 _KNOWN_KEYS = {"spin", "hamiltonian", "coupling", "gamma", "e_g", "t_max",
@@ -192,8 +204,8 @@ def load_config(path: str) -> RunConfig:
             n_samples=doc.get("n_samples", 201),
             n_quad=doc.get("n_quad", 128),
             gammas=[float(g) for g in doc.get("gammas", [])],
-            csv_name=str(doc.get("csv", "trajectory.csv")),
-            summary_name=str(doc.get("summary", "summary.json")),
+            csv_name=doc.get("csv"),
+            summary_name=doc.get("summary"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: invalid value ({exc})") from None
@@ -218,10 +230,11 @@ def _fmt(x: float) -> str:
     return "%.11e" % (0.0 if x == 0 else x)
 
 
-def _prepare_doublet(cfg: RunConfig) -> tuple[ScenarioSystem, np.ndarray]:
-    """The prepared system and the alpha/beta initial density matrix."""
+def _prepare_doublet(cfg: RunConfig,
+                     gamma: float) -> tuple[ScenarioSystem, np.ndarray]:
+    """The system prepared at gamma and the alpha/beta initial state."""
     try:
-        system = prepare(cfg, cfg.spin)
+        system = prepare(cfg, gamma, cfg.spin)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if system.ground.dim != 2:
@@ -231,6 +244,15 @@ def _prepare_doublet(cfg: RunConfig) -> tuple[ScenarioSystem, np.ndarray]:
     basis = system.ground.basis
     psi0 = cfg.alpha * basis[:, 0] + cfg.beta * basis[:, 1]
     return system, np.outer(psi0, psi0.conj())
+
+
+def _observe(traj, system: ScenarioSystem, t_max: float):
+    """observe_subspace; a drained or non-positive doublet is an input error."""
+    try:
+        return observe_subspace(traj, system.ground.basis)
+    except (SubspaceDepletedError, PositivityError) as exc:
+        raise ConfigError(f"the doublet cannot be observed up to "
+                          f"t_max={t_max:g}: {exc}") from None
 
 
 CSV_HEADER = "t,gamma_t,s_v,trace_g,re_rho_pp,re_rho_pm,im_rho_pm,re_rho_mm"
@@ -246,12 +268,14 @@ def cmd_simulate(args) -> int:
     if args.horizon is not None or t_max is None:
         t_max = (args.horizon or DEFAULT_HORIZON) / cfg.gamma
 
-    system, rho0 = _prepare_doublet(cfg)
-    traj = propagate(system, rho0, cfg.gamma, t_max, cfg.n_samples,
-                     cfg.integrator, cfg.dt)
-    series, blocks = observe_subspace(traj, system.ground.basis)
+    # propagate rejects an overflowing input; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        system, rho0 = _prepare_doublet(cfg, cfg.gamma)
+        traj = propagate(system, rho0, t_max, cfg.n_samples, cfg.integrator,
+                         cfg.dt)
+    series, blocks = _observe(traj, system, t_max)
     verdict = coherence_verdict(series, scale)
-    l_mat, block = doublet_block(system, cfg.gamma, scale)
+    block = doublet_block(system, scale)
 
     rows = [",".join([
         _fmt(t), _fmt(cfg.gamma * t), _fmt(s_v), _fmt(trace_g),
@@ -259,9 +283,11 @@ def cmd_simulate(args) -> int:
         _fmt(rg[1, 1].real),
     ]) for t, s_v, trace_g, rg in zip(series.times, series.s_v,
                                       series.trace_g, blocks)]
+    csv_name = cfg.csv_name or "trajectory.csv"
+    summary_name = cfg.summary_name or "summary.json"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / cfg.csv_name, "\n".join([CSV_HEADER] + rows) + "\n")
+    _atomic_write(out_dir / csv_name, "\n".join([CSV_HEADER] + rows) + "\n")
     summary = {
         "gamma": cfg.gamma,
         "t_max": t_max,
@@ -272,12 +298,13 @@ def cmd_simulate(args) -> int:
         "verdict": verdict.value,
         "block_identity": bool(block.proportional),
         "block_residual": float(block.residual),
-        "stationarity": float(np.linalg.norm(l_mat @ vec(traj.states[-1]))),
-        "csv": cfg.csv_name,
+        "stationarity": float(np.linalg.norm(system.liouvillian
+                                             @ vec(traj.states[-1]))),
+        "csv": csv_name,
     }
-    _atomic_write(out_dir / cfg.summary_name,
+    _atomic_write(out_dir / summary_name,
                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_dir / cfg.csv_name} and {out_dir / cfg.summary_name} "
+    print(f"wrote {out_dir / csv_name} and {out_dir / summary_name} "
           f"(verdict: {verdict.value})")
     return 0
 
@@ -326,17 +353,19 @@ def cmd_sweep(args) -> int:
                           "(config key 'gammas' or --gamma g1,g2,...)")
     t_max = cfg.t_max if cfg.t_max is not None else 5.0
 
-    system, rho0 = _prepare_doublet(cfg)
-    traj0 = evolve_expm(rho0, system.h, system.o, 0.0,
-                        np.linspace(0.0, t_max, cfg.n_samples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref, rho0 = _prepare_doublet(cfg, 0.0)
+        traj0 = evolve_expm(rho0, ref.liouvillian,
+                            np.linspace(0.0, t_max, cfg.n_samples))
+        trajs = [propagate(_prepare_doublet(cfg, gamma)[0], rho0, t_max,
+                           cfg.n_samples, cfg.integrator, cfg.dt)
+                 for gamma in gammas]
 
     rows = []
     discrepancies = []
-    for gamma in gammas:
-        traj = propagate(system, rho0, gamma, t_max, cfg.n_samples,
-                         cfg.integrator, cfg.dt)
-        series, _ = observe_subspace(traj, system.ground.basis)
-        delta = delta_rho(traj0.states[-1], system.o, system.h, gamma, t_max,
+    for gamma, traj in zip(gammas, trajs):
+        series, _ = _observe(traj, ref, t_max)
+        delta = delta_rho(traj0.states[-1], ref.o, ref.h, gamma, t_max,
                           cfg.n_quad)
         disc = float(np.linalg.norm(traj.states[-1] - traj0.states[-1]
                                     - delta))
@@ -346,9 +375,8 @@ def cmd_sweep(args) -> int:
     exponent = scaling_exponent(gammas, discrepancies)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_name = cfg.csv_name if cfg.csv_name != "trajectory.csv" else "sweep.csv"
-    summary_name = (cfg.summary_name if cfg.summary_name != "summary.json"
-                    else "sweep_summary.json")
+    csv_name = cfg.csv_name or "sweep.csv"
+    summary_name = cfg.summary_name or "sweep_summary.json"
     _atomic_write(out_dir / csv_name,
                   "\n".join(["gamma,terminal_s_v,discrepancy"] + rows) + "\n")
     summary = {

@@ -45,13 +45,6 @@ def vec(rho: ComplexMatrix) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1)
 
 
-def unvec(v: np.ndarray) -> ComplexMatrix:
-    n = int(round(np.sqrt(v.size)))
-    if n * n != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return np.asarray(v, dtype=complex).reshape(n, n)
-
-
 def liouvillian_matrix(h: ComplexMatrix, o: ComplexMatrix,
                        gamma: float) -> ComplexMatrix:
     """Supermatrix L with vec(drho/dt) = L vec(rho), row-major convention.
@@ -149,9 +142,9 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     return Trajectory(times=times, states=states, meta=meta)
 
 
-def evolve_expm(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
-                gamma: float, times: np.ndarray) -> Trajectory:
-    """Propagate through the matrix exponential of the Liouvillian.
+def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix,
+                times: np.ndarray) -> Trajectory:
+    """Propagate through the matrix exponential of the Liouvillian l_mat.
 
     Exact up to roundoff for any step, so it serves as the reference the
     RK4 route is validated against. One propagator is built per distinct
@@ -163,7 +156,6 @@ def evolve_expm(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
         raise ValueError("times must be a 1d grid starting at t >= 0")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    l_mat = liouvillian_matrix(h, o, gamma)
     grid = times if times[0] == 0 else np.concatenate(([0.0], times))
     steps, which = np.unique(np.diff(grid), return_inverse=True)
     props = [scipy.linalg.expm(l_mat * step) for step in steps]
@@ -173,8 +165,7 @@ def evolve_expm(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
         out[k + 1] = props[j] @ out[k]
     d = rho0.shape[0]
     states = out[len(grid) - len(times):].reshape(len(times), d, d)
-    meta = {"integrator": "expm", "gamma": gamma}
-    return Trajectory(times=times, states=states, meta=meta)
+    return Trajectory(times=times, states=states, meta={"integrator": "expm"})
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Scalar diagnostics of trajectories: subspace entropy, purity, verdicts."""
+"""Scalar diagnostics of trajectories: subspace entropy and verdicts."""
 
 from __future__ import annotations
 
@@ -55,15 +55,6 @@ def von_neumann_entropy(rho: ComplexMatrix) -> float | np.ndarray:
     return float(s) if s.ndim == 0 else s
 
 
-def purity(rho: ComplexMatrix) -> float:
-    """tr(rho^2) of the unit-trace version of rho."""
-    rho = np.asarray(rho, dtype=complex)
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-8:
-        rho = rho / tr
-    return float(np.trace(rho @ rho).real)
-
-
 @dataclass(frozen=True)
 class EntropySeries:
     """Subspace entropy along a trajectory.
@@ -98,21 +89,6 @@ def observe_subspace(
     trace_g = np.trace(blocks, axis1=-2, axis2=-1).real
     s_v = von_neumann_entropy(normalize_subspace(blocks))
     return EntropySeries(times=traj.times, s_v=s_v, trace_g=trace_g), blocks
-
-
-def entropy_response(s: EntropySeries, s0: EntropySeries) -> np.ndarray:
-    """Pointwise entropy difference S(t) - S0(t) on a shared time grid.
-
-    For a pure initial state evolved at gamma = 0 the reference entropy
-    vanishes identically, so the response equals s itself.
-
-    Raises:
-        ValueError: if the two time grids differ.
-    """
-    if len(s.times) != len(s0.times) or not np.allclose(s.times, s0.times,
-                                                        rtol=0, atol=1e-12):
-        raise ValueError("entropy series live on different time grids")
-    return s.s_v - s0.s_v
 
 
 class Coherence(str, enum.Enum):

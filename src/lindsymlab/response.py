@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .observables import von_neumann_entropy
 from .operators import ComplexMatrix
 from .spectra import eigh
-from .symmetry import frob
 
 
 def interaction_picture(o: ComplexMatrix, h: ComplexMatrix,
@@ -77,37 +75,6 @@ def delta_rho(rho0_t: ComplexMatrix, o: ComplexMatrix, h: ComplexMatrix,
     for w, term in zip(_simpson_weights(n_quad, t), terms):
         acc = acc + w * term
     return gamma * acc
-
-
-# Regularization for the entropy response: the reference state is usually
-# pure, where ln(rho) is singular, so mix in eps of the maximally mixed
-# state before differencing the exact entropy functional.
-ENTROPY_REG_EPS = 1e-8
-
-
-def delta_entropy(rho0_sub: ComplexMatrix, delta_sub: ComplexMatrix) -> float:
-    """Entropy response of a subspace state to a first-order correction.
-
-    Returns exactly 0 when delta_sub is proportional to rho0_sub: a
-    proportional correction only rescales the subspace population, and the
-    normalized state, hence its entropy, is unchanged. Otherwise evaluates
-    the finite difference S(rho_reg + delta) - S(rho_reg) of the exact
-    (normalized) entropy functional at the regularized reference.
-
-    Raises:
-        ValueError: if rho0_sub does not have unit trace within 1e-9.
-    """
-    rho0 = np.asarray(rho0_sub, dtype=complex)
-    delta = np.asarray(delta_sub, dtype=complex)
-    if abs(np.trace(rho0) - 1.0) > 1e-9:
-        raise ValueError("reference subspace state must have unit trace")
-    denom = float(np.trace(rho0.conj().T @ rho0).real)
-    coeff = np.trace(rho0.conj().T @ delta) / denom
-    if frob(delta - coeff * rho0) <= 1e-12 * max(1.0, frob(delta)):
-        return 0.0
-    d = rho0.shape[0]
-    rho_reg = (1.0 - ENTROPY_REG_EPS) * rho0 + ENTROPY_REG_EPS * np.eye(d) / d
-    return von_neumann_entropy(rho_reg + delta) - von_neumann_entropy(rho_reg)
 
 
 def scaling_exponent(gammas, residuals) -> float:

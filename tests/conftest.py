@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lindsymlab import classify, operators, symmetry
+from lindsymlab import classify, lindblad, operators, symmetry
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +30,21 @@ def hams(spins):
 @pytest.fixture(scope="session")
 def scenarios():
     return {sc.name: sc for sc in classify.catalog()}
+
+
+@pytest.fixture
+def liouvillian_builds(monkeypatch):
+    """The argument tuples of every liouvillian_matrix call, in order."""
+    built = []
+    original = lindblad.liouvillian_matrix
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    for module in (lindblad, classify):
+        monkeypatch.setattr(module, "liouvillian_matrix", counting)
+    return built
 
 
 def random_density(rng, dim=4):

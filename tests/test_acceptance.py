@@ -34,7 +34,7 @@ def table():
 
 @pytest.fixture(scope="module")
 def systems():
-    return {sc.name: (sc, prepare(sc)) for sc in catalog()}
+    return {sc.name: (sc, prepare(sc, GAMMA)) for sc in catalog()}
 
 
 def _equal_probe(system):
@@ -85,7 +85,7 @@ def test_ac03_coherent_fidelity(table):
 def test_ac04_vectorization_equivalence(systems):
     worst = 0.0
     for name, (sc, system) in systems.items():
-        lmat = liouvillian_matrix(system.h, system.o, GAMMA)
+        lmat = system.liouvillian
         rng = np.random.default_rng(abs(hash(name)) % 2 ** 32)
         for _ in range(100):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -108,7 +108,7 @@ def test_ac05_dual_propagator_agreement(systems):
         for k in range(3):
             rk = evolve_rk4(rho0, system.h, system.o, GAMMA, t_max,
                             dt=base / 2 ** k, n_samples=11)
-            ex = evolve_expm(rho0, system.h, system.o, GAMMA, rk.times)
+            ex = evolve_expm(rho0, system.liouvillian, rk.times)
             gap = float(max(np.linalg.norm(a - b)
                             for a, b in zip(rk.states, ex.states)))
             worst = max(worst, gap)
@@ -118,8 +118,7 @@ def test_ac05_dual_propagator_agreement(systems):
     sc, system = systems["tr_invariant:sz"]
     rho0 = _equal_probe(system)
     t = 2.0
-    ref = evolve_expm(rho0, system.h, system.o, GAMMA,
-                      np.array([0.0, t])).states[-1]
+    ref = evolve_expm(rho0, system.liouvillian, np.array([0.0, t])).states[-1]
     errs = []
     for dt in (0.2, 0.1, 0.05):
         got = evolve_rk4(rho0, system.h, system.o, GAMMA, t,
@@ -150,11 +149,12 @@ def test_ac07_first_order_response(systems):
     rho0 = _equal_probe(system)
     t = 5.0
     grid = np.linspace(0.0, t, 11)
-    ref = evolve_expm(rho0, system.h, system.o, 0.0, grid)
+    ref = evolve_expm(rho0, liouvillian_matrix(system.h, system.o, 0.0), grid)
     gammas = (1e-3, 2e-3, 4e-3, 8e-3)
     resid = []
     for g in gammas:
-        full = evolve_expm(rho0, system.h, system.o, g, grid).states[-1]
+        full = evolve_expm(rho0, liouvillian_matrix(system.h, system.o, g),
+                           grid).states[-1]
         corr = ref.states[-1] + delta_rho(ref.states[-1], system.o,
                                           system.h, g, t, n_quad=256)
         resid.append(float(np.linalg.norm(full - corr)))

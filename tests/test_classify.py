@@ -107,6 +107,12 @@ def test_run_scenario_decoherent_row(scenarios):
     assert v.stationarity < 1e-8
 
 
+def test_run_scenario_builds_one_liouvillian(scenarios, liouvillian_builds):
+    run_scenario(scenarios["tr_invariant:sz"], gamma=0.05)
+    assert len(liouvillian_builds) == 1
+    assert liouvillian_builds[0][2] == 0.05
+
+
 def test_run_scenario_worst_probe_decides(scenarios):
     # hermitian coupling failing both protections: one probe looks frozen
     # but the other two decohere, and the worst probe wins

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,13 @@ def _diag_coupling(big):
                        [0, 0, 0, 1]]}
 
 
+# S+ at spin 3/2 drains both_symmetric's ground doublet by t_max = 400
+_R3 = float(np.sqrt(3.0))
+_DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
+            "coupling": {"matrix": [[0, _R3, 0, 0], [0, 0, 2, 0],
+                                    [0, 0, 0, _R3], [0, 0, 0, 0]]}}
+
+
 @pytest.mark.parametrize("command, kw, keys", [
     pytest.param("simulate", {"integrator": "rk4", "t_max": 1e9},
                  ("t_max", "dt"), id="rk4-step-budget"),
@@ -189,17 +197,54 @@ def _diag_coupling(big):
     pytest.param("simulate", {"e_g": 1e300}, ("e_g",), id="e_g-1e300"),
     pytest.param("simulate", {"coupling": {"name": "sz", "scale": 1e200}},
                  ("coupling",), id="scale-1e200"),
+    pytest.param("simulate", _DRAINED, ("t_max", "subspace population"),
+                 id="drained-expm"),
+    pytest.param("simulate", {**_DRAINED, "integrator": "rk4", "dt": 0.1},
+                 ("t_max", "subspace population"), id="drained-rk4"),
+    pytest.param("sweep", {**_DRAINED, "gammas": [0.1, 0.2]},
+                 ("t_max", "subspace population"), id="sweep-drained"),
+    # an RK4 step just outside the stable region keeps the trace but not
+    # positivity
+    pytest.param("simulate", {"hamiltonian": "both_symmetric",
+                              "coupling": "sz", "gamma": 1.0, "t_max": 12.0,
+                              "dt": 3.0, "integrator": "rk4"},
+                 ("t_max", "eigenvalue"), id="rk4-not-positive"),
 ])
 def test_inputs_the_propagators_cannot_integrate_exit_2(command, kw, keys,
                                                         tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, n_samples=3, gammas=[1e-3, 2e-3], **kw)
+    cfg = _write_cfg(tmp_path, **{"n_samples": 3, "gammas": [1e-3, 2e-3],
+                                  **kw})
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert err.startswith("error:")
     for key in keys:
         assert key in err, (key, err)
     assert not out.exists()
+
+
+def test_simulate_builds_one_liouvillian(tmp_path, liouvillian_builds):
+    cfg = _write_cfg(tmp_path, t_max=5.0, n_samples=11)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(liouvillian_builds) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_explicit_output_names_are_honoured(command, tmp_path, capsys):
+    # sweep's own defaults are sweep.csv and sweep_summary.json
+    cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
+                     gammas=[1e-3, 2e-3], csv="trajectory.csv",
+                     summary="summary.json")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json",
+                                                     "trajectory.csv"]
+    assert json.loads((out / "summary.json").read_text())["csv"] == \
+        "trajectory.csv"
 
 
 def test_sweep_recovers_first_order_scaling(tmp_path):
@@ -253,6 +298,9 @@ def test_classify_op_errors(tmp_path, capsys):
     # Hamiltonian names are not couplings
     assert main(["classify-op", "tr_invariant"]) == 2
     capsys.readouterr()
+    cfg = _write_cfg(tmp_path, coupling={"name": ["sx"]})
+    assert main(["classify-op", "--config", cfg]) == 2
+    assert "coupling: name must be a string" in capsys.readouterr().err
 
 
 def test_config_error_paths(tmp_path, capsys):
@@ -316,6 +364,12 @@ def test_config_error_paths(tmp_path, capsys):
             ("hamiltonian", {"hamiltonian": {"name": "tr_invariant",
                                              "scale": -inf}}),
             ("coupling", {"coupling": {"matrix": sz_rows}}),
+            ("hamiltonian", {"hamiltonian": {"name": 5}}),
+            ("coupling", {"coupling": {"name": ["sx"]}}),
+            ("csv", {"csv": 5}),
+            ("csv", {"csv": "sub/x.csv"}),
+            ("summary", {"summary": ["a.json"]}),
+            ("summary", {"summary": ".."}),
             ("n_samples", {"n_samples": 2.7}),
             ("n_quad", {"n_quad": 130.5}),
             ("n_quad", {"n_quad": 15})]:

@@ -9,7 +9,7 @@ from lindsymlab import lindblad
 from lindsymlab.lindblad import (RK4_MAX_STEPS, StepSizeError,
                                  block_identity_test, default_dt, evolve_expm,
                                  evolve_rk4, liouvillian_matrix, rhs,
-                                 subspace_block, unvec, vec)
+                                 subspace_block, vec)
 from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
 from lindsymlab.spectra import ground_subspace
 from lindsymlab.symmetry import schur_test
@@ -31,16 +31,11 @@ def _random_density(rng, dim=4):
 def test_vec_unvec_roundtrip():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(unvec(vec(m)), m)
+    assert np.array_equal(vec(m).reshape(4, 4), m)
     # row-major order: vec stacks rows
     e = np.zeros((2, 2))
     e[0, 1] = 1.0
     assert np.array_equal(vec(e), np.array([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_unvec_rejects_non_square_length():
-    with pytest.raises(ValueError):
-        unvec(np.zeros(5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -53,7 +48,7 @@ def test_rhs_matches_liouvillian_matrix(hams, seed):
     rho = _random_density(rng)
     lmat = liouvillian_matrix(h, o, gamma)
     direct = rhs(rho, h, o, gamma)
-    via_matrix = unvec(lmat @ vec(rho))
+    via_matrix = (lmat @ vec(rho)).reshape(4, 4)
     assert np.linalg.norm(direct - via_matrix) < 1e-12
 
 
@@ -92,7 +87,7 @@ def test_amplitude_damping_closed_form():
     gamma = 0.3
     rho0 = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
     times = np.linspace(0.0, 4.0, 41)
-    traj = evolve_expm(rho0, h, lower, gamma, times)
+    traj = evolve_expm(rho0, liouvillian_matrix(h, lower, gamma), times)
     for t, state in zip(traj.times, traj.states):
         assert abs(state[0, 0] - 0.7 * np.exp(-2 * gamma * t)) < 1e-10
         assert abs(state[0, 1] - (0.2 + 0.1j) * np.exp(-gamma * t)) < 1e-10
@@ -106,7 +101,8 @@ def test_rk4_expm_cross_agreement(hams):
     o = _op("sz")
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     rk = evolve_rk4(rho0, hams["tr_invariant"], o, 0.1, 2.0, n_samples=21)
-    ex = evolve_expm(rho0, hams["tr_invariant"], o, 0.1, rk.times)
+    ex = evolve_expm(rho0, liouvillian_matrix(hams["tr_invariant"], o, 0.1),
+                     rk.times)
     assert np.max(np.abs(rk.states - ex.states)) < 1e-9
     assert rk.meta["integrator"] == "rk4"
     assert ex.meta["integrator"] == "expm"
@@ -116,7 +112,7 @@ def test_rk4_order_of_accuracy(hams):
     o = _op("sxsy")
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     t = 1.0
-    ref = evolve_expm(rho0, hams["both_symmetric"], o, 0.2,
+    ref = evolve_expm(rho0, liouvillian_matrix(hams["both_symmetric"], o, 0.2),
                       np.array([0.0, t])).states[-1]
     errs = []
     for dt in (0.1, 0.05, 0.025):
@@ -173,12 +169,12 @@ def test_default_dt_scales_with_system():
 
 
 def test_evolve_expm_grid_validation(hams):
-    o = _op("sz")
+    l_mat = liouvillian_matrix(hams["tr_invariant"], _op("sz"), 0.1)
     rho0 = np.eye(4, dtype=complex) / 4
     with pytest.raises(ValueError):
-        evolve_expm(rho0, hams["tr_invariant"], o, 0.1, np.array([0.0, 2.0, 1.0]))
+        evolve_expm(rho0, l_mat, np.array([0.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
-        evolve_expm(rho0, hams["tr_invariant"], o, 0.1, np.array([-1.0, 0.0]))
+        evolve_expm(rho0, l_mat, np.array([-1.0, 0.0]))
 
 
 def test_evolve_expm_on_a_grid_starting_after_zero(hams):
@@ -192,8 +188,8 @@ def test_evolve_expm_on_a_grid_starting_after_zero(hams):
     expected = []
     for step in np.diff(times, prepend=0.0):
         v = scipy.linalg.expm(l_mat * step) @ v
-        expected.append(unvec(v))
-    traj = evolve_expm(rho0, h, o, 0.2, times)
+        expected.append(v.reshape(4, 4))
+    traj = evolve_expm(rho0, liouvillian_matrix(h, o, 0.2), times)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.states, np.array(expected))
 

@@ -4,10 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindsymlab.observables import (Coherence, EntropySeries, PositivityError,
-                                    coherence_verdict, entropy_response,
-                                    purity, von_neumann_entropy)
-
-LN2 = np.log(2.0)
+                                    coherence_verdict, von_neumann_entropy)
 
 
 def test_entropy_frozen_value():
@@ -61,27 +58,10 @@ def test_entropy_tolerates_tiny_negative_eigenvalue():
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-7)
 
 
-def test_purity():
-    assert purity(np.diag([0.75, 0.25])) == pytest.approx(0.625, abs=1e-14)
-    assert purity(np.eye(4) / 4) == pytest.approx(0.25, abs=1e-14)
-    # subspace blocks normalize first
-    assert purity(np.diag([0.3, 0.1])) == pytest.approx(0.625, abs=1e-14)
-
-
 def test_entropy_series_validation():
     t = np.linspace(0, 1, 5)
     with pytest.raises(ValueError):
         EntropySeries(times=t, s_v=np.zeros(4), trace_g=np.ones(5))
-
-
-def test_entropy_response():
-    t = np.linspace(0, 1, 5)
-    a = EntropySeries(times=t, s_v=np.linspace(0, LN2, 5), trace_g=np.ones(5))
-    b = EntropySeries(times=t, s_v=np.zeros(5), trace_g=np.ones(5))
-    assert np.allclose(entropy_response(a, b), a.s_v)
-    other = EntropySeries(times=t + 0.5, s_v=np.zeros(5), trace_g=np.ones(5))
-    with pytest.raises(ValueError):
-        entropy_response(a, other)
 
 
 def test_coherence_verdict_thresholds():

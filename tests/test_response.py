@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from lindsymlab.lindblad import evolve_expm
-from lindsymlab.observables import von_neumann_entropy
+from lindsymlab.lindblad import evolve_expm, liouvillian_matrix
 from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
-from lindsymlab.response import (delta_entropy, delta_rho,
-                                 interaction_picture, scaling_exponent)
-from lindsymlab.spectra import ground_subspace, subspace_density
+from lindsymlab.response import (delta_rho, interaction_picture,
+                                 scaling_exponent)
+from lindsymlab.spectra import ground_subspace
 
 
 SPINS = spin_matrices(1.5)
@@ -44,7 +43,8 @@ def test_interaction_picture_identity_cases(spins, hams):
 def _reference(h, o, t_max, n_samples=41):
     """The coherent (gamma = 0) state at t_max of a fixed mixed state."""
     grid = np.linspace(0, t_max, n_samples)
-    return evolve_expm(_density(7), h, o, 0.0, grid).states[-1]
+    return evolve_expm(_density(7), liouvillian_matrix(h, o, 0.0),
+                       grid).states[-1]
 
 
 def test_delta_rho_validation(hams):
@@ -101,57 +101,16 @@ def test_delta_rho_first_order_accuracy(hams, trev):
     rho0 = np.outer(psi, psi.conj())
     t = 5.0
     grid = np.linspace(0, t, 11)
-    ref = evolve_expm(rho0, h, o, 0.0, grid)
+    ref = evolve_expm(rho0, liouvillian_matrix(h, o, 0.0), grid)
     gammas = (1e-3, 2e-3, 4e-3)
     resid = []
     for g in gammas:
-        full = evolve_expm(rho0, h, o, g, grid).states[-1]
+        full = evolve_expm(rho0, liouvillian_matrix(h, o, g), grid).states[-1]
         corr = ref.states[-1] + delta_rho(ref.states[-1], o, h, g, t,
                                           n_quad=128)
         resid.append(np.linalg.norm(full - corr))
     slope = scaling_exponent(gammas, resid)
     assert abs(slope - 2.0) < 0.1
-
-
-def test_delta_entropy_proportional_correction_is_exactly_zero():
-    rho0 = np.diag([0.5, 0.5]).astype(complex)
-    assert delta_entropy(rho0, 0.3 * rho0) == 0.0
-    assert delta_entropy(rho0, np.zeros((2, 2), dtype=complex)) == 0.0
-
-
-def test_delta_entropy_matches_analytic_mixing():
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    a = 1e-3
-    delta = np.diag([-a, a]).astype(complex)
-    got = delta_entropy(rho0, delta)
-    expected = von_neumann_entropy(np.diag([1.0 - a, a]))
-    assert got == pytest.approx(expected, abs=1e-5)
-    with pytest.raises(ValueError):
-        delta_entropy(2 * rho0, delta)
-
-
-def test_delta_entropy_on_projected_response(hams, trev):
-    # end to end: project the first-order correction into the ground
-    # doublet and compare its entropy response against the full channel
-    h = hams["tr_invariant"]
-    o = _op("isz")
-    gs = ground_subspace(h, pairing=trev)
-    psi = (gs.basis[:, 0] + gs.basis[:, 1]) / np.sqrt(2)
-    rho0 = np.outer(psi, psi.conj())
-    gamma, t = 0.005, 5.0
-    grid = np.linspace(0, t, 11)
-    ref = evolve_expm(rho0, h, o, 0.0, grid)
-    d = delta_rho(ref.states[-1], o, h, gamma, t, n_quad=128)
-    rho0_sub = subspace_density(ref.states[-1], gs.basis)
-    d_sub = gs.basis.conj().T @ d @ gs.basis
-    predicted = delta_entropy(rho0_sub, d_sub)
-
-    full = evolve_expm(rho0, h, o, gamma, grid).states[-1]
-    full_sub = subspace_density(full, gs.basis)
-    tr = np.trace(full_sub).real
-    measured = von_neumann_entropy(full_sub / tr)
-    assert predicted == pytest.approx(measured, rel=0.1)
-    assert predicted > 0.05  # a genuinely decoherent channel
 
 
 def test_scaling_exponent_recovers_power_law():
