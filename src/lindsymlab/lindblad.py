@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .operators import ComplexMatrix, anticommutator, commutator
+from .operators import ComplexMatrix
+from .symmetry import DEFAULT_TOL
 
 
 class PropagationError(Exception):
@@ -32,12 +32,31 @@ class StepSizeError(PropagationError):
 RK4_MAX_STEPS = 10**6
 
 
+def rhs_operators(h: ComplexMatrix, o: ComplexMatrix) -> tuple:
+    """The products rhs needs that do not depend on rho, built once.
+
+    Returns (left, right, o_dag): left stacks [H, O^dag O, O] to multiply
+    rho from the left, right stacks [H, O^dag O] to multiply it from the
+    right, and o_dag closes the sandwich O rho O^dag.
+    """
+    o_dag = o.conj().T
+    odo = o_dag @ o
+    return np.stack([h, odo, o]), np.stack([h, odo]), o_dag
+
+
 def rhs(rho: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
-        gamma: float) -> ComplexMatrix:
-    """Right-hand side of the master equation in matrix form."""
-    odo = o.conj().T @ o
-    return (-1j * commutator(h, rho)
-            + gamma * (2.0 * (o @ rho @ o.conj().T) - anticommutator(odo, rho)))
+        gamma: float, ops: tuple | None = None) -> ComplexMatrix:
+    """Right-hand side of the master equation in matrix form.
+
+    ops is rhs_operators(h, o), passed in by a caller that evaluates rhs
+    many times for the same system; it is built here when absent.
+    """
+    left, right, o_dag = rhs_operators(h, o) if ops is None else ops
+    # indexing the stacks is cheaper than unpacking them
+    lp = left @ rho    # H rho, O^dag O rho, O rho
+    rp = rho @ right   # rho H, rho O^dag O
+    return (-1j * (lp[0] - rp[0])
+            + gamma * (2.0 * (lp[2] @ o_dag) - (lp[1] + rp[1])))
 
 
 def vec(rho: ComplexMatrix) -> np.ndarray:
@@ -94,9 +113,11 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
 
     Raises:
         StepSizeError: if the run needs more than RK4_MAX_STEPS steps, or
-            if the running trace deviates from one by more than 1e-6 (or
-            is not a number), the signature of a step size outside the
-            stable region.
+            if a stored sample's trace deviates from one by more than
+            DEFAULT_TOL (or is not a number), the signature of a step size
+            outside the stable region. That is the unit-trace gate the
+            samples are observed through, so no accepted trajectory fails
+            there.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -122,20 +143,24 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     trace_drift = abs(np.trace(rho) - 1.0)
     herm_drift = float(np.linalg.norm(rho - rho.conj().T))
 
+    ops = rhs_operators(h, o)
+    half_dt = 0.5 * dt_eff
+    sixth_dt = dt_eff / 6.0
     for k in range(1, n_samples):
         for _ in range(steps_per_sample):
-            k1 = rhs(rho, h, o, gamma)
-            k2 = rhs(rho + 0.5 * dt_eff * k1, h, o, gamma)
-            k3 = rhs(rho + 0.5 * dt_eff * k2, h, o, gamma)
-            k4 = rhs(rho + dt_eff * k3, h, o, gamma)
-            rho = rho + (dt_eff / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        err = abs(np.trace(rho) - 1.0)
-        trace_drift = max(trace_drift, err)
+            k1 = rhs(rho, h, o, gamma, ops)
+            k2 = rhs(rho + half_dt * k1, h, o, gamma, ops)
+            k3 = rhs(rho + half_dt * k2, h, o, gamma, ops)
+            k4 = rhs(rho + dt_eff * k3, h, o, gamma, ops)
+            rho = rho + sixth_dt * (k1 + 2 * k2 + 2 * k3 + k4)
+        trace_drift = max(trace_drift, abs(np.trace(rho) - 1.0))
         herm_drift = max(herm_drift, float(np.linalg.norm(rho - rho.conj().T)))
-        if not err <= 1e-6:  # NaN fails too
-            raise StepSizeError(
-                f"trace drifted to {err:.3e} at t={times[k]:.4g}; reduce dt")
         states[k] = (rho + rho.conj().T) / 2
+        err = abs(np.trace(states[k]) - 1.0)
+        if not err <= DEFAULT_TOL:  # NaN fails too
+            raise StepSizeError(
+                f"trace drifted to {err:.3e} at t={times[k]:.4g} of "
+                f"t_max={t_max:g}; reduce dt")
 
     meta = {"integrator": "rk4", "gamma": gamma, "dt": dt_eff,
             "trace_drift": float(trace_drift), "herm_drift": herm_drift}
@@ -156,6 +181,10 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix,
         raise ValueError("times must be a 1d grid starting at t >= 0")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
+    # scipy.linalg is imported here, its only user, so that runs that never
+    # call expm skip its import time
+    import scipy.linalg
+
     grid = times if times[0] == 0 else np.concatenate(([0.0], times))
     steps, which = np.unique(np.diff(grid), return_inverse=True)
     props = [scipy.linalg.expm(l_mat * step) for step in steps]

@@ -80,12 +80,6 @@ def spin_matrices(s: float) -> SpinTriple:
     return SpinTriple(s=s, sx=sx, sy=sy, sz=sz)
 
 
-def commutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Return ab - ba."""
-    _check_dims(a, b)
-    return a @ b - b @ a
-
-
 def anticommutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Return ab + ba."""
     _check_dims(a, b)

@@ -184,6 +184,12 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
                  ("t_max", "dt"), id="rk4-step-budget"),
     pytest.param("simulate", {"integrator": "rk4", "dt": 1000, "t_max": 5000},
                  ("dt",), id="rk4-trace-lost"),
+    # the trace drifts 2.4e-7: inside RK4's old 1e-6 guard, but past the
+    # 1e-9 unit-trace gate the samples are observed through
+    pytest.param("simulate", {"hamiltonian": "both_symmetric",
+                              "coupling": "sx", "gamma": 0.1, "dt": 6,
+                              "t_max": 24, "integrator": "rk4"},
+                 ("t_max", "dt"), id="rk4-trace-past-the-observe-gate"),
     pytest.param("sweep", {"integrator": "rk4", "t_max": 1e7},
                  ("t_max", "dt"), id="sweep-rk4-step-budget"),
     pytest.param("simulate", {"coupling": _diag_coupling(1e308)},
@@ -466,6 +472,17 @@ def test_python_dash_m_runs_the_cli_without_an_install():
     assert proc.returncode == 0, proc.stderr
     for sub in ("simulate", "table", "sweep", "classify-op"):
         assert sub in proc.stdout
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    # only evolve_expm needs it, and it imports it when called
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, lindsymlab.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_installed():

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 import scipy.linalg
 
 from lindsymlab import lindblad
+from lindsymlab.classify import catalog, prepare, probe_states
 from lindsymlab.lindblad import (RK4_MAX_STEPS, StepSizeError,
                                  block_identity_test, default_dt, evolve_expm,
                                  evolve_rk4, liouvillian_matrix, rhs,
-                                 subspace_block, vec)
-from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
+                                 rhs_operators, subspace_block, vec)
+from lindsymlab.operators import (OperatorSpec, build_coupling,
+                                  build_hamiltonian, spin_matrices)
 from lindsymlab.spectra import ground_subspace
 from lindsymlab.symmetry import schur_test
 
@@ -62,6 +64,60 @@ def test_rhs_preserves_trace_and_hermiticity(hams, seed):
     d = rhs(rho, hams["both_symmetric"], o, 0.21)
     assert abs(np.trace(d)) < 1e-12
     assert np.linalg.norm(d - d.conj().T) < 1e-12
+
+
+def _unstacked_rhs(rho, h, o, gamma):
+    """rhs as written before its products were hoisted and stacked."""
+    odo = o.conj().T @ o
+    commutator = h @ rho - rho @ h
+    anticommutator = odo @ rho + rho @ odo
+    return (-1j * commutator
+            + gamma * (2.0 * (o @ rho @ o.conj().T) - anticommutator))
+
+
+def _unhoisted_samples(rho, h, o, gamma, dt, steps):
+    """The RK4 loop before the hoisting, one Hermitized sample per step."""
+    samples = [(rho + rho.conj().T) / 2]
+    for _ in range(steps):
+        k1 = _unstacked_rhs(rho, h, o, gamma)
+        k2 = _unstacked_rhs(rho + 0.5 * dt * k1, h, o, gamma)
+        k3 = _unstacked_rhs(rho + 0.5 * dt * k2, h, o, gamma)
+        k4 = _unstacked_rhs(rho + dt * k3, h, o, gamma)
+        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        samples.append((rho + rho.conj().T) / 2)
+    return np.array(samples)
+
+
+def _assert_rk4_unchanged(rho0, h, o, gamma, steps):
+    # one step per sample: dt just above t_max / steps snaps to it exactly
+    t_max = steps * default_dt(h, o, gamma)
+    traj = evolve_rk4(rho0, h, o, gamma, t_max,
+                      dt=t_max / steps * (1 + 1e-9), n_samples=steps + 1)
+    expected = _unhoisted_samples(rho0, h, o, gamma, traj.meta["dt"], steps)
+    assert np.array_equal(traj.states, expected)
+    rho = traj.states[-1]
+    assert np.array_equal(rhs(rho, h, o, gamma), _unstacked_rhs(rho, h, o,
+                                                                gamma))
+    assert np.array_equal(rhs(rho, h, o, gamma, rhs_operators(h, o)),
+                          _unstacked_rhs(rho, h, o, gamma))
+
+
+@pytest.mark.parametrize("sc", catalog(), ids=lambda sc: sc.name)
+def test_stacked_rk4_is_bit_identical_on_every_row(sc):
+    system = prepare(sc, 0.1)
+    for psi in probe_states(system.ground).values():
+        _assert_rk4_unchanged(np.outer(psi, psi.conj()), system.h, system.o,
+                              0.1, 300)
+
+
+@pytest.mark.parametrize("spin", [3.5, 11.5])
+def test_stacked_rk4_is_bit_identical_at_larger_spins(spin):
+    spins = spin_matrices(spin)
+    rng = np.random.default_rng(int(2 * spin))
+    for sc in catalog():
+        h = build_hamiltonian(sc.hamiltonian, spins)
+        o = build_coupling(sc.coupling, spins)
+        _assert_rk4_unchanged(_random_density(rng, spins.dim), h, o, 0.1, 200)
 
 
 def test_liouvillian_left_trace_zero_mode(hams):
