@@ -110,7 +110,6 @@ class RunConfig:
     coupling: OperatorSpec
     spin: float = 1.5
     gamma: float = 0.1
-    e_g: float = 1.0
     t_max: float | None = None
     dt: float | None = None
     integrator: str = "expm"
@@ -135,8 +134,6 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite and positive")
         if not all(0 < g < math.inf for g in self.gammas):
             raise ConfigError("gammas must be finite and positive")
-        if not math.isfinite(self.e_g):
-            raise ConfigError("e_g must be finite")
         for key in ("hamiltonian", "coupling"):
             if not math.isfinite(getattr(self, key).scale):
                 raise ConfigError(f"{key}: scale must be finite")
@@ -192,12 +189,13 @@ def load_config(path: str) -> RunConfig:
 
     try:
         e_g = float(doc.get("e_g", 1.0))
+        if not math.isfinite(e_g):
+            raise ConfigError(f"{path}: e_g must be finite")
         cfg = RunConfig(
             hamiltonian=_parse_operator(doc["hamiltonian"], "hamiltonian", e_g),
             coupling=_parse_operator(doc["coupling"], "coupling"),
             spin=float(doc.get("spin", 1.5)),
             gamma=float(doc.get("gamma", 0.1)),
-            e_g=e_g,
             t_max=float(doc["t_max"]) if doc.get("t_max") is not None else None,
             dt=float(doc["dt"]) if doc.get("dt") is not None else None,
             integrator=str(doc.get("integrator", "expm")),
@@ -237,6 +235,11 @@ def _prepare_doublet(cfg: RunConfig,
         system = prepare(cfg, gamma, cfg.spin)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # every later norm on the Liouvillian's space would overflow too
+    if not np.isfinite(np.linalg.norm(system.liouvillian)):
+        raise ConfigError(
+            f"the Liouvillian at gamma={gamma:g} overflows: hamiltonian "
+            f"(e_g), coupling or gamma too large")
     if system.ground.dim != 2:
         raise ConfigError(
             f"ground subspace has dimension {system.ground.dim}; the "
@@ -281,7 +284,7 @@ def cmd_simulate(args) -> int:
         _fmt(t), _fmt(cfg.gamma * t), _fmt(s_v), _fmt(trace_g),
         _fmt(rg[0, 0].real), _fmt(rg[0, 1].real), _fmt(rg[0, 1].imag),
         _fmt(rg[1, 1].real),
-    ]) for t, s_v, trace_g, rg in zip(series.times, series.s_v,
+    ]) for t, s_v, trace_g, rg in zip(traj.times, series.s_v,
                                       series.trace_g, blocks)]
     csv_name = cfg.csv_name or "trajectory.csv"
     summary_name = cfg.summary_name or "summary.json"
@@ -348,15 +351,14 @@ def cmd_table(args, scenarios=None) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     gammas = cfg.gammas if args.gamma is None else args.gamma
-    if len(gammas) < 2:
-        raise ConfigError("sweep needs at least two gamma values "
+    if len(set(gammas)) < 2:
+        raise ConfigError("sweep needs at least two distinct gamma values "
                           "(config key 'gammas' or --gamma g1,g2,...)")
     t_max = cfg.t_max if cfg.t_max is not None else 5.0
 
     with np.errstate(over="ignore", invalid="ignore"):
         ref, rho0 = _prepare_doublet(cfg, 0.0)
-        traj0 = evolve_expm(rho0, ref.liouvillian,
-                            np.linspace(0.0, t_max, cfg.n_samples))
+        traj0 = evolve_expm(rho0, ref.liouvillian, t_max, cfg.n_samples)
         trajs = [propagate(_prepare_doublet(cfg, gamma)[0], rho0, t_max,
                            cfg.n_samples, cfg.integrator, cfg.dt)
                  for gamma in gammas]
@@ -369,6 +371,10 @@ def cmd_sweep(args) -> int:
                           cfg.n_quad)
         disc = float(np.linalg.norm(traj.states[-1] - traj0.states[-1]
                                     - delta))
+        if disc == 0:
+            raise ConfigError(
+                f"the discrepancy at gamma={gamma:g} is exactly zero, so no "
+                f"exponent can be fitted (coupling, alpha/beta)")
         discrepancies.append(disc)
         rows.append(",".join([_fmt(gamma), _fmt(series.s_v[-1]), _fmt(disc)]))
 

@@ -30,6 +30,26 @@ class StepSizeError(PropagationError):
 
 # Most RK4 steps one evolve_rk4 call may take; checked before the first.
 RK4_MAX_STEPS = 10**6
+# Most complex entries a trajectory may store, n_samples * d^2: 256 MiB.
+MAX_TRAJECTORY_ENTRIES = 2**24
+
+
+def sample_times(t_max: float, n_samples: int, d: int) -> np.ndarray:
+    """The sample grid of both propagators, for d x d states.
+
+    Raises:
+        ValueError: t_max <= 0 or n_samples < 2.
+        PropagationError: over MAX_TRAJECTORY_ENTRIES entries to store.
+    """
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
+    if n_samples * d * d > MAX_TRAJECTORY_ENTRIES:
+        raise PropagationError(
+            f"n_samples={n_samples} at dimension {d} needs more than "
+            f"{MAX_TRAJECTORY_ENTRIES} stored entries")
+    return np.linspace(0.0, t_max, n_samples)
 
 
 def rhs_operators(h: ComplexMatrix, o: ComplexMatrix) -> tuple:
@@ -44,14 +64,12 @@ def rhs_operators(h: ComplexMatrix, o: ComplexMatrix) -> tuple:
     return np.stack([h, odo, o]), np.stack([h, odo]), o_dag
 
 
-def rhs(rho: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
-        gamma: float, ops: tuple | None = None) -> ComplexMatrix:
+def rhs(rho: ComplexMatrix, ops: tuple, gamma: float) -> ComplexMatrix:
     """Right-hand side of the master equation in matrix form.
 
-    ops is rhs_operators(h, o), passed in by a caller that evaluates rhs
-    many times for the same system; it is built here when absent.
+    ops is rhs_operators(h, o) of the system, built once by the caller.
     """
-    left, right, o_dag = rhs_operators(h, o) if ops is None else ops
+    left, right, o_dag = ops
     # indexing the stacks is cheaper than unpacking them
     lp = left @ rho    # H rho, O^dag O rho, O rho
     rp = rho @ right   # rho H, rho O^dag O
@@ -119,10 +137,8 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
             samples are observed through, so no accepted trajectory fails
             there.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
+    d = rho0.shape[0]
+    times = sample_times(t_max, n_samples, d)
     if dt is None:
         dt = default_dt(h, o, gamma)
     intervals = n_samples - 1
@@ -135,8 +151,6 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     steps_per_sample = int(steps_per_sample)
     dt_eff = t_max / (intervals * steps_per_sample)
 
-    times = np.linspace(0.0, t_max, n_samples)
-    d = rho0.shape[0]
     states = np.empty((n_samples, d, d), dtype=complex)
     rho = np.asarray(rho0, dtype=complex).copy()
     states[0] = (rho + rho.conj().T) / 2
@@ -148,10 +162,10 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     sixth_dt = dt_eff / 6.0
     for k in range(1, n_samples):
         for _ in range(steps_per_sample):
-            k1 = rhs(rho, h, o, gamma, ops)
-            k2 = rhs(rho + half_dt * k1, h, o, gamma, ops)
-            k3 = rhs(rho + half_dt * k2, h, o, gamma, ops)
-            k4 = rhs(rho + dt_eff * k3, h, o, gamma, ops)
+            k1 = rhs(rho, ops, gamma)
+            k2 = rhs(rho + half_dt * k1, ops, gamma)
+            k3 = rhs(rho + half_dt * k2, ops, gamma)
+            k4 = rhs(rho + dt_eff * k3, ops, gamma)
             rho = rho + sixth_dt * (k1 + 2 * k2 + 2 * k3 + k4)
         trace_drift = max(trace_drift, abs(np.trace(rho) - 1.0))
         herm_drift = max(herm_drift, float(np.linalg.norm(rho - rho.conj().T)))
@@ -162,39 +176,33 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
                 f"trace drifted to {err:.3e} at t={times[k]:.4g} of "
                 f"t_max={t_max:g}; reduce dt")
 
-    meta = {"integrator": "rk4", "gamma": gamma, "dt": dt_eff,
+    meta = {"integrator": "rk4", "dt": dt_eff,
             "trace_drift": float(trace_drift), "herm_drift": herm_drift}
     return Trajectory(times=times, states=states, meta=meta)
 
 
-def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix,
-                times: np.ndarray) -> Trajectory:
+def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
+                n_samples: int) -> Trajectory:
     """Propagate through the matrix exponential of the Liouvillian l_mat.
 
     Exact up to roundoff for any step, so it serves as the reference the
-    RK4 route is validated against. One propagator is built per distinct
-    step of the grid (a grid starting at t > 0 adds the step from 0), so a
-    uniform grid costs a single expm call.
+    RK4 route is validated against. The steps of the sample grid can
+    differ in the last bit, so one propagator is built per distinct step.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 1 or times[0] < 0:
-        raise ValueError("times must be a 1d grid starting at t >= 0")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
+    d = rho0.shape[0]
+    times = sample_times(t_max, n_samples, d)
     # scipy.linalg is imported here, its only user, so that runs that never
     # call expm skip its import time
     import scipy.linalg
 
-    grid = times if times[0] == 0 else np.concatenate(([0.0], times))
-    steps, which = np.unique(np.diff(grid), return_inverse=True)
+    steps, which = np.unique(np.diff(times), return_inverse=True)
     props = [scipy.linalg.expm(l_mat * step) for step in steps]
-    out = np.empty((len(grid), rho0.size), dtype=complex)
+    out = np.empty((n_samples, rho0.size), dtype=complex)
     out[0] = vec(rho0)
     for k, j in enumerate(which):
         out[k + 1] = props[j] @ out[k]
-    d = rho0.shape[0]
-    states = out[len(grid) - len(times):].reshape(len(times), d, d)
-    return Trajectory(times=times, states=states, meta={"integrator": "expm"})
+    return Trajectory(times=times, states=out.reshape(n_samples, d, d),
+                      meta={"integrator": "expm"})
 
 
 @dataclass(frozen=True)

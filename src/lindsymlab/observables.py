@@ -64,13 +64,8 @@ class EntropySeries:
     guaranteed monotone.
     """
 
-    times: np.ndarray
     s_v: np.ndarray
     trace_g: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.times) == len(self.s_v) == len(self.trace_g)):
-            raise ValueError("series arrays must share one length")
 
 
 def observe_subspace(
@@ -88,7 +83,7 @@ def observe_subspace(
     blocks = subspace_density(traj.states, basis)
     trace_g = np.trace(blocks, axis1=-2, axis2=-1).real
     s_v = von_neumann_entropy(normalize_subspace(blocks))
-    return EntropySeries(times=traj.times, s_v=s_v, trace_g=trace_g), blocks
+    return EntropySeries(s_v=s_v, trace_g=trace_g), blocks
 
 
 class Coherence(str, enum.Enum):

@@ -20,9 +20,8 @@ MAX_DIM = 64
 
 @dataclass(frozen=True)
 class SpinTriple:
-    """The three spin matrices for a fixed total spin s."""
+    """The three spin matrices for a fixed total spin."""
 
-    s: float
     sx: ComplexMatrix
     sy: ComplexMatrix
     sz: ComplexMatrix
@@ -64,7 +63,7 @@ def spin_matrices(s: float) -> SpinTriple:
             exceeds the dense-storage cap.
     """
     two_s = 2 * s
-    if two_s <= 0 or abs(two_s - round(two_s)) > 1e-12:
+    if not 0 < two_s < np.inf or abs(two_s - round(two_s)) > 1e-12:
         raise ValueError(f"spin must be a positive half-integer, got {s}")
     dim = int(round(two_s)) + 1
     if dim > MAX_DIM:
@@ -77,7 +76,7 @@ def spin_matrices(s: float) -> SpinTriple:
     sx = (s_plus + s_minus) / 2
     sy = (s_plus - s_minus) / 2j
     sz = np.diag(m).astype(complex)
-    return SpinTriple(s=s, sx=sx, sy=sy, sz=sz)
+    return SpinTriple(sx=sx, sy=sy, sz=sz)
 
 
 def anticommutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:

@@ -57,11 +57,11 @@ class GroundSubspace:
     spans_full_space: bool
 
 
-def ground_subspace(h: ComplexMatrix, rel_tol: float = 1e-9,
+def ground_subspace(h: ComplexMatrix,
                     pairing: AntiUnitaryOp | None = None) -> GroundSubspace:
     """Extract the ground subspace of h with a reproducible basis.
 
-    Eigenvalues within rel_tol times the spectral spread of the minimum
+    Eigenvalues within 1e-9 times the spectral spread of the minimum
     count as ground states. Each basis vector is phase-fixed so its
     largest-magnitude component is real positive. For a two-dimensional
     ground level, a caller-supplied anti-unitary that commutes with h
@@ -76,7 +76,7 @@ def ground_subspace(h: ComplexMatrix, rel_tol: float = 1e-9,
     spread = float(vals[-1] - vals[0])
     full = spread <= 1e-14 * max(1.0, abs(float(vals[0])))
     columns = (range(len(vals)) if full
-               else np.flatnonzero(vals - vals[0] <= rel_tol * spread))
+               else np.flatnonzero(vals - vals[0] <= 1e-9 * spread))
     basis = np.column_stack([_phase_fix(vecs[:, k]) for k in columns])
     proj = basis @ basis.conj().T
     if pairing is not None and basis.shape[1] == 2 and not full:

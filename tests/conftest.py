@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from lindsymlab import classify, lindblad, operators, symmetry
@@ -46,17 +45,3 @@ def liouvillian_builds(monkeypatch):
         monkeypatch.setattr(module, "liouvillian_matrix", counting)
     return built
 
-
-def random_density(rng, dim=4):
-    """Random Hermitian unit-trace matrix (not necessarily positive)."""
-    while True:
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = (a + a.conj().T) / 2
-        tr = np.trace(rho).real
-        if abs(tr) > 0.5:  # keep the normalization mild
-            return rho / tr
-
-
-def random_state(rng, dim=4):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)

@@ -3,7 +3,7 @@ import pytest
 
 from lindsymlab import classify
 from lindsymlab.classify import (CatalogIntegrityError, SymmetryClaims,
-                                 catalog, compute_signature, prepare,
+                                 compute_signature, prepare,
                                  probe_states, reproduce_table,
                                  response_oracle_coherent, run_scenario)
 from lindsymlab.observables import Coherence
@@ -24,14 +24,8 @@ def test_catalog_shape(scenarios):
         assert got == want, (ham, got)
 
 
-def test_catalog_block_identity_tracks_coherence(scenarios):
-    for sc in scenarios.values():
-        assert sc.expected_block_identity == (
-            sc.expected_coherence is Coherence.COHERENT)
-
-
 def test_both_symmetric_block_covers_all_signatures(scenarios):
-    sigs = {sc.claims.signature() for sc in scenarios.values()
+    sigs = {sc.claims for sc in scenarios.values()
             if sc.name.startswith("both_symmetric:")}
     assert len(sigs) == 8
 
@@ -48,7 +42,7 @@ def test_compute_signature_spot_checks(group, trev):
     for name, want in cases.items():
         claims = compute_signature(
             build_coupling(OperatorSpec(name=name), spins), group, trev)
-        assert claims.signature() == want, name
+        assert claims == SymmetryClaims(*want), name
 
 
 def test_claims_render_human_readable():

@@ -215,6 +215,24 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
                               "coupling": "sz", "gamma": 1.0, "t_max": 12.0,
                               "dt": 3.0, "integrator": "rk4"},
                  ("t_max", "eigenvalue"), id="rk4-not-positive"),
+    # refused by the sample grid before any trajectory is allocated
+    pytest.param("simulate", {"n_samples": 10**9}, ("n_samples",),
+                 id="n-samples-1e9-expm"),
+    pytest.param("simulate", {"n_samples": 10**9, "integrator": "rk4"},
+                 ("n_samples",), id="n-samples-1e9-rk4"),
+    pytest.param("sweep", {"n_samples": 10**9}, ("n_samples",),
+                 id="sweep-n-samples-1e9"),
+    # on the default grid the trajectory stays finite, but the doublet
+    # block's norm overflows
+    pytest.param("simulate", {"hamiltonian": "both_symmetric", "coupling": "sz",
+                              "e_g": 1e300, "t_max": None, "n_samples": 201},
+                 ("e_g",), id="e_g-1e300-default-grid"),
+    pytest.param("sweep", {"gammas": [1e-3, 1e-3]}, ("distinct",),
+                 id="sweep-one-distinct-gamma"),
+    # the initial state is stationary: every discrepancy is exactly zero
+    pytest.param("sweep", {"spin": 0.5, "hamiltonian": "q_symmetric",
+                           "coupling": "sx"}, ("discrepancy",),
+                 id="sweep-zero-discrepancy"),
 ])
 def test_inputs_the_propagators_cannot_integrate_exit_2(command, kw, keys,
                                                         tmp_path, capsys):
@@ -360,6 +378,8 @@ def test_config_error_paths(tmp_path, capsys):
             ("gamma", {"gamma": nan}),
             ("gamma", {"gamma": inf}),
             ("e_g", {"e_g": inf}),
+            ("spin", {"spin": inf}),
+            ("spin", {"spin": nan}),
             ("t_max", {"t_max": nan}),
             ("dt", {"dt": inf}),
             ("gammas", {"gammas": [1e-3, nan]}),

@@ -1,15 +1,17 @@
-"""Every top-level function and class of the package has a caller.
+"""Every top-level function and class of the package has a caller, and
+so does every plain (non-fixture) function of tests/conftest.py.
 
-A caller is a name, attribute or import in src/lindsymlab or bench/*.py
-outside the definition itself. Tests do not count: code that only its own
-unit test calls is dead. Names in strings and docstrings do not count
-either.
+A caller of package code is a name, attribute or import in src/lindsymlab
+or bench/*.py outside the definition itself. Tests do not count: code that
+only its own unit test calls is dead. A conftest helper's callers are the
+test modules. Names in strings and docstrings do not count either.
 """
 
 import ast
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
 SRC = ROOT / "src" / "lindsymlab"
 
 # Kept without a caller, each for the reason given.
@@ -18,10 +20,20 @@ KEEP = {
 }
 
 
+def _is_fixture(node) -> bool:
+    """Decorated with pytest.fixture, with or without arguments."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr == "fixture":
+            return True
+    return False
+
+
 def definitions(tree) -> list:
+    """Top-level functions and classes; pytest injects fixtures by name."""
     return [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))]
+                                 ast.ClassDef)) and not _is_fixture(node)]
 
 
 def references(tree) -> set:
@@ -63,12 +75,22 @@ def test_every_package_definition_has_a_caller():
     assert uncalled(package, bench) == []
 
 
+def test_every_conftest_helper_has_a_caller():
+    conftest = TESTS / "conftest.py"
+    tests = [path.read_text() for path in TESTS.glob("*.py")
+             if path != conftest]
+    assert uncalled({"conftest": conftest.read_text()}, tests) == []
+
+
 def test_the_check_sees_dead_and_self_calling_code():
     defining = {"a": ("def used():\n    pass\n"
                       "def dead():\n    '''used() in a docstring'''\n"
                       "def recursive(n):\n    return recursive(n - 1)\n"
                       "class Thing:\n    def make(self):\n"
-                      "        return Thing()\n")}
+                      "        return Thing()\n"
+                      "@pytest.fixture\ndef injected():\n    pass\n"
+                      "@pytest.fixture(scope='session')\n"
+                      "def shared():\n    pass\n")}
     caller = "from a import used\nx = 'dead'\n"
     assert uncalled(defining, [caller]) == ["a.Thing", "a.dead",
                                             "a.recursive"]

@@ -49,7 +49,7 @@ def test_rhs_matches_liouvillian_matrix(hams, seed):
     gamma = 0.37
     rho = _random_density(rng)
     lmat = liouvillian_matrix(h, o, gamma)
-    direct = rhs(rho, h, o, gamma)
+    direct = rhs(rho, rhs_operators(h, o), gamma)
     via_matrix = (lmat @ vec(rho)).reshape(4, 4)
     assert np.linalg.norm(direct - via_matrix) < 1e-12
 
@@ -61,7 +61,7 @@ def test_rhs_preserves_trace_and_hermiticity(hams, seed):
     rho = _random_density(rng)
     # non-Hermitian coupling exercises the general channel form
     o = _op("isz")
-    d = rhs(rho, hams["both_symmetric"], o, 0.21)
+    d = rhs(rho, rhs_operators(hams["both_symmetric"], o), 0.21)
     assert abs(np.trace(d)) < 1e-12
     assert np.linalg.norm(d - d.conj().T) < 1e-12
 
@@ -96,9 +96,7 @@ def _assert_rk4_unchanged(rho0, h, o, gamma, steps):
     expected = _unhoisted_samples(rho0, h, o, gamma, traj.meta["dt"], steps)
     assert np.array_equal(traj.states, expected)
     rho = traj.states[-1]
-    assert np.array_equal(rhs(rho, h, o, gamma), _unstacked_rhs(rho, h, o,
-                                                                gamma))
-    assert np.array_equal(rhs(rho, h, o, gamma, rhs_operators(h, o)),
+    assert np.array_equal(rhs(rho, rhs_operators(h, o), gamma),
                           _unstacked_rhs(rho, h, o, gamma))
 
 
@@ -142,8 +140,7 @@ def test_amplitude_damping_closed_form():
     h = np.zeros((2, 2), dtype=complex)
     gamma = 0.3
     rho0 = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
-    times = np.linspace(0.0, 4.0, 41)
-    traj = evolve_expm(rho0, liouvillian_matrix(h, lower, gamma), times)
+    traj = evolve_expm(rho0, liouvillian_matrix(h, lower, gamma), 4.0, 41)
     for t, state in zip(traj.times, traj.states):
         assert abs(state[0, 0] - 0.7 * np.exp(-2 * gamma * t)) < 1e-10
         assert abs(state[0, 1] - (0.2 + 0.1j) * np.exp(-gamma * t)) < 1e-10
@@ -158,7 +155,8 @@ def test_rk4_expm_cross_agreement(hams):
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     rk = evolve_rk4(rho0, hams["tr_invariant"], o, 0.1, 2.0, n_samples=21)
     ex = evolve_expm(rho0, liouvillian_matrix(hams["tr_invariant"], o, 0.1),
-                     rk.times)
+                     2.0, 21)
+    assert np.array_equal(rk.times, ex.times)
     assert np.max(np.abs(rk.states - ex.states)) < 1e-9
     assert rk.meta["integrator"] == "rk4"
     assert ex.meta["integrator"] == "expm"
@@ -169,7 +167,7 @@ def test_rk4_order_of_accuracy(hams):
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     t = 1.0
     ref = evolve_expm(rho0, liouvillian_matrix(hams["both_symmetric"], o, 0.2),
-                      np.array([0.0, t])).states[-1]
+                      t, 2).states[-1]
     errs = []
     for dt in (0.1, 0.05, 0.025):
         got = evolve_rk4(rho0, hams["both_symmetric"], o, 0.2, t,
@@ -227,25 +225,29 @@ def test_default_dt_scales_with_system():
 def test_evolve_expm_grid_validation(hams):
     l_mat = liouvillian_matrix(hams["tr_invariant"], _op("sz"), 0.1)
     rho0 = np.eye(4, dtype=complex) / 4
-    with pytest.raises(ValueError):
-        evolve_expm(rho0, l_mat, np.array([0.0, 2.0, 1.0]))
-    with pytest.raises(ValueError):
-        evolve_expm(rho0, l_mat, np.array([-1.0, 0.0]))
+    for t_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_max"):
+            evolve_expm(rho0, l_mat, t_max, 11)
+    for n_samples in (1, 0):
+        with pytest.raises(ValueError, match="samples"):
+            evolve_expm(rho0, l_mat, 1.0, n_samples)
 
 
-def test_evolve_expm_on_a_grid_starting_after_zero(hams):
-    # steps 0.3 (from t = 0), 0.5, 0.25 and 0.5 again: one propagator each
-    # for 0.25, 0.3 and 0.5, applied one step at a time
+def test_evolve_expm_steps_each_distinct_grid_step_by_its_own_propagator(
+        hams):
+    # the steps of linspace(0, 5, 201) take 9 distinct values that differ
+    # in the last bits; each must be exponentiated on its own
+    times = np.linspace(0.0, 5.0, 201)
+    assert len(np.unique(np.diff(times))) == 9
     h, o = hams["both_symmetric"], _op("sxsy")
-    times = np.array([0.3, 0.8, 1.05, 1.55])
     rho0 = _random_density(np.random.default_rng(3))
     l_mat = liouvillian_matrix(h, o, 0.2)
     v = vec(rho0)
-    expected = []
-    for step in np.diff(times, prepend=0.0):
+    expected = [v.reshape(4, 4)]
+    for step in np.diff(times):
         v = scipy.linalg.expm(l_mat * step) @ v
         expected.append(v.reshape(4, 4))
-    traj = evolve_expm(rho0, liouvillian_matrix(h, o, 0.2), times)
+    traj = evolve_expm(rho0, l_mat, 5.0, 201)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.states, np.array(expected))
 

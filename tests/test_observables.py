@@ -58,18 +58,9 @@ def test_entropy_tolerates_tiny_negative_eigenvalue():
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-7)
 
 
-def test_entropy_series_validation():
-    t = np.linspace(0, 1, 5)
-    with pytest.raises(ValueError):
-        EntropySeries(times=t, s_v=np.zeros(4), trace_g=np.ones(5))
-
-
 def test_coherence_verdict_thresholds():
-    t = np.linspace(0, 1, 5)
-
     def series(peak):
-        return EntropySeries(times=t, s_v=np.linspace(0, peak, 5),
-                             trace_g=np.ones(5))
+        return EntropySeries(s_v=np.linspace(0, peak, 5), trace_g=np.ones(5))
 
     assert coherence_verdict(series(1e-9)) is Coherence.COHERENT
     assert coherence_verdict(series(0.5)) is Coherence.DECOHERENT

@@ -42,9 +42,8 @@ def test_interaction_picture_identity_cases(spins, hams):
 
 def _reference(h, o, t_max, n_samples=41):
     """The coherent (gamma = 0) state at t_max of a fixed mixed state."""
-    grid = np.linspace(0, t_max, n_samples)
-    return evolve_expm(_density(7), liouvillian_matrix(h, o, 0.0),
-                       grid).states[-1]
+    return evolve_expm(_density(7), liouvillian_matrix(h, o, 0.0), t_max,
+                       n_samples).states[-1]
 
 
 def test_delta_rho_validation(hams):
@@ -100,12 +99,12 @@ def test_delta_rho_first_order_accuracy(hams, trev):
     psi = (gs.basis[:, 0] + gs.basis[:, 1]) / np.sqrt(2)
     rho0 = np.outer(psi, psi.conj())
     t = 5.0
-    grid = np.linspace(0, t, 11)
-    ref = evolve_expm(rho0, liouvillian_matrix(h, o, 0.0), grid)
+    ref = evolve_expm(rho0, liouvillian_matrix(h, o, 0.0), t, 11)
     gammas = (1e-3, 2e-3, 4e-3)
     resid = []
     for g in gammas:
-        full = evolve_expm(rho0, liouvillian_matrix(h, o, g), grid).states[-1]
+        full = evolve_expm(rho0, liouvillian_matrix(h, o, g), t,
+                           11).states[-1]
         corr = ref.states[-1] + delta_rho(ref.states[-1], o, h, g, t,
                                           n_quad=128)
         resid.append(np.linalg.norm(full - corr))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
+from lindsymlab.operators import spin_matrices
 from lindsymlab.symmetry import (AntiUnitaryOp, commutes_with_antiunitary,
                                  commutes_with_unitary, is_hermitian,
                                  quaternion_group, schur_test, time_reversal)

@@ -1,11 +1,12 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package or test module imports is used in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lindsymlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lindsymlab"
 
 
 def unused_imports(source: str) -> list:
@@ -30,8 +31,10 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")),
+                         ids=lambda path: (path.name if path.parent == SRC
+                                           else f"tests/{path.name}"))
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
