@@ -30,7 +30,8 @@ import numpy as np
 
 from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
                        doublet_block, prepare, propagate, reproduce_table)
-from .lindblad import PropagationError, evolve_expm, vec
+from .lindblad import (MAX_TRAJECTORY_ENTRIES, PropagationError,
+                       evolve_expm, vec)
 from .observables import PositivityError, coherence_verdict, observe_subspace
 from .operators import (OperatorSpec, build_coupling, canonical_name,
                         spin_matrices)
@@ -358,6 +359,12 @@ def cmd_sweep(args) -> int:
 
     with np.errstate(over="ignore", invalid="ignore"):
         ref, rho0 = _prepare_doublet(cfg, 0.0)
+        # delta_rho stacks one d x d matrix per quadrature node
+        d = rho0.shape[0]
+        if (cfg.n_quad + 1) * d * d > MAX_TRAJECTORY_ENTRIES:
+            raise ConfigError(
+                f"n_quad={cfg.n_quad} at dimension {d} needs more than "
+                f"{MAX_TRAJECTORY_ENTRIES} stored entries")
         traj0 = evolve_expm(rho0, ref.liouvillian, t_max, cfg.n_samples)
         trajs = [propagate(_prepare_doublet(cfg, gamma)[0], rho0, t_max,
                            cfg.n_samples, cfg.integrator, cfg.dt)

@@ -55,26 +55,34 @@ def sample_times(t_max: float, n_samples: int, d: int) -> np.ndarray:
 def rhs_operators(h: ComplexMatrix, o: ComplexMatrix) -> tuple:
     """The products rhs needs that do not depend on rho, built once.
 
-    Returns (left, right, o_dag): left stacks [H, O^dag O, O] to multiply
-    rho from the left, right stacks [H, O^dag O] to multiply it from the
-    right, and o_dag closes the sandwich O rho O^dag.
+    Returns left, which stacks [O, H, O^dag O] to multiply rho from the
+    left, right, which stacks [H, -O^dag O, 2 O^dag] to multiply
+    [rho, rho, O rho] from the right, and views of one workspace
+    [rho, rho, O rho, H rho, O^dag O rho] that rhs fills. The views are
+    sliced here once: slicing them on every call would cost much of what
+    the saved product gains. Negation and doubling round exactly, so
+    folding them into right changes no bit of rho O^dag O or of
+    2 O rho O^dag.
     """
     o_dag = o.conj().T
     odo = o_dag @ o
-    return np.stack([h, odo, o]), np.stack([h, odo]), o_dag
+    work = np.empty((5,) + h.shape, dtype=complex)
+    return (np.stack([o, h, odo]), np.stack([h, -odo, 2.0 * o_dag]),
+            work[:2], work[2:], work[:3], work[3:])
 
 
 def rhs(rho: ComplexMatrix, ops: tuple, gamma: float) -> ComplexMatrix:
     """Right-hand side of the master equation in matrix form.
 
     ops is rhs_operators(h, o) of the system, built once by the caller.
+    The result is a fresh array, never a view of the workspace in ops.
     """
-    left, right, o_dag = ops
-    # indexing the stacks is cheaper than unpacking them
-    lp = left @ rho    # H rho, O^dag O rho, O rho
-    rp = rho @ right   # rho H, rho O^dag O
-    return (-1j * (lp[0] - rp[0])
-            + gamma * (2.0 * (lp[2] @ o_dag) - (lp[1] + rp[1])))
+    left, right, rho_twice, lp, rho_orho, hrho_odorho = ops
+    rho_twice[...] = rho
+    np.matmul(left, rho, out=lp)  # O rho, H rho, O^dag O rho
+    rp = rho_orho @ right         # rho H, -rho O^dag O, 2 O rho O^dag
+    diff = hrho_odorho - rp[:2]   # [H, rho], {O^dag O, rho}
+    return -1j * diff[0] + gamma * (rp[2] - diff[1])
 
 
 def vec(rho: ComplexMatrix) -> np.ndarray:
@@ -188,6 +196,17 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     Exact up to roundoff for any step, so it serves as the reference the
     RK4 route is validated against. The steps of the sample grid can
     differ in the last bit, so one propagator is built per distinct step.
+
+    A Liouvillian of large norm can exponentiate to a step propagator that
+    loses trace at roundoff level on every step. If a stored sample's
+    trace then drifts from rho0's by more than DEFAULT_TOL, the unit-trace
+    gate the samples are observed through, each step propagator P is
+    projected onto trace-preserving maps, P + (vec(I)/d)(vec(I)^T -
+    vec(I)^T P), the run is repeated and meta["projected"] is set.
+
+    Raises:
+        PropagationError: the trace still drifts past DEFAULT_TOL with the
+            projected propagators.
     """
     d = rho0.shape[0]
     times = sample_times(t_max, n_samples, d)
@@ -199,10 +218,28 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     props = [scipy.linalg.expm(l_mat * step) for step in steps]
     out = np.empty((n_samples, rho0.size), dtype=complex)
     out[0] = vec(rho0)
-    for k, j in enumerate(which):
-        out[k + 1] = props[j] @ out[k]
+
+    def run(props: list) -> float:
+        for k, j in enumerate(which):
+            out[k + 1] = props[j] @ out[k]
+        traces = out[:, ::d + 1].sum(axis=1)  # diagonal entries of vec(rho)
+        return float(np.max(np.abs(traces - traces[0])))
+
+    drift = run(props)
+    # a trajectory that is not finite is the caller's to reject
+    projected = DEFAULT_TOL < drift < np.inf
+    if projected:
+        trace_row = vec(np.eye(d))
+        props = [p + np.outer(trace_row / d, trace_row - trace_row @ p)
+                 for p in props]
+        drift = run(props)
+        if not drift <= DEFAULT_TOL:
+            raise PropagationError(
+                f"the expm trajectory drifts the trace by {drift:.3e} even "
+                f"with trace-preserving steps: hamiltonian (e_g), "
+                f"coupling, gamma or t_max too large")
     return Trajectory(times=times, states=out.reshape(n_samples, d, d),
-                      meta={"integrator": "expm"})
+                      meta={"integrator": "expm", "projected": projected})
 
 
 @dataclass(frozen=True)

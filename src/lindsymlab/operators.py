@@ -67,7 +67,8 @@ def spin_matrices(s: float) -> SpinTriple:
         raise ValueError(f"spin must be a positive half-integer, got {s}")
     dim = int(round(two_s)) + 1
     if dim > MAX_DIM:
-        raise ValueError(f"spin {s} needs dimension {dim} > {MAX_DIM}")
+        raise ValueError(f"spin {s} is above {(MAX_DIM - 1) / 2}, the "
+                         f"largest spin stored densely")
     m = np.array([s - k for k in range(dim)], dtype=float)
     s_plus = np.zeros((dim, dim), dtype=complex)
     for k in range(1, dim):

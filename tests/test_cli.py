@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from lindsymlab.classify import catalog, run_scenario
-from lindsymlab.cli import build_parser, cmd_table, main
+from lindsymlab.cli import RunConfig, build_parser, cmd_table, main
+from lindsymlab.lindblad import MAX_TRAJECTORY_ENTRIES
 from lindsymlab.observables import Coherence
+from lindsymlab.operators import MAX_DIM
 
 LN2 = np.log(2.0)
 
@@ -227,6 +229,9 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
     pytest.param("simulate", {"hamiltonian": "both_symmetric", "coupling": "sz",
                               "e_g": 1e300, "t_max": None, "n_samples": 201},
                  ("e_g",), id="e_g-1e300-default-grid"),
+    # refused before delta_rho stacks n_quad + 1 matrices
+    pytest.param("sweep", {"n_quad": 2**30}, ("n_quad",),
+                 id="sweep-n-quad-2e30"),
     pytest.param("sweep", {"gammas": [1e-3, 1e-3]}, ("distinct",),
                  id="sweep-one-distinct-gamma"),
     # the initial state is stationary: every discrepancy is exactly zero
@@ -247,6 +252,34 @@ def test_inputs_the_propagators_cannot_integrate_exit_2(command, kw, keys,
     assert err.startswith("error:")
     for key in keys:
         assert key in err, (key, err)
+    assert not out.exists()
+
+
+def test_simulate_spin_31_2_sx2sz_keeps_its_trace(tmp_path):
+    # the one-step expm propagator loses 7.6e-12 of trace per step, past
+    # the unit-trace gate by sample 132; projected steps keep it
+    cfg = _write_cfg(tmp_path, spin=15.5, hamiltonian="both_symmetric",
+                     coupling="sx2sz", t_max=None, n_samples=None)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "Decoherence"
+    assert summary["block_identity"] is False
+
+
+def test_default_n_quad_fits_at_every_accepted_spin():
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    n_quad = defaults["n_quad"]
+    assert (n_quad + 1) * MAX_DIM * MAX_DIM <= MAX_TRAJECTORY_ENTRIES
+
+
+def test_a_huge_spin_is_named_in_a_short_message(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, spin=1e300)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "spin" in err
+    assert len(err) < 120, err
     assert not out.exists()
 
 

@@ -94,10 +94,12 @@ def _assert_rk4_unchanged(rho0, h, o, gamma, steps):
     traj = evolve_rk4(rho0, h, o, gamma, t_max,
                       dt=t_max / steps * (1 + 1e-9), n_samples=steps + 1)
     expected = _unhoisted_samples(rho0, h, o, gamma, traj.meta["dt"], steps)
-    assert np.array_equal(traj.states, expected)
+    # compare bit patterns, so that the sign of every zero counts too
+    assert np.array_equal(traj.states.view(np.uint64),
+                          expected.view(np.uint64))
     rho = traj.states[-1]
-    assert np.array_equal(rhs(rho, rhs_operators(h, o), gamma),
-                          _unstacked_rhs(rho, h, o, gamma))
+    assert np.array_equal(rhs(rho, rhs_operators(h, o), gamma).view(np.uint64),
+                          _unstacked_rhs(rho, h, o, gamma).view(np.uint64))
 
 
 @pytest.mark.parametrize("sc", catalog(), ids=lambda sc: sc.name)
@@ -116,6 +118,28 @@ def test_stacked_rk4_is_bit_identical_at_larger_spins(spin):
         h = build_hamiltonian(sc.hamiltonian, spins)
         o = build_coupling(sc.coupling, spins)
         _assert_rk4_unchanged(_random_density(rng, spins.dim), h, o, 0.1, 200)
+
+
+def test_stacked_rk4_is_bit_identical_from_a_sparse_start():
+    # rho lives in the four corners only, so most entries stay exact zeros
+    # whose signs the stacked products must reproduce
+    spins = spin_matrices(7.5)
+    psi = np.zeros(spins.dim, dtype=complex)
+    psi[0], psi[-1] = 0.6, 0.8j
+    for sc in catalog():
+        h = build_hamiltonian(sc.hamiltonian, spins)
+        o = build_coupling(sc.coupling, spins)
+        _assert_rk4_unchanged(np.outer(psi, psi.conj()), h, o, 0.1, 200)
+
+
+def test_rhs_result_does_not_alias_its_workspace(hams):
+    rng = np.random.default_rng(5)
+    ops = rhs_operators(hams["both_symmetric"], _op("sx2sz"))
+    k1 = rhs(_random_density(rng), ops, 0.1)
+    kept = k1.copy()
+    rhs(_random_density(rng), ops, 0.1)
+    assert np.array_equal(k1, kept)
+    assert not any(np.shares_memory(k1, part) for part in ops)
 
 
 def test_liouvillian_left_trace_zero_mode(hams):
@@ -160,6 +184,7 @@ def test_rk4_expm_cross_agreement(hams):
     assert np.max(np.abs(rk.states - ex.states)) < 1e-9
     assert rk.meta["integrator"] == "rk4"
     assert ex.meta["integrator"] == "expm"
+    assert not ex.meta["projected"]
 
 
 def test_rk4_order_of_accuracy(hams):
@@ -250,6 +275,38 @@ def test_evolve_expm_steps_each_distinct_grid_step_by_its_own_propagator(
     traj = evolve_expm(rho0, l_mat, 5.0, 201)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.states, np.array(expected))
+
+
+def test_evolve_expm_projects_a_trace_losing_propagator(monkeypatch):
+    # sx2sz at spin 15/2 and gamma = 10: ||L||_F is 4e6, and the one-step
+    # propagator loses trace to roundoff until it drifts past DEFAULT_TOL
+    sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
+    system = prepare(sc, 10.0, 7.5)
+    psi = probe_states(system.ground)["equal"]
+    rho0 = np.outer(psi, psi.conj())
+    traj = evolve_expm(rho0, system.liouvillian, 200.0, 201)
+    assert traj.meta["projected"]
+    trace = np.trace(traj.states, axis1=1, axis2=2)
+    assert np.max(np.abs(trace - 1.0)) < 1e-13
+
+    monkeypatch.setattr(lindblad, "DEFAULT_TOL", np.inf)
+    plain = evolve_expm(rho0, system.liouvillian, 200.0, 201)
+    assert not plain.meta["projected"]
+    plain_err = np.abs(np.trace(plain.states, axis1=1, axis2=2) - 1.0)
+    breach = np.argmax(plain_err > 1e-9)
+    assert breach > 10
+    assert np.max(np.abs(plain.states[:breach]
+                         - traj.states[:breach])) < 1e-8
+
+
+def test_evolve_expm_raises_when_projection_cannot_hold_the_trace():
+    # not a Liouvillian: a random generator whose fastest mode grows as
+    # exp(1.8 t), so by t = 20 the state dwarfs its trace and even
+    # trace-preserving steps lose the trace to roundoff
+    rng = np.random.default_rng(1)
+    l_mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    with pytest.raises(lindblad.PropagationError, match="trace"):
+        evolve_expm(np.eye(2, dtype=complex) / 2, l_mat, 20.0, 11)
 
 
 def test_subspace_block_identity_on_protected_channel(hams):
