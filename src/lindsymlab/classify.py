@@ -31,10 +31,9 @@ from .operators import (ComplexMatrix, OperatorSpec, build_coupling,
                         build_hamiltonian, spin_matrices)
 from .response import delta_rho
 from .spectra import GroundSubspace, ground_subspace, normalize_subspace
-from .symmetry import (DEFAULT_TOL, AntiUnitaryOp, UnitaryGroup,
-                       commutes_with_antiunitary, commutes_with_unitary, frob,
-                       is_hermitian, quaternion_group, schur_test,
-                       time_reversal)
+from .symmetry import (DEFAULT_TOL, AntiUnitaryOp, commutes_with_antiunitary,
+                       commutes_with_unitary, frob, is_hermitian,
+                       quaternion_group, schur_test, time_reversal)
 
 DEFAULT_GAMMA = 0.1
 DEFAULT_HORIZON = 20.0
@@ -83,7 +82,6 @@ class Verdict:
     block_residual: float
     schur_proportional: bool
     schur_residual: float
-    schur_coefficient: complex
     peak_entropy: float
     terminal_entropy: float
     terminal_trace_g: float
@@ -128,14 +126,22 @@ _TABLE_ROWS = (
 )
 
 
-def compute_signature(o: ComplexMatrix, group: UnitaryGroup,
-                      trev: AntiUnitaryOp) -> SymmetryClaims:
-    """Measure (hermiticity, [O,T]=0, [O,Q]=0 for all Q) of an operator."""
+def compute_signature(o: ComplexMatrix,
+                      trev: AntiUnitaryOp) -> tuple[SymmetryClaims, tuple]:
+    """Measure (hermiticity, [O,T]=0, [O,Q]=0 for all Q) of an operator.
+
+    Q runs over the quaternion group on the spin-3/2 space, so o is 4x4.
+    Also returns the labels of the elements Q with [O,Q] != 0, in group
+    order.
+    """
+    group = quaternion_group()
+    failing = tuple(label for label, q in zip(group.labels, group.elements)
+                    if not commutes_with_unitary(o, q))
     return SymmetryClaims(
         hermitian=is_hermitian(o),
         commutes_t=commutes_with_antiunitary(o, trev),
-        commutes_q=all(commutes_with_unitary(o, q) for q in group.elements),
-    )
+        commutes_q=not failing,
+    ), failing
 
 
 def catalog() -> list:
@@ -259,7 +265,7 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
         PropagationError: a probe trajectory is not finite.
     """
     system = prepare(sc, gamma)
-    measured = compute_signature(system.o, quaternion_group(), system.trev)
+    measured, _ = compute_signature(system.o, system.trev)
     if measured != sc.claims:
         raise CatalogIntegrityError(
             f"{sc.name}: claims {sc.claims} but measured {measured}")
@@ -295,7 +301,6 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
         block_residual=bi.residual,
         schur_proportional=schur_o.proportional and schur_q.proportional,
         schur_residual=schur_o.residual,
-        schur_coefficient=schur_o.coefficient,
         peak_entropy=max(float(np.max(s.s_v)) for s, _ in observed),
         terminal_entropy=float(series.s_v[-1]),
         terminal_trace_g=float(series.trace_g[-1]),
@@ -379,7 +384,6 @@ class TableReport:
 
 def reproduce_table(gamma: float = DEFAULT_GAMMA,
                     horizon: float = DEFAULT_HORIZON,
-                    scenarios: list | None = None,
                     tol_scale: float = 1.0) -> TableReport:
     """Run the full table and cross-check against the response oracle.
 
@@ -387,15 +391,11 @@ def reproduce_table(gamma: float = DEFAULT_GAMMA,
     verdict classification is gamma-independent at fixed gamma*t horizon.
 
     Raises:
-        CatalogIntegrityError: empty scenario list.
+        CatalogIntegrityError: a row's claimed signature fails verification.
     """
-    if scenarios is None:
-        scenarios = catalog()
-    if not scenarios:
-        raise CatalogIntegrityError("scenario catalog is empty")
     verdicts = [run_scenario(sc, gamma=gamma, horizon=horizon,
                              tol_scale=tol_scale)
-                for sc in sorted(scenarios, key=lambda sc: sc.name)]
+                for sc in sorted(catalog(), key=lambda sc: sc.name)]
     oracle = {v.name: v.oracle_coherent == (v.measured_coherence
                                             is Coherence.COHERENT)
               for v in verdicts}

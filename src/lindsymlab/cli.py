@@ -5,7 +5,7 @@ Subcommands:
   table        the 16-row classification -> text + JSON, exit 0 iff 16/16
   sweep        repeat a run over several gammas, fit the first-order
                discrepancy exponent -> CSV + JSON summary
-  classify-op  print the symmetry signature of a coupling operator
+  classify-op  print the spin-3/2 symmetry signature of a coupling operator
 
 Configs are single JSON documents; literal matrices are nested arrays of
 [re, im] pairs. All CSV output is deterministic: 12 significant digits,
@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
-                       doublet_block, prepare, propagate, reproduce_table)
+                       compute_signature, doublet_block, prepare, propagate,
+                       reproduce_table)
 from .lindblad import (MAX_TRAJECTORY_ENTRIES, PropagationError,
                        evolve_expm, vec)
 from .observables import PositivityError, coherence_verdict, observe_subspace
@@ -37,8 +38,7 @@ from .operators import (OperatorSpec, build_coupling, canonical_name,
                         spin_matrices)
 from .response import delta_rho, scaling_exponent
 from .spectra import SubspaceDepletedError
-from .symmetry import (commutes_with_antiunitary, commutes_with_unitary,
-                       is_hermitian, quaternion_group, time_reversal)
+from .symmetry import time_reversal
 
 
 class ConfigError(Exception):
@@ -313,9 +313,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_table(args, scenarios=None) -> int:
+def cmd_table(args) -> int:
     report = reproduce_table(gamma=args.gamma, horizon=args.horizon,
-                             scenarios=scenarios, tol_scale=tolerance_scale())
+                             tol_scale=tolerance_scale())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = report.text_table() + "\n"
@@ -407,29 +407,27 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_classify_op(args) -> int:
-    spins = spin_matrices(1.5)
     if args.config is not None:
         cfg = load_config(args.config)
+        # the quaternion group exists here only on the 4-dimensional space
+        if cfg.spin != 1.5:
+            raise ConfigError(f"spin: classify-op measures the signature at "
+                              f"spin 1.5 only, got {cfg.spin:g}")
         spec = cfg.coupling
     else:
         if args.operator is None:
             raise ConfigError("give an operator name or --config")
         spec = OperatorSpec(name=args.operator)
     try:
-        o = build_coupling(spec, spins)
+        o = build_coupling(spec, spin_matrices(1.5))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    group = quaternion_group()
-    trev = time_reversal(1.5)
-    herm = is_hermitian(o)
-    comm_t = commutes_with_antiunitary(o, trev)
-    failing = [lbl for lbl, q in zip(group.labels, group.elements)
-               if not commutes_with_unitary(o, q)]
+    claims, failing = compute_signature(o, time_reversal(1.5))
     shown = (f"{spec.name} (canonical: {canonical_name(spec.name)})"
              if spec.name is not None else "<literal matrix>")
     print(f"operator:  {shown}")
-    print(f"hermitian: {'yes' if herm else 'no'}")
-    print(f"[O,T]=0:   {'yes' if comm_t else 'no'}")
+    print(f"hermitian: {'yes' if claims.hermitian else 'no'}")
+    print(f"[O,T]=0:   {'yes' if claims.commutes_t else 'no'}")
     if failing:
         print(f"[O,Q]=0:   no   (fails on: {', '.join(failing)})")
     else:

@@ -247,7 +247,6 @@ class BlockIdentity:
     """Result of testing a subspace block for proportionality to identity."""
 
     proportional: bool
-    coefficient: complex
     residual: float
 
 
@@ -279,4 +278,4 @@ def block_identity_test(block: ComplexMatrix,
     coeff = complex(np.trace(block) / dim)
     residual = float(np.linalg.norm(block - coeff * np.eye(dim)))
     return BlockIdentity(proportional=residual <= tol * max(1.0, abs(coeff)),
-                         coefficient=coeff, residual=residual)
+                         residual=residual)

@@ -2,9 +2,8 @@
 
 The models of interest have doubly degenerate ground levels. This module
 extracts the ground subspace with a deterministic basis (phase-fixed, and
-time-reversal-paired when the caller supplies a compatible anti-unitary),
-checks Kramers-type even degeneracy, and restricts density matrices to the
-subspace.
+time-reversal-paired when the caller supplies a compatible anti-unitary)
+and restricts density matrices to the subspace.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import ComplexMatrix
-from .symmetry import AntiUnitaryOp, DEFAULT_TOL, commutes_with_antiunitary, frob
+from .symmetry import AntiUnitaryOp, DEFAULT_TOL, frob
 
 
 class SubspaceDepletedError(Exception):
@@ -46,15 +45,12 @@ class GroundSubspace:
     """Ground level of a Hermitian matrix with a deterministic basis.
 
     basis has one orthonormal column per ground state; projector is the
-    rank-dim orthogonal projector built from it. spans_full_space is set
-    when the whole spectrum is degenerate (no meaningful gap).
+    rank-dim orthogonal projector built from it.
     """
 
-    energy: float
     basis: ComplexMatrix
     projector: ComplexMatrix
     dim: int
-    spans_full_space: bool
 
 
 def ground_subspace(h: ComplexMatrix,
@@ -90,30 +86,7 @@ def ground_subspace(h: ComplexMatrix,
         partner = partner / np.linalg.norm(partner)
         basis = np.column_stack([phi_plus, _phase_fix(partner)])
         proj = basis @ basis.conj().T
-    return GroundSubspace(energy=float(vals[0]), basis=basis, projector=proj,
-                          dim=basis.shape[1], spans_full_space=full)
-
-
-def kramers_check(h: ComplexMatrix, t: AntiUnitaryOp) -> bool:
-    """True when every eigenvalue of h has even multiplicity.
-
-    Eigenvalues closer than 1e-9 times the spectral spread form one level.
-
-    Meaningful for anti-unitary symmetries squaring to -1, where even
-    degeneracy is forced; with t squaring to +1 odd multiplicities can
-    occur and the check simply reports them.
-
-    Raises:
-        ValueError: if h does not commute with t.
-    """
-    if not commutes_with_antiunitary(h, t):
-        raise ValueError("Hamiltonian does not commute with the anti-unitary")
-    vals, _ = eigh(h)
-    spread = max(float(vals[-1] - vals[0]), 1e-30)
-    # a level ends where the sorted spectrum jumps by more than the tolerance
-    ends = np.flatnonzero(np.diff(vals) > 1e-9 * spread)
-    sizes = np.diff(np.concatenate([[-1], ends, [len(vals) - 1]]))
-    return bool(np.all(sizes % 2 == 0))
+    return GroundSubspace(basis=basis, projector=proj, dim=basis.shape[1])
 
 
 def subspace_density(rho: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatrix:

@@ -32,14 +32,12 @@ def is_hermitian(a: ComplexMatrix) -> bool:
 
 @dataclass(frozen=True)
 class UnitaryGroup:
-    """A finite matrix group with its multiplication table and labels.
+    """A finite matrix group with its labels.
 
-    cayley[a, b] = c means elements[a] @ elements[b] == elements[c]
-    (0-based indices). labels carry the validated quaternion-unit names.
+    labels[k] is the validated quaternion-unit name of elements[k].
     """
 
     elements: tuple
-    cayley: np.ndarray
     labels: tuple
 
 
@@ -101,7 +99,7 @@ def quaternion_group() -> UnitaryGroup:
     numerically, and the fixed quaternion-unit labels e, i, j, k (and their
     negatives) are checked against the abstract group law on it. Every
     non-central element has order 4. Built once per process; the element
-    matrices and the table are read-only.
+    matrices are read-only.
 
     Raises:
         ValueError: if the numeric table fails to close or the labels
@@ -123,9 +121,9 @@ def quaternion_group() -> UnitaryGroup:
             if (_unit_mul(_UNITS[labels[a]], _UNITS[labels[b]])
                     != _UNITS[labels[table[a, b]]]):
                 raise ValueError("quaternion labels violate the group law")
-    for arr in (*elements, table):
+    for arr in elements:
         arr.setflags(write=False)
-    return UnitaryGroup(elements=elements, cayley=table, labels=labels)
+    return UnitaryGroup(elements=elements, labels=labels)
 
 
 def time_reversal(s: float = 1.5) -> AntiUnitaryOp:
@@ -171,9 +169,7 @@ class SchurResult:
     """Outcome of projecting an operator onto an irreducible subspace."""
 
     proportional: bool
-    coefficient: complex
     residual: float
-    norm_projected: float
 
 
 def schur_test(projector: ComplexMatrix, op: ComplexMatrix,
@@ -196,9 +192,5 @@ def schur_test(projector: ComplexMatrix, op: ComplexMatrix,
     pop = p @ op @ p
     coeff = complex(np.trace(pop) / rank)
     residual = frob(pop - coeff * p)
-    return SchurResult(
-        proportional=residual <= tol * max(1.0, abs(coeff)),
-        coefficient=coeff,
-        residual=residual,
-        norm_projected=frob(pop),
-    )
+    return SchurResult(proportional=residual <= tol * max(1.0, abs(coeff)),
+                       residual=residual)

@@ -30,19 +30,20 @@ def test_both_symmetric_block_covers_all_signatures(scenarios):
     assert len(sigs) == 8
 
 
-def test_compute_signature_spot_checks(group, trev):
+def test_compute_signature_spot_checks(trev):
     cases = {
-        "sy2": (True, True, True),
-        "isz": (False, True, False),
-        "sxsysz": (False, False, True),
-        "sx": (True, False, False),
-        "sx2sz": (False, False, False),
+        "sy2": ((True, True, True), ()),
+        "isz": ((False, True, False), ("j", "j_bar", "k_bar", "k")),
+        "sxsysz": ((False, False, True), ()),
+        "sx": ((True, False, False), ("i", "i_bar", "j", "j_bar")),
+        "sx2sz": ((False, False, False), ("j", "j_bar", "k_bar", "k")),
     }
     spins = spin_matrices(1.5)
-    for name, want in cases.items():
-        claims = compute_signature(
-            build_coupling(OperatorSpec(name=name), spins), group, trev)
+    for name, (want, fails_on) in cases.items():
+        claims, failing = compute_signature(
+            build_coupling(OperatorSpec(name=name), spins), trev)
         assert claims == SymmetryClaims(*want), name
+        assert failing == fails_on, name
 
 
 def test_claims_render_human_readable():
@@ -77,6 +78,8 @@ def test_probe_states_layout(scenarios):
 
 def test_run_scenario_protected_row(scenarios):
     v = run_scenario(scenarios["q_symmetric:sy2"])
+    system = prepare(scenarios["q_symmetric:sy2"])
+    p = system.ground.projector
     assert v.passed
     assert v.measured_coherence is Coherence.COHERENT
     assert v.block_identity
@@ -86,7 +89,8 @@ def test_run_scenario_protected_row(scenarios):
     assert v.trace_err < 1e-10
     assert v.herm_err < 1e-10
     assert v.min_eig > -1e-10
-    assert abs(v.schur_coefficient - 1.25) < 1e-12
+    # the Schur coefficient tr(P O P) / rank(P)
+    assert abs(np.trace(p @ system.o @ p) / 2 - 1.25) < 1e-12
 
 
 def test_run_scenario_decoherent_row(scenarios):
@@ -149,10 +153,11 @@ def test_response_oracle_calls_no_propagator(scenarios, monkeypatch):
                         "tr_invariant:sxsysz": False}
 
 
-def test_reproduce_table_subset(scenarios):
+def test_reproduce_table_subset(scenarios, monkeypatch):
     picks = [sc for sc in scenarios.values()
              if sc.name in ("tr_invariant:sx2", "tr_invariant:isz")]
-    report = reproduce_table(scenarios=picks)
+    monkeypatch.setattr(classify, "catalog", lambda: picks)
+    report = reproduce_table()
     assert report.all_pass
     assert report.oracle_all_agree
     assert len(report.verdicts) == 2
@@ -168,19 +173,15 @@ def test_reproduce_table_subset(scenarios):
             assert "ok" in line
 
 
-def test_audit_lists_rows_outside_the_catalog(scenarios):
+def test_audit_lists_rows_outside_the_catalog(scenarios, monkeypatch):
     import dataclasses
     custom = dataclasses.replace(scenarios["tr_invariant:sz"],
                                  name="custom:sz")
-    text = reproduce_table(scenarios=[custom]).text_table()
+    monkeypatch.setattr(classify, "catalog", lambda: [custom])
+    text = reproduce_table().text_table()
     audit = text.split("signature -> row assignment (audit):")[1]
     assert "custom:sz" in audit
     assert str(custom.claims) in audit
-
-
-def test_reproduce_table_rejects_empty():
-    with pytest.raises(CatalogIntegrityError):
-        reproduce_table(scenarios=[])
 
 
 def test_catalog_rejects_tampered_claims(scenarios):

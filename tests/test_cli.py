@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lindsymlab import classify
 from lindsymlab.classify import catalog, run_scenario
 from lindsymlab.cli import RunConfig, build_parser, cmd_table, main
 from lindsymlab.lindblad import MAX_TRAJECTORY_ENTRIES
@@ -127,12 +128,13 @@ def test_simulate_literal_matrix_coupling(tmp_path):
         (out2 / "trajectory.csv").read_bytes()
 
 
-def test_table_subset_exit_codes(tmp_path):
+def test_table_subset_exit_codes(tmp_path, monkeypatch):
     picks = [sc for sc in catalog()
              if sc.name in ("tr_invariant:sx2", "tr_invariant:isz")]
     parser = build_parser()
     args = parser.parse_args(["table", "--out", str(tmp_path / "ok")])
-    assert cmd_table(args, scenarios=picks) == 0
+    monkeypatch.setattr(classify, "catalog", lambda: picks)
+    assert cmd_table(args) == 0
     doc = json.loads((tmp_path / "ok" / "table.json").read_text())
     assert doc["all_pass"] is True
     assert doc["oracle_all_agree"] is True
@@ -147,7 +149,8 @@ def test_table_subset_exit_codes(tmp_path):
                                    is Coherence.COHERENT
                                    else Coherence.COHERENT)]
     args = parser.parse_args(["table", "--out", str(tmp_path / "bad")])
-    assert cmd_table(args, scenarios=flipped) == 1
+    monkeypatch.setattr(classify, "catalog", lambda: flipped)
+    assert cmd_table(args) == 1
     doc = json.loads((tmp_path / "bad" / "table.json").read_text())
     assert doc["all_pass"] is False
 
@@ -157,8 +160,9 @@ def test_table_reports_an_ambiguous_row(tmp_path, capsys, monkeypatch):
     # between the thresholds 1e-2 and 1e2
     picks = [sc for sc in catalog() if sc.name == "both_symmetric:sx"]
     monkeypatch.setenv("LSL_TOLERANCE_SCALE", "1e4")
+    monkeypatch.setattr(classify, "catalog", lambda: picks)
     args = build_parser().parse_args(["table", "--out", str(tmp_path)])
-    assert cmd_table(args, scenarios=picks) == 1
+    assert cmd_table(args) == 1
     capsys.readouterr()
     row, = json.loads((tmp_path / "table.json").read_text())["rows"]
     assert row["measured"] == "Ambiguous"
@@ -358,6 +362,13 @@ def test_classify_op_errors(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, coupling={"name": ["sx"]})
     assert main(["classify-op", "--config", cfg]) == 2
     assert "coupling: name must be a string" in capsys.readouterr().err
+    # the quaternion group exists only at spin 3/2
+    cfg = _write_cfg(tmp_path, spin=3.5, hamiltonian="both_symmetric",
+                     coupling="sx2")
+    assert main(["classify-op", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spin" in captured.err
 
 
 def test_config_error_paths(tmp_path, capsys):

@@ -16,7 +16,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lindsymlab.cli import main
@@ -95,8 +95,16 @@ def config_documents(draw):
     return doc
 
 
+# the draws rarely pair a huge count with an otherwise valid document, so
+# each trajectory size bound is reached by one explicit example
+_VALID = {"hamiltonian": "tr_invariant", "coupling": "sx",
+          "gammas": [1e-3, 2e-3]}
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(config_documents(), st.sampled_from(["simulate", "sweep"]))
+@example({**_VALID, "n_quad": 2 * MAX_TRAJECTORY_ENTRIES}, "sweep")
+@example({**_VALID, "n_samples": MAX_TRAJECTORY_ENTRIES + 1}, "simulate")
 def test_any_config_document_exits_0_1_or_2(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"

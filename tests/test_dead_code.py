@@ -1,10 +1,17 @@
-"""Every top-level function and class of the package has a caller, and
-so does every plain (non-fixture) function of tests/conftest.py.
+"""Every top-level function and class of the package has a caller, every
+dataclass field a reader and every method a caller; so does every plain
+(non-fixture) function of tests/conftest.py.
 
 A caller of package code is a name, attribute or import in src/lindsymlab
 or bench/*.py outside the definition itself. Tests do not count: code that
 only its own unit test calls is dead. A conftest helper's callers are the
 test modules. Names in strings and docstrings do not count either.
+
+A field or method of a class is read by an attribute load of its name
+(`x.field`, `self.method()`) outside its own definition: a sibling method
+reads it, a keyword argument in a constructor call does not, and neither
+does an assignment. Methods named `__dunder__` are called by Python itself
+and are not checked.
 """
 
 import ast
@@ -14,17 +21,28 @@ TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 SRC = ROOT / "src" / "lindsymlab"
 
-# Kept without a caller, each for the reason given.
+# Kept without a reader, each for the reason given. These are the
+# diagnostics the run record planned in ROADMAP.md is to report.
 KEEP = {
-    "kramers_check": "AC9 checks the paper's Kramers degeneracy with it",
+    "Trajectory.meta": ("test_lindblad asserts the integrator, RK4 step "
+                        "and expm projection it records"),
+    "Verdict.max_drift": "AC3 asserts the coherent rows' subspace drift",
+    "Verdict.stationarity": "AC2 asserts the plateau is stationary",
+    "Verdict.terminal_rho_g": "AC2 asserts the plateau is maximally mixed",
+    "Verdict.trace_err": "AC6 asserts trace conservation",
+    "Verdict.herm_err": "AC6 asserts Hermiticity conservation",
+    "Verdict.min_eig": "AC6 asserts positivity",
 }
 
+_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def _is_fixture(node) -> bool:
-    """Decorated with pytest.fixture, with or without arguments."""
+
+def _decorated(node, name: str) -> bool:
+    """Decorated with name or x.name, with or without arguments."""
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Attribute) and target.attr == "fixture":
+        if name in (getattr(target, "attr", None), getattr(target, "id", None)):
             return True
     return False
 
@@ -32,41 +50,90 @@ def _is_fixture(node) -> bool:
 def definitions(tree) -> list:
     """Top-level functions and classes; pytest injects fixtures by name."""
     return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) and not _is_fixture(node)]
+            if isinstance(node, _DEFINITION)
+            and not _decorated(node, "fixture")]
+
+
+def members(tree) -> list:
+    """(class, member) for every field of a top-level dataclass and every
+    non-dunder method of a top-level class."""
+    found = []
+    for top in tree.body:
+        if not isinstance(top, ast.ClassDef):
+            continue
+        for node in top.body:
+            if (isinstance(node, ast.AnnAssign)
+                    and _decorated(top, "dataclass")
+                    and isinstance(node.target, ast.Name)):
+                found.append((top.name, node.target.id))
+            elif (isinstance(node, _FUNCTION)
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__"))):
+                found.append((top.name, node.name))
+    return found
+
+
+def _scopes(tree):
+    """(top-level owner, method owner, node) for every node in tree. The
+    top-level owner is the enclosing top-level definition or None; the
+    method owner is the enclosing method of a top-level class or None."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, _DEFINITION) else None
+        methods = ([node for node in top.body if isinstance(node, _FUNCTION)]
+                   if isinstance(top, ast.ClassDef) else [])
+        inside = set()
+        for method in methods:
+            for node in ast.walk(method):
+                inside.add(id(node))
+                yield owner, method.name, node
+        yield from ((owner, None, node) for node in ast.walk(top)
+                    if id(node) not in inside)
 
 
 def references(tree) -> set:
     """(name, enclosing top-level definition or None) for every name an
     ast.Name, ast.Attribute or import alias in tree refers to."""
     refs = set()
-    for top in tree.body:
-        owner = (top.name if isinstance(top, (ast.FunctionDef,
-                                              ast.AsyncFunctionDef,
-                                              ast.ClassDef)) else None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                refs.add((node.id, owner))
-            elif isinstance(node, ast.Attribute):
-                refs.add((node.attr, owner))
-            elif isinstance(node, ast.alias):
-                refs.add((node.name.split(".")[-1], owner))
+    for owner, _, node in _scopes(tree):
+        if isinstance(node, ast.Name):
+            refs.add((node.id, owner))
+        elif isinstance(node, ast.Attribute):
+            refs.add((node.attr, owner))
+        elif isinstance(node, ast.alias):
+            refs.add((node.name.split(".")[-1], owner))
     return refs
 
 
+def reads(tree) -> set:
+    """(attribute, enclosing top-level definition, enclosing method) for
+    every attribute load in tree."""
+    return {(node.attr, owner, method) for owner, method, node in _scopes(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def uncalled(defining: dict, others: list) -> list:
-    """Definitions of each module in defining (module name -> source) that
-    nothing refers to outside their own definition; others are sources that
-    may only call."""
+    """Definitions, fields and methods of each module in defining (module
+    name -> source) that nothing calls or reads outside their own
+    definition; others are sources that may only call and read."""
     trees = {mod: ast.parse(src) for mod, src in defining.items()}
-    called = set()
+    called, read = set(), set()
     for tree in trees.values():
         called |= {name for name, owner in references(tree) if owner != name}
+        read |= reads(tree)
     for src in others:
-        called |= {name for name, _ in references(ast.parse(src))}
-    return sorted(f"{mod}.{name}" for mod, tree in trees.items()
-                  for name in definitions(tree)
-                  if name not in called and name not in KEEP)
+        tree = ast.parse(src)
+        called |= {name for name, _ in references(tree)}
+        read |= {(attr, None, None) for attr, _, _ in reads(tree)}
+    dead = [f"{mod}.{name}" for mod, tree in trees.items()
+            for name in definitions(tree)
+            if name not in called and name not in KEEP]
+    dead += [f"{mod}.{cls}.{member}" for mod, tree in trees.items()
+             for cls, member in members(tree)
+             if f"{cls}.{member}" not in KEEP
+             and not any(attr == member and (owner, method) != (cls, member)
+                         for attr, owner, method in read)]
+    return sorted(dead)
 
 
 def test_every_package_definition_has_a_caller():
@@ -90,7 +157,22 @@ def test_the_check_sees_dead_and_self_calling_code():
                       "        return Thing()\n"
                       "@pytest.fixture\ndef injected():\n    pass\n"
                       "@pytest.fixture(scope='session')\n"
-                      "def shared():\n    pass\n")}
-    caller = "from a import used\nx = 'dead'\n"
-    assert uncalled(defining, [caller]) == ["a.Thing", "a.dead",
-                                            "a.recursive"]
+                      "def shared():\n    pass\n"
+                      "@dataclass(frozen=True)\nclass Record:\n"
+                      "    unread: int\n"
+                      "    keyword_only: int\n"
+                      "    read: int = 0\n"
+                      "    def uncalled(self):\n        return self.read\n"
+                      "    def looping(self):\n"
+                      "        return self.looping()\n"
+                      "    def public(self):\n        return self.helper()\n"
+                      "    def helper(self):\n        return 1\n"
+                      "    def __str__(self):\n        return ''\n"
+                      "def build():\n"
+                      "    return Record(unread=1, keyword_only=2)\n")}
+    caller = ("from a import used, build\nx = 'dead'\n"
+              "build().public()\nbuild().keyword_only = 3\n")
+    assert uncalled(defining, [caller]) == [
+        "a.Record.keyword_only", "a.Record.looping", "a.Record.uncalled",
+        "a.Record.unread", "a.Thing", "a.Thing.make", "a.dead",
+        "a.recursive"]

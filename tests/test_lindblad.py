@@ -318,10 +318,13 @@ def test_subspace_block_identity_on_protected_channel(hams):
     res = block_identity_test(block)
     assert res.proportional
     # the scalar follows from the two subspace averages of O and O'O
-    lam = schur_test(gs.projector, o).coefficient
-    mu = schur_test(gs.projector, o.conj().T @ o).coefficient
+    p = gs.projector
+    assert schur_test(p, o).proportional
+    assert schur_test(p, o.conj().T @ o).proportional
+    lam = np.trace(p @ o @ p) / 2
+    mu = np.trace(p @ o.conj().T @ o @ p) / 2
     expected = gamma * (2 * abs(lam) ** 2 - 2 * mu.real)
-    assert abs(res.coefficient - expected) < 1e-9
+    assert abs(np.trace(block) / 4 - expected) < 1e-9
 
 
 def test_subspace_block_detects_leaky_channel(hams):
