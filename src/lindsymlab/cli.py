@@ -65,42 +65,56 @@ def tolerance_scale() -> float:
         raise ConfigError(f"LSL_TOLERANCE_SCALE {exc}") from None
 
 
-def _parse_complex(value, key: str) -> complex:
-    pair = [value, 0] if isinstance(value, (int, float)) else value
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-            and all(isinstance(x, (int, float)) for x in pair)):
-        raise ConfigError(
-            f"{key}: expected a number or [re, im] pair, got {value!r}")
-    if not all(map(math.isfinite, pair)):
-        raise ConfigError(f"{key}: {value!r} is not finite")
-    return complex(*pair)
-
-
-def _parse_matrix(rows, key: str) -> np.ndarray:
+def _number(value, key: str, positive: bool = False,
+            integer: bool = False):
+    """The one reader of a numeric config value: a JSON number, never a
+    boolean or a string, finite, and above zero or an integer where the key
+    needs that. A real value comes back as a float, so 1 reads as 1.0."""
+    # type(), not isinstance(): bool is a subclass of int
+    if type(value) is not int and (integer or type(value) is not float):
+        raise ConfigError(f"{key}: invalid value {value!r}, need a JSON "
+                          f"{'integer' if integer else 'number'}")
+    if integer:
+        return value
     try:
-        mat = np.array([[_parse_complex(x, key) for x in row] for row in rows])
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"{key}: malformed matrix literal ({exc})") from None
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ConfigError(f"{key}: matrix must be square, got shape {mat.shape}")
-    return mat
+        number = value * 1.0  # an int becomes a float; a float is unchanged
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not (math.isfinite(number) and (number > 0 or not positive)):
+        raise ConfigError(f"{key}: {value!r} is not a finite number"
+                          f"{' > 0' if positive else ''}")
+    return number
 
 
-def _parse_operator(value, key: str, scale: float = 1.0) -> OperatorSpec:
+def _complex(value, key: str) -> complex:
+    pair = value if isinstance(value, list) else [value, 0]
+    if len(pair) != 2:
+        raise ConfigError(f"{key}: need a number or [re, im], got {value!r}")
+    return complex(_number(pair[0], key), _number(pair[1], key))
+
+
+def _operator(value, key: str, scale: float = 1.0) -> OperatorSpec:
     if isinstance(value, str):
         return OperatorSpec(name=value, scale=scale)
-    if isinstance(value, dict):
-        extra = scale * float(value.get("scale", 1.0))
-        if "name" in value:
-            if not isinstance(value["name"], str):
-                raise ConfigError(f"{key}: name must be a string, "
-                                  f"got {value['name']!r}")
-            return OperatorSpec(name=value["name"], scale=extra)
-        if "matrix" in value:
-            return OperatorSpec(matrix=_parse_matrix(value["matrix"], key),
-                                scale=extra)
-        raise ConfigError(f"{key}: object needs a 'name' or 'matrix' entry")
-    raise ConfigError(f"{key}: expected a name or an object, got {value!r}")
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected a name or an object, "
+                          f"got {value!r}")
+    scale = scale * _number(value.get("scale", 1.0), f"{key}.scale")
+    if not math.isfinite(scale):
+        raise ConfigError(f"{key}.scale times e_g overflows")
+    if "name" in value:
+        if not isinstance(value["name"], str):
+            raise ConfigError(f"{key}: name must be a string, "
+                              f"got {value['name']!r}")
+        return OperatorSpec(name=value["name"], scale=scale)
+    rows = value.get("matrix")
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and len(row) == len(rows)
+                    for row in rows)):
+        raise ConfigError(f"{key}: object needs a 'name' or a square "
+                          f"'matrix' (a list of rows)")
+    return OperatorSpec(scale=scale, matrix=np.array(
+        [[_complex(x, f"{key}.matrix") for x in row] for row in rows]))
 
 
 @dataclass
@@ -123,44 +137,50 @@ class RunConfig:
     csv_name: str | None = None
     summary_name: str | None = None
 
-    def validate(self) -> None:
-        # products, unlike ** 2, overflow to inf instead of raising
-        norm = (abs(self.alpha) * abs(self.alpha)
-                + abs(self.beta) * abs(self.beta))
-        if abs(norm - 1.0) > 1e-9:
-            raise ConfigError(f"alpha/beta: |a|^2 + |b|^2 = {norm!r}, need 1")
-        for key in ("gamma", "t_max", "dt"):
-            value = getattr(self, key)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigError(f"{key} must be finite and positive")
-        if not all(0 < g < math.inf for g in self.gammas):
-            raise ConfigError("gammas must be finite and positive")
-        for key in ("hamiltonian", "coupling"):
-            if not math.isfinite(getattr(self, key).scale):
-                raise ConfigError(f"{key}: scale must be finite")
-        if self.integrator not in ("rk4", "expm"):
-            raise ConfigError(f"integrator must be rk4 or expm, "
-                              f"got {self.integrator!r}")
-        for key in ("n_samples", "n_quad"):
-            if type(getattr(self, key)) is not int:
-                raise ConfigError(f"{key} must be an integer, "
-                                  f"got {getattr(self, key)!r}")
-        if self.n_samples < 2:
-            raise ConfigError("n_samples must be at least 2")
-        if self.n_quad < 16 or self.n_quad % 2:
-            raise ConfigError("n_quad must be an even panel count >= 16")
-        for key, value in (("csv", self.csv_name),
-                           ("summary", self.summary_name)):
-            if value is not None and (not isinstance(value, str)
-                                      or value in ("", ".", "..")
-                                      or Path(value).name != value):
-                raise ConfigError(f"{key} must be a plain file name, "
-                                  f"got {value!r}")
+
+_NUMBERS = {"spin": {"positive": True}, "gamma": {"positive": True},
+            "t_max": {"positive": True}, "dt": {"positive": True},
+            "n_samples": {"integer": True}, "n_quad": {"integer": True}}
+_KNOWN_KEYS = {*_NUMBERS, "hamiltonian", "coupling", "e_g", "integrator",
+               "alpha", "beta", "gammas", "csv", "summary"}
 
 
-_KNOWN_KEYS = {"spin", "hamiltonian", "coupling", "gamma", "e_g", "t_max",
-               "dt", "integrator", "alpha", "beta", "n_samples", "n_quad",
-               "gammas", "csv", "summary"}
+def _read(doc: dict) -> RunConfig:
+    """Check each value as its key is read, then the cross-key rules."""
+    # a null t_max or dt leaves it unset
+    fields = {key: _number(doc[key], key, **_NUMBERS[key])
+              for key in _NUMBERS if key in doc
+              and not (doc[key] is None and key in ("t_max", "dt"))}
+    fields.update({key: _complex(doc[key], key)
+                   for key in ("alpha", "beta") if key in doc})
+    if not isinstance(gammas := doc.get("gammas", []), list):
+        raise ConfigError(f"gammas: expected a list, got {gammas!r}")
+    cfg = RunConfig(
+        hamiltonian=_operator(doc["hamiltonian"], "hamiltonian",
+                              _number(doc.get("e_g", 1.0), "e_g")),
+        coupling=_operator(doc["coupling"], "coupling"),
+        integrator=doc.get("integrator", "expm"),
+        gammas=[_number(g, f"gammas[{i}]", positive=True)
+                for i, g in enumerate(gammas)],
+        csv_name=doc.get("csv"), summary_name=doc.get("summary"), **fields)
+    # products, unlike ** 2, overflow to inf instead of raising
+    norm = abs(cfg.alpha) * abs(cfg.alpha) + abs(cfg.beta) * abs(cfg.beta)
+    if abs(norm - 1.0) > 1e-9:
+        raise ConfigError(f"alpha/beta: |a|^2 + |b|^2 = {norm!r}, need 1")
+    if cfg.integrator not in ("rk4", "expm"):
+        raise ConfigError(f"integrator must be rk4 or expm, "
+                          f"got {cfg.integrator!r}")
+    if cfg.n_samples < 2:
+        raise ConfigError("n_samples must be at least 2")
+    if cfg.n_quad < 16 or cfg.n_quad % 2:
+        raise ConfigError("n_quad must be an even panel count >= 16")
+    for key, name in (("csv", cfg.csv_name), ("summary", cfg.summary_name)):
+        if name is not None and (not isinstance(name, str)
+                                 or name in ("", ".", "..")
+                                 or Path(name).name != name):
+            raise ConfigError(f"{key} must be a plain file name, "
+                              f"got {name!r}")
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -187,42 +207,35 @@ def load_config(path: str) -> RunConfig:
     for required in ("hamiltonian", "coupling"):
         if required not in doc:
             raise ConfigError(f"{path}: missing required key '{required}'")
-
     try:
-        e_g = float(doc.get("e_g", 1.0))
-        if not math.isfinite(e_g):
-            raise ConfigError(f"{path}: e_g must be finite")
-        cfg = RunConfig(
-            hamiltonian=_parse_operator(doc["hamiltonian"], "hamiltonian", e_g),
-            coupling=_parse_operator(doc["coupling"], "coupling"),
-            spin=float(doc.get("spin", 1.5)),
-            gamma=float(doc.get("gamma", 0.1)),
-            t_max=float(doc["t_max"]) if doc.get("t_max") is not None else None,
-            dt=float(doc["dt"]) if doc.get("dt") is not None else None,
-            integrator=str(doc.get("integrator", "expm")),
-            n_samples=doc.get("n_samples", 201),
-            n_quad=doc.get("n_quad", 128),
-            gammas=[float(g) for g in doc.get("gammas", [])],
-            csv_name=doc.get("csv"),
-            summary_name=doc.get("summary"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: invalid value ({exc})") from None
-    for key in ("alpha", "beta"):
-        if key in doc:
-            setattr(cfg, key, _parse_complex(doc[key], key))
-    try:
-        cfg.validate()
+        return _read(doc)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return cfg
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+class Outputs:
+    """The one writer of a command's data file and JSON summary under
+    --out. Both names are checked before any propagation; --out is created
+    at the end, and each file is written through a temporary name."""
+
+    def __init__(self, out: str, data: str, summary: str):
+        if data == summary:
+            raise ConfigError(f"csv and summary must differ, both are {data!r}")
+        self.data = Path(out) / data
+        self.summary = Path(out) / summary
+
+    def write(self, data: str, summary: dict) -> None:
+        try:
+            self.data.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create {self.data.parent} "
+                              f"({exc.strerror})") from None
+        for path, text in ((self.data, data), (self.summary, json.dumps(
+                summary, indent=2, sort_keys=True) + "\n")):
+            tmp = path.with_name(path.name + ".tmp")
+            with open(tmp, "w", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
 
 
 def _fmt(x: float) -> str:
@@ -265,6 +278,8 @@ CSV_HEADER = "t,gamma_t,s_v,trace_g,re_rho_pp,re_rho_pm,im_rho_pm,re_rho_mm"
 def cmd_simulate(args) -> int:
     scale = tolerance_scale()
     cfg = load_config(args.config)
+    outputs = Outputs(args.out, cfg.csv_name or "trajectory.csv",
+                      cfg.summary_name or "summary.json")
     # argparse has already checked both overrides
     cfg.gamma = args.gamma or cfg.gamma
     cfg.integrator = args.integrator or cfg.integrator
@@ -287,11 +302,6 @@ def cmd_simulate(args) -> int:
         _fmt(rg[1, 1].real),
     ]) for t, s_v, trace_g, rg in zip(traj.times, series.s_v,
                                       series.trace_g, blocks)]
-    csv_name = cfg.csv_name or "trajectory.csv"
-    summary_name = cfg.summary_name or "summary.json"
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / csv_name, "\n".join([CSV_HEADER] + rows) + "\n")
     summary = {
         "gamma": cfg.gamma,
         "t_max": t_max,
@@ -304,53 +314,48 @@ def cmd_simulate(args) -> int:
         "block_residual": float(block.residual),
         "stationarity": float(np.linalg.norm(system.liouvillian
                                              @ vec(traj.states[-1]))),
-        "csv": csv_name,
+        "csv": outputs.data.name,
     }
-    _atomic_write(out_dir / summary_name,
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_dir / csv_name} and {out_dir / summary_name} "
+    outputs.write("\n".join([CSV_HEADER] + rows) + "\n", summary)
+    print(f"wrote {outputs.data} and {outputs.summary} "
           f"(verdict: {verdict.value})")
     return 0
 
 
 def cmd_table(args) -> int:
+    outputs = Outputs(args.out, "table.txt", "table.json")
     report = reproduce_table(gamma=args.gamma, horizon=args.horizon,
                              tol_scale=tolerance_scale())
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = report.text_table() + "\n"
-    _atomic_write(out_dir / "table.txt", text)
     doc = {
         "gamma": report.gamma,
         "horizon": report.horizon,
         "all_pass": report.all_pass,
         "oracle_all_agree": report.oracle_all_agree,
-        "rows": [
-            {
-                "scenario": v.name,
-                "expected": v.expected_coherence.value,
-                "measured": v.measured_coherence.value,
-                "block_identity": v.block_identity,
-                "block_residual": v.block_residual,
-                "schur_proportional": v.schur_proportional,
-                "schur_residual": v.schur_residual,
-                "peak_entropy": v.peak_entropy,
-                "terminal_entropy": v.terminal_entropy,
-                "terminal_trace_g": v.terminal_trace_g,
-                "oracle_agrees": report.oracle_agreement[v.name],
-                "passed": v.passed,
-            }
-            for v in report.verdicts
-        ],
+        "rows": [{
+            "scenario": v.name,
+            "expected": v.expected_coherence.value,
+            "measured": v.measured_coherence.value,
+            "block_identity": v.block_identity,
+            "block_residual": v.block_residual,
+            "schur_proportional": v.schur_proportional,
+            "schur_residual": v.schur_residual,
+            "peak_entropy": v.peak_entropy,
+            "terminal_entropy": v.terminal_entropy,
+            "terminal_trace_g": v.terminal_trace_g,
+            "oracle_agrees": report.oracle_agreement[v.name],
+            "passed": v.passed,
+        } for v in report.verdicts],
     }
-    _atomic_write(out_dir / "table.json",
-                  json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    outputs.write(text, doc)
     print(text, end="")
     return 0 if report.all_pass else 1
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    outputs = Outputs(args.out, cfg.csv_name or "sweep.csv",
+                      cfg.summary_name or "sweep_summary.json")
     gammas = cfg.gammas if args.gamma is None else args.gamma
     if len(set(gammas)) < 2:
         raise ConfigError("sweep needs at least two distinct gamma values "
@@ -370,8 +375,7 @@ def cmd_sweep(args) -> int:
                            cfg.n_samples, cfg.integrator, cfg.dt)
                  for gamma in gammas]
 
-    rows = []
-    discrepancies = []
+    rows, discrepancies = [], []
     for gamma, traj in zip(gammas, trajs):
         series, _ = _observe(traj, ref, t_max)
         delta = delta_rho(traj0.states[-1], ref.o, ref.h, gamma, t_max,
@@ -386,27 +390,23 @@ def cmd_sweep(args) -> int:
         rows.append(",".join([_fmt(gamma), _fmt(series.s_v[-1]), _fmt(disc)]))
 
     exponent = scaling_exponent(gammas, discrepancies)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_name = cfg.csv_name or "sweep.csv"
-    summary_name = cfg.summary_name or "sweep_summary.json"
-    _atomic_write(out_dir / csv_name,
-                  "\n".join(["gamma,terminal_s_v,discrepancy"] + rows) + "\n")
     summary = {
         "gammas": gammas,
         "t_max": t_max,
         "n_quad": cfg.n_quad,
         "discrepancies": discrepancies,
         "fitted_exponent": exponent,
-        "csv": csv_name,
+        "csv": outputs.data.name,
     }
-    _atomic_write(out_dir / summary_name,
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_dir / csv_name}; fitted exponent {exponent:.3f}")
+    outputs.write("\n".join(["gamma,terminal_s_v,discrepancy"] + rows)
+                  + "\n", summary)
+    print(f"wrote {outputs.data}; fitted exponent {exponent:.3f}")
     return 0
 
 
 def cmd_classify_op(args) -> int:
+    if (args.operator is None) == (args.config is None):
+        raise ConfigError("give an operator name or --config, not both")
     if args.config is not None:
         cfg = load_config(args.config)
         # the quaternion group exists here only on the 4-dimensional space
@@ -415,8 +415,6 @@ def cmd_classify_op(args) -> int:
                               f"spin 1.5 only, got {cfg.spin:g}")
         spec = cfg.coupling
     else:
-        if args.operator is None:
-            raise ConfigError("give an operator name or --config")
         spec = OperatorSpec(name=args.operator)
     try:
         o = build_coupling(spec, spin_matrices(1.5))

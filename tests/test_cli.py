@@ -293,19 +293,58 @@ def test_simulate_builds_one_liouvillian(tmp_path, liouvillian_builds):
     assert len(liouvillian_builds) == 1
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_explicit_output_names_are_honoured(command, tmp_path, capsys):
+_SIMULATE_NAMES = {"csv": "trajectory.csv", "summary": "summary.json"}
+_SAME = {"csv": "same.txt", "summary": "same.txt"}
+
+
+@pytest.mark.parametrize("command, names, honoured", [
     # sweep's own defaults are sweep.csv and sweep_summary.json
+    pytest.param("simulate", _SIMULATE_NAMES, True, id="simulate"),
+    pytest.param("sweep", _SIMULATE_NAMES, True, id="sweep"),
+    # one file would overwrite the other; the defaults count
+    pytest.param("simulate", _SAME, False, id="simulate-same"),
+    pytest.param("sweep", _SAME, False, id="sweep-same"),
+    pytest.param("simulate", {"summary": "trajectory.csv"}, False,
+                 id="simulate-summary-is-default-csv"),
+    pytest.param("sweep", {"csv": "sweep_summary.json"}, False,
+                 id="sweep-csv-is-default-summary"),
+])
+def test_explicit_output_names_are_honoured(command, names, honoured,
+                                            tmp_path, capsys,
+                                            liouvillian_builds):
     cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
-                     gammas=[1e-3, 2e-3], csv="trajectory.csv",
-                     summary="summary.json")
+                     gammas=[1e-3, 2e-3], **names)
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert sorted(p.name for p in out.iterdir()) == ["summary.json",
-                                                     "trajectory.csv"]
-    assert json.loads((out / "summary.json").read_text())["csv"] == \
-        "trajectory.csv"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    if honoured:
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(names.values())
+        assert json.loads((out / names["summary"]).read_text())["csv"] == \
+            names["csv"]
+        return
+    # refused before any propagation, with no output directory
+    assert code == 2
+    assert "csv" in captured.err and "summary" in captured.err
+    assert liouvillian_builds == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--config", "CFG"], id="simulate"),
+    pytest.param(["sweep", "--config", "CFG"], id="sweep"),
+    pytest.param(["table"], id="table"),
+])
+def test_an_out_path_that_is_a_file_exits_2(argv, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
+                     gammas=[1e-3, 2e-3])
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    argv = [cfg if a == "CFG" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out")
+    assert out.read_text() == "not a directory"
 
 
 def test_sweep_recovers_first_order_scaling(tmp_path):
@@ -369,6 +408,12 @@ def test_classify_op_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "spin" in captured.err
+    # a name and a config name two operators; neither wins
+    cfg = _write_cfg(tmp_path, name="both.json", coupling="sx2")
+    assert main(["classify-op", "sxsy", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "operator name" in captured.err and "--config" in captured.err
 
 
 def test_config_error_paths(tmp_path, capsys):
@@ -414,6 +459,7 @@ def test_config_error_paths(tmp_path, capsys):
     code, err = run(unparsable)
     assert code == 2
     assert "invalid value" in err
+    assert "gamma" in err
 
     # NaN and Infinity are valid JSON to Python but not valid inputs
     nan, inf = float("nan"), float("inf")
@@ -442,7 +488,17 @@ def test_config_error_paths(tmp_path, capsys):
             ("summary", {"summary": ".."}),
             ("n_samples", {"n_samples": 2.7}),
             ("n_quad", {"n_quad": 130.5}),
-            ("n_quad", {"n_quad": 15})]:
+            ("n_quad", {"n_quad": 15}),
+            # JSON numbers only: no booleans, no numeric strings
+            ("gamma", {"gamma": True}),
+            ("dt", {"dt": True}),
+            ("spin", {"spin": "1.5"}),
+            ("t_max", {"t_max": "2"}),
+            ("e_g", {"e_g": "x"}),
+            ("gammas", {"gammas": 5}),
+            ("gammas", {"gammas": [True, 0.002]}),
+            ("alpha", {"alpha": [True, 0], "beta": 0}),
+            ("coupling", {"coupling": {"name": "sx2", "scale": True}})]:
         code, err = run(_write_cfg(tmp_path, name="nonfinite.json", **kw))
         assert code == 2, kw
         assert key in err, (kw, err)
