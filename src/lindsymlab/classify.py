@@ -31,7 +31,7 @@ from .operators import (ComplexMatrix, OperatorSpec, build_coupling,
                         build_hamiltonian, spin_matrices)
 from .response import delta_rho
 from .spectra import GroundSubspace, ground_subspace, normalize_subspace
-from .symmetry import (DEFAULT_TOL, AntiUnitaryOp, commutes_with_antiunitary,
+from .symmetry import (AntiUnitaryOp, commutes_with_antiunitary,
                        commutes_with_unitary, frob, is_hermitian,
                        quaternion_group, schur_test, time_reversal)
 
@@ -234,13 +234,10 @@ def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
     return traj
 
 
-def doublet_block(system: ScenarioSystem, tol_scale: float) -> BlockIdentity:
-    """Test the doublet block of the system's Liouvillian against c * I.
-
-    The test tolerance is symmetry.DEFAULT_TOL times tol_scale.
-    """
-    block = subspace_block(system.liouvillian, system.ground.basis)
-    return block_identity_test(block, tol=DEFAULT_TOL * tol_scale)
+def doublet_block(system: ScenarioSystem) -> BlockIdentity:
+    """Test the doublet block of the system's Liouvillian against c * I."""
+    return block_identity_test(subspace_block(system.liouvillian,
+                                              system.ground.basis))
 
 
 # Order in which one probe's verdict overrides another's for the row.
@@ -248,8 +245,7 @@ _WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
 
 
 def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
-                 horizon: float = DEFAULT_HORIZON,
-                 tol_scale: float = 1.0) -> Verdict:
+                 horizon: float = DEFAULT_HORIZON) -> Verdict:
     """Run one scenario end to end and assemble its Verdict.
 
     Propagate the three probe states exactly up to gamma*t = horizon,
@@ -257,8 +253,7 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
     then Decoherence, then Coherence) sets the coherence verdict, and the
     series quantities come from the equal superposition. The doublet
     block, the Schur projection and the first-order response oracle add
-    the non-dynamical verdicts on the same prepared system. tol_scale
-    multiplies the verdict thresholds and the block/Schur tolerance.
+    the non-dynamical verdicts on the same prepared system.
 
     Raises:
         CatalogIntegrityError: claimed symmetry signature fails verification.
@@ -274,7 +269,7 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
              for psi in probe_states(system.ground).values()]
     observed = [observe_subspace(traj, system.ground.basis) for traj in trajs]
 
-    verdicts = {coherence_verdict(series, tol_scale) for series, _ in observed}
+    verdicts = {coherence_verdict(series) for series, _ in observed}
     combined = next(v for v in _WORST_FIRST if v in verdicts)
     (series, blocks), equal = observed[0], trajs[0]  # the equal superposition
     rho_g = normalize_subspace(blocks)
@@ -285,11 +280,9 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
     herm_err = np.linalg.norm(states - adjoint, axis=(-2, -1)).max()
     min_eig = np.linalg.eigvalsh((states + adjoint) / 2).min()
 
-    bi = doublet_block(system, tol_scale)
-    tol = DEFAULT_TOL * tol_scale
-    schur_o = schur_test(system.ground.projector, system.o, tol=tol)
-    schur_q = schur_test(system.ground.projector,
-                         system.o.conj().T @ system.o, tol=tol)
+    bi = doublet_block(system)
+    schur_o = schur_test(system.ground.projector, system.o)
+    schur_q = schur_test(system.ground.projector, system.o.conj().T @ system.o)
 
     return Verdict(
         name=sc.name,
@@ -383,8 +376,7 @@ class TableReport:
 
 
 def reproduce_table(gamma: float = DEFAULT_GAMMA,
-                    horizon: float = DEFAULT_HORIZON,
-                    tol_scale: float = 1.0) -> TableReport:
+                    horizon: float = DEFAULT_HORIZON) -> TableReport:
     """Run the full table and cross-check against the response oracle.
 
     Scenarios run independently and are aggregated in name order. The
@@ -393,8 +385,7 @@ def reproduce_table(gamma: float = DEFAULT_GAMMA,
     Raises:
         CatalogIntegrityError: a row's claimed signature fails verification.
     """
-    verdicts = [run_scenario(sc, gamma=gamma, horizon=horizon,
-                             tol_scale=tol_scale)
+    verdicts = [run_scenario(sc, gamma=gamma, horizon=horizon)
                 for sc in sorted(catalog(), key=lambda sc: sc.name)]
     oracle = {v.name: v.oracle_coherent == (v.measured_coherence
                                             is Coherence.COHERENT)

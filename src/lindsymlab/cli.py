@@ -10,15 +10,14 @@ Subcommands:
 Configs are single JSON documents; literal matrices are nested arrays of
 [re, im] pairs. All CSV output is deterministic: 12 significant digits,
 '.' decimal separator, '\\n' line endings, and files are written through a
-temporary name so they appear only when complete. The environment variable
-LSL_TOLERANCE_SCALE multiplies the entropy verdict thresholds and the
-doublet-block and Schur tolerance, for CI boxes whose float environments
-differ; every other tolerance is fixed.
+temporary name so they appear only when complete. No environment
+variable is read, and every tolerance is fixed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -57,14 +56,6 @@ def _positive(text: str) -> float:
     return value
 
 
-def tolerance_scale() -> float:
-    raw = os.environ.get("LSL_TOLERANCE_SCALE", "1")
-    try:
-        return _positive(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ConfigError(f"LSL_TOLERANCE_SCALE {exc}") from None
-
-
 def _number(value, key: str, positive: bool = False,
             integer: bool = False):
     """The one reader of a numeric config value: a JSON number, never a
@@ -99,6 +90,12 @@ def _operator(value, key: str, scale: float = 1.0) -> OperatorSpec:
     if not isinstance(value, dict):
         raise ConfigError(f"{key}: expected a name or an object, "
                           f"got {value!r}")
+    for entry in value:
+        if entry not in ("name", "matrix", "scale"):
+            raise ConfigError(f"{key}.{entry}: unknown key; an operator "
+                              f"object takes name, matrix and scale")
+    if ("name" in value) == ("matrix" in value):
+        raise ConfigError(f"{key}: give exactly one of 'name' and 'matrix'")
     scale = scale * _number(value.get("scale", 1.0), f"{key}.scale")
     if not math.isfinite(scale):
         raise ConfigError(f"{key}.scale times e_g overflows")
@@ -107,12 +104,11 @@ def _operator(value, key: str, scale: float = 1.0) -> OperatorSpec:
             raise ConfigError(f"{key}: name must be a string, "
                               f"got {value['name']!r}")
         return OperatorSpec(name=value["name"], scale=scale)
-    rows = value.get("matrix")
+    rows = value["matrix"]
     if not (isinstance(rows, list) and rows
             and all(isinstance(row, list) and len(row) == len(rows)
                     for row in rows)):
-        raise ConfigError(f"{key}: object needs a 'name' or a square "
-                          f"'matrix' (a list of rows)")
+        raise ConfigError(f"{key}.matrix: need a square list of rows")
     return OperatorSpec(scale=scale, matrix=np.array(
         [[_complex(x, f"{key}.matrix") for x in row] for row in rows]))
 
@@ -216,7 +212,9 @@ def load_config(path: str) -> RunConfig:
 class Outputs:
     """The one writer of a command's data file and JSON summary under
     --out. Both names are checked before any propagation; --out is created
-    at the end, and each file is written through a temporary name."""
+    at the end, and each file is written through a temporary name. A
+    failed write is an input error naming --out, and it leaves neither
+    file nor a temporary one."""
 
     def __init__(self, out: str, data: str, summary: str):
         if data == summary:
@@ -230,12 +228,21 @@ class Outputs:
         except OSError as exc:
             raise ConfigError(f"--out: cannot create {self.data.parent} "
                               f"({exc.strerror})") from None
+        written = []
         for path, text in ((self.data, data), (self.summary, json.dumps(
                 summary, indent=2, sort_keys=True) + "\n")):
             tmp = path.with_name(path.name + ".tmp")
-            with open(tmp, "w", newline="\n") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            try:
+                with open(tmp, "w", newline="\n") as fh:
+                    fh.write(text)
+                os.replace(tmp, path)
+            except OSError as exc:
+                for stale in (tmp, *written):
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
+                raise ConfigError(f"--out: cannot write {path} "
+                                  f"({exc.strerror})") from None
+            written.append(path)
 
 
 def _fmt(x: float) -> str:
@@ -276,7 +283,6 @@ CSV_HEADER = "t,gamma_t,s_v,trace_g,re_rho_pp,re_rho_pm,im_rho_pm,re_rho_mm"
 
 
 def cmd_simulate(args) -> int:
-    scale = tolerance_scale()
     cfg = load_config(args.config)
     outputs = Outputs(args.out, cfg.csv_name or "trajectory.csv",
                       cfg.summary_name or "summary.json")
@@ -293,8 +299,8 @@ def cmd_simulate(args) -> int:
         traj = propagate(system, rho0, t_max, cfg.n_samples, cfg.integrator,
                          cfg.dt)
     series, blocks = _observe(traj, system, t_max)
-    verdict = coherence_verdict(series, scale)
-    block = doublet_block(system, scale)
+    verdict = coherence_verdict(series)
+    block = doublet_block(system)
 
     rows = [",".join([
         _fmt(t), _fmt(cfg.gamma * t), _fmt(s_v), _fmt(trace_g),
@@ -324,8 +330,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_table(args) -> int:
     outputs = Outputs(args.out, "table.txt", "table.json")
-    report = reproduce_table(gamma=args.gamma, horizon=args.horizon,
-                             tol_scale=tolerance_scale())
+    report = reproduce_table(gamma=args.gamma, horizon=args.horizon)
     text = report.text_table() + "\n"
     doc = {
         "gamma": report.gamma,

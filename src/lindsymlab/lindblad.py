@@ -265,17 +265,18 @@ def subspace_block(l_matrix: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatr
     return p.conj().T @ l_matrix @ p
 
 
-def block_identity_test(block: ComplexMatrix,
-                        tol: float = 1e-9) -> BlockIdentity:
+def block_identity_test(block: ComplexMatrix) -> BlockIdentity:
     """Check block = c * I, the algebraic criterion for preserved coherence.
 
-    The coefficient is tr(block)/dim and the residual is Frobenius. If the
-    block is a multiple of the identity, every subspace density matrix is
-    rescaled uniformly: populations and coherences decay at the same rate
-    and the normalized subspace state never moves.
+    The coefficient is tr(block)/dim and the residual is Frobenius; the
+    block passes when the residual is at most DEFAULT_TOL * max(1, |c|).
+    If the block is a multiple of the identity, every subspace density
+    matrix is rescaled uniformly: populations and coherences decay at the
+    same rate and the normalized subspace state never moves.
     """
     dim = block.shape[0]
     coeff = complex(np.trace(block) / dim)
     residual = float(np.linalg.norm(block - coeff * np.eye(dim)))
-    return BlockIdentity(proportional=residual <= tol * max(1.0, abs(coeff)),
-                         residual=residual)
+    return BlockIdentity(
+        proportional=residual <= DEFAULT_TOL * max(1.0, abs(coeff)),
+        residual=residual)

@@ -96,19 +96,19 @@ DEFAULT_COH_TOL = 1e-6
 DEFAULT_DEC_TOL = 1e-2
 
 
-def coherence_verdict(s: EntropySeries, tol_scale: float = 1.0) -> Coherence:
+def coherence_verdict(s: EntropySeries) -> Coherence:
     """Classify a trajectory by the peak of its subspace entropy.
 
     Coherent when max s_v stays below DEFAULT_COH_TOL, decoherent when it
-    exceeds DEFAULT_DEC_TOL, ambiguous in between; tol_scale multiplies
-    both thresholds. They sit four decades apart because coherent runs are
-    zero up to integrator noise while decoherent ones reach order 0.1 and
-    above; anything between the thresholds means the scenario or the
-    tolerances need attention.
+    exceeds DEFAULT_DEC_TOL, ambiguous in between. The thresholds are fixed
+    and sit four decades apart because coherent runs are zero up to
+    integrator noise while decoherent ones reach order 0.1 and above;
+    anything between the thresholds means the scenario or the tolerances
+    need attention.
     """
     peak = float(np.max(s.s_v))
-    if peak < DEFAULT_COH_TOL * tol_scale:
+    if peak < DEFAULT_COH_TOL:
         return Coherence.COHERENT
-    if peak > DEFAULT_DEC_TOL * tol_scale:
+    if peak > DEFAULT_DEC_TOL:
         return Coherence.DECOHERENT
     return Coherence.AMBIGUOUS

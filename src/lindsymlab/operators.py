@@ -134,10 +134,6 @@ _ALIASES = {
     "sz^2": "both_symmetric",
 }
 
-COUPLING_NAMES = tuple(_COUPLINGS)
-HAMILTONIAN_NAMES = tuple(_HAMILTONIANS)
-
-
 def canonical_name(name: str) -> str:
     """Resolve a catalog name or accepted alias to its canonical form."""
     key = name.strip().lower()

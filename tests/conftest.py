@@ -22,7 +22,7 @@ def trev():
 def hams(spins):
     return {
         name: operators.build_hamiltonian(operators.OperatorSpec(name=name), spins)
-        for name in operators.HAMILTONIAN_NAMES
+        for name in ("q_symmetric", "tr_invariant", "both_symmetric")
     }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lindsymlab import classify
+from lindsymlab import classify, observables
 from lindsymlab.classify import (CatalogIntegrityError, SymmetryClaims,
                                  compute_signature, prepare,
                                  probe_states, reproduce_table,
@@ -119,11 +119,12 @@ def test_run_scenario_worst_probe_decides(scenarios):
     assert v.passed
 
 
-def test_run_scenario_reports_an_ambiguous_row(scenarios):
-    # at 1e4 the thresholds are 1e-2 and 1e2: one probe stays frozen
+def test_run_scenario_reports_an_ambiguous_row(scenarios, monkeypatch):
+    # with the thresholds at 1e-6 and 1: one probe stays frozen
     # (Coherence), the other two peak at ln 2 between the thresholds
     # (Ambiguous), and the worst probe decides the row
-    v = run_scenario(scenarios["both_symmetric:sx"], tol_scale=1e4)
+    monkeypatch.setattr(observables, "DEFAULT_DEC_TOL", 1.0)
+    v = run_scenario(scenarios["both_symmetric:sx"])
     assert v.measured_coherence is Coherence.AMBIGUOUS
     assert not v.passed
     assert 1e-2 < v.peak_entropy < 1e2

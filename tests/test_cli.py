@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindsymlab import classify
+from lindsymlab import classify, observables
 from lindsymlab.classify import catalog, run_scenario
 from lindsymlab.cli import RunConfig, build_parser, cmd_table, main
 from lindsymlab.lindblad import MAX_TRAJECTORY_ENTRIES
@@ -156,10 +156,10 @@ def test_table_subset_exit_codes(tmp_path, monkeypatch):
 
 
 def test_table_reports_an_ambiguous_row(tmp_path, capsys, monkeypatch):
-    # at 1e4 the decohering probes of both_symmetric:sx peak at ln 2,
-    # between the thresholds 1e-2 and 1e2
+    # with the decoherence threshold raised to 1, the decohering probes of
+    # both_symmetric:sx peak at ln 2, between the thresholds 1e-6 and 1
     picks = [sc for sc in catalog() if sc.name == "both_symmetric:sx"]
-    monkeypatch.setenv("LSL_TOLERANCE_SCALE", "1e4")
+    monkeypatch.setattr(observables, "DEFAULT_DEC_TOL", 1.0)
     monkeypatch.setattr(classify, "catalog", lambda: picks)
     args = build_parser().parse_args(["table", "--out", str(tmp_path)])
     assert cmd_table(args) == 1
@@ -347,6 +347,36 @@ def test_an_out_path_that_is_a_file_exits_2(argv, tmp_path, capsys):
     assert out.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("argv, blocked", [
+    pytest.param(["simulate", "--config", "CFG"], "trajectory.csv",
+                 id="simulate"),
+    pytest.param(["simulate", "--config", "CFG"], "summary.json",
+                 id="simulate-summary"),
+    pytest.param(["sweep", "--config", "CFG"], "sweep.csv", id="sweep"),
+    pytest.param(["sweep", "--config", "CFG"], "sweep_summary.json",
+                 id="sweep-summary"),
+    pytest.param(["table"], "table.txt", id="table"),
+    pytest.param(["table"], "table.json", id="table-summary"),
+])
+def test_an_unwritable_output_file_exits_2(argv, blocked, tmp_path, capsys,
+                                           monkeypatch):
+    # a directory where one output file goes: the rename onto it fails,
+    # and neither file nor a temporary one is left behind
+    picks = [sc for sc in catalog() if sc.name == "tr_invariant:sx2"]
+    monkeypatch.setattr(classify, "catalog", lambda: picks)
+    cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
+                     gammas=[1e-3, 2e-3])
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = [cfg if a == "CFG" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out")
+    assert str(out / blocked) in err
+    assert sorted(path.name for path in out.iterdir()) == [blocked]
+    assert not any((out / blocked).iterdir())
+
+
 def test_sweep_recovers_first_order_scaling(tmp_path):
     cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
                      n_quad=128, gammas=[1e-3, 2e-3, 4e-3, 8e-3])
@@ -498,7 +528,17 @@ def test_config_error_paths(tmp_path, capsys):
             ("gammas", {"gammas": 5}),
             ("gammas", {"gammas": [True, 0.002]}),
             ("alpha", {"alpha": [True, 0], "beta": 0}),
-            ("coupling", {"coupling": {"name": "sx2", "scale": True}})]:
+            ("coupling", {"coupling": {"name": "sx2", "scale": True}}),
+            # an operator object takes name, matrix and scale, and exactly
+            # one of name and matrix
+            ("coupling.sacle", {"coupling": {"name": "sz", "sacle": 5}}),
+            ("hamiltonian.e_g", {"hamiltonian": {"name": "tr_invariant",
+                                                 "e_g": 2}}),
+            ("coupling", {"coupling": {"name": "sz",
+                                       "matrix": np.eye(4).tolist()}}),
+            ("hamiltonian", {"hamiltonian": {"name": "tr_invariant",
+                                             "matrix": np.eye(4).tolist()}}),
+            ("coupling", {"coupling": {"scale": 2.0}})]:
         code, err = run(_write_cfg(tmp_path, name="nonfinite.json", **kw))
         assert code == 2, kw
         assert key in err, (kw, err)
@@ -517,34 +557,37 @@ def test_config_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_tolerance_scale_env(tmp_path, capsys, monkeypatch):
-    cfg = _write_cfg(tmp_path, t_max=5.0, n_samples=11)
-    out = tmp_path / "out"
-    monkeypatch.setenv("LSL_TOLERANCE_SCALE", "not-a-number")
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    monkeypatch.setenv("LSL_TOLERANCE_SCALE", "-2")
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    for raw in ("nan", "inf"):
-        monkeypatch.setenv("LSL_TOLERANCE_SCALE", raw)
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-        assert not out.exists()
-    monkeypatch.setenv("LSL_TOLERANCE_SCALE", "10")
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+def test_simulate_block_test_agrees_with_run_scenario(tmp_path, capsys):
+    # one decoherent and one coherent row: simulate and the table run the
+    # same doublet-block test on the same system
+    for name, coupling in (("tr_invariant:sz", "sz"),
+                           ("tr_invariant:sx2", "sx2")):
+        sc = next(sc for sc in catalog() if sc.name == name)
+        cfg = _write_cfg(tmp_path, coupling=coupling, t_max=5.0,
+                         n_samples=11)
+        out = tmp_path / coupling
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["block_identity"] == run_scenario(sc).block_identity
     capsys.readouterr()
 
 
-def test_simulate_block_test_uses_the_tolerance_scale(tmp_path,
-                                                     monkeypatch):
-    # tr_invariant:sz has block residual / |c| = 0.4, so a scale of 1e9
-    # turns the block test from "no" into "yes" on both routes
-    sc = next(sc for sc in catalog() if sc.name == "tr_invariant:sz")
+def test_simulate_ignores_the_retired_tolerance_variable(tmp_path, capsys,
+                                                         monkeypatch):
+    # tr_invariant:sz has block residual / |c| = 0.4: a tolerance scaled
+    # by 1e9 would call its block proportional
     cfg = _write_cfg(tmp_path, coupling="sz", t_max=5.0, n_samples=11)
-    out = tmp_path / "out"
-    monkeypatch.setenv("LSL_TOLERANCE_SCALE", "1e9")
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["block_identity"] == \
-        run_scenario(sc, tol_scale=1e9).block_identity
+    written = []
+    for scale in (None, "1e9"):
+        if scale is not None:
+            monkeypatch.setenv("LSL_TOLERANCE_SCALE", scale)
+        out = tmp_path / f"out-{scale}"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        written.append([(out / name).read_bytes()
+                        for name in ("trajectory.csv", "summary.json")])
+    assert written[0] == written[1]
+    assert json.loads(written[1][1])["block_identity"] is False
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,14 @@
-"""Every top-level function and class of the package has a caller, every
-dataclass field a reader and every method a caller; so does every plain
-(non-fixture) function of tests/conftest.py.
+"""Every top-level function, class and assigned name of the package has
+a caller, every dataclass field a reader and every method a caller; so
+does every plain (non-fixture) function of tests/conftest.py.
 
-A caller of package code is a name, attribute or import in src/lindsymlab
-or bench/*.py outside the definition itself. Tests do not count: code that
-only its own unit test calls is dead. A conftest helper's callers are the
-test modules. Names in strings and docstrings do not count either.
+A caller of package code is a name read, attribute or import in
+src/lindsymlab or bench/*.py outside the definition itself. Tests do not
+count: code that only its own unit test calls is dead. A conftest helper's
+callers are the test modules. Names in strings and docstrings do not count
+either, and neither does assigning a name. Top-level names like
+`__all__` and `__version__` are read by Python and tools, and are not
+checked.
 
 A field or method of a class is read by an attribute load of its name
 (`x.field`, `self.method()`) outside its own definition: a sibling method
@@ -40,17 +43,34 @@ _FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 def _decorated(node, name: str) -> bool:
     """Decorated with name or x.name, with or without arguments."""
-    for dec in node.decorator_list:
+    for dec in getattr(node, "decorator_list", []):
         target = dec.func if isinstance(dec, ast.Call) else dec
         if name in (getattr(target, "attr", None), getattr(target, "id", None)):
             return True
     return False
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _name(top):
+    """The name a top-level statement defines: a function, a class, or the
+    single plain name an assignment binds; None for anything else."""
+    if isinstance(top, _DEFINITION):
+        return top.name
+    targets = (top.targets if isinstance(top, ast.Assign)
+               else [top.target] if isinstance(top, ast.AnnAssign) else [])
+    if len(targets) == 1 and isinstance(targets[0], ast.Name):
+        return targets[0].id
+    return None
+
+
 def definitions(tree) -> list:
-    """Top-level functions and classes; pytest injects fixtures by name."""
-    return [node.name for node in tree.body
-            if isinstance(node, _DEFINITION)
+    """Top-level functions, classes and assigned names; pytest injects
+    fixtures by name."""
+    return [name for node in tree.body
+            if (name := _name(node)) is not None and not _dunder(name)
             and not _decorated(node, "fixture")]
 
 
@@ -66,19 +86,18 @@ def members(tree) -> list:
                     and _decorated(top, "dataclass")
                     and isinstance(node.target, ast.Name)):
                 found.append((top.name, node.target.id))
-            elif (isinstance(node, _FUNCTION)
-                  and not (node.name.startswith("__")
-                           and node.name.endswith("__"))):
+            elif isinstance(node, _FUNCTION) and not _dunder(node.name):
                 found.append((top.name, node.name))
     return found
 
 
 def _scopes(tree):
     """(top-level owner, method owner, node) for every node in tree. The
-    top-level owner is the enclosing top-level definition or None; the
-    method owner is the enclosing method of a top-level class or None."""
+    top-level owner is the name the enclosing top-level statement defines
+    or None; the method owner is the enclosing method of a top-level class
+    or None."""
     for top in tree.body:
-        owner = top.name if isinstance(top, _DEFINITION) else None
+        owner = _name(top)
         methods = ([node for node in top.body if isinstance(node, _FUNCTION)]
                    if isinstance(top, ast.ClassDef) else [])
         inside = set()
@@ -92,10 +111,10 @@ def _scopes(tree):
 
 def references(tree) -> set:
     """(name, enclosing top-level definition or None) for every name an
-    ast.Name, ast.Attribute or import alias in tree refers to."""
+    ast.Name read, ast.Attribute or import alias in tree refers to."""
     refs = set()
     for owner, _, node in _scopes(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs.add((node.id, owner))
         elif isinstance(node, ast.Attribute):
             refs.add((node.attr, owner))
@@ -169,10 +188,13 @@ def test_the_check_sees_dead_and_self_calling_code():
                       "    def helper(self):\n        return 1\n"
                       "    def __str__(self):\n        return ''\n"
                       "def build():\n"
-                      "    return Record(unread=1, keyword_only=2)\n")}
-    caller = ("from a import used, build\nx = 'dead'\n"
+                      "    return Record(unread=1, keyword_only=2)\n"
+                      "LIMIT = 3\nUNUSED = LIMIT + 1\n"
+                      "__version__ = '1'\nshadow: int = 0\n"
+                      "def sets():\n    shadow = 1\n")}
+    caller = ("from a import used, build, sets\nx = 'dead'\n"
               "build().public()\nbuild().keyword_only = 3\n")
     assert uncalled(defining, [caller]) == [
         "a.Record.keyword_only", "a.Record.looping", "a.Record.uncalled",
-        "a.Record.unread", "a.Thing", "a.Thing.make", "a.dead",
-        "a.recursive"]
+        "a.Record.unread", "a.Thing", "a.Thing.make", "a.UNUSED", "a.dead",
+        "a.recursive", "a.shadow"]

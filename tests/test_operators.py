@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from lindsymlab.operators import (COUPLING_NAMES, HAMILTONIAN_NAMES,
-                                  OperatorSpec, anticommutator,
+from lindsymlab.operators import (OperatorSpec, anticommutator,
                                   build_coupling, build_hamiltonian,
                                   canonical_name, spin_matrices)
 
 RT3 = np.sqrt(3.0)
+HAMILTONIANS = ("q_symmetric", "tr_invariant", "both_symmetric")
+
+
+def _known_names() -> set:
+    """The catalog names an unknown name's error message lists."""
+    with pytest.raises(ValueError, match="known names: ") as info:
+        canonical_name("not-an-operator")
+    return set(str(info.value).split("known names: ")[1].split(", "))
 
 
 def test_spin_half_matrices():
@@ -115,10 +122,19 @@ def test_canonical_name_aliases():
         canonical_name("szsz")
 
 
-def test_name_catalogs_are_disjoint_and_complete():
-    assert len(COUPLING_NAMES) == 13
-    assert len(HAMILTONIAN_NAMES) == 3
-    assert not set(COUPLING_NAMES) & set(HAMILTONIAN_NAMES)
+def test_name_catalogs_are_disjoint_and_complete(spins):
+    known = _known_names()
+    assert len(known) == 16
+    assert set(HAMILTONIANS) <= known
+    # each name builds in its own catalog only
+    for name in known:
+        spec = OperatorSpec(name=name)
+        own, other = ((build_hamiltonian, build_coupling)
+                      if name in HAMILTONIANS
+                      else (build_coupling, build_hamiltonian))
+        assert own(spec, spins).shape == (4, 4)
+        with pytest.raises(ValueError):
+            other(spec, spins)
 
 
 def test_cross_category_names_rejected(spins):
@@ -145,7 +161,7 @@ def test_named_couplings_match_their_products(spins):
         "sxsy": sx @ sy,
         "sx2sz": sx @ sx @ sz,
     }
-    assert set(expected) == set(COUPLING_NAMES)
+    assert set(expected) == _known_names() - set(HAMILTONIANS)
     for name, mat in expected.items():
         built = build_coupling(OperatorSpec(name=name), spins)
         assert np.allclose(built, mat, atol=1e-15), name
