@@ -184,16 +184,23 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA,
 
     Raises:
         ValueError: invalid spin, operator spec, or pairing.
+        PropagationError: the Liouvillian's norm overflows, so every later
+            norm on its space would overflow too.
     """
     spins = spin_matrices(spin)
     h = build_hamiltonian(sc.hamiltonian, spins)
     o = build_coupling(sc.coupling, spins)
     trev = time_reversal(spin)
     pairing = trev if commutes_with_antiunitary(h, trev) else None
-    return ScenarioSystem(h=h, o=o, trev=trev,
-                          ground=ground_subspace(h, pairing=pairing),
-                          gamma=gamma,
-                          liouvillian=liouvillian_matrix(h, o, gamma))
+    ground = ground_subspace(h, pairing=pairing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        liouvillian = liouvillian_matrix(h, o, gamma)
+        if not np.isfinite(np.linalg.norm(liouvillian)):
+            raise PropagationError(
+                f"the Liouvillian at gamma={gamma:g} overflows: hamiltonian "
+                f"(e_g), coupling or gamma too large")
+    return ScenarioSystem(h=h, o=o, trev=trev, ground=ground, gamma=gamma,
+                          liouvillian=liouvillian)
 
 
 def probe_states(ground: GroundSubspace) -> dict:
@@ -257,7 +264,8 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
 
     Raises:
         CatalogIntegrityError: claimed symmetry signature fails verification.
-        PropagationError: a probe trajectory is not finite.
+        PropagationError: the Liouvillian overflows, or a probe trajectory
+            is not finite.
     """
     system = prepare(sc, gamma)
     measured, _ = compute_signature(system.o, system.trev)
@@ -384,6 +392,8 @@ def reproduce_table(gamma: float = DEFAULT_GAMMA,
 
     Raises:
         CatalogIntegrityError: a row's claimed signature fails verification.
+        PropagationError: a row's Liouvillian overflows at gamma, or a probe
+            trajectory is not finite.
     """
     verdicts = [run_scenario(sc, gamma=gamma, horizon=horizon)
                 for sc in sorted(catalog(), key=lambda sc: sc.name)]

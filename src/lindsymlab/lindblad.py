@@ -139,11 +139,9 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
 
     Raises:
         StepSizeError: if the run needs more than RK4_MAX_STEPS steps, or
-            if a stored sample's trace deviates from one by more than
+            if a stored sample's trace drifts from rho0's by more than
             DEFAULT_TOL (or is not a number), the signature of a step size
-            outside the stable region. That is the unit-trace gate the
-            samples are observed through, so no accepted trajectory fails
-            there.
+            outside the stable region.
     """
     d = rho0.shape[0]
     times = sample_times(t_max, n_samples, d)
@@ -162,7 +160,8 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     states = np.empty((n_samples, d, d), dtype=complex)
     rho = np.asarray(rho0, dtype=complex).copy()
     states[0] = (rho + rho.conj().T) / 2
-    trace_drift = abs(np.trace(rho) - 1.0)
+    trace0 = np.trace(rho)
+    trace_drift = 0.0
     herm_drift = float(np.linalg.norm(rho - rho.conj().T))
 
     ops = rhs_operators(h, o)
@@ -175,10 +174,10 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
             k3 = rhs(rho + half_dt * k2, ops, gamma)
             k4 = rhs(rho + dt_eff * k3, ops, gamma)
             rho = rho + sixth_dt * (k1 + 2 * k2 + 2 * k3 + k4)
-        trace_drift = max(trace_drift, abs(np.trace(rho) - 1.0))
+        trace_drift = max(trace_drift, abs(np.trace(rho) - trace0))
         herm_drift = max(herm_drift, float(np.linalg.norm(rho - rho.conj().T)))
         states[k] = (rho + rho.conj().T) / 2
-        err = abs(np.trace(states[k]) - 1.0)
+        err = abs(np.trace(states[k]) - trace0)
         if not err <= DEFAULT_TOL:  # NaN fails too
             raise StepSizeError(
                 f"trace drifted to {err:.3e} at t={times[k]:.4g} of "
@@ -199,8 +198,8 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
 
     A Liouvillian of large norm can exponentiate to a step propagator that
     loses trace at roundoff level on every step. If a stored sample's
-    trace then drifts from rho0's by more than DEFAULT_TOL, the unit-trace
-    gate the samples are observed through, each step propagator P is
+    trace then drifts from rho0's by more than DEFAULT_TOL, the bound
+    evolve_rk4 holds its samples to as well, each step propagator P is
     projected onto trace-preserving maps, P + (vec(I)/d)(vec(I)^T -
     vec(I)^T P), the run is repeated and meta["projected"] is set.
 

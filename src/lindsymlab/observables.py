@@ -20,39 +20,23 @@ class PositivityError(Exception):
 NEG_EIG_FLOOR = -1e-7
 
 
-def von_neumann_entropy(rho: ComplexMatrix) -> float | np.ndarray:
+def von_neumann_entropy(rho: ComplexMatrix) -> np.ndarray:
     """Von Neumann entropy -tr(rho ln rho) in nats.
 
-    Accepts any Hermitian positive matrix, or a stack of them of shape
-    (..., d, d); a single matrix gives a float, a stack an array of shape
-    (...). A matrix whose trace is off unity by more than 1e-8 is
-    normalized first, so subspace blocks can be passed directly.
+    rho is a unit-trace Hermitian matrix, or a stack of them of shape
+    (..., d, d), as normalize_subspace returns; the result has shape (...).
     Eigenvalues in [NEG_EIG_FLOOR, 0) are clamped to zero and 0 ln 0
     counts as 0.
 
     Raises:
-        ValueError: if a matrix is not finite or not Hermitian.
         PositivityError: if any eigenvalue lies below NEG_EIG_FLOOR.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if not np.isfinite(rho).all():
-        raise ValueError("entropy needs a finite matrix")
-    norm = np.linalg.norm(rho, axis=(-2, -1))
-    skew = np.linalg.norm(rho - rho.conj().swapaxes(-2, -1), axis=(-2, -1))
-    if np.any(skew > 1e-8 * np.maximum(1.0, norm)):
-        raise ValueError("entropy needs a Hermitian matrix")
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    off = abs(tr - 1.0) > 1e-8
-    if np.any(off & (tr <= 0)):
-        raise PositivityError(f"cannot normalize trace {np.min(tr):.3e}")
-    rho = np.where(off[..., None, None], rho / tr[..., None, None], rho)
     lam = np.linalg.eigvalsh(rho)
     if lam.min() < NEG_EIG_FLOOR:
         raise PositivityError(f"eigenvalue {lam.min():.3e} below {NEG_EIG_FLOOR}")
     lam = np.clip(lam, 0.0, 1.0)
     terms = np.where(lam > 0, lam * np.log(np.where(lam > 0, lam, 1.0)), 0.0)
-    s = 0.0 - terms.sum(axis=-1)  # 0.0 - x is never IEEE -0.0
-    return float(s) if s.ndim == 0 else s
+    return 0.0 - terms.sum(axis=-1)  # 0.0 - x is never IEEE -0.0
 
 
 @dataclass(frozen=True)
@@ -76,9 +60,10 @@ def observe_subspace(
     basis^dag rho(t_k) basis, stacked as an array of shape (samples, g, g).
 
     Raises:
-        ValueError: if a sample is not Hermitian unit-trace.
         SubspaceDepletedError: if a sample's subspace population is too
             small to normalize.
+        PositivityError: if a normalized block has an eigenvalue below
+            NEG_EIG_FLOOR.
     """
     blocks = subspace_density(traj.states, basis)
     trace_g = np.trace(blocks, axis1=-2, axis2=-1).real

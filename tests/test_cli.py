@@ -259,9 +259,40 @@ def test_inputs_the_propagators_cannot_integrate_exit_2(command, kw, keys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma", ["1e154", "1e308"])
+def test_table_refuses_a_gamma_whose_liouvillian_overflows(gamma, tmp_path,
+                                                           capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["table", "--gamma", gamma, "--out", str(out)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: the Liouvillian at gamma=")
+    assert "overflows" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("integrator", ["expm", "rk4"])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_alpha_beta_at_the_edge_of_the_accepted_norm(sign, integrator,
+                                                     tmp_path):
+    # |alpha|^2 + |beta|^2 is off one by just under the 1e-9 the config
+    # accepts, so the initial trace is too: the propagators hold each
+    # sample's trace to rho0's, not to one
+    amp = float(np.sqrt((1 + sign * 0.9999999e-9) / 2))
+    cfg = _write_cfg(tmp_path, coupling="sz", alpha=amp, beta=amp,
+                     integrator=integrator)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").is_file()
+    assert (out / "summary.json").is_file()
+
+
 def test_simulate_spin_31_2_sx2sz_keeps_its_trace(tmp_path):
     # the one-step expm propagator loses 7.6e-12 of trace per step, past
-    # the unit-trace gate by sample 132; projected steps keep it
+    # DEFAULT_TOL of drift from rho0's trace by sample 132; projected
+    # steps keep it
     cfg = _write_cfg(tmp_path, spin=15.5, hamiltonian="both_symmetric",
                      coupling="sx2sz", t_max=None, n_samples=None)
     out = tmp_path / "out"

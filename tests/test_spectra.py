@@ -120,12 +120,6 @@ def test_subspace_density_requirements(hams, trev):
     rg = subspace_density(rho, gs.basis)
     assert rg.shape == (2, 2)
     assert abs(np.trace(rg).real - 0.5) < 1e-12
-    with pytest.raises(ValueError):
-        subspace_density(np.eye(4), gs.basis)  # trace 4
-    bad = np.eye(4, dtype=complex) / 4
-    bad[0, 1] = 0.3
-    with pytest.raises(ValueError):
-        subspace_density(bad, gs.basis)  # not Hermitian
 
 
 def test_normalize_subspace():
@@ -158,11 +152,6 @@ def test_stacks_match_one_call_per_matrix(hams, trev):
         blocks, np.array([subspace_density(r, gs.basis) for r in stack]))
     assert np.array_equal(normalize_subspace(blocks),
                           np.array([normalize_subspace(b) for b in blocks]))
-    # one bad matrix anywhere in the stack fails the whole call
-    bad = stack.copy()
-    bad[3] = 2 * bad[3]
-    with pytest.raises(ValueError, match="unit trace"):
-        subspace_density(bad, gs.basis)
     depleted = blocks.copy()
     depleted[5] = 0.0
     with pytest.raises(SubspaceDepletedError):
