@@ -23,17 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import (BlockIdentity, PropagationError, Trajectory,
-                       block_identity_test, evolve_expm, evolve_rk4,
-                       liouvillian_matrix, subspace_block, vec)
+from .lindblad import (PropagationError, Trajectory, block_identity_test,
+                       evolve_expm, evolve_rk4, liouvillian_matrix,
+                       subspace_block, vec)
 from .observables import Coherence, coherence_verdict, observe_subspace
 from .operators import (ComplexMatrix, OperatorSpec, build_coupling,
                         build_hamiltonian, spin_matrices)
 from .response import delta_rho
 from .spectra import GroundSubspace, ground_subspace, normalize_subspace
-from .symmetry import (AntiUnitaryOp, commutes_with_antiunitary,
-                       commutes_with_unitary, frob, is_hermitian,
-                       quaternion_group, schur_test, time_reversal)
+from .symmetry import (AntiUnitaryOp, Proportionality,
+                       commutes_with_antiunitary, commutes_with_unitary, frob,
+                       is_hermitian, quaternion_group, schur_test,
+                       time_reversal)
 
 DEFAULT_GAMMA = 0.1
 DEFAULT_HORIZON = 20.0
@@ -184,8 +185,8 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA,
 
     Raises:
         ValueError: invalid spin, operator spec, or pairing.
-        PropagationError: the Liouvillian's norm overflows, so every later
-            norm on its space would overflow too.
+        PropagationError: from liouvillian_matrix, when the Liouvillian's
+            norm overflows.
     """
     spins = spin_matrices(spin)
     h = build_hamiltonian(sc.hamiltonian, spins)
@@ -193,14 +194,8 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA,
     trev = time_reversal(spin)
     pairing = trev if commutes_with_antiunitary(h, trev) else None
     ground = ground_subspace(h, pairing=pairing)
-    with np.errstate(over="ignore", invalid="ignore"):
-        liouvillian = liouvillian_matrix(h, o, gamma)
-        if not np.isfinite(np.linalg.norm(liouvillian)):
-            raise PropagationError(
-                f"the Liouvillian at gamma={gamma:g} overflows: hamiltonian "
-                f"(e_g), coupling or gamma too large")
     return ScenarioSystem(h=h, o=o, trev=trev, ground=ground, gamma=gamma,
-                          liouvillian=liouvillian)
+                          liouvillian=liouvillian_matrix(h, o, gamma))
 
 
 def probe_states(ground: GroundSubspace) -> dict:
@@ -241,7 +236,7 @@ def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
     return traj
 
 
-def doublet_block(system: ScenarioSystem) -> BlockIdentity:
+def doublet_block(system: ScenarioSystem) -> Proportionality:
     """Test the doublet block of the system's Liouvillian against c * I."""
     return block_identity_test(subspace_block(system.liouvillian,
                                               system.ground.basis))

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
                        compute_signature, doublet_block, prepare, propagate,
                        reproduce_table)
 from .lindblad import (MAX_TRAJECTORY_ENTRIES, PropagationError,
-                       evolve_expm, vec)
+                       evolve_expm, liouvillian_matrix, vec)
 from .observables import PositivityError, coherence_verdict, observe_subspace
 from .operators import (OperatorSpec, build_coupling, canonical_name,
                         spin_matrices)
@@ -353,6 +353,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Fit how ||rho - rho_0 - delta_rho|| at t_max scales with gamma, from
+    one system prepared at gamma = 0 whose Liouvillian each gamma rebuilds."""
     cfg = load_config(args.config)
     outputs = Outputs(args.out, cfg.csv_name or "sweep.csv",
                       cfg.summary_name or "sweep_summary.json")
@@ -371,17 +373,17 @@ def cmd_sweep(args) -> int:
                 f"n_quad={cfg.n_quad} at dimension {d} needs more than "
                 f"{MAX_TRAJECTORY_ENTRIES} stored entries")
         traj0 = evolve_expm(rho0, ref.liouvillian, t_max, cfg.n_samples)
-        trajs = [propagate(_prepare_doublet(cfg, gamma)[0], rho0, t_max,
-                           cfg.n_samples, cfg.integrator, cfg.dt)
-                 for gamma in gammas]
+        trajs = [propagate(replace(ref, gamma=g, liouvillian=liouvillian_matrix(
+                               ref.h, ref.o, g)), rho0, t_max, cfg.n_samples,
+                           cfg.integrator, cfg.dt) for g in gammas]
+    # delta_rho is gamma times one integral: gamma * unit keeps every bit
+    unit = delta_rho(traj0.states[-1], ref.o, ref.h, 1.0, t_max, cfg.n_quad)
 
     rows, discrepancies = [], []
     for gamma, traj in zip(gammas, trajs):
         series, _ = _observe(traj, ref, t_max)
-        delta = delta_rho(traj0.states[-1], ref.o, ref.h, gamma, t_max,
-                          cfg.n_quad)
         disc = float(np.linalg.norm(traj.states[-1] - traj0.states[-1]
-                                    - delta))
+                                    - gamma * unit))
         if disc == 0:
             raise ConfigError(
                 f"the discrepancy at gamma={gamma:g} is exactly zero, so no "

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import ComplexMatrix
-from .symmetry import DEFAULT_TOL
+from .symmetry import DEFAULT_TOL, Proportionality
 
 
 class PropagationError(Exception):
@@ -96,14 +96,24 @@ def liouvillian_matrix(h: ComplexMatrix, o: ComplexMatrix,
 
     Uses vec(A X B) = (A kron B^T) vec(X). The left trace vector is a zero
     mode: vec(I)^dag L = 0, which encodes trace preservation.
+
+    Raises:
+        PropagationError: the norm of L overflows, so every later norm on
+            its space would overflow too. numpy does not warn first.
     """
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
-    odo = o.conj().T @ o
-    l_h = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    l_d = (2.0 * np.kron(o, o.conj())
-           - np.kron(odo, eye) - np.kron(eye, odo.T))
-    return l_h + gamma * l_d
+    with np.errstate(over="ignore", invalid="ignore"):
+        odo = o.conj().T @ o
+        l_h = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        l_d = (2.0 * np.kron(o, o.conj())
+               - np.kron(odo, eye) - np.kron(eye, odo.T))
+        l_mat = l_h + gamma * l_d
+        if not np.isfinite(np.linalg.norm(l_mat)):
+            raise PropagationError(
+                f"the Liouvillian at gamma={gamma:g} overflows: hamiltonian "
+                f"(e_g), coupling or gamma too large")
+    return l_mat
 
 
 def default_dt(h: ComplexMatrix, o: ComplexMatrix, gamma: float) -> float:
@@ -241,14 +251,6 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
                       meta={"integrator": "expm", "projected": projected})
 
 
-@dataclass(frozen=True)
-class BlockIdentity:
-    """Result of testing a subspace block for proportionality to identity."""
-
-    proportional: bool
-    residual: float
-
-
 def subspace_block(l_matrix: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatrix:
     """Restrict a Liouvillian to the coherence block of a subspace.
 
@@ -264,7 +266,7 @@ def subspace_block(l_matrix: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatr
     return p.conj().T @ l_matrix @ p
 
 
-def block_identity_test(block: ComplexMatrix) -> BlockIdentity:
+def block_identity_test(block: ComplexMatrix) -> Proportionality:
     """Check block = c * I, the algebraic criterion for preserved coherence.
 
     The coefficient is tr(block)/dim and the residual is Frobenius; the
@@ -276,6 +278,6 @@ def block_identity_test(block: ComplexMatrix) -> BlockIdentity:
     dim = block.shape[0]
     coeff = complex(np.trace(block) / dim)
     residual = float(np.linalg.norm(block - coeff * np.eye(dim)))
-    return BlockIdentity(
+    return Proportionality(
         proportional=residual <= DEFAULT_TOL * max(1.0, abs(coeff)),
         residual=residual)

@@ -124,14 +124,14 @@ def commutes_with_antiunitary(a: ComplexMatrix, t: AntiUnitaryOp) -> bool:
 
 
 @dataclass(frozen=True)
-class SchurResult:
-    """Outcome of projecting an operator onto an irreducible subspace."""
+class Proportionality:
+    """Whether a matrix is c times an identity or projector, by residual."""
 
     proportional: bool
     residual: float
 
 
-def schur_test(projector: ComplexMatrix, op: ComplexMatrix) -> SchurResult:
+def schur_test(projector: ComplexMatrix, op: ComplexMatrix) -> Proportionality:
     """Test whether projector @ op @ projector is a multiple of projector.
 
     For an operator commuting with every element of a group acting
@@ -145,6 +145,6 @@ def schur_test(projector: ComplexMatrix, op: ComplexMatrix) -> SchurResult:
     pop = projector @ op @ projector
     coeff = complex(np.trace(pop) / rank)
     residual = frob(pop - coeff * projector)
-    return SchurResult(
+    return Proportionality(
         proportional=residual <= DEFAULT_TOL * max(1.0, abs(coeff)),
         residual=residual)

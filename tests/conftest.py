@@ -1,6 +1,11 @@
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
-from lindsymlab import classify, lindblad, operators, symmetry
+import lindsymlab
+from lindsymlab import classify, operators, symmetry
 
 
 @pytest.fixture(scope="session")
@@ -32,16 +37,40 @@ def scenarios():
 
 
 @pytest.fixture
-def liouvillian_builds(monkeypatch):
+def record_calls(monkeypatch):
+    """record_calls("module.function") -> the argument tuples of every call.
+
+    The package function is wrapped under every name any lindsymlab module
+    binds to it, so a caller that imports it by name is counted too. Each
+    call's arguments are recorded in signature order, defaults filled in.
+    """
+    modules = [lindsymlab] + [
+        importlib.import_module(f"lindsymlab.{info.name}")
+        for info in pkgutil.iter_modules(lindsymlab.__path__)
+        if info.name != "__main__"]
+
+    def record(target):
+        home, attr = target.rsplit(".", 1)
+        original = getattr(importlib.import_module(f"lindsymlab.{home}"), attr)
+        signature = inspect.signature(original)
+        calls = []
+
+        def recording(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(tuple(bound.arguments.values()))
+            return original(*args, **kwargs)
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, recording)
+        return calls
+
+    return record
+
+
+@pytest.fixture
+def liouvillian_builds(record_calls):
     """The argument tuples of every liouvillian_matrix call, in order."""
-    built = []
-    original = lindblad.liouvillian_matrix
-
-    def counting(*args):
-        built.append(args)
-        return original(*args)
-
-    for module in (lindblad, classify):
-        monkeypatch.setattr(module, "liouvillian_matrix", counting)
-    return built
-
+    return record_calls("lindblad.liouvillian_matrix")

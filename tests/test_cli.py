@@ -324,6 +324,23 @@ def test_simulate_builds_one_liouvillian(tmp_path, liouvillian_builds):
     assert len(liouvillian_builds) == 1
 
 
+@pytest.mark.parametrize("integrator", ["expm", "rk4"])
+def test_sweep_prepares_once_and_integrates_once(integrator, tmp_path,
+                                                 record_calls,
+                                                 liouvillian_builds):
+    calls = {name: record_calls(name) for name in (
+        "symmetry.time_reversal", "spectra.ground_subspace",
+        "response.interaction_picture")}
+    gammas = [1e-3, 2e-3, 4e-3]
+    cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
+                     integrator=integrator, gammas=gammas)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(
+        calls, 1)
+    # the gamma = 0 reference, then one Liouvillian per gamma
+    assert [args[2] for args in liouvillian_builds] == [0.0] + gammas
+
+
 _SIMULATE_NAMES = {"csv": "trajectory.csv", "summary": "summary.json"}
 _SAME = {"csv": "same.txt", "summary": "same.txt"}
 

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,11 @@ import scipy.linalg
 
 from lindsymlab import lindblad
 from lindsymlab.classify import catalog, prepare, probe_states
-from lindsymlab.lindblad import (RK4_MAX_STEPS, StepSizeError,
-                                 block_identity_test, default_dt, evolve_expm,
-                                 evolve_rk4, liouvillian_matrix, rhs,
-                                 rhs_operators, subspace_block, vec)
+from lindsymlab.lindblad import (RK4_MAX_STEPS, PropagationError,
+                                 StepSizeError, block_identity_test,
+                                 default_dt, evolve_expm, evolve_rk4,
+                                 liouvillian_matrix, rhs, rhs_operators,
+                                 subspace_block, vec)
 from lindsymlab.operators import (OperatorSpec, build_coupling,
                                   build_hamiltonian, spin_matrices)
 from lindsymlab.spectra import ground_subspace
@@ -154,6 +158,18 @@ def test_liouvillian_has_stationary_state(hams):
     vals = np.linalg.eigvals(lmat)
     assert np.min(np.abs(vals)) < 1e-10
     assert np.max(vals.real) < 1e-10
+
+
+@pytest.mark.parametrize("scale, gamma", [(1e308, 0.1), (1e154, 0.1),
+                                          (1.0, 1e308)])
+def test_liouvillian_matrix_refuses_an_overflowing_input(hams, scale, gamma):
+    o = np.diag([scale, -scale, 1.0, 2.0]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would fail here
+        with pytest.raises(PropagationError, match=re.escape(
+                f"the Liouvillian at gamma={gamma:g} overflows: hamiltonian "
+                f"(e_g), coupling or gamma too large")):
+            liouvillian_matrix(hams["tr_invariant"], o, gamma)
 
 
 def test_amplitude_damping_closed_form():

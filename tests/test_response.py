@@ -68,6 +68,19 @@ def test_delta_rho_trace_free_hermitian_linear(hams):
     assert np.array_equal(dg, 0.013 * d1)
 
 
+@pytest.mark.parametrize("gamma", [1e-3, 2e-3, 4e-3, 8e-3, 0.013, 0.7,
+                                   3.0])
+def test_delta_rho_is_gamma_times_the_unit_integral(hams, gamma):
+    # sweep evaluates delta_rho once at gamma = 1 and scales it per gamma
+    o = _op("isz")
+    h = hams["tr_invariant"]
+    rho_t = _reference(h, o, 5.0)
+    unit = delta_rho(rho_t, o, h, 1.0, 5.0, 128)
+    direct = delta_rho(rho_t, o, h, gamma, 5.0, 128)
+    assert np.array_equal((gamma * unit).view(np.uint64),
+                          direct.view(np.uint64))
+
+
 def test_delta_rho_commuting_channel_closed_form(spins):
     # [O, H] = 0 freezes the interaction picture, so the correction is
     # gamma * t * (2 O rho(t) O' - {O'O, rho(t)}) exactly
