@@ -26,7 +26,8 @@ import numpy as np
 from .lindblad import (PropagationError, Trajectory, block_identity_test,
                        evolve_expm, evolve_rk4, liouvillian_matrix,
                        subspace_block, vec)
-from .observables import Coherence, coherence_verdict, observe_subspace
+from .observables import (Coherence, EntropySeries, coherence_verdict,
+                          observe_subspace)
 from .operators import (ComplexMatrix, OperatorSpec, build_coupling,
                         build_hamiltonian, spin_matrices)
 from .response import delta_rho
@@ -218,7 +219,8 @@ def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
               dt: float | None = None) -> Trajectory:
     """rho0 at n_samples uniform times up to t_max, by "expm" or "rk4".
 
-    expm propagates the system's Liouvillian; RK4 reads only h, o and gamma.
+    expm propagates the system's Liouvillian, for one state or a stack of
+    them; RK4 reads only h, o and gamma, and takes one state.
 
     Raises:
         PropagationError: RK4 is over its step budget or loses the trace
@@ -268,20 +270,20 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
         raise CatalogIntegrityError(
             f"{sc.name}: claims {sc.claims} but measured {measured}")
 
-    trajs = [propagate(system, np.outer(psi, psi.conj()), horizon / gamma)
-             for psi in probe_states(system.ground).values()]
-    observed = [observe_subspace(traj, system.ground.basis) for traj in trajs]
+    probes = np.stack([np.outer(psi, psi.conj())
+                       for psi in probe_states(system.ground).values()])
+    traj = propagate(system, probes, horizon / gamma)  # stacks probes first
+    series, blocks = observe_subspace(traj, system.ground.basis)
 
-    verdicts = {coherence_verdict(series) for series, _ in observed}
+    verdicts = {coherence_verdict(EntropySeries(*probe))
+                for probe in zip(series.s_v, series.trace_g)}
     combined = next(v for v in _WORST_FIRST if v in verdicts)
-    (series, blocks), equal = observed[0], trajs[0]  # the equal superposition
-    rho_g = normalize_subspace(blocks)
+    rho_g = normalize_subspace(blocks[0])  # the equal superposition
     max_drift = np.linalg.norm(rho_g - rho_g[0], axis=(-2, -1)).max()
-    states = np.concatenate([traj.states for traj in trajs])
-    adjoint = states.conj().swapaxes(-2, -1)
-    trace_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0).max()
-    herm_err = np.linalg.norm(states - adjoint, axis=(-2, -1)).max()
-    min_eig = np.linalg.eigvalsh((states + adjoint) / 2).min()
+    adjoint = traj.states.conj().swapaxes(-2, -1)
+    trace_err = np.abs(np.trace(traj.states, axis1=-2, axis2=-1) - 1.0).max()
+    herm_err = np.linalg.norm(traj.states - adjoint, axis=(-2, -1)).max()
+    min_eig = np.linalg.eigvalsh((traj.states + adjoint) / 2).min()
 
     bi = doublet_block(system)
     schur_o = schur_test(system.ground.projector, system.o)
@@ -297,13 +299,13 @@ def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
         block_residual=bi.residual,
         schur_proportional=schur_o.proportional and schur_q.proportional,
         schur_residual=schur_o.residual,
-        peak_entropy=max(float(np.max(s.s_v)) for s, _ in observed),
-        terminal_entropy=float(series.s_v[-1]),
-        terminal_trace_g=float(series.trace_g[-1]),
+        peak_entropy=float(np.max(series.s_v)),
+        terminal_entropy=float(series.s_v[0, -1]),
+        terminal_trace_g=float(series.trace_g[0, -1]),
         terminal_rho_g=rho_g[-1],
         max_drift=float(max_drift),
         stationarity=float(np.linalg.norm(system.liouvillian
-                                          @ vec(equal.states[-1]))),
+                                          @ vec(traj.states[0, -1]))),
         trace_err=float(trace_err),
         herm_err=float(herm_err),
         min_eig=float(min_eig),
@@ -327,9 +329,10 @@ def response_oracle_coherent(system: ScenarioSystem) -> bool:
     t = 0.5 / gamma
     basis = system.ground.basis
     coherent = True
-    for psi in probe_states(system.ground).values():
-        rho0 = np.outer(psi, psi.conj())
-        delta = delta_rho(rho0, system.o, system.h, gamma, t, 128)
+    probes = np.stack([np.outer(psi, psi.conj())
+                       for psi in probe_states(system.ground).values()])
+    for rho0, delta in zip(probes, delta_rho(probes, system.o, system.h,
+                                             gamma, t, 128)):
         d_g = basis.conj().T @ delta @ basis
         r_g = basis.conj().T @ rho0 @ basis
         coeff = np.trace(r_g.conj().T @ d_g) / np.trace(r_g.conj().T @ r_g)

@@ -30,7 +30,7 @@ class StepSizeError(PropagationError):
 
 # Most RK4 steps one evolve_rk4 call may take; checked before the first.
 RK4_MAX_STEPS = 10**6
-# Most complex entries a trajectory may store, n_samples * d^2: 256 MiB.
+# Most complex entries one state's trajectory stores, n_samples * d^2: 256 MiB.
 MAX_TRAJECTORY_ENTRIES = 2**24
 
 
@@ -130,7 +130,7 @@ def default_dt(h: ComplexMatrix, o: ComplexMatrix, gamma: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: times[k] pairs with states[k] (a density matrix)."""
+    """Sampled evolution: times[k] pairs with states[..., k, :, :]."""
 
     times: np.ndarray
     states: np.ndarray
@@ -204,20 +204,21 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
 
     Exact up to roundoff for any step, so it serves as the reference the
     RK4 route is validated against. The steps of the sample grid can
-    differ in the last bit, so one propagator is built per distinct step.
+    differ in the last bit, so one propagator is built per distinct step
+    and shared by a stack rho0 (..., d, d), whose states each run alone.
 
     A Liouvillian of large norm can exponentiate to a step propagator that
     loses trace at roundoff level on every step. If a stored sample's
-    trace then drifts from rho0's by more than DEFAULT_TOL, the bound
+    trace then drifts from its rho0's by more than DEFAULT_TOL, the bound
     evolve_rk4 holds its samples to as well, each step propagator P is
     projected onto trace-preserving maps, P + (vec(I)/d)(vec(I)^T -
-    vec(I)^T P), the run is repeated and meta["projected"] is set.
+    vec(I)^T P), that state's run is repeated and meta["projected"][i] set.
 
     Raises:
         PropagationError: the trace still drifts past DEFAULT_TOL with the
             projected propagators.
     """
-    d = rho0.shape[0]
+    d = rho0.shape[-1]
     times = sample_times(t_max, n_samples, d)
     # scipy.linalg is imported here, its only user, so that runs that never
     # call expm skip its import time
@@ -225,8 +226,9 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
 
     steps, which = np.unique(np.diff(times), return_inverse=True)
     props = [scipy.linalg.expm(l_mat * step) for step in steps]
-    out = np.empty((n_samples, rho0.size), dtype=complex)
-    out[0] = vec(rho0)
+    states = np.empty(rho0.shape[:-2] + (n_samples, d, d), dtype=complex)
+    projected = np.zeros(rho0.shape[:-2], dtype=bool)
+    trace_row, trace_props = vec(np.eye(d)), []
 
     def run(props: list) -> float:
         for k, j in enumerate(which):
@@ -234,20 +236,23 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
         traces = out[:, ::d + 1].sum(axis=1)  # diagonal entries of vec(rho)
         return float(np.max(np.abs(traces - traces[0])))
 
-    drift = run(props)
-    # a trajectory that is not finite is the caller's to reject
-    projected = DEFAULT_TOL < drift < np.inf
-    if projected:
-        trace_row = vec(np.eye(d))
-        props = [p + np.outer(trace_row / d, trace_row - trace_row @ p)
-                 for p in props]
+    for i in np.ndindex(projected.shape):
+        out = states[i].reshape(n_samples, d * d)  # the view run() steps
+        out[0] = vec(rho0[i])
         drift = run(props)
-        if not drift <= DEFAULT_TOL:
-            raise PropagationError(
-                f"the expm trajectory drifts the trace by {drift:.3e} even "
-                f"with trace-preserving steps: hamiltonian (e_g), "
-                f"coupling, gamma or t_max too large")
-    return Trajectory(times=times, states=out.reshape(n_samples, d, d),
+        # a trajectory that is not finite is the caller's to reject
+        projected[i] = DEFAULT_TOL < drift < np.inf
+        if projected[i]:
+            trace_props = trace_props or [
+                p + np.outer(trace_row / d, trace_row - trace_row @ p)
+                for p in props]
+            drift = run(trace_props)
+            if not drift <= DEFAULT_TOL:
+                raise PropagationError(
+                    f"the expm trajectory drifts the trace by {drift:.3e} "
+                    f"even with trace-preserving steps: hamiltonian (e_g), "
+                    f"coupling, gamma or t_max too large")
+    return Trajectory(times=times, states=states,
                       meta={"integrator": "expm", "projected": projected})
 
 

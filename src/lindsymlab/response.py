@@ -55,8 +55,8 @@ def delta_rho(rho0_t: ComplexMatrix, o: ComplexMatrix, h: ComplexMatrix,
     in gamma.
 
     Args:
-        rho0_t: the coherent (gamma = 0) state at time t. A state inside an
-            eigenspace of h is its own coherent evolution.
+        rho0_t: the coherent (gamma = 0) state at t, or a stack of them. A
+            state inside an eigenspace of h is its own coherent evolution.
         n_quad: even number of Simpson panels, at least 16.
 
     Raises:
@@ -65,8 +65,10 @@ def delta_rho(rho0_t: ComplexMatrix, o: ComplexMatrix, h: ComplexMatrix,
     if n_quad < 16 or n_quad % 2 != 0:
         raise ValueError("n_quad must be an even panel count >= 16")
 
-    # every node's integrand from one eigh(h), summed in node order
+    # every node's integrand from one eigh(h), summed in node order; the
+    # node axis leads and broadcasts over rho0_t's stack axes
     o_tp = interaction_picture(o, h, -(t * np.arange(n_quad + 1) / n_quad))
+    o_tp = np.expand_dims(o_tp, tuple(range(1, rho0_t.ndim - 1)))
     o_dag = o_tp.conj().swapaxes(-2, -1)
     odo = o_dag @ o_tp
     terms = (2.0 * (o_tp @ rho0_t @ o_dag)

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import lindsymlab
@@ -34,6 +35,19 @@ def hams(spins):
 @pytest.fixture(scope="session")
 def scenarios():
     return {sc.name: sc for sc in classify.catalog()}
+
+
+@pytest.fixture(scope="session")
+def row_probes(scenarios):
+    """(name, system at gamma = 0.1, its three probe densities stacked in
+    probe_states order) for every table row."""
+    rows = []
+    for name, sc in scenarios.items():
+        system = classify.prepare(sc, 0.1)
+        rows.append((name, system, np.stack([
+            np.outer(psi, psi.conj())
+            for psi in classify.probe_states(system.ground).values()])))
+    return rows
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lindsymlab import classify, observables
 from lindsymlab.classify import (CatalogIntegrityError, SymmetryClaims,
@@ -193,3 +194,22 @@ def test_catalog_rejects_tampered_claims(scenarios):
                                   commutes_q=True))
     with pytest.raises(CatalogIntegrityError):
         run_scenario(wrong)
+
+
+def test_a_table_makes_one_expm_and_one_interaction_picture_per_row(
+        record_calls, monkeypatch):
+    # each row propagates its three probes in one evolve_expm call, whose
+    # grid has one distinct step, and runs them through one delta_rho
+    pictures = record_calls("response.interaction_picture")
+    expms = []
+    expm = scipy.linalg.expm
+
+    def counting(a, *args, **kwargs):
+        expms.append(a)
+        return expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    report = reproduce_table()
+    assert report.all_pass and report.oracle_all_agree
+    assert len(report.verdicts) == 16
+    assert (len(expms), len(pictures)) == (16, 16)

@@ -28,7 +28,7 @@ SRC = ROOT / "src" / "lindsymlab"
 # diagnostics the run record planned in ROADMAP.md is to report.
 KEEP = {
     "Trajectory.meta": ("test_lindblad asserts the integrator, RK4 step "
-                        "and expm projection it records"),
+                        "and per-state expm projection it records"),
     "Verdict.max_drift": "AC3 asserts the coherent rows' subspace drift",
     "Verdict.stationarity": "AC2 asserts the plateau is stationary",
     "Verdict.terminal_rho_g": "AC2 asserts the plateau is maximally mixed",

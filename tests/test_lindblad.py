@@ -325,6 +325,40 @@ def test_evolve_expm_raises_when_projection_cannot_hold_the_trace():
         evolve_expm(np.eye(2, dtype=complex) / 2, l_mat, 20.0, 11)
 
 
+def test_evolve_expm_steps_each_state_of_a_stack_as_if_alone(row_probes):
+    # the table's call: every row's three probes at gamma = 0.1 up to
+    # gamma*t = 20, against one call per probe, bit for bit
+    for name, system, probes in row_probes:
+        stacked = evolve_expm(probes, system.liouvillian, 200.0, 201)
+        assert stacked.states.shape == (3, 201, 4, 4)
+        assert stacked.meta["projected"].shape == (3,)
+        for rho0, states, projected in zip(probes, stacked.states,
+                                           stacked.meta["projected"]):
+            alone = evolve_expm(rho0, system.liouvillian, 200.0, 201)
+            assert alone.meta["projected"].shape == ()
+            assert projected == alone.meta["projected"], name
+            assert np.array_equal(states.view(np.uint64),
+                                  alone.states.view(np.uint64)), name
+
+
+def test_evolve_expm_projects_only_the_states_of_a_stack_that_drift():
+    # sx2sz at spin 15/2 and gamma = 10 up to t = 60: the equal and quarter
+    # probes drift past DEFAULT_TOL and are projected, the basis probe is
+    # not, and each keeps the bits of its own single-state call
+    sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
+    system = prepare(sc, 10.0, 7.5)
+    probes = np.stack([np.outer(psi, psi.conj())
+                       for psi in probe_states(system.ground).values()])
+    stacked = evolve_expm(probes, system.liouvillian, 60.0, 201)
+    assert stacked.meta["projected"].tolist() == [True, True, False]
+    for rho0, states, projected in zip(probes, stacked.states,
+                                       stacked.meta["projected"]):
+        alone = evolve_expm(rho0, system.liouvillian, 60.0, 201)
+        assert projected == alone.meta["projected"]
+        assert np.array_equal(states.view(np.uint64),
+                              alone.states.view(np.uint64))
+
+
 def test_subspace_block_identity_on_protected_channel(hams):
     h = hams["q_symmetric"]
     o = _op("sy2")

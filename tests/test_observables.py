@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lindsymlab.classify import propagate
+from lindsymlab.lindblad import Trajectory
 from lindsymlab.observables import (Coherence, EntropySeries, PositivityError,
-                                    coherence_verdict, von_neumann_entropy)
+                                    coherence_verdict, observe_subspace,
+                                    von_neumann_entropy)
 
 
 def test_entropy_frozen_value():
@@ -78,3 +81,22 @@ def test_entropy_of_a_stack_matches_one_call_per_matrix():
         assert got.shape == (9,)
         assert np.array_equal(got, [von_neumann_entropy(r) for r in stack])
         assert von_neumann_entropy(stack.reshape(3, 3, d, d)).shape == (3, 3)
+
+
+def test_observe_subspace_on_a_stack_matches_each_trajectory_alone(
+        row_probes):
+    # the table's three probe trajectories per row, observed in one call
+    # and one call per trajectory, bit for bit
+    for name, system, probes in row_probes:
+        traj = propagate(system, probes, 200.0)
+        series, blocks = observe_subspace(traj, system.ground.basis)
+        assert series.s_v.shape == (3, 201)
+        for k, states in enumerate(traj.states):
+            alone, alone_blocks = observe_subspace(
+                Trajectory(times=traj.times, states=states),
+                system.ground.basis)
+            for got, want in ((series.s_v[k], alone.s_v),
+                              (series.trace_g[k], alone.trace_g),
+                              (blocks[k], alone_blocks)):
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), name

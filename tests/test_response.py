@@ -139,3 +139,19 @@ def test_interaction_picture_of_many_times_matches_one_call_per_time(hams):
     assert stacked.shape == (17, 4, 4)
     assert np.array_equal(stacked, np.array(
         [interaction_picture(o, hams["both_symmetric"], t) for t in times]))
+
+
+def test_delta_rho_corrects_each_state_of_a_stack_as_if_alone(row_probes):
+    # the oracle's call: every row's three probes at gamma = 1e-3 and
+    # gamma*t = 0.5, against one call per probe, bit for bit; a stack with
+    # two leading axes gives the same bits too
+    for name, system, probes in row_probes:
+        stacked = delta_rho(probes, system.o, system.h, 1e-3, 500.0, 128)
+        assert stacked.shape == probes.shape
+        for rho0, got in zip(probes, stacked):
+            alone = delta_rho(rho0, system.o, system.h, 1e-3, 500.0, 128)
+            assert np.array_equal(got.view(np.uint64),
+                                  alone.view(np.uint64)), name
+        nested = delta_rho(probes[None], system.o, system.h, 1e-3, 500.0, 128)
+        assert np.array_equal(nested.view(np.uint64),
+                              stacked[None].view(np.uint64)), name
