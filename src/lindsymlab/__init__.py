@@ -4,12 +4,8 @@ A small dense-matrix laboratory for the question: when a Hamiltonian's
 degenerate ground doublet is protected by a symmetry, does coherence in
 that doublet survive Markovian dissipation through a coupling operator O?
 
-The answer depends on whether the protecting symmetry is unitary (a group
-representation, here the quaternion group on spin 3/2) or anti-unitary
-(time reversal), and on whether O is Hermitian:
-
-* unitary symmetry, [O, G] = 0     -> coherence survives (any O)
-* anti-unitary symmetry, [O, T] = 0 -> survives only for Hermitian O
+`classify.protected` is the one statement of the paper's answer, a rule
+on the symmetry signatures of the Hamiltonian and of O.
 
 Modules
 -------

@@ -12,9 +12,8 @@ independent routes to the verdict agree:
   * representation theory: the projected coupling a multiple of identity
     on the doublet (with its quadratic the same).
 
-Coherence survives exactly when the Hamiltonian and the coupling share a
-protecting symmetry: any unitary group acting irreducibly on the doublet,
-or an anti-unitary symmetry provided the coupling is Hermitian.
+`protected` is the one statement of the paper's rule, and every row's
+expected verdict is derived from it.
 """
 
 from __future__ import annotations
@@ -96,35 +95,26 @@ class Verdict:
     passed: bool
 
 
-# The classification table. Each row pins one coupling operator to one
-# Hamiltonian block together with its symmetry signature and the expected
-# fate of coherence. Expectations follow one rule: coherence survives iff
-# the coupling commutes with a unitary group that also commutes with the
-# Hamiltonian and acts irreducibly on the doublet, or commutes with the
-# Hamiltonian's anti-unitary symmetry while being Hermitian. The
-# q_symmetric Hamiltonian anticommutes with time reversal, so only the
-# quaternion column matters there; tr_invariant lacks the full quaternion
-# symmetry, so only the (Hermitian, [O,T]=0) pair matters; both_symmetric
-# admits either route. The same operator can therefore appear in different
-# blocks with different expectations (sxsysz is protected under q_symmetric
-# and both_symmetric but not under tr_invariant).
+# The classification table: each row pairs one Hamiltonian with one
+# coupling and the symmetry signature the coupling claims; `protected`
+# derives the row's expected verdict.
 _TABLE_ROWS = (
-    ("q_symmetric", "sy2", (True, True, True), True),
-    ("q_symmetric", "sxsy_sym", (True, True, False), False),
-    ("q_symmetric", "sxsysz", (False, False, True), True),
-    ("q_symmetric", "sysz", (False, True, False), False),
-    ("tr_invariant", "sx2", (True, True, True), True),
-    ("tr_invariant", "sz", (True, False, False), False),
-    ("tr_invariant", "isz", (False, True, False), False),
-    ("tr_invariant", "sxsysz", (False, False, True), False),
-    ("both_symmetric", "sx2", (True, True, True), True),
-    ("both_symmetric", "sxsy_sym", (True, True, False), True),
-    ("both_symmetric", "sxsysz_sym", (True, False, True), True),
-    ("both_symmetric", "sx", (True, False, False), False),
-    ("both_symmetric", "i_sxsysz_sym", (False, True, True), True),
-    ("both_symmetric", "sxsy", (False, True, False), False),
-    ("both_symmetric", "sxsysz", (False, False, True), True),
-    ("both_symmetric", "sx2sz", (False, False, False), False),
+    ("q_symmetric", "sy2", (True, True, True)),
+    ("q_symmetric", "sxsy_sym", (True, True, False)),
+    ("q_symmetric", "sxsysz", (False, False, True)),
+    ("q_symmetric", "sysz", (False, True, False)),
+    ("tr_invariant", "sx2", (True, True, True)),
+    ("tr_invariant", "sz", (True, False, False)),
+    ("tr_invariant", "isz", (False, True, False)),
+    ("tr_invariant", "sxsysz", (False, False, True)),
+    ("both_symmetric", "sx2", (True, True, True)),
+    ("both_symmetric", "sxsy_sym", (True, True, False)),
+    ("both_symmetric", "sxsysz_sym", (True, False, True)),
+    ("both_symmetric", "sx", (True, False, False)),
+    ("both_symmetric", "i_sxsysz_sym", (False, True, True)),
+    ("both_symmetric", "sxsy", (False, True, False)),
+    ("both_symmetric", "sxsysz", (False, False, True)),
+    ("both_symmetric", "sx2sz", (False, False, False)),
 )
 
 
@@ -146,20 +136,40 @@ def compute_signature(o: ComplexMatrix,
     ), failing
 
 
+def protected(h: SymmetryClaims, o: SymmetryClaims) -> bool:
+    """The paper's rule: does coherence in the ground doublet survive?
+
+    It does when the Hamiltonian and the coupling share a unitary symmetry
+    acting irreducibly on the doublet (both commute with the quaternion
+    group, O need not be Hermitian), or share the anti-unitary time
+    reversal T with O Hermitian.
+    """
+    return ((h.commutes_q and o.commutes_q)
+            or (h.commutes_t and o.commutes_t and o.hermitian))
+
+
 def catalog() -> list:
     """All 16 scenarios, each carrying the symmetry signature its row claims.
 
-    The catalog is data only: run_scenario checks each claimed signature
-    against the operator algebra when it builds the row's system.
+    Each row's expected verdict is `protected` of its Hamiltonian's
+    measured signature and its coupling's claimed one; run_scenario checks
+    the claimed signature against the operator algebra when it builds the
+    row's system.
     """
+    spins, trev = spin_matrices(1.5), time_reversal(1.5)
+    h_claims = {ham: compute_signature(
+        build_hamiltonian(OperatorSpec(name=ham), spins), trev)[0]
+        for ham in dict.fromkeys(row[0] for row in _TABLE_ROWS)}
     return [Scenario(
         name=f"{ham}:{op}",
         hamiltonian=OperatorSpec(name=ham),
         coupling=OperatorSpec(name=op),
-        expected_coherence=(Coherence.COHERENT if coherent
-                            else Coherence.DECOHERENT),
+        expected_coherence=(
+            Coherence.COHERENT
+            if protected(h_claims[ham], SymmetryClaims(*claimed))
+            else Coherence.DECOHERENT),
         claims=SymmetryClaims(*claimed),
-    ) for ham, op, claimed, coherent in _TABLE_ROWS]
+    ) for ham, op, claimed in _TABLE_ROWS]
 
 
 @dataclass(frozen=True)

@@ -288,11 +288,9 @@ def cmd_simulate(args) -> int:
     if args.horizon is not None or t_max is None:
         t_max = (args.horizon or DEFAULT_HORIZON) / cfg.gamma
 
-    # propagate rejects an overflowing input; numpy need not warn first
-    with np.errstate(over="ignore", invalid="ignore"):
-        system, rho0 = _prepare_doublet(cfg, cfg.gamma)
-        traj = propagate(system, rho0, t_max, cfg.n_samples, cfg.integrator,
-                         cfg.dt)
+    system, rho0 = _prepare_doublet(cfg, cfg.gamma)
+    traj = propagate(system, rho0, t_max, cfg.n_samples, cfg.integrator,
+                     cfg.dt)
     series, blocks = _observe(traj, system, t_max)
     verdict = coherence_verdict(series)
     block = doublet_block(system)
@@ -364,18 +362,17 @@ def cmd_sweep(args) -> int:
                           "(config key 'gammas' or --gamma g1,g2,...)")
     t_max = cfg.t_max if cfg.t_max is not None else 5.0
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref, rho0 = _prepare_doublet(cfg, 0.0)
-        # delta_rho stacks one d x d matrix per quadrature node
-        d = rho0.shape[0]
-        if (cfg.n_quad + 1) * d * d > MAX_TRAJECTORY_ENTRIES:
-            raise ConfigError(
-                f"n_quad={cfg.n_quad} at dimension {d} needs more than "
-                f"{MAX_TRAJECTORY_ENTRIES} stored entries")
-        traj0 = evolve_expm(rho0, ref.liouvillian, t_max, cfg.n_samples)
-        trajs = [propagate(replace(ref, gamma=g, liouvillian=liouvillian_matrix(
-                               ref.h, ref.o, g)), rho0, t_max, cfg.n_samples,
-                           cfg.integrator, cfg.dt) for g in gammas]
+    ref, rho0 = _prepare_doublet(cfg, 0.0)
+    # delta_rho stacks one d x d matrix per quadrature node
+    d = rho0.shape[0]
+    if (cfg.n_quad + 1) * d * d > MAX_TRAJECTORY_ENTRIES:
+        raise ConfigError(
+            f"n_quad={cfg.n_quad} at dimension {d} needs more than "
+            f"{MAX_TRAJECTORY_ENTRIES} stored entries")
+    traj0 = evolve_expm(rho0, ref.liouvillian, t_max, cfg.n_samples)
+    trajs = [propagate(replace(ref, gamma=g, liouvillian=liouvillian_matrix(
+                           ref.h, ref.o, g)), rho0, t_max, cfg.n_samples,
+                       cfg.integrator, cfg.dt) for g in gammas]
     # delta_rho is gamma times one integral: gamma * unit keeps every bit
     unit = delta_rho(traj0.states[-1], ref.o, ref.h, 1.0, t_max, cfg.n_quad)
 

@@ -158,7 +158,10 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     if spec.matrix is not None:
         h = np.asarray(spec.matrix, dtype=complex)
         _check_dims(h, spins.sz)
-        if np.linalg.norm(h - h.conj().T) > 1e-12 * max(1.0, np.linalg.norm(h)):
+        # an overflowing norm is inf, without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            asym, size = np.linalg.norm(h - h.conj().T), np.linalg.norm(h)
+        if asym > 1e-12 * max(1.0, size):
             raise ValueError("literal Hamiltonian must be Hermitian")
         return spec.scale * h
     key = canonical_name(spec.name)

@@ -22,7 +22,9 @@ DEFAULT_TOL = 1e-9
 
 
 def frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm; inf, without a numpy warning, when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(a))
 
 
 def is_hermitian(a: ComplexMatrix) -> bool:
