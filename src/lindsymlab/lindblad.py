@@ -198,6 +198,21 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     return Trajectory(times=times, states=states, meta=meta)
 
 
+def _step_samples(flat: np.ndarray, props: list, which: np.ndarray) -> None:
+    """Fill samples 1.. of every state in flat (m, n_samples, d^2) from
+    sample 0, one matmul per step. Each stack element is the gemv that
+    props[j] @ flat[i, k] would make, so no state's bytes depend on its
+    neighbours; the states are never the columns of one gemm."""
+    for k, j in enumerate(which):
+        np.matmul(props[j], flat[:, k, :, None], out=flat[:, k + 1, :, None])
+
+
+def _trace_drift(flat: np.ndarray, d: int) -> np.ndarray:
+    """Largest |tr rho(t_k) - tr rho(0)| of each state in flat."""
+    traces = flat[..., ::d + 1].sum(axis=-1)  # diagonal entries of vec(rho)
+    return np.max(np.abs(traces - traces[:, :1]), axis=-1)
+
+
 def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
                 n_samples: int) -> Trajectory:
     """Propagate through the matrix exponential of the Liouvillian l_mat.
@@ -205,14 +220,18 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     Exact up to roundoff for any step, so it serves as the reference the
     RK4 route is validated against. The steps of the sample grid can
     differ in the last bit, so one propagator is built per distinct step
-    and shared by a stack rho0 (..., d, d), whose states each run alone.
+    and shared by a stack rho0 (..., d, d). The whole stack advances by
+    one matmul per sample step, which runs each state's own
+    matrix-vector product, so a state's bytes are those of a
+    single-state call.
 
     A Liouvillian of large norm can exponentiate to a step propagator that
     loses trace at roundoff level on every step. If a stored sample's
     trace then drifts from its rho0's by more than DEFAULT_TOL, the bound
     evolve_rk4 holds its samples to as well, each step propagator P is
     projected onto trace-preserving maps, P + (vec(I)/d)(vec(I)^T -
-    vec(I)^T P), that state's run is repeated and meta["projected"][i] set.
+    vec(I)^T P), that state alone is run again and meta["projected"][i]
+    set.
 
     Raises:
         PropagationError: the trace still drifts past DEFAULT_TOL with the
@@ -227,33 +246,28 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     steps, which = np.unique(np.diff(times), return_inverse=True)
     props = [scipy.linalg.expm(l_mat * step) for step in steps]
     states = np.empty(rho0.shape[:-2] + (n_samples, d, d), dtype=complex)
-    projected = np.zeros(rho0.shape[:-2], dtype=bool)
+    # a view of states: one row of vec(rho) per state and sample
+    flat = states.reshape(-1, n_samples, d * d)
+    flat[:, 0] = rho0.reshape(-1, d * d)
+    _step_samples(flat, props, which)
+    drift = _trace_drift(flat, d)
+    # a trajectory that is not finite is the caller's to reject
+    projected = (DEFAULT_TOL < drift) & (drift < np.inf)
     trace_row, trace_props = vec(np.eye(d)), []
-
-    def run(props: list) -> float:
-        for k, j in enumerate(which):
-            out[k + 1] = props[j] @ out[k]
-        traces = out[:, ::d + 1].sum(axis=1)  # diagonal entries of vec(rho)
-        return float(np.max(np.abs(traces - traces[0])))
-
-    for i in np.ndindex(projected.shape):
-        out = states[i].reshape(n_samples, d * d)  # the view run() steps
-        out[0] = vec(rho0[i])
-        drift = run(props)
-        # a trajectory that is not finite is the caller's to reject
-        projected[i] = DEFAULT_TOL < drift < np.inf
-        if projected[i]:
-            trace_props = trace_props or [
-                p + np.outer(trace_row / d, trace_row - trace_row @ p)
-                for p in props]
-            drift = run(trace_props)
-            if not drift <= DEFAULT_TOL:
-                raise PropagationError(
-                    f"the expm trajectory drifts the trace by {drift:.3e} "
-                    f"even with trace-preserving steps: hamiltonian (e_g), "
-                    f"coupling, gamma or t_max too large")
+    for i in np.flatnonzero(projected):
+        trace_props = trace_props or [
+            p + np.outer(trace_row / d, trace_row - trace_row @ p)
+            for p in props]
+        _step_samples(flat[i:i + 1], trace_props, which)
+        drift_i = _trace_drift(flat[i:i + 1], d)[0]
+        if not drift_i <= DEFAULT_TOL:
+            raise PropagationError(
+                f"the expm trajectory drifts the trace by {drift_i:.3e} "
+                f"even with trace-preserving steps: hamiltonian (e_g), "
+                f"coupling, gamma or t_max too large")
     return Trajectory(times=times, states=states,
-                      meta={"integrator": "expm", "projected": projected})
+                      meta={"integrator": "expm",
+                            "projected": projected.reshape(rho0.shape[:-2])})
 
 
 def subspace_block(l_matrix: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatrix:

@@ -171,12 +171,26 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
 
 
 def build_coupling(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
-    """Resolve a coupling spec to its matrix; hermiticity is never assumed."""
+    """Resolve a coupling spec to its matrix; hermiticity is never assumed.
+
+    Raises:
+        ValueError: unknown name, a Hamiltonian's name, a literal matrix of
+            the wrong shape, or a matrix whose Frobenius norm overflows:
+            every symmetry test compares norms, and inf <= inf would pass
+            them all.
+    """
     if spec.matrix is not None:
         o = np.asarray(spec.matrix, dtype=complex)
         _check_dims(o, spins.sz)
-        return spec.scale * o
-    key = canonical_name(spec.name)
-    if key not in _COUPLINGS:
-        raise ValueError(f"{spec.name!r} names a Hamiltonian, not a coupling operator")
-    return spec.scale * _COUPLINGS[key](spins)
+    else:
+        key = canonical_name(spec.name)
+        if key not in _COUPLINGS:
+            raise ValueError(f"{spec.name!r} names a Hamiltonian, not a "
+                             f"coupling operator")
+        o = _COUPLINGS[key](spins)
+    o = spec.scale * o
+    # imported here: symmetry builds on this module's spin matrices
+    from .symmetry import frob
+    if not frob(o) < np.inf:
+        raise ValueError("coupling: its Frobenius norm overflows")
+    return o

@@ -65,18 +65,20 @@ def delta_rho(rho0_t: ComplexMatrix, o: ComplexMatrix, h: ComplexMatrix,
     if n_quad < 16 or n_quad % 2 != 0:
         raise ValueError("n_quad must be an even panel count >= 16")
 
-    # every node's integrand from one eigh(h), summed in node order; the
-    # node axis leads and broadcasts over rho0_t's stack axes
+    # every node's integrand from one eigh(h); the node axis leads and
+    # broadcasts over rho0_t's stack axes
     o_tp = interaction_picture(o, h, -(t * np.arange(n_quad + 1) / n_quad))
     o_tp = np.expand_dims(o_tp, tuple(range(1, rho0_t.ndim - 1)))
     o_dag = o_tp.conj().swapaxes(-2, -1)
     odo = o_dag @ o_tp
     terms = (2.0 * (o_tp @ rho0_t @ o_dag)
              - (odo @ rho0_t + rho0_t @ odo))
-    acc = np.zeros_like(rho0_t)
-    for w, term in zip(_simpson_weights(n_quad, t), terms):
-        acc = acc + w * term
-    return gamma * acc
+    # weighted in place, then summed over the node axis; it has the largest
+    # stride, so the reduce adds one node's terms at a time, in node order
+    # and from 0.0: the sequential sum, bit for bit, with no second stack
+    w = _simpson_weights(n_quad, t).reshape((-1,) + (1,) * (terms.ndim - 1))
+    np.multiply(w, terms, out=terms)
+    return gamma * np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def scaling_exponent(gammas, residuals) -> float:

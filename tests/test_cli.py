@@ -494,6 +494,24 @@ def test_classify_op_errors(tmp_path, capsys):
     assert "operator name" in captured.err and "--config" in captured.err
 
 
+@pytest.mark.parametrize("coupling", [
+    {"matrix": [[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]},
+    {"name": "sz", "scale": 1e200},
+], ids=["matrix-1e200", "scale-1e200"])
+def test_classify_op_refuses_a_coupling_whose_norm_overflows(coupling,
+                                                             tmp_path,
+                                                             capsys):
+    # every symmetry test compares Frobenius norms, and inf <= inf passes
+    cfg = _write_cfg(tmp_path, coupling=coupling)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["classify-op", "--config", cfg]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coupling")
+
+
 def test_config_error_paths(tmp_path, capsys):
     out = tmp_path / "out"
 

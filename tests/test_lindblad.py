@@ -18,7 +18,7 @@ from lindsymlab.lindblad import (RK4_MAX_STEPS, PropagationError,
 from lindsymlab.operators import (OperatorSpec, build_coupling,
                                   build_hamiltonian, spin_matrices)
 from lindsymlab.spectra import ground_subspace
-from lindsymlab.symmetry import schur_test
+from lindsymlab.symmetry import DEFAULT_TOL, schur_test
 
 
 SPINS = spin_matrices(1.5)
@@ -325,13 +325,53 @@ def test_evolve_expm_raises_when_projection_cannot_hold_the_trace():
         evolve_expm(np.eye(2, dtype=complex) / 2, l_mat, 20.0, 11)
 
 
+def _expm_reference(probes, l_mat, t_max, n_samples):
+    """Each state of probes through a loop of its own, the reference the
+    stacked evolve_expm is pinned to: one P @ v per sample step, then the
+    trace projection decided on that state's drift alone. Returns the
+    states and the projected flags."""
+    d = probes.shape[-1]
+    times = np.linspace(0.0, t_max, n_samples)
+    steps, which = np.unique(np.diff(times), return_inverse=True)
+    props = [scipy.linalg.expm(l_mat * step) for step in steps]
+    trace_row = vec(np.eye(d))
+    trace_props = [p + np.outer(trace_row / d, trace_row - trace_row @ p)
+                   for p in props]
+    states, projected = [], []
+
+    def run(out, props):
+        for k, j in enumerate(which):
+            out[k + 1] = props[j] @ out[k]
+        traces = out[:, ::d + 1].sum(axis=1)
+        return float(np.max(np.abs(traces - traces[0])))
+
+    for rho0 in probes:
+        out = np.empty((n_samples, d * d), dtype=complex)
+        out[0] = vec(rho0)
+        projected.append(DEFAULT_TOL < run(out, props) < np.inf)
+        if projected[-1]:
+            run(out, trace_props)
+        states.append(out.reshape(n_samples, d, d))
+    return np.stack(states), projected
+
+
+def _assert_expm_matches_reference(traj, probes, l_mat, t_max, n_samples):
+    states, projected = _expm_reference(probes, l_mat, t_max, n_samples)
+    assert np.array_equal(traj.states.view(np.uint64),
+                          states.view(np.uint64))
+    assert traj.meta["projected"].tolist() == projected
+
+
 def test_evolve_expm_steps_each_state_of_a_stack_as_if_alone(row_probes):
     # the table's call: every row's three probes at gamma = 0.1 up to
-    # gamma*t = 20, against one call per probe, bit for bit
+    # gamma*t = 20, against one call per probe and against the per-state
+    # loop, bit for bit
     for name, system, probes in row_probes:
         stacked = evolve_expm(probes, system.liouvillian, 200.0, 201)
         assert stacked.states.shape == (3, 201, 4, 4)
         assert stacked.meta["projected"].shape == (3,)
+        _assert_expm_matches_reference(stacked, probes, system.liouvillian,
+                                       200.0, 201)
         for rho0, states, projected in zip(probes, stacked.states,
                                            stacked.meta["projected"]):
             alone = evolve_expm(rho0, system.liouvillian, 200.0, 201)
@@ -344,19 +384,32 @@ def test_evolve_expm_steps_each_state_of_a_stack_as_if_alone(row_probes):
 def test_evolve_expm_projects_only_the_states_of_a_stack_that_drift():
     # sx2sz at spin 15/2 and gamma = 10 up to t = 60: the equal and quarter
     # probes drift past DEFAULT_TOL and are projected, the basis probe is
-    # not, and each keeps the bits of its own single-state call
+    # not, and each keeps the bits of its own single-state call and of the
+    # per-state loop
     sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
     system = prepare(sc, 10.0, 7.5)
     probes = np.stack([np.outer(psi, psi.conj())
                        for psi in probe_states(system.ground).values()])
     stacked = evolve_expm(probes, system.liouvillian, 60.0, 201)
     assert stacked.meta["projected"].tolist() == [True, True, False]
+    _assert_expm_matches_reference(stacked, probes, system.liouvillian, 60.0,
+                                   201)
     for rho0, states, projected in zip(probes, stacked.states,
                                        stacked.meta["projected"]):
         alone = evolve_expm(rho0, system.liouvillian, 60.0, 201)
         assert projected == alone.meta["projected"]
         assert np.array_equal(states.view(np.uint64),
                               alone.states.view(np.uint64))
+
+
+def test_evolve_expm_matches_the_per_state_loop_on_a_stack_of_one():
+    sc = {sc.name: sc for sc in catalog()}["both_symmetric:sxsy"]
+    system = prepare(sc, 0.1, 3.5)
+    psi = probe_states(system.ground)["quarter"]
+    probes = np.outer(psi, psi.conj())[None]
+    traj = evolve_expm(probes, system.liouvillian, 200.0, 201)
+    _assert_expm_matches_reference(traj, probes, system.liouvillian, 200.0,
+                                   201)
 
 
 def test_subspace_block_identity_on_protected_channel(hams):

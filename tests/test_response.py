@@ -141,13 +141,37 @@ def test_interaction_picture_of_many_times_matches_one_call_per_time(hams):
         [interaction_picture(o, hams["both_symmetric"], t) for t in times]))
 
 
+def _delta_rho_reference(rho0_t, o, h, gamma, t, n_quad):
+    """delta_rho's integrand summed by a loop over the nodes, acc = acc +
+    w * term from zero, with the Simpson weights written out here: the
+    reference delta_rho's one-reduce sum is pinned to."""
+    o_tp = interaction_picture(o, h, -(t * np.arange(n_quad + 1) / n_quad))
+    o_tp = np.expand_dims(o_tp, tuple(range(1, rho0_t.ndim - 1)))
+    o_dag = o_tp.conj().swapaxes(-2, -1)
+    odo = o_dag @ o_tp
+    terms = (2.0 * (o_tp @ rho0_t @ o_dag)
+             - (odo @ rho0_t + rho0_t @ odo))
+    weights = np.ones(n_quad + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    acc = np.zeros_like(rho0_t)
+    for w, term in zip(weights * (t / n_quad / 3.0), terms):
+        acc = acc + w * term
+    return gamma * acc
+
+
 def test_delta_rho_corrects_each_state_of_a_stack_as_if_alone(row_probes):
     # the oracle's call: every row's three probes at gamma = 1e-3 and
-    # gamma*t = 0.5, against one call per probe, bit for bit; a stack with
-    # two leading axes gives the same bits too
+    # gamma*t = 0.5, against one call per probe and against the per-node
+    # sum, bit for bit; a stack with two leading axes gives the same bits
+    # too
     for name, system, probes in row_probes:
         stacked = delta_rho(probes, system.o, system.h, 1e-3, 500.0, 128)
         assert stacked.shape == probes.shape
+        expected = _delta_rho_reference(probes, system.o, system.h, 1e-3,
+                                        500.0, 128)
+        assert np.array_equal(stacked.view(np.uint64),
+                              expected.view(np.uint64)), name
         for rho0, got in zip(probes, stacked):
             alone = delta_rho(rho0, system.o, system.h, 1e-3, 500.0, 128)
             assert np.array_equal(got.view(np.uint64),
@@ -155,3 +179,13 @@ def test_delta_rho_corrects_each_state_of_a_stack_as_if_alone(row_probes):
         nested = delta_rho(probes[None], system.o, system.h, 1e-3, 500.0, 128)
         assert np.array_equal(nested.view(np.uint64),
                               stacked[None].view(np.uint64)), name
+
+
+@pytest.mark.parametrize("n_quad", [16, 128])
+def test_delta_rho_matches_the_per_node_sum_on_one_state(hams, n_quad):
+    o = _op("sxsysz")
+    h = hams["both_symmetric"]
+    rho_t = _reference(h, o, 3.0)
+    got = delta_rho(rho_t, o, h, 0.013, 3.0, n_quad)
+    expected = _delta_rho_reference(rho_t, o, h, 0.013, 3.0, n_quad)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
