@@ -224,6 +224,27 @@ def probe_states(ground: GroundSubspace) -> dict:
     }
 
 
+def _probe_densities(systems: list) -> np.ndarray:
+    """The probe states of every system as densities (systems, 3, d, d),
+    in probe_states order."""
+    return np.stack([[np.outer(psi, psi.conj())
+                      for psi in probe_states(system.ground).values()]
+                     for system in systems])
+
+
+def _finite(traj: Trajectory, integrator: str, gamma: float) -> Trajectory:
+    """traj, whose every sampled state must be finite.
+
+    Raises:
+        PropagationError: a sampled state is not finite.
+    """
+    if not np.isfinite(traj.states).all():
+        raise PropagationError(
+            f"the {integrator} trajectory at gamma={gamma:g} is not "
+            f"finite: hamiltonian (e_g), coupling, gamma or t_max too large")
+    return traj
+
+
 def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
               n_samples: int = TABLE_SAMPLES, integrator: str = "expm",
               dt: float | None = None) -> Trajectory:
@@ -241,11 +262,7 @@ def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
                           dt=dt, n_samples=n_samples)
     else:
         traj = evolve_expm(rho0, system.liouvillian, t_max, n_samples)
-    if not np.isfinite(traj.states).all():
-        raise PropagationError(
-            f"the {integrator} trajectory at gamma={system.gamma:g} is not "
-            f"finite: hamiltonian (e_g), coupling, gamma or t_max too large")
-    return traj
+    return _finite(traj, integrator, system.gamma)
 
 
 def doublet_block(system: ScenarioSystem) -> Proportionality:
@@ -258,70 +275,103 @@ def doublet_block(system: ScenarioSystem) -> Proportionality:
 _WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
 
 
-def run_scenario(sc: Scenario, gamma: float = DEFAULT_GAMMA,
-                 horizon: float = DEFAULT_HORIZON) -> Verdict:
-    """Run one scenario end to end and assemble its Verdict.
+def assess(systems: list, horizon: float = DEFAULT_HORIZON) -> list:
+    """Run every verdict route on a stack of prepared systems at once.
 
-    Propagate the three probe states exactly up to gamma*t = horizon,
-    observe each in the doublet, and decide: the worst probe (Ambiguous,
-    then Decoherence, then Coherence) sets the coherence verdict, and the
-    series quantities come from the equal superposition. The doublet
-    block, the Schur projection and the first-order response oracle add
-    the non-dynamical verdicts on the same prepared system.
+    The systems share their dimension and gamma. Their probe states
+    propagate exactly up to gamma*t = horizon in one evolve_expm call on
+    the stacked Liouvillians and are observed in one pass, each in its own
+    system's doublet. For each system the worst probe (Ambiguous, then
+    Decoherence, then Coherence) sets the coherence verdict, and the
+    series quantities come from the equal superposition; the first-order
+    response oracle, the doublet block and the Schur projection add the
+    non-dynamical verdicts, system by system. Returns, per system in
+    order, a dict of the Verdict fields the routes measure.
+
+    Raises:
+        ValueError: the systems do not share gamma.
+        PropagationError: a probe trajectory is not finite.
+    """
+    gamma = systems[0].gamma
+    if any(system.gamma != gamma for system in systems):
+        raise ValueError("assess needs one gamma for every system")
+    traj = _finite(evolve_expm(_probe_densities(systems),
+                               np.stack([s.liouvillian for s in systems]),
+                               horizon / gamma, TABLE_SAMPLES),
+                   "expm", gamma)
+    bases = np.stack([system.ground.basis for system in systems])
+    series, blocks = observe_subspace(traj, bases[:, None, None])
+    rho_g = normalize_subspace(blocks[:, 0])  # the equal superposition
+    max_drift = np.linalg.norm(rho_g - rho_g[:, :1], axis=(-2, -1)).max(-1)
+
+    routes = []
+    for i, system in enumerate(systems):
+        # each system's conservation figures from its own states, so no
+        # temporary is the size of the whole stack
+        states = traj.states[i]  # (probes, samples, d, d)
+        adjoint = states.conj().swapaxes(-2, -1)
+        verdicts = {coherence_verdict(EntropySeries(*probe))
+                    for probe in zip(series.s_v[i], series.trace_g[i])}
+        bi = doublet_block(system)
+        schur_o = schur_test(system.ground.projector, system.o)
+        schur_q = schur_test(system.ground.projector,
+                             system.o.conj().T @ system.o)
+        routes.append(dict(
+            measured_coherence=next(v for v in _WORST_FIRST
+                                    if v in verdicts),
+            oracle_coherent=response_oracle_coherent(system),
+            block_identity=bi.proportional,
+            block_residual=bi.residual,
+            schur_proportional=schur_o.proportional and schur_q.proportional,
+            schur_residual=schur_o.residual,
+            peak_entropy=float(np.max(series.s_v[i])),
+            terminal_entropy=float(series.s_v[i, 0, -1]),
+            terminal_trace_g=float(series.trace_g[i, 0, -1]),
+            terminal_rho_g=rho_g[i, -1],
+            max_drift=float(max_drift[i]),
+            stationarity=float(np.linalg.norm(system.liouvillian
+                                              @ vec(states[0, -1]))),
+            trace_err=float(np.abs(np.trace(states, axis1=-2, axis2=-1)
+                                   - 1.0).max()),
+            herm_err=float(np.linalg.norm(states - adjoint,
+                                          axis=(-2, -1)).max()),
+            min_eig=float(np.linalg.eigvalsh((states + adjoint) / 2).min()),
+        ))
+    return routes
+
+
+def run_scenario(scenarios: list, gamma: float = DEFAULT_GAMMA,
+                 horizon: float = DEFAULT_HORIZON) -> list:
+    """Run a stack of scenarios end to end; their Verdicts, in order.
+
+    One scenario is a stack of one. Every scenario is prepared at gamma
+    and its claimed signature checked before any is propagated; assess
+    then runs all of them as one stack. A row passes when its measured
+    verdict is the expected one and the doublet block agrees with it.
 
     Raises:
         CatalogIntegrityError: claimed symmetry signature fails verification.
-        PropagationError: the Liouvillian overflows, or a probe trajectory
-            is not finite.
+        PropagationError: a Liouvillian overflows, or a probe trajectory is
+            not finite.
     """
-    system = prepare(sc, gamma)
-    measured, _ = compute_signature(system.o, system.trev)
-    if measured != sc.claims:
-        raise CatalogIntegrityError(
-            f"{sc.name}: claims {sc.claims} but measured {measured}")
-
-    probes = np.stack([np.outer(psi, psi.conj())
-                       for psi in probe_states(system.ground).values()])
-    traj = propagate(system, probes, horizon / gamma)  # stacks probes first
-    series, blocks = observe_subspace(traj, system.ground.basis)
-
-    verdicts = {coherence_verdict(EntropySeries(*probe))
-                for probe in zip(series.s_v, series.trace_g)}
-    combined = next(v for v in _WORST_FIRST if v in verdicts)
-    rho_g = normalize_subspace(blocks[0])  # the equal superposition
-    max_drift = np.linalg.norm(rho_g - rho_g[0], axis=(-2, -1)).max()
-    adjoint = traj.states.conj().swapaxes(-2, -1)
-    trace_err = np.abs(np.trace(traj.states, axis1=-2, axis2=-1) - 1.0).max()
-    herm_err = np.linalg.norm(traj.states - adjoint, axis=(-2, -1)).max()
-    min_eig = np.linalg.eigvalsh((traj.states + adjoint) / 2).min()
-
-    bi = doublet_block(system)
-    schur_o = schur_test(system.ground.projector, system.o)
-    schur_q = schur_test(system.ground.projector, system.o.conj().T @ system.o)
-
-    return Verdict(
-        name=sc.name,
-        claims=sc.claims,
-        expected_coherence=sc.expected_coherence,
-        measured_coherence=combined,
-        oracle_coherent=response_oracle_coherent(system),
-        block_identity=bi.proportional,
-        block_residual=bi.residual,
-        schur_proportional=schur_o.proportional and schur_q.proportional,
-        schur_residual=schur_o.residual,
-        peak_entropy=float(np.max(series.s_v)),
-        terminal_entropy=float(series.s_v[0, -1]),
-        terminal_trace_g=float(series.trace_g[0, -1]),
-        terminal_rho_g=rho_g[-1],
-        max_drift=float(max_drift),
-        stationarity=float(np.linalg.norm(system.liouvillian
-                                          @ vec(traj.states[0, -1]))),
-        trace_err=float(trace_err),
-        herm_err=float(herm_err),
-        min_eig=float(min_eig),
-        passed=(combined == sc.expected_coherence
-                and bi.proportional == (combined is Coherence.COHERENT)),
-    )
+    systems = []
+    for sc in scenarios:
+        system = prepare(sc, gamma)
+        measured, _ = compute_signature(system.o, system.trev)
+        if measured != sc.claims:
+            raise CatalogIntegrityError(
+                f"{sc.name}: claims {sc.claims} but measured {measured}")
+        systems.append(system)
+    verdicts = []
+    for sc, routes in zip(scenarios, assess(systems, horizon)):
+        coherent = routes["measured_coherence"] is Coherence.COHERENT
+        verdicts.append(Verdict(
+            name=sc.name, claims=sc.claims,
+            expected_coherence=sc.expected_coherence,
+            passed=(routes["measured_coherence"] == sc.expected_coherence
+                    and routes["block_identity"] == coherent),
+            **routes))
+    return verdicts
 
 
 def response_oracle_coherent(system: ScenarioSystem) -> bool:
@@ -395,16 +445,17 @@ def reproduce_table(gamma: float = DEFAULT_GAMMA,
                     horizon: float = DEFAULT_HORIZON) -> TableReport:
     """Run the full table and cross-check against the response oracle.
 
-    Scenarios run independently and are aggregated in name order. The
-    verdict classification is gamma-independent at fixed gamma*t horizon.
+    The rows are prepared and checked in name order, then run as one
+    stack by run_scenario, and aggregated in name order. The verdict
+    classification is gamma-independent at fixed gamma*t horizon.
 
     Raises:
         CatalogIntegrityError: a row's claimed signature fails verification.
         PropagationError: a row's Liouvillian overflows at gamma, or a probe
             trajectory is not finite.
     """
-    verdicts = [run_scenario(sc, gamma=gamma, horizon=horizon)
-                for sc in sorted(catalog(), key=lambda sc: sc.name)]
+    verdicts = run_scenario(sorted(catalog(), key=lambda sc: sc.name),
+                            gamma=gamma, horizon=horizon)
     oracle = {v.name: v.oracle_coherent == (v.measured_coherence
                                             is Coherence.COHERENT)
               for v in verdicts}

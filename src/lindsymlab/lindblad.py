@@ -199,18 +199,21 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
 
 
 def _step_samples(flat: np.ndarray, props: list, which: np.ndarray) -> None:
-    """Fill samples 1.. of every state in flat (m, n_samples, d^2) from
-    sample 0, one matmul per step. Each stack element is the gemv that
-    props[j] @ flat[i, k] would make, so no state's bytes depend on its
-    neighbours; the states are never the columns of one gemm."""
+    """Fill samples 1.. of every state in flat (systems, states, n_samples,
+    d^2) from sample 0, one matmul per step. props[j] holds one propagator
+    per system, as (systems, 1, D, D), or one (D, D) for every state.
+    Each stack element is the gemv that its propagator @ flat[s, i, k]
+    would make, so no state's bytes depend on its neighbours; the states
+    are never the columns of one gemm."""
     for k, j in enumerate(which):
-        np.matmul(props[j], flat[:, k, :, None], out=flat[:, k + 1, :, None])
+        np.matmul(props[j], flat[..., k, :, None],
+                  out=flat[..., k + 1, :, None])
 
 
 def _trace_drift(flat: np.ndarray, d: int) -> np.ndarray:
     """Largest |tr rho(t_k) - tr rho(0)| of each state in flat."""
     traces = flat[..., ::d + 1].sum(axis=-1)  # diagonal entries of vec(rho)
-    return np.max(np.abs(traces - traces[:, :1]), axis=-1)
+    return np.max(np.abs(traces - traces[..., :1]), axis=-1)
 
 
 def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
@@ -220,46 +223,64 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     Exact up to roundoff for any step, so it serves as the reference the
     RK4 route is validated against. The steps of the sample grid can
     differ in the last bit, so one propagator is built per distinct step
-    and shared by a stack rho0 (..., d, d). The whole stack advances by
-    one matmul per sample step, which runs each state's own
-    matrix-vector product, so a state's bytes are those of a
-    single-state call.
+    and shared by a stack rho0 (..., d, d). l_mat is one Liouvillian
+    (D, D), a stack of one system, or a stack (n, D, D), one per system,
+    paired with rho0 (n, ..., d, d): each system gets its own propagators,
+    and a stack of one views its propagators instead of copying them. The
+    whole stack advances by one matmul per sample step, which runs each
+    state's own matrix-vector product, so a state's bytes are those of a
+    single-state call on its own Liouvillian.
 
     A Liouvillian of large norm can exponentiate to a step propagator that
     loses trace at roundoff level on every step. If a stored sample's
     trace then drifts from its rho0's by more than DEFAULT_TOL, the bound
-    evolve_rk4 holds its samples to as well, each step propagator P is
-    projected onto trace-preserving maps, P + (vec(I)/d)(vec(I)^T -
-    vec(I)^T P), that state alone is run again and meta["projected"][i]
+    evolve_rk4 holds its samples to as well, each step propagator P of its
+    system is projected onto trace-preserving maps, P + (vec(I)/d)(vec(I)^T
+    - vec(I)^T P), that state alone is run again and meta["projected"][i]
     set.
 
     Raises:
+        ValueError: a Liouvillian stack whose length is not rho0's first
+            axis.
         PropagationError: the trace still drifts past DEFAULT_TOL with the
             projected propagators.
     """
     d = rho0.shape[-1]
     times = sample_times(t_max, n_samples, d)
+    l_stack = l_mat.reshape((-1,) + l_mat.shape[-2:])  # a lone one is 1 system
+    systems = len(l_stack)
+    if rho0.shape[:l_mat.ndim - 2] != l_mat.shape[:-2]:
+        raise ValueError(f"{systems} Liouvillians for a stack of states of "
+                         f"shape {rho0.shape}")
     # scipy.linalg is imported here, its only user, so that runs that never
     # call expm skip its import time
     import scipy.linalg
 
     steps, which = np.unique(np.diff(times), return_inverse=True)
-    props = [scipy.linalg.expm(l_mat * step) for step in steps]
+    # one (systems, 1, D, D) array per distinct step; np.stack would copy
+    # a lone propagator (16 MB at spin 31/2), so that one is a view
+    props = []
+    for step in steps:
+        p = [scipy.linalg.expm(l * step) for l in l_stack]
+        props.append(p[0][None, None] if systems == 1 else np.stack(p)[:, None])
     states = np.empty(rho0.shape[:-2] + (n_samples, d, d), dtype=complex)
-    # a view of states: one row of vec(rho) per state and sample
-    flat = states.reshape(-1, n_samples, d * d)
-    flat[:, 0] = rho0.reshape(-1, d * d)
+    # a view of states: one row of vec(rho) per system, state and sample
+    flat = states.reshape(systems, -1, n_samples, d * d)
+    flat[:, :, 0] = rho0.reshape(systems, -1, d * d)
     _step_samples(flat, props, which)
     drift = _trace_drift(flat, d)
     # a trajectory that is not finite is the caller's to reject
     projected = (DEFAULT_TOL < drift) & (drift < np.inf)
-    trace_row, trace_props = vec(np.eye(d)), []
-    for i in np.flatnonzero(projected):
-        trace_props = trace_props or [
-            p + np.outer(trace_row / d, trace_row - trace_row @ p)
-            for p in props]
-        _step_samples(flat[i:i + 1], trace_props, which)
-        drift_i = _trace_drift(flat[i:i + 1], d)[0]
+    trace_row, trace_props = vec(np.eye(d)), {}
+    for s, i in np.argwhere(projected):
+        if s not in trace_props:  # built once per system that drifts
+            trace_props[s] = [
+                p[s, 0] + np.outer(trace_row / d,
+                                   trace_row - trace_row @ p[s, 0])
+                for p in props]
+        alone = flat[s:s + 1, i:i + 1]
+        _step_samples(alone, trace_props[s], which)
+        drift_i = _trace_drift(alone, d)[0, 0]
         if not drift_i <= DEFAULT_TOL:
             raise PropagationError(
                 f"the expm trajectory drifts the trace by {drift_i:.3e} "

@@ -8,6 +8,8 @@ catalog so that scenarios, configs, and tests all speak the same names.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +50,11 @@ class OperatorSpec:
             raise ValueError("OperatorSpec needs exactly one of name or matrix")
 
 
+@functools.cache
 def spin_matrices(s: float) -> SpinTriple:
     """Build Sx, Sy, Sz for total spin s via ladder operators.
+
+    Built once per spin and process; the matrices are read-only.
 
     Args:
         s: half-integer spin quantum number (1/2, 1, 3/2, ...).
@@ -77,6 +82,8 @@ def spin_matrices(s: float) -> SpinTriple:
     sx = (s_plus + s_minus) / 2
     sy = (s_plus - s_minus) / 2j
     sz = np.diag(m).astype(complex)
+    for arr in (sx, sy, sz):
+        arr.setflags(write=False)
     return SpinTriple(sx=sx, sy=sy, sz=sz)
 
 
@@ -144,6 +151,13 @@ def canonical_name(name: str) -> str:
     return key
 
 
+def _frob(m: ComplexMatrix) -> float:
+    """symmetry.frob: inf, without a numpy warning, when the norm overflows."""
+    # imported here: symmetry builds on this module's spin matrices
+    from .symmetry import frob
+    return frob(m)
+
+
 def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     """Resolve a Hamiltonian spec to a Hermitian matrix scaled by E_g.
 
@@ -153,21 +167,28 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
         spins: spin matrices of the working dimension.
 
     Raises:
-        ValueError: unknown name, or a literal matrix that is not Hermitian.
+        ValueError: unknown name, a Hamiltonian whose Frobenius norm times
+            E_g overflows (checked before the product, and before the
+            Hermiticity test compares norms), or a literal matrix that is
+            not Hermitian.
     """
     if spec.matrix is not None:
         h = np.asarray(spec.matrix, dtype=complex)
         _check_dims(h, spins.sz)
-        # an overflowing norm is inf, without a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            asym, size = np.linalg.norm(h - h.conj().T), np.linalg.norm(h)
-        if asym > 1e-12 * max(1.0, size):
-            raise ValueError("literal Hamiltonian must be Hermitian")
-        return spec.scale * h
-    key = canonical_name(spec.name)
-    if key not in _HAMILTONIANS:
-        raise ValueError(f"{spec.name!r} names a coupling operator, not a Hamiltonian")
-    return spec.scale * _HAMILTONIANS[key](spins)
+    else:
+        key = canonical_name(spec.name)
+        if key not in _HAMILTONIANS:
+            raise ValueError(f"{spec.name!r} names a coupling operator, "
+                             f"not a Hamiltonian")
+        h = _HAMILTONIANS[key](spins)
+    if not abs(spec.scale) * _frob(h) < math.inf:
+        raise ValueError("hamiltonian: its Frobenius norm times e_g "
+                         "overflows")
+    # a finite norm bounds every entry, so h - h^dag cannot overflow
+    if (spec.matrix is not None
+            and _frob(h - h.conj().T) > 1e-12 * max(1.0, _frob(h))):
+        raise ValueError("literal Hamiltonian must be Hermitian")
+    return spec.scale * h
 
 
 def build_coupling(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
@@ -188,9 +209,12 @@ def build_coupling(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
             raise ValueError(f"{spec.name!r} names a Hamiltonian, not a "
                              f"coupling operator")
         o = _COUPLINGS[key](spins)
+    # checked before the product, which would overflow with a numpy
+    # warning, and after it, since the norm squares the scaled entries
+    refusal = "coupling: its Frobenius norm overflows"
+    if not abs(spec.scale) * _frob(o) < math.inf:
+        raise ValueError(refusal)
     o = spec.scale * o
-    # imported here: symmetry builds on this module's spin matrices
-    from .symmetry import frob
-    if not frob(o) < np.inf:
-        raise ValueError("coupling: its Frobenius norm overflows")
+    if not _frob(o) < math.inf:
+        raise ValueError(refusal)
     return o

@@ -92,12 +92,13 @@ def ground_subspace(h: ComplexMatrix,
 def subspace_density(rho: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatrix:
     """Restrict a density matrix, or a stack of them, to the span of basis.
 
-    rho has shape (..., d, d); returns basis^dag rho basis of shape
-    (..., g, g). Its trace is the subspace population and is generally
-    below one once leakage sets in. Nothing is checked here: the
+    rho has shape (..., d, d) and basis (d, g), or a stack of bases that
+    broadcasts against rho's leading axes; returns basis^dag rho basis of
+    shape (..., g, g). Its trace is the subspace population and is
+    generally below one once leakage sets in. Nothing is checked here: the
     propagators own their samples' trace and finiteness.
     """
-    return basis.conj().T @ rho @ basis
+    return basis.conj().swapaxes(-2, -1) @ rho @ basis
 
 
 def normalize_subspace(rho_g: ComplexMatrix) -> ComplexMatrix:

@@ -87,12 +87,14 @@ def quaternion_group() -> UnitaryGroup:
     return UnitaryGroup(elements=elements, labels=labels)
 
 
+@functools.cache
 def time_reversal(s: float = 1.5) -> AntiUnitaryOp:
     """Construct T = exp(-i pi Sy) K for the given spin.
 
     The unitary part is real and satisfies u S* u^dag = -S for all three
     spin matrices; u u* is -1 for half-integer spin and +1 for integer
-    spin. Both properties are checked at build time.
+    spin. Both properties are checked at build time. Built once per spin
+    and process; u is read-only.
 
     Raises:
         ValueError: if a property check exceeds 1e-10.
@@ -112,6 +114,7 @@ def time_reversal(s: float = 1.5) -> AntiUnitaryOp:
     ]
     if max(checks) > 1e-10:
         raise ValueError(f"time-reversal construction failed checks: {checks}")
+    u.setflags(write=False)
     return t
 
 

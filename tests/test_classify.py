@@ -1,14 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from lindsymlab import classify, observables
+from lindsymlab import classify, observables, operators, symmetry
 from lindsymlab.classify import (CatalogIntegrityError, SymmetryClaims,
-                                 compute_signature, prepare,
-                                 probe_states, reproduce_table,
+                                 Verdict, assess, compute_signature,
+                                 doublet_block, prepare, probe_states,
+                                 propagate, reproduce_table,
                                  response_oracle_coherent, run_scenario)
-from lindsymlab.observables import Coherence
+from lindsymlab.lindblad import vec
+from lindsymlab.observables import (Coherence, EntropySeries,
+                                    coherence_verdict, observe_subspace)
 from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
+from lindsymlab.spectra import normalize_subspace
+from lindsymlab.symmetry import schur_test
 
 
 def test_catalog_shape(scenarios):
@@ -78,7 +85,7 @@ def test_probe_states_layout(scenarios):
 
 
 def test_run_scenario_protected_row(scenarios):
-    v = run_scenario(scenarios["q_symmetric:sy2"])
+    [v] = run_scenario([scenarios["q_symmetric:sy2"]])
     system = prepare(scenarios["q_symmetric:sy2"])
     p = system.ground.projector
     assert v.passed
@@ -95,7 +102,7 @@ def test_run_scenario_protected_row(scenarios):
 
 
 def test_run_scenario_decoherent_row(scenarios):
-    v = run_scenario(scenarios["tr_invariant:sz"])
+    [v] = run_scenario([scenarios["tr_invariant:sz"]])
     assert v.passed
     assert v.measured_coherence is Coherence.DECOHERENT
     assert not v.block_identity
@@ -107,7 +114,7 @@ def test_run_scenario_decoherent_row(scenarios):
 
 
 def test_run_scenario_builds_one_liouvillian(scenarios, liouvillian_builds):
-    run_scenario(scenarios["tr_invariant:sz"], gamma=0.05)
+    run_scenario([scenarios["tr_invariant:sz"]], gamma=0.05)
     assert len(liouvillian_builds) == 1
     assert liouvillian_builds[0][2] == 0.05
 
@@ -115,7 +122,7 @@ def test_run_scenario_builds_one_liouvillian(scenarios, liouvillian_builds):
 def test_run_scenario_worst_probe_decides(scenarios):
     # hermitian coupling failing both protections: one probe looks frozen
     # but the other two decohere, and the worst probe wins
-    v = run_scenario(scenarios["both_symmetric:sx"])
+    [v] = run_scenario([scenarios["both_symmetric:sx"]])
     assert v.measured_coherence is Coherence.DECOHERENT
     assert v.passed
 
@@ -125,7 +132,7 @@ def test_run_scenario_reports_an_ambiguous_row(scenarios, monkeypatch):
     # (Coherence), the other two peak at ln 2 between the thresholds
     # (Ambiguous), and the worst probe decides the row
     monkeypatch.setattr(observables, "DEFAULT_DEC_TOL", 1.0)
-    v = run_scenario(scenarios["both_symmetric:sx"])
+    [v] = run_scenario([scenarios["both_symmetric:sx"]])
     assert v.measured_coherence is Coherence.AMBIGUOUS
     assert not v.passed
     assert 1e-2 < v.peak_entropy < 1e2
@@ -193,7 +200,7 @@ def test_catalog_rejects_tampered_claims(scenarios):
         sc, claims=SymmetryClaims(hermitian=False, commutes_t=True,
                                   commutes_q=True))
     with pytest.raises(CatalogIntegrityError):
-        run_scenario(wrong)
+        run_scenario([wrong])
 
 
 def test_a_table_makes_one_expm_and_one_interaction_picture_per_row(
@@ -213,3 +220,109 @@ def test_a_table_makes_one_expm_and_one_interaction_picture_per_row(
     assert report.all_pass and report.oracle_all_agree
     assert len(report.verdicts) == 16
     assert (len(expms), len(pictures)) == (16, 16)
+
+
+_WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
+
+
+def _run_scenario_reference(sc, gamma, horizon=20.0):
+    """One row end to end through its own calls, the way the table ran
+    before it became one stack: the reference the stacked table is pinned
+    to."""
+    system = prepare(sc, gamma)
+    measured, _ = compute_signature(system.o, system.trev)
+    assert measured == sc.claims, sc.name
+    probes = np.stack([np.outer(psi, psi.conj())
+                       for psi in probe_states(system.ground).values()])
+    traj = propagate(system, probes, horizon / gamma)
+    series, blocks = observe_subspace(traj, system.ground.basis)
+    verdicts = {coherence_verdict(EntropySeries(*probe))
+                for probe in zip(series.s_v, series.trace_g)}
+    combined = next(v for v in _WORST_FIRST if v in verdicts)
+    rho_g = normalize_subspace(blocks[0])
+    max_drift = np.linalg.norm(rho_g - rho_g[0], axis=(-2, -1)).max()
+    adjoint = traj.states.conj().swapaxes(-2, -1)
+    bi = doublet_block(system)
+    schur_o = schur_test(system.ground.projector, system.o)
+    schur_q = schur_test(system.ground.projector, system.o.conj().T @ system.o)
+    return Verdict(
+        name=sc.name, claims=sc.claims,
+        expected_coherence=sc.expected_coherence,
+        measured_coherence=combined,
+        oracle_coherent=response_oracle_coherent(system),
+        block_identity=bi.proportional, block_residual=bi.residual,
+        schur_proportional=schur_o.proportional and schur_q.proportional,
+        schur_residual=schur_o.residual,
+        peak_entropy=float(np.max(series.s_v)),
+        terminal_entropy=float(series.s_v[0, -1]),
+        terminal_trace_g=float(series.trace_g[0, -1]),
+        terminal_rho_g=rho_g[-1],
+        max_drift=float(max_drift),
+        stationarity=float(np.linalg.norm(system.liouvillian
+                                          @ vec(traj.states[0, -1]))),
+        trace_err=float(np.abs(np.trace(traj.states, axis1=-2, axis2=-1)
+                               - 1.0).max()),
+        herm_err=float(np.linalg.norm(traj.states - adjoint,
+                                      axis=(-2, -1)).max()),
+        min_eig=float(np.linalg.eigvalsh((traj.states + adjoint) / 2).min()),
+        passed=(combined == sc.expected_coherence
+                and bi.proportional == (combined is Coherence.COHERENT)),
+    )
+
+
+@pytest.mark.parametrize("gamma", [0.025, 0.1, 0.4])
+def test_the_stacked_table_matches_one_row_at_a_time(scenarios, gamma):
+    # every field of every row, floats and the terminal block as uint64
+    report = reproduce_table(gamma=gamma)
+    assert len(report.verdicts) == 16
+    for v in report.verdicts:
+        ref = _run_scenario_reference(scenarios[v.name], gamma)
+        for field in dataclasses.fields(Verdict):
+            got, want = getattr(v, field.name), getattr(ref, field.name)
+            assert type(got) is type(want), (v.name, field.name)
+            if isinstance(want, (float, np.ndarray)):
+                assert np.array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(want).view(np.uint64)), (
+                    v.name, field.name)
+            else:
+                assert got == want, (v.name, field.name)
+
+
+def test_a_table_propagates_and_observes_once(record_calls, monkeypatch):
+    # one call of each on the whole (16, 3, 4, 4) probe stack; each row's
+    # Liouvillian is exponentiated once, as its grid has one distinct step,
+    # and the oracle corrects each row's three probes in its own call
+    evolves = record_calls("lindblad.evolve_expm")
+    observes = record_calls("observables.observe_subspace")
+    deltas = record_calls("response.delta_rho")
+    expms = []
+    expm = scipy.linalg.expm
+
+    def counting(a, *args, **kwargs):
+        expms.append(a)
+        return expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    report = reproduce_table()
+    assert report.all_pass and report.oracle_all_agree
+    assert (len(evolves), len(observes), len(deltas)) == (1, 1, 16)
+    rho0, l_mat = evolves[0][:2]
+    assert rho0.shape == (16, 3, 4, 4) and l_mat.shape == (16, 16, 16)
+    assert all(call[0].shape == (3, 4, 4) for call in deltas)
+    assert len(expms) == 16
+    assert all(a.shape == (16, 16) for a in expms)
+
+
+def test_a_fresh_table_builds_time_reversal_once():
+    symmetry.time_reversal.cache_clear()
+    operators.spin_matrices.cache_clear()
+    reproduce_table()
+    assert symmetry.time_reversal.cache_info().misses == 1
+    assert operators.spin_matrices.cache_info().misses == 1
+
+
+def test_assess_needs_one_gamma(scenarios):
+    systems = [prepare(scenarios["tr_invariant:sz"], gamma)
+               for gamma in (0.1, 0.2)]
+    with pytest.raises(ValueError, match="gamma"):
+        assess(systems)

@@ -209,6 +209,28 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
     pytest.param("simulate", {"e_g": 1e300}, ("e_g",), id="e_g-1e300"),
     pytest.param("simulate", {"coupling": {"name": "sz", "scale": 1e200}},
                  ("coupling",), id="scale-1e200"),
+    # refused before the product by the scale, which would overflow first
+    pytest.param("simulate", {"coupling": {**_diag_coupling(1e200),
+                                           "scale": 1e200}},
+                 ("coupling",), id="matrix-1e200-scale-1e200"),
+    pytest.param("simulate", {"hamiltonian": _diag_coupling(1e200),
+                              "e_g": 1e200}, ("hamiltonian", "e_g"),
+                 id="hamiltonian-1e200-e_g-1e200"),
+    # not Hermitian, and refused before inf > inf calls it Hermitian
+    pytest.param("simulate", {"hamiltonian": {"matrix": [
+        [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]}},
+                 ("hamiltonian",), id="hamiltonian-non-hermitian-1e200"),
+    # a negative e_g or scale overflows the same as a positive one
+    pytest.param("simulate", {"hamiltonian": {"matrix": [
+        [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]},
+                              "e_g": -1.0}, ("hamiltonian",),
+                 id="hamiltonian-non-hermitian-1e200-e_g-minus-1"),
+    pytest.param("simulate", {"hamiltonian": _diag_coupling(1e200),
+                              "e_g": -1e200}, ("hamiltonian", "e_g"),
+                 id="hamiltonian-1e200-e_g-minus-1e200"),
+    pytest.param("simulate", {"coupling": {**_diag_coupling(1e200),
+                                           "scale": -1e200}},
+                 ("coupling",), id="matrix-1e200-scale-minus-1e200"),
     pytest.param("simulate", _DRAINED, ("t_max", "subspace population"),
                  id="drained-expm"),
     pytest.param("simulate", {**_DRAINED, "integrator": "rk4", "dt": 0.1},
@@ -634,7 +656,8 @@ def test_simulate_block_test_agrees_with_run_scenario(tmp_path, capsys):
         out = tmp_path / coupling
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["block_identity"] == run_scenario(sc).block_identity
+        [v] = run_scenario([sc])
+        assert summary["block_identity"] == v.block_identity
     capsys.readouterr()
 
 

@@ -1,15 +1,14 @@
 """Only the code that builds a matrix silences numpy's overflow warnings
-for it: np.errstate appears in liouvillian_matrix, frob and
-build_hamiltonian and nowhere else in the package, so no caller hides a
-warning that the builder ought to prevent."""
+for it: np.errstate appears in liouvillian_matrix and frob and nowhere
+else in the package, so no caller hides a warning that the builder ought
+to prevent."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lindsymlab"
 
-OWNERS = {("lindblad.py", "liouvillian_matrix"), ("symmetry.py", "frob"),
-          ("operators.py", "build_hamiltonian")}
+OWNERS = {("lindblad.py", "liouvillian_matrix"), ("symmetry.py", "frob")}
 
 
 def errstate_uses(source: str) -> list:

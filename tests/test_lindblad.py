@@ -438,3 +438,34 @@ def test_subspace_block_detects_leaky_channel(hams):
     res = block_identity_test(block)
     assert not res.proportional
     assert res.residual > 1e-3
+
+
+def test_evolve_expm_steps_a_stack_of_systems_each_as_if_alone():
+    # two systems at spin 15/2 and gamma = 10 up to t = 60: sx2 drifts
+    # nowhere, sx2sz drifts in its equal and quarter probes; only those
+    # two states are projected, with sx2sz's own propagators, and each
+    # system keeps the bits of its single-system call
+    by = {sc.name: sc for sc in catalog()}
+    systems = [prepare(by[name], 10.0, 7.5)
+               for name in ("both_symmetric:sx2", "both_symmetric:sx2sz")]
+    probes = np.stack([[np.outer(psi, psi.conj())
+                        for psi in probe_states(system.ground).values()]
+                       for system in systems])
+    stacked = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
+                          60.0, 201)
+    assert stacked.states.shape == (2, 3, 201, 16, 16)
+    assert stacked.meta["projected"].tolist() == [[False, False, False],
+                                                  [True, True, False]]
+    for system, rho0, states, projected in zip(
+            systems, probes, stacked.states, stacked.meta["projected"]):
+        alone = evolve_expm(rho0, system.liouvillian, 60.0, 201)
+        assert projected.tolist() == alone.meta["projected"].tolist()
+        assert np.array_equal(states.view(np.uint64),
+                              alone.states.view(np.uint64))
+
+
+def test_evolve_expm_pairs_one_liouvillian_with_each_system(hams):
+    l_mat = liouvillian_matrix(hams["both_symmetric"], _op("sx"), 0.1)
+    rho0 = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+    with pytest.raises(ValueError, match="2 Liouvillians"):
+        evolve_expm(rho0, np.stack([l_mat, l_mat]), 1.0, 11)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,56 @@ def test_anticommuting_pair_value(spins):
     # {Sx, Sz} for spin 3/2 is the tr_invariant Hamiltonian at scale 1
     h = build_hamiltonian(OperatorSpec(name="tr_invariant"), spins)
     assert np.allclose(h, anticommutator(spins.sx, spins.sz), atol=1e-15)
+
+
+@pytest.mark.parametrize("matrix, scale", [
+    ([[1e200, 0, 0, 0], [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+     1e200),
+    ([[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], 1.0),
+    ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], 1e308),
+    ([[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], -1.0),
+    ([[1e200, 0, 0, 0], [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+     -1e200),
+], ids=["scaled-1e200", "non-hermitian-1e200", "e_g-1e308",
+        "non-hermitian-1e200-e_g-minus-1", "scaled-minus-1e200"])
+def test_a_hamiltonian_whose_norm_overflows_is_refused_quietly(spins, matrix,
+                                                               scale):
+    # refused before the product and before the Hermiticity test, whose
+    # inf > inf would pass a non-Hermitian matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^hamiltonian: .* e_g"):
+            build_hamiltonian(OperatorSpec(matrix=np.array(matrix, complex),
+                                           scale=scale), spins)
+
+
+def test_a_named_hamiltonian_at_e_g_1e300_is_built(spins):
+    # its norm is finite; the Liouvillian is what overflows
+    h = build_hamiltonian(OperatorSpec(name="both_symmetric", scale=1e300),
+                          spins)
+    assert np.isfinite(h).all()
+
+
+@pytest.mark.parametrize("spec", [
+    OperatorSpec(matrix=np.diag([1e200, 0, 0, 1]).astype(complex),
+                 scale=1e200),
+    OperatorSpec(matrix=np.diag([1e200, 0, 0, 1]).astype(complex),
+                 scale=-1e200),
+    OperatorSpec(name="sz", scale=1e200),
+    OperatorSpec(name="sz", scale=-1e200),
+], ids=["matrix-times-scale", "matrix-times-minus-scale", "norm-after-scale",
+        "norm-after-minus-scale"])
+def test_a_coupling_whose_norm_overflows_is_refused_quietly(spins, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^coupling: "):
+            build_coupling(spec, spins)
+
+
+def test_spin_matrices_are_built_once_and_read_only():
+    t = spin_matrices(2.5)
+    assert spin_matrices(2.5) is t
+    for arr in (t.sx, t.sy, t.sz):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        t.sz[0, 0] = 0.0

@@ -88,11 +88,11 @@ def test_random_couplings_in_every_class_follow_the_rule(hams, trev, group):
         o = _draw(rng, claims, trev, group)
         assert compute_signature(o, trev)[0] == claims, (ham, claims)
         coherent = protected(HAMILTONIAN_SIGNATURES[ham], claims)
-        v = run_scenario(Scenario(
+        [v] = run_scenario([Scenario(
             name=f"{ham}:random", hamiltonian=OperatorSpec(name=ham),
             coupling=OperatorSpec(matrix=o), claims=claims,
             expected_coherence=(Coherence.COHERENT if coherent
-                                else Coherence.DECOHERENT)))
+                                else Coherence.DECOHERENT))])
         routes = (v.block_identity, v.schur_proportional, v.oracle_coherent)
         assert routes == (coherent,) * 3, (ham, claims, routes)
         assert v.measured_coherence is not (

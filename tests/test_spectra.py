@@ -156,3 +156,17 @@ def test_stacks_match_one_call_per_matrix(hams, trev):
     depleted[5] = 0.0
     with pytest.raises(SubspaceDepletedError):
         normalize_subspace(depleted)
+
+
+def test_a_stack_of_bases_matches_one_call_per_basis(hams, trev):
+    rng = np.random.default_rng(12)
+    bases = np.stack([ground_subspace(hams["tr_invariant"],
+                                      pairing=trev).basis,
+                      ground_subspace(hams["q_symmetric"]).basis])
+    a = rng.normal(size=(2, 5, 4, 4)) + 1j * rng.normal(size=(2, 5, 4, 4))
+    stack = a @ a.conj().swapaxes(-2, -1)
+    blocks = subspace_density(stack, bases[:, None])
+    assert blocks.shape == (2, 5, 2, 2)
+    for basis, rho, got in zip(bases, stack, blocks):
+        assert np.array_equal(got.view(np.uint64),
+                              subspace_density(rho, basis).view(np.uint64))

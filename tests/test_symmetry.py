@@ -171,3 +171,11 @@ def test_quaternion_group_is_built_once_and_read_only():
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         group.elements[0][0, 0] = 2.0
+
+
+def test_time_reversal_is_built_once_per_spin_and_read_only():
+    t = time_reversal(3.5)
+    assert time_reversal(3.5) is t
+    assert not t.u.flags.writeable
+    with pytest.raises(ValueError):
+        t.u[0, 0] = 2.0
