@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import (PropagationError, Trajectory, block_identity_test,
-                       evolve_expm, evolve_rk4, liouvillian_matrix,
-                       subspace_block, vec)
+from .lindblad import (Trajectory, block_identity_test, evolve_expm,
+                       evolve_rk4, liouvillian_matrix, subspace_block, vec)
 from .observables import (Coherence, EntropySeries, coherence_verdict,
                           observe_subspace)
 from .operators import (ComplexMatrix, OperatorSpec, build_coupling,
@@ -209,40 +208,19 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA,
                           liouvillian=liouvillian_matrix(h, o, gamma))
 
 
-def probe_states(ground: GroundSubspace) -> dict:
-    """Three doublet states that jointly witness a for-all-states property.
+def probe_densities(ground: GroundSubspace) -> np.ndarray:
+    """Three doublet states that jointly witness a for-all-states property,
+    as densities (3, d, d): the equal, quarter-phase and basis
+    superpositions, in that order.
 
     A single initial state can sit in a decaying-but-form-invariant
-    direction of a decoherent channel; the equal, quarter-phase, and basis
-    superpositions cannot all do so simultaneously.
+    direction of a decoherent channel; the three cannot all do so
+    simultaneously.
     """
     fp, fm = ground.basis[:, 0], ground.basis[:, 1]
-    return {
-        "equal": (fp + fm) / np.sqrt(2.0),
-        "quarter": (fp + 1j * fm) / np.sqrt(2.0),
-        "basis": fp,
-    }
-
-
-def _probe_densities(systems: list) -> np.ndarray:
-    """The probe states of every system as densities (systems, 3, d, d),
-    in probe_states order."""
-    return np.stack([[np.outer(psi, psi.conj())
-                      for psi in probe_states(system.ground).values()]
-                     for system in systems])
-
-
-def _finite(traj: Trajectory, integrator: str, gamma: float) -> Trajectory:
-    """traj, whose every sampled state must be finite.
-
-    Raises:
-        PropagationError: a sampled state is not finite.
-    """
-    if not np.isfinite(traj.states).all():
-        raise PropagationError(
-            f"the {integrator} trajectory at gamma={gamma:g} is not "
-            f"finite: hamiltonian (e_g), coupling, gamma or t_max too large")
-    return traj
+    return np.stack([np.outer(psi, psi.conj())
+                     for psi in ((fp + fm) / np.sqrt(2.0),
+                                 (fp + 1j * fm) / np.sqrt(2.0), fp)])
 
 
 def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
@@ -258,11 +236,9 @@ def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
             (StepSizeError), or a sampled state is not finite.
     """
     if integrator == "rk4":
-        traj = evolve_rk4(rho0, system.h, system.o, system.gamma, t_max,
+        return evolve_rk4(rho0, system.h, system.o, system.gamma, t_max,
                           dt=dt, n_samples=n_samples)
-    else:
-        traj = evolve_expm(rho0, system.liouvillian, t_max, n_samples)
-    return _finite(traj, integrator, system.gamma)
+    return evolve_expm(rho0, system.liouvillian, t_max, n_samples)
 
 
 def doublet_block(system: ScenarioSystem) -> Proportionality:
@@ -295,10 +271,9 @@ def assess(systems: list, horizon: float = DEFAULT_HORIZON) -> list:
     gamma = systems[0].gamma
     if any(system.gamma != gamma for system in systems):
         raise ValueError("assess needs one gamma for every system")
-    traj = _finite(evolve_expm(_probe_densities(systems),
-                               np.stack([s.liouvillian for s in systems]),
-                               horizon / gamma, TABLE_SAMPLES),
-                   "expm", gamma)
+    probes = np.stack([probe_densities(system.ground) for system in systems])
+    traj = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
+                       horizon / gamma, TABLE_SAMPLES)
     bases = np.stack([system.ground.basis for system in systems])
     series, blocks = observe_subspace(traj, bases[:, None, None])
     rho_g = normalize_subspace(blocks[:, 0])  # the equal superposition
@@ -319,7 +294,7 @@ def assess(systems: list, horizon: float = DEFAULT_HORIZON) -> list:
         routes.append(dict(
             measured_coherence=next(v for v in _WORST_FIRST
                                     if v in verdicts),
-            oracle_coherent=response_oracle_coherent(system),
+            oracle_coherent=response_oracle_coherent(system, probes[i]),
             block_identity=bi.proportional,
             block_residual=bi.residual,
             schur_proportional=schur_o.proportional and schur_q.proportional,
@@ -374,23 +349,23 @@ def run_scenario(scenarios: list, gamma: float = DEFAULT_GAMMA,
     return verdicts
 
 
-def response_oracle_coherent(system: ScenarioSystem) -> bool:
+def response_oracle_coherent(system: ScenarioSystem,
+                             probes: np.ndarray) -> bool:
     """Verdict from the first-order response, independent of the propagators.
 
-    For each probe state the first-order correction at gamma = 1e-3 and
-    gamma*t = 0.5 is projected onto the doublet and compared against the
-    initial subspace state: coherence means the correction only rescales
-    it. A probe lies in the ground eigenspace, so it is its own coherent
-    evolution and no propagator is called. The projected integrand is
-    constant in the quadrature variable, so Simpson is exact here and the
-    check is insensitive to the panel count.
+    probes is probe_densities(system.ground). For each probe the
+    first-order correction at gamma = 1e-3 and gamma*t = 0.5 is projected
+    onto the doublet and compared against the initial subspace state:
+    coherence means the correction only rescales it. A probe lies in the
+    ground eigenspace, so it is its own coherent evolution and no
+    propagator is called. The projected integrand is constant in the
+    quadrature variable, so Simpson is exact here and the check is
+    insensitive to the panel count.
     """
     gamma = 1e-3
     t = 0.5 / gamma
     basis = system.ground.basis
     coherent = True
-    probes = np.stack([np.outer(psi, psi.conj())
-                       for psi in probe_states(system.ground).values()])
     for rho0, delta in zip(probes, delta_rho(probes, system.o, system.h,
                                              gamma, t, 128)):
         d_g = basis.conj().T @ delta @ basis

@@ -265,15 +265,6 @@ def _prepare_doublet(cfg: RunConfig,
     return system, np.outer(psi0, psi0.conj())
 
 
-def _observe(traj, system: ScenarioSystem, t_max: float):
-    """observe_subspace; a drained or non-positive doublet is an input error."""
-    try:
-        return observe_subspace(traj, system.ground.basis)
-    except (SubspaceDepletedError, PositivityError) as exc:
-        raise ConfigError(f"the doublet cannot be observed up to "
-                          f"t_max={t_max:g}: {exc}") from None
-
-
 CSV_HEADER = "t,gamma_t,s_v,trace_g,re_rho_pp,re_rho_pm,im_rho_pm,re_rho_mm"
 
 
@@ -287,11 +278,12 @@ def cmd_simulate(args) -> int:
     t_max = cfg.t_max
     if args.horizon is not None or t_max is None:
         t_max = (args.horizon or DEFAULT_HORIZON) / cfg.gamma
+    args.t_max = t_max  # main names it if the doublet cannot be observed
 
     system, rho0 = _prepare_doublet(cfg, cfg.gamma)
     traj = propagate(system, rho0, t_max, cfg.n_samples, cfg.integrator,
                      cfg.dt)
-    series, blocks = _observe(traj, system, t_max)
+    series, blocks = observe_subspace(traj, system.ground.basis)
     verdict = coherence_verdict(series)
     block = doublet_block(system)
 
@@ -323,6 +315,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_table(args) -> int:
     outputs = Outputs(args.out, "table.txt", "table.json")
+    args.t_max = args.horizon / args.gamma  # for main, as in cmd_simulate
     report = reproduce_table(gamma=args.gamma, horizon=args.horizon)
     text = report.text_table() + "\n"
     doc = {
@@ -361,6 +354,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least two distinct gamma values "
                           "(config key 'gammas' or --gamma g1,g2,...)")
     t_max = cfg.t_max if cfg.t_max is not None else 5.0
+    args.t_max = t_max  # for main, as in cmd_simulate
 
     ref, rho0 = _prepare_doublet(cfg, 0.0)
     # delta_rho stacks one d x d matrix per quadrature node
@@ -378,7 +372,7 @@ def cmd_sweep(args) -> int:
 
     rows, discrepancies = [], []
     for gamma, traj in zip(gammas, trajs):
-        series, _ = _observe(traj, ref, t_max)
+        series, _ = observe_subspace(traj, ref.ground.basis)
         disc = float(np.linalg.norm(traj.states[-1] - traj0.states[-1]
                                     - gamma * unit))
         if disc == 0:
@@ -485,6 +479,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, PropagationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (SubspaceDepletedError, PositivityError) as exc:
+        # only observing a trajectory raises these, after the command has
+        # set args.t_max; table's t_max comes from its two flags
+        flags = (f" (--horizon {args.horizon:g} / --gamma {args.gamma:g})"
+                 if args.command == "table" else "")
+        print(f"error: the doublet cannot be observed up to "
+              f"t_max={args.t_max:g}{flags}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -144,14 +144,14 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
 
     The requested dt is snapped so that an integer number of equal steps
     lands exactly on each of the n_samples uniformly spaced sample times.
-    Stored samples are re-Hermitized as (rho + rho^dag)/2; the drift of
-    trace and hermiticity of the raw state is recorded in meta.
+    Stored samples are re-Hermitized as (rho + rho^dag)/2.
 
     Raises:
         StepSizeError: if the run needs more than RK4_MAX_STEPS steps, or
             if a stored sample's trace drifts from rho0's by more than
             DEFAULT_TOL (or is not a number), the signature of a step size
             outside the stable region.
+        PropagationError: a stored sample is not finite.
     """
     d = rho0.shape[0]
     times = sample_times(t_max, n_samples, d)
@@ -171,8 +171,6 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     rho = np.asarray(rho0, dtype=complex).copy()
     states[0] = (rho + rho.conj().T) / 2
     trace0 = np.trace(rho)
-    trace_drift = 0.0
-    herm_drift = float(np.linalg.norm(rho - rho.conj().T))
 
     ops = rhs_operators(h, o)
     half_dt = 0.5 * dt_eff
@@ -184,18 +182,17 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
             k3 = rhs(rho + half_dt * k2, ops, gamma)
             k4 = rhs(rho + dt_eff * k3, ops, gamma)
             rho = rho + sixth_dt * (k1 + 2 * k2 + 2 * k3 + k4)
-        trace_drift = max(trace_drift, abs(np.trace(rho) - trace0))
-        herm_drift = max(herm_drift, float(np.linalg.norm(rho - rho.conj().T)))
         states[k] = (rho + rho.conj().T) / 2
         err = abs(np.trace(states[k]) - trace0)
         if not err <= DEFAULT_TOL:  # NaN fails too
             raise StepSizeError(
                 f"trace drifted to {err:.3e} at t={times[k]:.4g} of "
                 f"t_max={t_max:g}; reduce dt")
-
-    meta = {"integrator": "rk4", "dt": dt_eff,
-            "trace_drift": float(trace_drift), "herm_drift": herm_drift}
-    return Trajectory(times=times, states=states, meta=meta)
+    if not np.isfinite(states).all():
+        raise PropagationError(
+            f"the rk4 trajectory at gamma={gamma:g} is not finite: "
+            f"hamiltonian (e_g), coupling, gamma or t_max too large")
+    return Trajectory(times=times, states=states, meta={"dt": dt_eff})
 
 
 def _step_samples(flat: np.ndarray, props: list, which: np.ndarray) -> None:
@@ -243,7 +240,7 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
         ValueError: a Liouvillian stack whose length is not rho0's first
             axis.
         PropagationError: the trace still drifts past DEFAULT_TOL with the
-            projected propagators.
+            projected propagators, or a sample is not finite.
     """
     d = rho0.shape[-1]
     times = sample_times(t_max, n_samples, d)
@@ -269,7 +266,7 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     flat[:, :, 0] = rho0.reshape(systems, -1, d * d)
     _step_samples(flat, props, which)
     drift = _trace_drift(flat, d)
-    # a trajectory that is not finite is the caller's to reject
+    # a trajectory that is not finite is not projected but refused below
     projected = (DEFAULT_TOL < drift) & (drift < np.inf)
     trace_row, trace_props = vec(np.eye(d)), {}
     for s, i in np.argwhere(projected):
@@ -286,9 +283,12 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
                 f"the expm trajectory drifts the trace by {drift_i:.3e} "
                 f"even with trace-preserving steps: hamiltonian (e_g), "
                 f"coupling, gamma or t_max too large")
+    if not np.isfinite(states).all():
+        raise PropagationError(
+            f"the expm trajectory up to t_max={t_max:g} is not finite: "
+            f"hamiltonian (e_g), coupling, gamma or t_max too large")
     return Trajectory(times=times, states=states,
-                      meta={"integrator": "expm",
-                            "projected": projected.reshape(rho0.shape[:-2])})
+                      meta={"projected": projected.reshape(rho0.shape[:-2])})
 
 
 def subspace_block(l_matrix: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import ComplexMatrix
-from .symmetry import AntiUnitaryOp, DEFAULT_TOL, frob
+from .symmetry import AntiUnitaryOp, frob, is_hermitian
 
 
 class SubspaceDepletedError(Exception):
@@ -24,11 +24,11 @@ def eigh(h: ComplexMatrix):
     """Hermitian eigendecomposition with an explicit hermiticity gate.
 
     Raises:
-        ValueError: if h is not Hermitian within DEFAULT_TOL (relative,
-            Frobenius).
+        ValueError: if h fails symmetry.is_hermitian (DEFAULT_TOL,
+            relative, Frobenius).
     """
     h = np.asarray(h, dtype=complex)
-    if frob(h - h.conj().T) > DEFAULT_TOL * max(1.0, frob(h)):
+    if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigh(h)
 

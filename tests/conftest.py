@@ -2,7 +2,6 @@ import importlib
 import inspect
 import pkgutil
 
-import numpy as np
 import pytest
 
 import lindsymlab
@@ -39,14 +38,12 @@ def scenarios():
 
 @pytest.fixture(scope="session")
 def row_probes(scenarios):
-    """(name, system at gamma = 0.1, its three probe densities stacked in
-    probe_states order) for every table row."""
+    """(name, system at gamma = 0.1, its three probe densities) for every
+    table row."""
     rows = []
     for name, sc in scenarios.items():
         system = classify.prepare(sc, 0.1)
-        rows.append((name, system, np.stack([
-            np.outer(psi, psi.conj())
-            for psi in classify.probe_states(system.ground).values()])))
+        rows.append((name, system, classify.probe_densities(system.ground)))
     return rows
 
 

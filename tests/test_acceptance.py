@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from lindsymlab.classify import (catalog, prepare, probe_states,
+from lindsymlab.classify import (catalog, prepare, probe_densities,
                                  reproduce_table, response_oracle_coherent)
 from lindsymlab.lindblad import (evolve_expm, evolve_rk4, default_dt,
                                  liouvillian_matrix, rhs, rhs_operators, vec)
@@ -39,8 +39,7 @@ def systems():
 
 
 def _equal_probe(system):
-    psi = probe_states(system.ground)["equal"]
-    return np.outer(psi, psi.conj())
+    return probe_densities(system.ground)[0]
 
 
 def test_ac01_table_reproduction(table):
@@ -168,7 +167,9 @@ def test_ac07_first_order_response(systems):
                 if sc.expected_coherence is Coherence.COHERENT]
     assert len(coherent) == 8
     for name in coherent:
-        assert response_oracle_coherent(systems[name][1]), name
+        system = systems[name][1]
+        assert response_oracle_coherent(
+            system, probe_densities(system.ground)), name
     print(f"AC7 first-order response: slope {slope:.3f} = 2.0 +- 0.1; "
           f"projected correction proportional on all 8 coherent rows: PASS")
 

@@ -7,7 +7,7 @@ import scipy.linalg
 from lindsymlab import classify, observables, operators, symmetry
 from lindsymlab.classify import (CatalogIntegrityError, SymmetryClaims,
                                  Verdict, assess, compute_signature,
-                                 doublet_block, prepare, probe_states,
+                                 doublet_block, prepare, probe_densities,
                                  propagate, reproduce_table,
                                  response_oracle_coherent, run_scenario)
 from lindsymlab.lindblad import vec
@@ -73,15 +73,18 @@ def test_prepare_selects_pairing_by_time_reversal_symmetry(scenarios):
 
 def test_probe_states_layout(scenarios):
     system = prepare(scenarios["both_symmetric:sx"])
-    probes = probe_states(system.ground)
-    assert set(probes) == {"equal", "quarter", "basis"}
+    equal, quarter, basis = probes = probe_densities(system.ground)
+    assert probes.shape == (3, 4, 4)
     p = system.ground.projector
-    for name, psi in probes.items():
-        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12, name
-        assert np.linalg.norm(p @ psi - psi) < 1e-12, name
-    # the three probes are genuinely different states
-    assert abs(abs(probes["equal"].conj() @ probes["quarter"]) - 1.0) > 1e-3
-    assert abs(abs(probes["equal"].conj() @ probes["basis"]) - 1.0) > 1e-3
+    for rho in probes:
+        # a pure state inside the doublet
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.linalg.norm(rho @ rho - rho) < 1e-12
+        assert np.linalg.norm(p @ rho @ p - rho) < 1e-12
+    # the three probes are genuinely different states: the overlap
+    # |<a|b>|^2 = tr(rho_a rho_b)
+    assert abs(np.trace(equal @ quarter) - 1.0) > 1e-3
+    assert abs(np.trace(equal @ basis) - 1.0) > 1e-3
 
 
 def test_run_scenario_protected_row(scenarios):
@@ -139,12 +142,16 @@ def test_run_scenario_reports_an_ambiguous_row(scenarios, monkeypatch):
 
 
 def test_response_oracle_matches_on_gauge_trap(scenarios):
-    by = scenarios
-    assert response_oracle_coherent(prepare(by["q_symmetric:sy2"]))
-    assert response_oracle_coherent(prepare(by["both_symmetric:sxsysz"]))
+    def oracle(name):
+        system = prepare(scenarios[name])
+        return response_oracle_coherent(system,
+                                        probe_densities(system.ground))
+
+    assert oracle("q_symmetric:sy2")
+    assert oracle("both_symmetric:sxsysz")
     # decoherent despite one probe's correction staying proportional
-    assert not response_oracle_coherent(prepare(by["both_symmetric:sx"]))
-    assert not response_oracle_coherent(prepare(by["tr_invariant:sxsysz"]))
+    assert not oracle("both_symmetric:sx")
+    assert not oracle("tr_invariant:sxsysz")
 
 
 def test_response_oracle_calls_no_propagator(scenarios, monkeypatch):
@@ -153,9 +160,12 @@ def test_response_oracle_calls_no_propagator(scenarios, monkeypatch):
 
     monkeypatch.setattr(classify, "evolve_expm", refuse)
     monkeypatch.setattr(classify, "evolve_rk4", refuse)
-    verdicts = {name: response_oracle_coherent(prepare(scenarios[name]))
-                for name in ("q_symmetric:sy2", "both_symmetric:sxsysz",
-                             "both_symmetric:sx", "tr_invariant:sxsysz")}
+    systems = {name: prepare(scenarios[name])
+               for name in ("q_symmetric:sy2", "both_symmetric:sxsysz",
+                            "both_symmetric:sx", "tr_invariant:sxsysz")}
+    verdicts = {name: response_oracle_coherent(system,
+                                               probe_densities(system.ground))
+                for name, system in systems.items()}
     assert verdicts == {"q_symmetric:sy2": True,
                         "both_symmetric:sxsysz": True,
                         "both_symmetric:sx": False,
@@ -232,8 +242,7 @@ def _run_scenario_reference(sc, gamma, horizon=20.0):
     system = prepare(sc, gamma)
     measured, _ = compute_signature(system.o, system.trev)
     assert measured == sc.claims, sc.name
-    probes = np.stack([np.outer(psi, psi.conj())
-                       for psi in probe_states(system.ground).values()])
+    probes = probe_densities(system.ground)
     traj = propagate(system, probes, horizon / gamma)
     series, blocks = observe_subspace(traj, system.ground.basis)
     verdicts = {coherence_verdict(EntropySeries(*probe))
@@ -249,7 +258,7 @@ def _run_scenario_reference(sc, gamma, horizon=20.0):
         name=sc.name, claims=sc.claims,
         expected_coherence=sc.expected_coherence,
         measured_coherence=combined,
-        oracle_coherent=response_oracle_coherent(system),
+        oracle_coherent=response_oracle_coherent(system, probes),
         block_identity=bi.proportional, block_residual=bi.residual,
         schur_proportional=schur_o.proportional and schur_q.proportional,
         schur_residual=schur_o.residual,

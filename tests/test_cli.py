@@ -295,6 +295,26 @@ def test_table_refuses_a_gamma_whose_liouvillian_overflows(gamma, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--gamma", "1e-9"), ("--gamma", "1e-12"), ("--gamma", "1e-15"),
+    ("--horizon", "1e9"), ("--horizon", "1e12")])
+def test_table_refuses_a_horizon_its_doublet_cannot_be_observed_to(
+        flag, value, tmp_path, capsys):
+    # t_max = horizon / gamma (1e10 and beyond) is so long that a probe's
+    # normalized doublet state goes non-positive, and the table's one
+    # observation of its stack fails
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["table", flag, value, "--out", str(out)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: the doublet cannot be observed up to t_max=")
+    assert err.count("\n") == 1
+    assert "--gamma" in err and "--horizon" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("integrator", ["expm", "rk4"])
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_alpha_beta_at_the_edge_of_the_accepted_norm(sign, integrator,

@@ -27,8 +27,8 @@ SRC = ROOT / "src" / "lindsymlab"
 # Kept without a reader, each for the reason given. These are the
 # diagnostics the run record planned in ROADMAP.md is to report.
 KEEP = {
-    "Trajectory.meta": ("test_lindblad asserts the integrator, RK4 step "
-                        "and per-state expm projection it records"),
+    "Trajectory.meta": ("test_lindblad asserts the RK4 step and the "
+                        "per-state expm projection it records"),
     "Verdict.max_drift": "AC3 asserts the coherent rows' subspace drift",
     "Verdict.stationarity": "AC2 asserts the plateau is stationary",
     "Verdict.terminal_rho_g": "AC2 asserts the plateau is maximally mixed",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import scipy.linalg
 
 from lindsymlab import lindblad
-from lindsymlab.classify import catalog, prepare, probe_states
+from lindsymlab.classify import catalog, prepare, probe_densities
 from lindsymlab.lindblad import (RK4_MAX_STEPS, PropagationError,
                                  StepSizeError, block_identity_test,
                                  default_dt, evolve_expm, evolve_rk4,
@@ -109,9 +109,8 @@ def _assert_rk4_unchanged(rho0, h, o, gamma, steps):
 @pytest.mark.parametrize("sc", catalog(), ids=lambda sc: sc.name)
 def test_stacked_rk4_is_bit_identical_on_every_row(sc):
     system = prepare(sc, 0.1)
-    for psi in probe_states(system.ground).values():
-        _assert_rk4_unchanged(np.outer(psi, psi.conj()), system.h, system.o,
-                              0.1, 300)
+    for rho0 in probe_densities(system.ground):
+        _assert_rk4_unchanged(rho0, system.h, system.o, 0.1, 300)
 
 
 @pytest.mark.parametrize("spin", [3.5, 11.5])
@@ -198,8 +197,6 @@ def test_rk4_expm_cross_agreement(hams):
                      2.0, 21)
     assert np.array_equal(rk.times, ex.times)
     assert np.max(np.abs(rk.states - ex.states)) < 1e-9
-    assert rk.meta["integrator"] == "rk4"
-    assert ex.meta["integrator"] == "expm"
     assert not ex.meta["projected"]
 
 
@@ -252,6 +249,23 @@ def test_rk4_trace_guard_fails_on_nan(hams):
                    1.0, dt=0.5, n_samples=3)
 
 
+def test_rk4_refuses_a_sample_that_keeps_its_trace_but_is_not_finite(
+        hams, monkeypatch):
+    # a right-hand side that is infinite off the diagonal only (inf * 0 in
+    # the complex step products makes those entries NaN): every sample
+    # keeps rho0's trace, so only the finiteness check can refuse it
+    def off_diagonal_inf(rho, ops, gamma):
+        return np.where(np.eye(4, dtype=bool), 0.0, np.inf).astype(complex)
+
+    monkeypatch.setattr(lindblad, "rhs", off_diagonal_inf)
+    rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    with pytest.raises(PropagationError, match="rk4 trajectory at "
+                       "gamma=0.1 is not finite: .*t_max too large"), \
+            np.errstate(invalid="ignore"):
+        evolve_rk4(rho0, hams["tr_invariant"], _op("sz"), 0.1, 1.0,
+                   dt=0.5, n_samples=3)
+
+
 def test_default_dt_scales_with_system():
     half = spin_matrices(0.5)
     h = half.sz
@@ -298,8 +312,7 @@ def test_evolve_expm_projects_a_trace_losing_propagator(monkeypatch):
     # propagator loses trace to roundoff until it drifts past DEFAULT_TOL
     sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
     system = prepare(sc, 10.0, 7.5)
-    psi = probe_states(system.ground)["equal"]
-    rho0 = np.outer(psi, psi.conj())
+    rho0 = probe_densities(system.ground)[0]  # the equal superposition
     traj = evolve_expm(rho0, system.liouvillian, 200.0, 201)
     assert traj.meta["projected"]
     trace = np.trace(traj.states, axis1=1, axis2=2)
@@ -323,6 +336,19 @@ def test_evolve_expm_raises_when_projection_cannot_hold_the_trace():
     l_mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     with pytest.raises(lindblad.PropagationError, match="trace"):
         evolve_expm(np.eye(2, dtype=complex) / 2, l_mat, 20.0, 11)
+
+
+def test_evolve_expm_refuses_a_trajectory_that_is_not_finite():
+    # at t_max = 1e300 each step's propagator is not finite; the drift
+    # check cannot project it, and the samples are refused, not returned
+    sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2"]
+    system = prepare(sc, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError, match="expm trajectory up to "
+                           "t_max=1e\\+300 is not finite: .*t_max too large"):
+            evolve_expm(probe_densities(system.ground), system.liouvillian,
+                        1e300, 201)
 
 
 def _expm_reference(probes, l_mat, t_max, n_samples):
@@ -388,8 +414,7 @@ def test_evolve_expm_projects_only_the_states_of_a_stack_that_drift():
     # per-state loop
     sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
     system = prepare(sc, 10.0, 7.5)
-    probes = np.stack([np.outer(psi, psi.conj())
-                       for psi in probe_states(system.ground).values()])
+    probes = probe_densities(system.ground)
     stacked = evolve_expm(probes, system.liouvillian, 60.0, 201)
     assert stacked.meta["projected"].tolist() == [True, True, False]
     _assert_expm_matches_reference(stacked, probes, system.liouvillian, 60.0,
@@ -405,8 +430,7 @@ def test_evolve_expm_projects_only_the_states_of_a_stack_that_drift():
 def test_evolve_expm_matches_the_per_state_loop_on_a_stack_of_one():
     sc = {sc.name: sc for sc in catalog()}["both_symmetric:sxsy"]
     system = prepare(sc, 0.1, 3.5)
-    psi = probe_states(system.ground)["quarter"]
-    probes = np.outer(psi, psi.conj())[None]
+    probes = probe_densities(system.ground)[1:2]  # the quarter phase
     traj = evolve_expm(probes, system.liouvillian, 200.0, 201)
     _assert_expm_matches_reference(traj, probes, system.liouvillian, 200.0,
                                    201)
@@ -448,9 +472,7 @@ def test_evolve_expm_steps_a_stack_of_systems_each_as_if_alone():
     by = {sc.name: sc for sc in catalog()}
     systems = [prepare(by[name], 10.0, 7.5)
                for name in ("both_symmetric:sx2", "both_symmetric:sx2sz")]
-    probes = np.stack([[np.outer(psi, psi.conj())
-                        for psi in probe_states(system.ground).values()]
-                       for system in systems])
+    probes = np.stack([probe_densities(system.ground) for system in systems])
     stacked = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
                           60.0, 201)
     assert stacked.states.shape == (2, 3, 201, 16, 16)
