@@ -13,7 +13,7 @@ operators    spin matrices, named Hamiltonians and coupling operators
 symmetry     quaternion group, time reversal, Schur proportionality tests
 spectra      eigendecomposition, ground subspaces, subspace densities
 lindblad     master-equation engine: rhs, Liouvillian, RK4 and expm
-observables  von Neumann entropy, entropy series, coherence verdicts
+observables  von Neumann entropy, subspace observation, coherence verdicts
 response     first-order-in-gamma perturbative oracle
 classify     the 16-scenario classification table harness
 cli          command-line front end

@@ -249,6 +249,17 @@ def _fmt(x: float) -> str:
     return "%.11e" % (0.0 if x == 0 else x)
 
 
+def _t_max(horizon: float, gamma: float, names: tuple) -> float:
+    """The one place a run's t_max comes from a horizon gamma*t: refuses a
+    quotient that overflows or underflows, naming the two inputs."""
+    t_max = horizon / gamma
+    if not 0 < t_max < math.inf:
+        raise ConfigError(
+            f"t_max = {names[0]} {horizon!r} / {names[1]} {gamma!r} is "
+            f"{t_max!r}, need a finite number > 0")
+    return t_max
+
+
 def _prepare_doublet(cfg: RunConfig,
                      gamma: float) -> tuple[ScenarioSystem, np.ndarray]:
     """The system prepared at gamma and the alpha/beta initial state."""
@@ -277,29 +288,30 @@ def cmd_simulate(args) -> int:
     cfg.integrator = args.integrator or cfg.integrator
     t_max = cfg.t_max
     if args.horizon is not None or t_max is None:
-        t_max = (args.horizon or DEFAULT_HORIZON) / cfg.gamma
+        t_max = _t_max(args.horizon or DEFAULT_HORIZON, cfg.gamma, (
+            "--horizon" if args.horizon else "default horizon",
+            "--gamma" if args.gamma else "gamma"))
     args.t_max = t_max  # main names it if the doublet cannot be observed
 
     system, rho0 = _prepare_doublet(cfg, cfg.gamma)
     traj = propagate(system, rho0, t_max, cfg.n_samples, cfg.integrator,
                      cfg.dt)
-    series, blocks = observe_subspace(traj, system.ground.basis)
-    verdict = coherence_verdict(series)
+    s_v, trace_g, blocks = observe_subspace(traj, system.ground.basis)
+    verdict = coherence_verdict(s_v)
     block = doublet_block(system)
 
     rows = [",".join([
-        _fmt(t), _fmt(cfg.gamma * t), _fmt(s_v), _fmt(trace_g),
+        _fmt(t), _fmt(cfg.gamma * t), _fmt(s), _fmt(tr),
         _fmt(rg[0, 0].real), _fmt(rg[0, 1].real), _fmt(rg[0, 1].imag),
         _fmt(rg[1, 1].real),
-    ]) for t, s_v, trace_g, rg in zip(traj.times, series.s_v,
-                                      series.trace_g, blocks)]
+    ]) for t, s, tr, rg in zip(traj.times, s_v, trace_g, blocks)]
     summary = {
         "gamma": cfg.gamma,
         "t_max": t_max,
         "integrator": cfg.integrator,
-        "terminal_entropy": float(series.s_v[-1]),
-        "peak_entropy": float(np.max(series.s_v)),
-        "terminal_trace_g": float(series.trace_g[-1]),
+        "terminal_entropy": float(s_v[-1]),
+        "peak_entropy": float(np.max(s_v)),
+        "terminal_trace_g": float(trace_g[-1]),
         "verdict": verdict.value,
         "block_identity": bool(block.proportional),
         "block_residual": float(block.residual),
@@ -314,15 +326,36 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table(args) -> int:
+    """The table's verdicts rendered as table.txt and table.json; exit 1
+    unless every row passes."""
     outputs = Outputs(args.out, "table.txt", "table.json")
-    args.t_max = args.horizon / args.gamma  # for main, as in cmd_simulate
-    report = reproduce_table(gamma=args.gamma, horizon=args.horizon)
-    text = report.text_table() + "\n"
+    # for main, as in cmd_simulate
+    args.t_max = _t_max(args.horizon, args.gamma, ("--horizon", "--gamma"))
+    verdicts = reproduce_table(gamma=args.gamma, horizon=args.horizon)
+    all_pass = all(v.passed for v in verdicts)
+
+    header = (f"{'scenario':34s} {'expected':12s} {'measured':12s} "
+              f"{'block':5s} {'schur':5s} {'oracle':6s} {'row':4s}")
+    lines = [header, "-" * len(header)] + [
+        f"{v.name:34s} {v.expected_coherence.value:12s} "
+        f"{v.measured_coherence.value:12s} "
+        f"{'yes' if v.block_identity else 'no':5s} "
+        f"{'yes' if v.schur_proportional else 'no':5s} "
+        f"{'ok' if v.oracle_agrees else 'DIS':6s} "
+        f"{'ok' if v.passed else 'FAIL':4s}" for v in verdicts]
+    lines += ["-" * len(header),
+              f"rows matching: {sum(v.passed for v in verdicts)}/"
+              f"{len(verdicts)}   (gamma={args.gamma}, "
+              f"horizon gamma*t={args.horizon})",
+              "", "signature -> row assignment (audit):"]
+    lines += [f"  {v.name:34s} {str(v.claims):42s} -> "
+              f"{v.expected_coherence.value}" for v in verdicts]
+    text = "\n".join(lines) + "\n"
     doc = {
-        "gamma": report.gamma,
-        "horizon": report.horizon,
-        "all_pass": report.all_pass,
-        "oracle_all_agree": report.oracle_all_agree,
+        "gamma": args.gamma,
+        "horizon": args.horizon,
+        "all_pass": all_pass,
+        "oracle_all_agree": all(v.oracle_agrees for v in verdicts),
         "rows": [{
             "scenario": v.name,
             "expected": v.expected_coherence.value,
@@ -334,13 +367,13 @@ def cmd_table(args) -> int:
             "peak_entropy": v.peak_entropy,
             "terminal_entropy": v.terminal_entropy,
             "terminal_trace_g": v.terminal_trace_g,
-            "oracle_agrees": report.oracle_agreement[v.name],
+            "oracle_agrees": v.oracle_agrees,
             "passed": v.passed,
-        } for v in report.verdicts],
+        } for v in verdicts],
     }
     outputs.write(text, doc)
     print(text, end="")
-    return 0 if report.all_pass else 1
+    return 0 if all_pass else 1
 
 
 def cmd_sweep(args) -> int:
@@ -372,7 +405,7 @@ def cmd_sweep(args) -> int:
 
     rows, discrepancies = [], []
     for gamma, traj in zip(gammas, trajs):
-        series, _ = observe_subspace(traj, ref.ground.basis)
+        s_v, _, _ = observe_subspace(traj, ref.ground.basis)
         disc = float(np.linalg.norm(traj.states[-1] - traj0.states[-1]
                                     - gamma * unit))
         if disc == 0:
@@ -380,7 +413,7 @@ def cmd_sweep(args) -> int:
                 f"the discrepancy at gamma={gamma:g} is exactly zero, so no "
                 f"exponent can be fitted (coupling, alpha/beta)")
         discrepancies.append(disc)
-        rows.append(",".join([_fmt(gamma), _fmt(series.s_v[-1]), _fmt(disc)]))
+        rows.append(",".join([_fmt(gamma), _fmt(s_v[-1]), _fmt(disc)]))
 
     exponent = scaling_exponent(gammas, discrepancies)
     summary = {

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,25 +38,14 @@ def von_neumann_entropy(rho: ComplexMatrix) -> np.ndarray:
     return 0.0 - terms.sum(axis=-1)  # 0.0 - x is never IEEE -0.0
 
 
-@dataclass(frozen=True)
-class EntropySeries:
-    """Subspace entropy along a trajectory.
-
-    s_v is the entropy of the normalized subspace state (nats); trace_g is
-    the raw subspace population, which can leak below one and is not
-    guaranteed monotone.
-    """
-
-    s_v: np.ndarray
-    trace_g: np.ndarray
-
-
-def observe_subspace(
-        traj, basis: ComplexMatrix) -> tuple[EntropySeries, np.ndarray]:
+def observe_subspace(traj, basis: ComplexMatrix) -> tuple:
     """Observe a whole trajectory inside the span of basis in one pass.
 
-    Returns the EntropySeries and the raw (unnormalized) subspace blocks
-    basis^dag rho(t_k) basis, stacked as an array of shape (samples, g, g).
+    Returns (s_v, trace_g, blocks): the entropy of the normalized subspace
+    state in nats; the raw subspace population, which can leak below one
+    and is not guaranteed monotone; and the raw (unnormalized) subspace
+    blocks basis^dag rho(t_k) basis, of shape (samples, g, g). A stack of
+    trajectories adds its leading axes to all three.
 
     Raises:
         SubspaceDepletedError: if a sample's subspace population is too
@@ -67,8 +55,7 @@ def observe_subspace(
     """
     blocks = subspace_density(traj.states, basis)
     trace_g = np.trace(blocks, axis1=-2, axis2=-1).real
-    s_v = von_neumann_entropy(normalize_subspace(blocks))
-    return EntropySeries(s_v=s_v, trace_g=trace_g), blocks
+    return von_neumann_entropy(normalize_subspace(blocks)), trace_g, blocks
 
 
 class Coherence(str, enum.Enum):
@@ -81,8 +68,8 @@ DEFAULT_COH_TOL = 1e-6
 DEFAULT_DEC_TOL = 1e-2
 
 
-def coherence_verdict(s: EntropySeries) -> Coherence:
-    """Classify a trajectory by the peak of its subspace entropy.
+def coherence_verdict(s_v: np.ndarray) -> Coherence:
+    """Classify a trajectory by the peak of its subspace entropy s_v.
 
     Coherent when max s_v stays below DEFAULT_COH_TOL, decoherent when it
     exceeds DEFAULT_DEC_TOL, ambiguous in between. The thresholds are fixed
@@ -91,7 +78,7 @@ def coherence_verdict(s: EntropySeries) -> Coherence:
     anything between the thresholds means the scenario or the tolerances
     need attention.
     """
-    peak = float(np.max(s.s_v))
+    peak = float(np.max(s_v))
     if peak < DEFAULT_COH_TOL:
         return Coherence.COHERENT
     if peak > DEFAULT_DEC_TOL:

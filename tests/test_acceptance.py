@@ -28,9 +28,9 @@ GAMMA = 0.1
 @pytest.fixture(scope="module")
 def table():
     start = time.perf_counter()
-    report = reproduce_table(gamma=GAMMA, horizon=20.0)
+    verdicts = reproduce_table(gamma=GAMMA, horizon=20.0)
     elapsed = time.perf_counter() - start
-    return report, elapsed
+    return verdicts, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -43,21 +43,21 @@ def _equal_probe(system):
 
 
 def test_ac01_table_reproduction(table):
-    report, elapsed = table
-    assert len(report.verdicts) == 16
-    assert report.all_pass
-    assert report.oracle_all_agree
-    n_ok = sum(v.passed for v in report.verdicts)
+    verdicts, elapsed = table
+    assert len(verdicts) == 16
+    assert all(v.passed for v in verdicts)
+    assert all(v.oracle_agrees for v in verdicts)
+    n_ok = sum(v.passed for v in verdicts)
     assert n_ok == 16
     assert elapsed < 10.0
     print(f"AC1 table reproduction: {n_ok}/16 rows in {elapsed:.2f} s: PASS")
 
 
 def test_ac02_entropy_plateau(table):
-    report, _ = table
+    verdicts, _ = table
     plateaued = []
     reported = []
-    for v in report.verdicts:
+    for v in verdicts:
         if v.measured_coherence is not Coherence.DECOHERENT:
             continue
         mixed = np.linalg.norm(v.terminal_rho_g - np.eye(2) / 2) < 1e-3
@@ -72,8 +72,8 @@ def test_ac02_entropy_plateau(table):
 
 
 def test_ac03_coherent_fidelity(table):
-    report, _ = table
-    drifts = {v.name: v.max_drift for v in report.verdicts
+    verdicts, _ = table
+    drifts = {v.name: v.max_drift for v in verdicts
               if v.expected_coherence is Coherence.COHERENT}
     assert len(drifts) == 8
     for name, drift in drifts.items():
@@ -132,14 +132,14 @@ def test_ac05_dual_propagator_agreement(systems):
 
 
 def test_ac06_conservation_suite(table):
-    report, _ = table
-    for v in report.verdicts:
+    verdicts, _ = table
+    for v in verdicts:
         assert v.trace_err < 1e-8, v.name
         assert v.herm_err < 1e-8, v.name
         assert v.min_eig > -1e-7, v.name
     print(f"AC6 conservation: worst trace err "
-          f"{max(v.trace_err for v in report.verdicts):.2e}, worst min eig "
-          f"{min(v.min_eig for v in report.verdicts):.2e}: PASS")
+          f"{max(v.trace_err for v in verdicts):.2e}, worst min eig "
+          f"{min(v.min_eig for v in verdicts):.2e}: PASS")
 
 
 def test_ac07_first_order_response(systems):
@@ -226,8 +226,8 @@ def test_ac09_kramers_suite():
 
 
 def test_ac10_schur_suite(table, systems):
-    report, _ = table
-    for v in report.verdicts:
+    verdicts, _ = table
+    for v in verdicts:
         sc, system = systems[v.name]
         res = schur_test(system.ground.projector, system.o)
         if sc.expected_coherence is Coherence.COHERENT:

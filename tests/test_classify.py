@@ -5,14 +5,15 @@ import pytest
 import scipy.linalg
 
 from lindsymlab import classify, observables, operators, symmetry
+from lindsymlab.cli import main
 from lindsymlab.classify import (CatalogIntegrityError, SymmetryClaims,
                                  Verdict, assess, compute_signature,
                                  doublet_block, prepare, probe_densities,
                                  propagate, reproduce_table,
                                  response_oracle_coherent, run_scenario)
 from lindsymlab.lindblad import vec
-from lindsymlab.observables import (Coherence, EntropySeries,
-                                    coherence_verdict, observe_subspace)
+from lindsymlab.observables import (Coherence, coherence_verdict,
+                                    observe_subspace)
 from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
 from lindsymlab.spectra import normalize_subspace
 from lindsymlab.symmetry import schur_test
@@ -172,18 +173,19 @@ def test_response_oracle_calls_no_propagator(scenarios, monkeypatch):
                         "tr_invariant:sxsysz": False}
 
 
-def test_reproduce_table_subset(scenarios, monkeypatch):
+def test_reproduce_table_subset(scenarios, monkeypatch, tmp_path):
     picks = [sc for sc in scenarios.values()
              if sc.name in ("tr_invariant:sx2", "tr_invariant:isz")]
     monkeypatch.setattr(classify, "catalog", lambda: picks)
-    report = reproduce_table()
-    assert report.all_pass
-    assert report.oracle_all_agree
-    assert len(report.verdicts) == 2
+    verdicts = reproduce_table()
+    assert all(v.passed for v in verdicts)
+    assert all(v.oracle_agrees for v in verdicts)
+    assert len(verdicts) == 2
     # aggregation is name-ordered regardless of input order
-    assert [v.name for v in report.verdicts] == ["tr_invariant:isz",
-                                                 "tr_invariant:sx2"]
-    text = report.text_table()
+    assert [v.name for v in verdicts] == ["tr_invariant:isz",
+                                          "tr_invariant:sx2"]
+    assert main(["table", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "table.txt").read_text()
     assert "rows matching: 2/2" in text
     assert "signature -> row assignment" in text
     for line in text.splitlines():
@@ -192,12 +194,14 @@ def test_reproduce_table_subset(scenarios, monkeypatch):
             assert "ok" in line
 
 
-def test_audit_lists_rows_outside_the_catalog(scenarios, monkeypatch):
+def test_audit_lists_rows_outside_the_catalog(scenarios, monkeypatch,
+                                               tmp_path):
     import dataclasses
     custom = dataclasses.replace(scenarios["tr_invariant:sz"],
                                  name="custom:sz")
     monkeypatch.setattr(classify, "catalog", lambda: [custom])
-    text = reproduce_table().text_table()
+    assert main(["table", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "table.txt").read_text()
     audit = text.split("signature -> row assignment (audit):")[1]
     assert "custom:sz" in audit
     assert str(custom.claims) in audit
@@ -226,9 +230,9 @@ def test_a_table_makes_one_expm_and_one_interaction_picture_per_row(
         return expm(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "expm", counting)
-    report = reproduce_table()
-    assert report.all_pass and report.oracle_all_agree
-    assert len(report.verdicts) == 16
+    verdicts = reproduce_table()
+    assert all(v.passed and v.oracle_agrees for v in verdicts)
+    assert len(verdicts) == 16
     assert (len(expms), len(pictures)) == (16, 16)
 
 
@@ -238,15 +242,15 @@ _WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
 def _run_scenario_reference(sc, gamma, horizon=20.0):
     """One row end to end through its own calls, the way the table ran
     before it became one stack: the reference the stacked table is pinned
-    to."""
+    to. Returns the row's Verdict and the values its pass and
+    oracle-agreement rules must give."""
     system = prepare(sc, gamma)
     measured, _ = compute_signature(system.o, system.trev)
     assert measured == sc.claims, sc.name
     probes = probe_densities(system.ground)
     traj = propagate(system, probes, horizon / gamma)
-    series, blocks = observe_subspace(traj, system.ground.basis)
-    verdicts = {coherence_verdict(EntropySeries(*probe))
-                for probe in zip(series.s_v, series.trace_g)}
+    s_v, trace_g, blocks = observe_subspace(traj, system.ground.basis)
+    verdicts = {coherence_verdict(probe) for probe in s_v}
     combined = next(v for v in _WORST_FIRST if v in verdicts)
     rho_g = normalize_subspace(blocks[0])
     max_drift = np.linalg.norm(rho_g - rho_g[0], axis=(-2, -1)).max()
@@ -254,17 +258,18 @@ def _run_scenario_reference(sc, gamma, horizon=20.0):
     bi = doublet_block(system)
     schur_o = schur_test(system.ground.projector, system.o)
     schur_q = schur_test(system.ground.projector, system.o.conj().T @ system.o)
+    oracle_coherent = response_oracle_coherent(system, probes)
     return Verdict(
         name=sc.name, claims=sc.claims,
         expected_coherence=sc.expected_coherence,
         measured_coherence=combined,
-        oracle_coherent=response_oracle_coherent(system, probes),
+        oracle_coherent=oracle_coherent,
         block_identity=bi.proportional, block_residual=bi.residual,
         schur_proportional=schur_o.proportional and schur_q.proportional,
         schur_residual=schur_o.residual,
-        peak_entropy=float(np.max(series.s_v)),
-        terminal_entropy=float(series.s_v[0, -1]),
-        terminal_trace_g=float(series.trace_g[0, -1]),
+        peak_entropy=float(np.max(s_v)),
+        terminal_entropy=float(s_v[0, -1]),
+        terminal_trace_g=float(trace_g[0, -1]),
         terminal_rho_g=rho_g[-1],
         max_drift=float(max_drift),
         stationarity=float(np.linalg.norm(system.liouvillian
@@ -274,18 +279,23 @@ def _run_scenario_reference(sc, gamma, horizon=20.0):
         herm_err=float(np.linalg.norm(traj.states - adjoint,
                                       axis=(-2, -1)).max()),
         min_eig=float(np.linalg.eigvalsh((traj.states + adjoint) / 2).min()),
-        passed=(combined == sc.expected_coherence
-                and bi.proportional == (combined is Coherence.COHERENT)),
-    )
+    ), {"passed": (combined == sc.expected_coherence
+                   and bi.proportional == (combined is Coherence.COHERENT)),
+        "oracle_agrees": (oracle_coherent
+                          == (combined is Coherence.COHERENT))}
 
 
 @pytest.mark.parametrize("gamma", [0.025, 0.1, 0.4])
 def test_the_stacked_table_matches_one_row_at_a_time(scenarios, gamma):
-    # every field of every row, floats and the terminal block as uint64
-    report = reproduce_table(gamma=gamma)
-    assert len(report.verdicts) == 16
-    for v in report.verdicts:
-        ref = _run_scenario_reference(scenarios[v.name], gamma)
+    # every field of every row, floats and the terminal block as uint64,
+    # and what the row's pass and oracle-agreement rules give
+    verdicts = reproduce_table(gamma=gamma)
+    assert len(verdicts) == 16
+    for v in verdicts:
+        ref, rules = _run_scenario_reference(scenarios[v.name], gamma)
+        for rule, want in rules.items():
+            got = getattr(v, rule)
+            assert type(got) is type(want) and got == want, (v.name, rule)
         for field in dataclasses.fields(Verdict):
             got, want = getattr(v, field.name), getattr(ref, field.name)
             assert type(got) is type(want), (v.name, field.name)
@@ -312,8 +322,8 @@ def test_a_table_propagates_and_observes_once(record_calls, monkeypatch):
         return expm(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "expm", counting)
-    report = reproduce_table()
-    assert report.all_pass and report.oracle_all_agree
+    verdicts = reproduce_table()
+    assert all(v.passed and v.oracle_agrees for v in verdicts)
     assert (len(evolves), len(observes), len(deltas)) == (1, 1, 16)
     rho0, l_mat = evolves[0][:2]
     assert rho0.shape == (16, 3, 4, 4) and l_mat.shape == (16, 16, 16)

@@ -155,6 +155,94 @@ def test_table_subset_exit_codes(tmp_path, monkeypatch):
     assert doc["all_pass"] is False
 
 
+# table.txt at gamma = 0.1, every byte: its only numbers are gamma and the
+# horizon, so it is the same on any BLAS
+TABLE_TXT = (
+    "scenario                           expected     measured     block schur oracle row \n"
+    "------------------------------------------------------------------------------------\n"
+    "both_symmetric:i_sxsysz_sym        Coherence    Coherence    yes   yes   ok     ok  \n"
+    "both_symmetric:sx                  Decoherence  Decoherence  no    no    ok     ok  \n"
+    "both_symmetric:sx2                 Coherence    Coherence    yes   yes   ok     ok  \n"
+    "both_symmetric:sx2sz               Decoherence  Decoherence  no    no    ok     ok  \n"
+    "both_symmetric:sxsy                Decoherence  Decoherence  no    no    ok     ok  \n"
+    "both_symmetric:sxsy_sym            Coherence    Coherence    yes   yes   ok     ok  \n"
+    "both_symmetric:sxsysz              Coherence    Coherence    yes   yes   ok     ok  \n"
+    "both_symmetric:sxsysz_sym          Coherence    Coherence    yes   yes   ok     ok  \n"
+    "q_symmetric:sxsy_sym               Decoherence  Decoherence  no    no    ok     ok  \n"
+    "q_symmetric:sxsysz                 Coherence    Coherence    yes   yes   ok     ok  \n"
+    "q_symmetric:sy2                    Coherence    Coherence    yes   yes   ok     ok  \n"
+    "q_symmetric:sysz                   Decoherence  Decoherence  no    no    ok     ok  \n"
+    "tr_invariant:isz                   Decoherence  Decoherence  no    no    ok     ok  \n"
+    "tr_invariant:sx2                   Coherence    Coherence    yes   yes   ok     ok  \n"
+    "tr_invariant:sxsysz                Decoherence  Decoherence  no    no    ok     ok  \n"
+    "tr_invariant:sz                    Decoherence  Decoherence  no    no    ok     ok  \n"
+    "------------------------------------------------------------------------------------\n"
+    "rows matching: 16/16   (gamma=0.1, horizon gamma*t=20.0)\n"
+    "\n"
+    "signature -> row assignment (audit):\n"
+    "  both_symmetric:i_sxsysz_sym        herm=no [O,T]=0:yes [O,Q]=0:yes            -> Coherence\n"
+    "  both_symmetric:sx                  herm=yes [O,T]=0:no [O,Q]=0:no             -> Decoherence\n"
+    "  both_symmetric:sx2                 herm=yes [O,T]=0:yes [O,Q]=0:yes           -> Coherence\n"
+    "  both_symmetric:sx2sz               herm=no [O,T]=0:no [O,Q]=0:no              -> Decoherence\n"
+    "  both_symmetric:sxsy                herm=no [O,T]=0:yes [O,Q]=0:no             -> Decoherence\n"
+    "  both_symmetric:sxsy_sym            herm=yes [O,T]=0:yes [O,Q]=0:no            -> Coherence\n"
+    "  both_symmetric:sxsysz              herm=no [O,T]=0:no [O,Q]=0:yes             -> Coherence\n"
+    "  both_symmetric:sxsysz_sym          herm=yes [O,T]=0:no [O,Q]=0:yes            -> Coherence\n"
+    "  q_symmetric:sxsy_sym               herm=yes [O,T]=0:yes [O,Q]=0:no            -> Decoherence\n"
+    "  q_symmetric:sxsysz                 herm=no [O,T]=0:no [O,Q]=0:yes             -> Coherence\n"
+    "  q_symmetric:sy2                    herm=yes [O,T]=0:yes [O,Q]=0:yes           -> Coherence\n"
+    "  q_symmetric:sysz                   herm=no [O,T]=0:yes [O,Q]=0:no             -> Decoherence\n"
+    "  tr_invariant:isz                   herm=no [O,T]=0:yes [O,Q]=0:no             -> Decoherence\n"
+    "  tr_invariant:sx2                   herm=yes [O,T]=0:yes [O,Q]=0:yes           -> Coherence\n"
+    "  tr_invariant:sxsysz                herm=no [O,T]=0:no [O,Q]=0:yes             -> Decoherence\n"
+    "  tr_invariant:sz                    herm=yes [O,T]=0:no [O,Q]=0:no             -> Decoherence\n"
+)
+
+# table.json at gamma = 0.1, each row's values that are not floats:
+# (scenario, expected, measured, block_identity, schur_proportional,
+# oracle_agrees, passed); the floats are pinned bit for bit in
+# test_classify against the per-row reference
+TABLE_JSON_ROWS = (
+    ('both_symmetric:i_sxsysz_sym', 'Coherence', 'Coherence', True, True, True, True),
+    ('both_symmetric:sx', 'Decoherence', 'Decoherence', False, False, True, True),
+    ('both_symmetric:sx2', 'Coherence', 'Coherence', True, True, True, True),
+    ('both_symmetric:sx2sz', 'Decoherence', 'Decoherence', False, False, True, True),
+    ('both_symmetric:sxsy', 'Decoherence', 'Decoherence', False, False, True, True),
+    ('both_symmetric:sxsy_sym', 'Coherence', 'Coherence', True, True, True, True),
+    ('both_symmetric:sxsysz', 'Coherence', 'Coherence', True, True, True, True),
+    ('both_symmetric:sxsysz_sym', 'Coherence', 'Coherence', True, True, True, True),
+    ('q_symmetric:sxsy_sym', 'Decoherence', 'Decoherence', False, False, True, True),
+    ('q_symmetric:sxsysz', 'Coherence', 'Coherence', True, True, True, True),
+    ('q_symmetric:sy2', 'Coherence', 'Coherence', True, True, True, True),
+    ('q_symmetric:sysz', 'Decoherence', 'Decoherence', False, False, True, True),
+    ('tr_invariant:isz', 'Decoherence', 'Decoherence', False, False, True, True),
+    ('tr_invariant:sx2', 'Coherence', 'Coherence', True, True, True, True),
+    ('tr_invariant:sxsysz', 'Decoherence', 'Decoherence', False, False, True, True),
+    ('tr_invariant:sz', 'Decoherence', 'Decoherence', False, False, True, True),
+)
+
+
+def test_the_table_files_at_gamma_0_1_are_pinned(tmp_path):
+    assert main(["table", "--gamma", "0.1", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "table.txt").read_text() == TABLE_TXT
+    doc = json.loads((tmp_path / "table.json").read_text())
+    assert list(doc) == ["all_pass", "gamma", "horizon", "oracle_all_agree",
+                         "rows"]
+    assert [doc[key] for key in list(doc)[:4]] == [True, 0.1, 20.0, True]
+    keys = ["block_identity", "block_residual", "expected", "measured",
+            "oracle_agrees", "passed", "peak_entropy", "scenario",
+            "schur_proportional", "schur_residual", "terminal_entropy",
+            "terminal_trace_g"]
+    floats = ["block_residual", "peak_entropy", "schur_residual",
+              "terminal_entropy", "terminal_trace_g"]
+    fixed = ("scenario", "expected", "measured", "block_identity",
+             "schur_proportional", "oracle_agrees", "passed")
+    for row, want in zip(doc["rows"], TABLE_JSON_ROWS, strict=True):
+        assert list(row) == keys
+        assert [k for k in keys if type(row[k]) is float] == floats
+        assert tuple(row[k] for k in fixed) == want
+
+
 def test_table_reports_an_ambiguous_row(tmp_path, capsys, monkeypatch):
     # with the decoherence threshold raised to 1, the decohering probes of
     # both_symmetric:sx peak at ln 2, between the thresholds 1e-6 and 1
@@ -312,6 +400,50 @@ def test_table_refuses_a_horizon_its_doublet_cannot_be_observed_to(
     assert err.startswith("error: the doublet cannot be observed up to t_max=")
     assert err.count("\n") == 1
     assert "--gamma" in err and "--horizon" in err
+    assert not out.exists()
+
+
+_OVERFLOW = ["--horizon", "1e308", "--gamma", "1e-300"]
+_UNDERFLOW = ["--horizon", "5e-324", "--gamma", "10"]
+
+
+@pytest.mark.parametrize("argv, kw, names", [
+    pytest.param(["table", "--horizon", "1e308", "--gamma", "1e-10"], None,
+                 ("--horizon 1e+308", "--gamma 1e-10", "is inf"),
+                 id="table-overflow"),
+    pytest.param(["table", *_UNDERFLOW], None,
+                 ("--horizon 5e-324", "--gamma 10.0", "is 0.0"),
+                 id="table-underflow"),
+    *(pytest.param(["simulate", *flags], {"integrator": integrator,
+                                          "t_max": None}, names,
+                   id=f"simulate-{integrator}-{label}")
+      for integrator in ("expm", "rk4")
+      for flags, names, label in (
+          (_OVERFLOW, ("--horizon 1e+308", "--gamma 1e-300", "is inf"),
+           "overflow"),
+          (_UNDERFLOW, ("--horizon 5e-324", "--gamma 10.0", "is 0.0"),
+           "underflow"))),
+    *(pytest.param(["simulate"], {"integrator": integrator, "t_max": None,
+                                  "gamma": 1e-320},
+                   ("default horizon 20.0", "gamma 1e-320", "is inf"),
+                   id=f"simulate-{integrator}-config-gamma")
+      for integrator in ("expm", "rk4")),
+])
+def test_a_horizon_over_gamma_that_is_not_a_finite_positive_t_max_exits_2(
+        argv, kw, names, tmp_path, capsys):
+    # t_max = horizon / gamma overflows to inf or underflows to 0; it is
+    # refused before any grid is built, naming both inputs
+    if kw is not None:
+        argv = [argv[0], "--config", _write_cfg(tmp_path, **kw), *argv[1:]]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_max = ")
+    assert err.count("\n") == 1
+    for name in names:
+        assert name in err, (name, err)
     assert not out.exists()
 
 

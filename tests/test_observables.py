@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lindsymlab.classify import propagate
 from lindsymlab.lindblad import Trajectory
-from lindsymlab.observables import (Coherence, EntropySeries, PositivityError,
+from lindsymlab.observables import (Coherence, PositivityError,
                                     coherence_verdict, observe_subspace,
                                     von_neumann_entropy)
 
@@ -52,12 +52,12 @@ def test_entropy_tolerates_tiny_negative_eigenvalue():
 
 
 def test_coherence_verdict_thresholds():
-    def series(peak):
-        return EntropySeries(s_v=np.linspace(0, peak, 5), trace_g=np.ones(5))
+    def s_v(peak):
+        return np.linspace(0, peak, 5)
 
-    assert coherence_verdict(series(1e-9)) is Coherence.COHERENT
-    assert coherence_verdict(series(0.5)) is Coherence.DECOHERENT
-    assert coherence_verdict(series(1e-4)) is Coherence.AMBIGUOUS
+    assert coherence_verdict(s_v(1e-9)) is Coherence.COHERENT
+    assert coherence_verdict(s_v(0.5)) is Coherence.DECOHERENT
+    assert coherence_verdict(s_v(1e-4)) is Coherence.AMBIGUOUS
 
 
 def test_coherence_values_are_report_labels():
@@ -89,14 +89,12 @@ def test_observe_subspace_on_a_stack_matches_each_trajectory_alone(
     # and one call per trajectory, bit for bit
     for name, system, probes in row_probes:
         traj = propagate(system, probes, 200.0)
-        series, blocks = observe_subspace(traj, system.ground.basis)
-        assert series.s_v.shape == (3, 201)
+        stacked = observe_subspace(traj, system.ground.basis)
+        assert stacked[0].shape == stacked[1].shape == (3, 201)
         for k, states in enumerate(traj.states):
-            alone, alone_blocks = observe_subspace(
+            alone = observe_subspace(
                 Trajectory(times=traj.times, states=states),
                 system.ground.basis)
-            for got, want in ((series.s_v[k], alone.s_v),
-                              (series.trace_g[k], alone.trace_g),
-                              (blocks[k], alone_blocks)):
-                assert np.array_equal(got.view(np.uint64),
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[k].view(np.uint64),
                                       want.view(np.uint64)), name
