@@ -34,13 +34,12 @@ from .lindblad import (Trajectory, block_identity_test, evolve_expm,
                        evolve_rk4, liouvillian_matrix, subspace_block, vec)
 from .observables import Coherence, coherence_verdict, observe_subspace
 from .operators import (ComplexMatrix, OperatorSpec, build_coupling,
-                        build_hamiltonian, spin_matrices)
+                        build_hamiltonian, frob, spin_matrices)
 from .response import delta_rho
-from .spectra import GroundSubspace, ground_subspace, normalize_subspace
-from .symmetry import (AntiUnitaryOp, Proportionality,
-                       commutes_with_antiunitary, commutes_with_unitary, frob,
-                       is_hermitian, quaternion_group, schur_test,
-                       time_reversal)
+from .spectra import ground_subspace, normalize_subspace
+from .symmetry import (Proportionality, commutes_with_antiunitary,
+                       commutes_with_unitary, is_hermitian, quaternion_group,
+                       schur_test, time_reversal)
 
 DEFAULT_GAMMA = 0.1
 DEFAULT_HORIZON = 20.0
@@ -137,11 +136,11 @@ _TABLE_ROWS = (
 )
 
 
-def compute_signature(o: ComplexMatrix,
-                      trev: AntiUnitaryOp) -> tuple[SymmetryClaims, tuple]:
+def compute_signature(o: ComplexMatrix) -> tuple[SymmetryClaims, tuple]:
     """Measure (hermiticity, [O,T]=0, [O,Q]=0 for all Q) of an operator.
 
-    Q runs over the quaternion group on the spin-3/2 space, so o is 4x4.
+    Q runs over the quaternion group and T is the spin-3/2 time reversal,
+    both on the spin-3/2 space, the only one Q8 is built on; so o is 4x4.
     Also returns the labels of the elements Q with [O,Q] != 0, in group
     order.
     """
@@ -150,7 +149,7 @@ def compute_signature(o: ComplexMatrix,
                     if not commutes_with_unitary(o, q))
     return SymmetryClaims(
         hermitian=is_hermitian(o),
-        commutes_t=commutes_with_antiunitary(o, trev),
+        commutes_t=commutes_with_antiunitary(o, time_reversal(1.5)),
         commutes_q=not failing,
     ), failing
 
@@ -177,9 +176,9 @@ def catalog() -> list:
     the claimed signature against the operator algebra when it builds the
     row's system.
     """
-    spins, trev = spin_matrices(1.5), time_reversal(1.5)
+    spins = spin_matrices(1.5)
     h_claims = {ham: compute_signature(
-        build_hamiltonian(OperatorSpec(name=ham), spins), trev)[0]
+        build_hamiltonian(OperatorSpec(name=ham), spins))[0]
         for ham in dict.fromkeys(row[0] for row in _TABLE_ROWS)}
     return [Scenario(
         name=f"{ham}:{op}",
@@ -195,12 +194,13 @@ def catalog() -> list:
 
 @dataclass(frozen=True)
 class ScenarioSystem:
-    """A scenario as an open system: matrices, doublet and Liouvillian."""
+    """A scenario as an open system: the Hamiltonian h, the coupling o,
+    the (d, 2) basis of h's ground doublet, gamma and the Liouvillian.
+    prepare guarantees that the basis has two columns."""
 
     h: ComplexMatrix
     o: ComplexMatrix
-    trev: AntiUnitaryOp
-    ground: GroundSubspace
+    basis: ComplexMatrix
     gamma: float
     liouvillian: ComplexMatrix
 
@@ -216,7 +216,8 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA,
     pull in excited states.
 
     Raises:
-        ValueError: invalid spin, operator spec, or pairing.
+        ValueError: invalid spin, operator spec, or pairing, or a ground
+            level that is not two-dimensional: every route reads a doublet.
         PropagationError: from liouvillian_matrix, when the Liouvillian's
             norm overflows.
     """
@@ -225,21 +226,24 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA,
     o = build_coupling(sc.coupling, spins)
     trev = time_reversal(spin)
     pairing = trev if commutes_with_antiunitary(h, trev) else None
-    ground = ground_subspace(h, pairing=pairing)
-    return ScenarioSystem(h=h, o=o, trev=trev, ground=ground, gamma=gamma,
+    basis = ground_subspace(h, pairing=pairing)
+    if basis.shape[1] != 2:
+        raise ValueError(f"hamiltonian: its ground level at spin {spin:g} "
+                         f"has dimension {basis.shape[1]}, need a doublet")
+    return ScenarioSystem(h=h, o=o, basis=basis, gamma=gamma,
                           liouvillian=liouvillian_matrix(h, o, gamma))
 
 
-def probe_densities(ground: GroundSubspace) -> np.ndarray:
-    """Three doublet states that jointly witness a for-all-states property,
-    as densities (3, d, d): the equal, quarter-phase and basis
-    superpositions, in that order.
+def probe_densities(basis: ComplexMatrix) -> np.ndarray:
+    """Three states of the doublet with (d, 2) basis that jointly witness
+    a for-all-states property, as densities (3, d, d): the equal,
+    quarter-phase and basis superpositions, in that order.
 
     A single initial state can sit in a decaying-but-form-invariant
     direction of a decoherent channel; the three cannot all do so
     simultaneously.
     """
-    fp, fm = ground.basis[:, 0], ground.basis[:, 1]
+    fp, fm = basis[:, 0], basis[:, 1]
     return np.stack([np.outer(psi, psi.conj())
                      for psi in ((fp + fm) / np.sqrt(2.0),
                                  (fp + 1j * fm) / np.sqrt(2.0), fp)])
@@ -266,7 +270,7 @@ def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
 def doublet_block(system: ScenarioSystem) -> Proportionality:
     """Test the doublet block of the system's Liouvillian against c * I."""
     return block_identity_test(subspace_block(system.liouvillian,
-                                              system.ground.basis))
+                                              system.basis))
 
 
 # Order in which one probe's verdict overrides another's for the row.
@@ -293,10 +297,10 @@ def assess(systems: list, horizon: float = DEFAULT_HORIZON) -> list:
     gamma = systems[0].gamma
     if any(system.gamma != gamma for system in systems):
         raise ValueError("assess needs one gamma for every system")
-    probes = np.stack([probe_densities(system.ground) for system in systems])
+    bases = np.stack([system.basis for system in systems])
+    probes = np.stack([probe_densities(basis) for basis in bases])
     traj = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
                        horizon / gamma, TABLE_SAMPLES)
-    bases = np.stack([system.ground.basis for system in systems])
     s_v, trace_g, blocks = observe_subspace(traj, bases[:, None, None])
     rho_g = normalize_subspace(blocks[:, 0])  # the equal superposition
     max_drift = np.linalg.norm(rho_g - rho_g[:, :1], axis=(-2, -1)).max(-1)
@@ -309,9 +313,9 @@ def assess(systems: list, horizon: float = DEFAULT_HORIZON) -> list:
         adjoint = states.conj().swapaxes(-2, -1)
         verdicts = {coherence_verdict(probe) for probe in s_v[i]}
         bi = doublet_block(system)
-        schur_o = schur_test(system.ground.projector, system.o)
-        schur_q = schur_test(system.ground.projector,
-                             system.o.conj().T @ system.o)
+        projector = system.basis @ system.basis.conj().T
+        schur_o = schur_test(projector, system.o)
+        schur_q = schur_test(projector, system.o.conj().T @ system.o)
         routes.append(dict(
             measured_coherence=next(v for v in _WORST_FIRST
                                     if v in verdicts),
@@ -352,7 +356,7 @@ def run_scenario(scenarios: list, gamma: float = DEFAULT_GAMMA,
     systems = []
     for sc in scenarios:
         system = prepare(sc, gamma)
-        measured, _ = compute_signature(system.o, system.trev)
+        measured, _ = compute_signature(system.o)
         if measured != sc.claims:
             raise CatalogIntegrityError(
                 f"{sc.name}: claims {sc.claims} but measured {measured}")
@@ -366,7 +370,7 @@ def response_oracle_coherent(system: ScenarioSystem,
                              probes: np.ndarray) -> bool:
     """Verdict from the first-order response, independent of the propagators.
 
-    probes is probe_densities(system.ground). For each probe the
+    probes is probe_densities(system.basis). For each probe the
     first-order correction at gamma = 1e-3 and gamma*t = 0.5 is projected
     onto the doublet and compared against the initial subspace state:
     coherence means the correction only rescales it. A probe lies in the
@@ -377,7 +381,7 @@ def response_oracle_coherent(system: ScenarioSystem,
     """
     gamma = 1e-3
     t = 0.5 / gamma
-    basis = system.ground.basis
+    basis = system.basis
     coherent = True
     for rho0, delta in zip(probes, delta_rho(probes, system.o, system.h,
                                              gamma, t, 128)):

@@ -299,10 +299,8 @@ def subspace_block(l_matrix: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatr
     the images of those dyads, re-expressed in the same dyad basis; when
     the subspace is not invariant the block is the compression.
     """
-    g = basis.shape[1]
-    cols = [np.kron(basis[:, c], basis[:, d].conj())
-            for c in range(g) for d in range(g)]
-    p = np.column_stack(cols)
+    # column c*g + d of the Kronecker product is the dyad |phi_c><phi_d|
+    p = np.kron(basis, basis.conj())
     return p.conj().T @ l_matrix @ p
 
 

@@ -20,6 +20,12 @@ ComplexMatrix = np.ndarray
 MAX_DIM = 64
 
 
+def frob(a: np.ndarray) -> float:
+    """Frobenius norm; inf, without a numpy warning, when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(a))
+
+
 @dataclass(frozen=True)
 class SpinTriple:
     """The three spin matrices for a fixed total spin."""
@@ -151,13 +157,6 @@ def canonical_name(name: str) -> str:
     return key
 
 
-def _frob(m: ComplexMatrix) -> float:
-    """symmetry.frob: inf, without a numpy warning, when the norm overflows."""
-    # imported here: symmetry builds on this module's spin matrices
-    from .symmetry import frob
-    return frob(m)
-
-
 def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     """Resolve a Hamiltonian spec to a Hermitian matrix scaled by E_g.
 
@@ -181,12 +180,12 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
             raise ValueError(f"{spec.name!r} names a coupling operator, "
                              f"not a Hamiltonian")
         h = _HAMILTONIANS[key](spins)
-    if not abs(spec.scale) * _frob(h) < math.inf:
+    if not abs(spec.scale) * frob(h) < math.inf:
         raise ValueError("hamiltonian: its Frobenius norm times e_g "
                          "overflows")
     # a finite norm bounds every entry, so h - h^dag cannot overflow
     if (spec.matrix is not None
-            and _frob(h - h.conj().T) > 1e-12 * max(1.0, _frob(h))):
+            and frob(h - h.conj().T) > 1e-12 * max(1.0, frob(h))):
         raise ValueError("literal Hamiltonian must be Hermitian")
     return spec.scale * h
 
@@ -212,9 +211,9 @@ def build_coupling(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     # checked before the product, which would overflow with a numpy
     # warning, and after it, since the norm squares the scaled entries
     refusal = "coupling: its Frobenius norm overflows"
-    if not abs(spec.scale) * _frob(o) < math.inf:
+    if not abs(spec.scale) * frob(o) < math.inf:
         raise ValueError(refusal)
     o = spec.scale * o
-    if not _frob(o) < math.inf:
+    if not frob(o) < math.inf:
         raise ValueError(refusal)
     return o

@@ -8,12 +8,10 @@ and restricts density matrices to the subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .operators import ComplexMatrix
-from .symmetry import AntiUnitaryOp, frob, is_hermitian
+from .operators import ComplexMatrix, frob
+from .symmetry import AntiUnitaryOp, is_hermitian
 
 
 class SubspaceDepletedError(Exception):
@@ -40,22 +38,9 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-@dataclass(frozen=True)
-class GroundSubspace:
-    """Ground level of a Hermitian matrix with a deterministic basis.
-
-    basis has one orthonormal column per ground state; projector is the
-    rank-dim orthogonal projector built from it.
-    """
-
-    basis: ComplexMatrix
-    projector: ComplexMatrix
-    dim: int
-
-
 def ground_subspace(h: ComplexMatrix,
-                    pairing: AntiUnitaryOp | None = None) -> GroundSubspace:
-    """Extract the ground subspace of h with a reproducible basis.
+                    pairing: AntiUnitaryOp | None = None) -> ComplexMatrix:
+    """The ground level of h as an orthonormal basis, one column per state.
 
     Eigenvalues within 1e-9 times the spectral spread of the minimum
     count as ground states. Each basis vector is phase-fixed so its
@@ -63,6 +48,8 @@ def ground_subspace(h: ComplexMatrix,
     ground level, a caller-supplied anti-unitary that commutes with h
     fixes the second vector proportional to the image of the first,
     re-orthonormalized; the anti-unitary must map the subspace to itself.
+    The level's dimension is the basis's column count; classify.prepare
+    refuses any but two.
 
     Raises:
         ValueError: if pairing is supplied but maps the first ground state
@@ -74,19 +61,17 @@ def ground_subspace(h: ComplexMatrix,
     columns = (range(len(vals)) if full
                else np.flatnonzero(vals - vals[0] <= 1e-9 * spread))
     basis = np.column_stack([_phase_fix(vecs[:, k]) for k in columns])
-    proj = basis @ basis.conj().T
     if pairing is not None and basis.shape[1] == 2 and not full:
         phi_plus = basis[:, 0]
         partner = pairing.act_state(phi_plus)
-        leak = partner - proj @ partner
+        leak = partner - basis @ basis.conj().T @ partner
         if frob(leak) > 1e-9:
             raise ValueError(
                 "pairing operator maps the ground state out of its subspace")
         partner = partner - phi_plus * (phi_plus.conj() @ partner)
         partner = partner / np.linalg.norm(partner)
         basis = np.column_stack([phi_plus, _phase_fix(partner)])
-        proj = basis @ basis.conj().T
-    return GroundSubspace(basis=basis, projector=proj, dim=basis.shape[1])
+    return basis
 
 
 def subspace_density(rho: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatrix:

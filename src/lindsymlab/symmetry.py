@@ -16,15 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ComplexMatrix, spin_matrices
+from .operators import ComplexMatrix, frob, spin_matrices
 
 DEFAULT_TOL = 1e-9
-
-
-def frob(a: np.ndarray) -> float:
-    """Frobenius norm; inf, without a numpy warning, when it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(a))
 
 
 def is_hermitian(a: ComplexMatrix) -> bool:
@@ -143,8 +137,8 @@ def schur_test(projector: ComplexMatrix, op: ComplexMatrix) -> Proportionality:
     irreducibly on the projected subspace this must hold exactly, with
     coefficient c = tr(P op P) / rank(P); the residual must be at most
     DEFAULT_TOL * max(1, |c|). projector must be an orthogonal projector
-    of rank at least one, as GroundSubspace.projector is by construction;
-    it is not checked here.
+    of rank at least one, as basis @ basis^dag of an orthonormal basis is
+    by construction; it is not checked here.
     """
     rank = int(round(np.trace(projector).real))
     pop = projector @ op @ projector

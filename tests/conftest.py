@@ -43,7 +43,7 @@ def row_probes(scenarios):
     rows = []
     for name, sc in scenarios.items():
         system = classify.prepare(sc, 0.1)
-        rows.append((name, system, classify.probe_densities(system.ground)))
+        rows.append((name, system, classify.probe_densities(system.basis)))
     return rows
 
 

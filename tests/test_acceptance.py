@@ -39,7 +39,7 @@ def systems():
 
 
 def _equal_probe(system):
-    return probe_densities(system.ground)[0]
+    return probe_densities(system.basis)[0]
 
 
 def test_ac01_table_reproduction(table):
@@ -169,7 +169,7 @@ def test_ac07_first_order_response(systems):
     for name in coherent:
         system = systems[name][1]
         assert response_oracle_coherent(
-            system, probe_densities(system.ground)), name
+            system, probe_densities(system.basis)), name
     print(f"AC7 first-order response: slope {slope:.3f} = 2.0 +- 0.1; "
           f"projected correction proportional on all 8 coherent rows: PASS")
 
@@ -219,7 +219,7 @@ def test_ac09_kramers_suite():
             # T^2 = -1 forces the even multiplicities counted above
             assert commutes_with_antiunitary(h, trev), name
         pairing = trev if name != "q_symmetric" else None
-        dims[name] = ground_subspace(h, pairing=pairing).dim
+        dims[name] = ground_subspace(h, pairing=pairing).shape[1]
     assert all(d == 2 for d in dims.values()), dims
     print(f"AC9 Kramers suite: even multiplicities and ground dims {dims}: "
           f"PASS")
@@ -229,14 +229,14 @@ def test_ac10_schur_suite(table, systems):
     verdicts, _ = table
     for v in verdicts:
         sc, system = systems[v.name]
-        res = schur_test(system.ground.projector, system.o)
+        p = system.basis @ system.basis.conj().T
+        res = schur_test(p, system.o)
         if sc.expected_coherence is Coherence.COHERENT:
             assert res.proportional, v.name
-            assert schur_test(system.ground.projector,
-                              system.o.conj().T @ system.o).proportional, v.name
+            quadratic = system.o.conj().T @ system.o
+            assert schur_test(p, quadratic).proportional, v.name
         else:
             assert not res.proportional, v.name
-            p = system.ground.projector
             norm_projected = np.linalg.norm(p @ system.o @ p)
             assert res.residual > 1e-3 * norm_projected, (
                 v.name, res.residual, norm_projected)

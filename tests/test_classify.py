@@ -6,8 +6,8 @@ import scipy.linalg
 
 from lindsymlab import classify, observables, operators, symmetry
 from lindsymlab.cli import main
-from lindsymlab.classify import (CatalogIntegrityError, SymmetryClaims,
-                                 Verdict, assess, compute_signature,
+from lindsymlab.classify import (CatalogIntegrityError, Scenario,
+                                 SymmetryClaims, Verdict, assess, compute_signature,
                                  doublet_block, prepare, probe_densities,
                                  propagate, reproduce_table,
                                  response_oracle_coherent, run_scenario)
@@ -39,7 +39,7 @@ def test_both_symmetric_block_covers_all_signatures(scenarios):
     assert len(sigs) == 8
 
 
-def test_compute_signature_spot_checks(trev):
+def test_compute_signature_spot_checks():
     cases = {
         "sy2": ((True, True, True), ()),
         "isz": ((False, True, False), ("j", "j_bar", "k_bar", "k")),
@@ -50,7 +50,7 @@ def test_compute_signature_spot_checks(trev):
     spins = spin_matrices(1.5)
     for name, (want, fails_on) in cases.items():
         claims, failing = compute_signature(
-            build_coupling(OperatorSpec(name=name), spins), trev)
+            build_coupling(OperatorSpec(name=name), spins))
         assert claims == SymmetryClaims(*want), name
         assert failing == fails_on, name
 
@@ -61,22 +61,41 @@ def test_claims_render_human_readable():
     assert "no" in s
 
 
-def test_prepare_selects_pairing_by_time_reversal_symmetry(scenarios):
+def test_prepare_selects_pairing_by_time_reversal_symmetry(scenarios, trev):
     by = scenarios
     # time-reversal-symmetric Hamiltonian: basis columns are a Kramers pair
     sys_tr = prepare(by["tr_invariant:sx2"])
-    partner = sys_tr.trev.act_state(sys_tr.ground.basis[:, 0])
-    assert abs(abs(sys_tr.ground.basis[:, 1].conj() @ partner) - 1.0) < 1e-12
+    partner = trev.act_state(sys_tr.basis[:, 0])
+    assert abs(abs(sys_tr.basis[:, 1].conj() @ partner) - 1.0) < 1e-12
     # anti-commuting case cannot be paired and must still prepare cleanly
     sys_q = prepare(by["q_symmetric:sy2"])
-    assert sys_q.ground.dim == 2
+    assert sys_q.basis.shape[1] == 2
+
+
+@pytest.mark.parametrize("hamiltonian, spin, dim", [
+    pytest.param(OperatorSpec(name="both_symmetric"), 1.0, 1, id="spin-1"),
+    pytest.param(OperatorSpec(matrix=np.eye(4)), 1.5, 4, id="identity")])
+def test_prepare_refuses_a_ground_level_that_is_not_a_doublet(hamiltonian,
+                                                              spin, dim):
+    # every route reads a two-column basis; a one-dimensional level has no
+    # probes, and under H = I the whole space would pose as the doublet
+    sc = Scenario(name="not_a_doublet", hamiltonian=hamiltonian,
+                  coupling=OperatorSpec(name="sx2"),
+                  expected_coherence=Coherence.COHERENT,
+                  claims=SymmetryClaims(True, True, True))
+    message = f"has dimension {dim}, need a doublet"
+    with pytest.raises(ValueError, match=message):
+        prepare(sc, spin=spin)
+    if spin == 1.5:
+        with pytest.raises(ValueError, match=message):
+            run_scenario([sc])
 
 
 def test_probe_states_layout(scenarios):
     system = prepare(scenarios["both_symmetric:sx"])
-    equal, quarter, basis = probes = probe_densities(system.ground)
+    equal, quarter, basis = probes = probe_densities(system.basis)
     assert probes.shape == (3, 4, 4)
-    p = system.ground.projector
+    p = system.basis @ system.basis.conj().T
     for rho in probes:
         # a pure state inside the doublet
         assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -91,7 +110,7 @@ def test_probe_states_layout(scenarios):
 def test_run_scenario_protected_row(scenarios):
     [v] = run_scenario([scenarios["q_symmetric:sy2"]])
     system = prepare(scenarios["q_symmetric:sy2"])
-    p = system.ground.projector
+    p = system.basis @ system.basis.conj().T
     assert v.passed
     assert v.measured_coherence is Coherence.COHERENT
     assert v.block_identity
@@ -146,7 +165,7 @@ def test_response_oracle_matches_on_gauge_trap(scenarios):
     def oracle(name):
         system = prepare(scenarios[name])
         return response_oracle_coherent(system,
-                                        probe_densities(system.ground))
+                                        probe_densities(system.basis))
 
     assert oracle("q_symmetric:sy2")
     assert oracle("both_symmetric:sxsysz")
@@ -165,7 +184,7 @@ def test_response_oracle_calls_no_propagator(scenarios, monkeypatch):
                for name in ("q_symmetric:sy2", "both_symmetric:sxsysz",
                             "both_symmetric:sx", "tr_invariant:sxsysz")}
     verdicts = {name: response_oracle_coherent(system,
-                                               probe_densities(system.ground))
+                                               probe_densities(system.basis))
                 for name, system in systems.items()}
     assert verdicts == {"q_symmetric:sy2": True,
                         "both_symmetric:sxsysz": True,
@@ -245,19 +264,20 @@ def _run_scenario_reference(sc, gamma, horizon=20.0):
     to. Returns the row's Verdict and the values its pass and
     oracle-agreement rules must give."""
     system = prepare(sc, gamma)
-    measured, _ = compute_signature(system.o, system.trev)
+    measured, _ = compute_signature(system.o)
     assert measured == sc.claims, sc.name
-    probes = probe_densities(system.ground)
+    probes = probe_densities(system.basis)
     traj = propagate(system, probes, horizon / gamma)
-    s_v, trace_g, blocks = observe_subspace(traj, system.ground.basis)
+    s_v, trace_g, blocks = observe_subspace(traj, system.basis)
     verdicts = {coherence_verdict(probe) for probe in s_v}
     combined = next(v for v in _WORST_FIRST if v in verdicts)
     rho_g = normalize_subspace(blocks[0])
     max_drift = np.linalg.norm(rho_g - rho_g[0], axis=(-2, -1)).max()
     adjoint = traj.states.conj().swapaxes(-2, -1)
     bi = doublet_block(system)
-    schur_o = schur_test(system.ground.projector, system.o)
-    schur_q = schur_test(system.ground.projector, system.o.conj().T @ system.o)
+    projector = system.basis @ system.basis.conj().T
+    schur_o = schur_test(projector, system.o)
+    schur_q = schur_test(projector, system.o.conj().T @ system.o)
     oracle_coherent = response_oracle_coherent(system, probes)
     return Verdict(
         name=sc.name, claims=sc.claims,

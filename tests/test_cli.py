@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindsymlab import classify, observables
+from lindsymlab import classify, cli, observables
 from lindsymlab.classify import catalog, run_scenario
 from lindsymlab.cli import RunConfig, build_parser, cmd_table, main
 from lindsymlab.lindblad import MAX_TRAJECTORY_ENTRIES
@@ -480,6 +480,41 @@ def test_default_n_quad_fits_at_every_accepted_spin():
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     n_quad = defaults["n_quad"]
     assert (n_quad + 1) * MAX_DIM * MAX_DIM <= MAX_TRAJECTORY_ENTRIES
+
+
+@pytest.mark.parametrize("horizon", ["0.01", "1e-310"])
+def test_table_refuses_a_horizon_too_short_to_resolve_its_rows(
+        horizon, tmp_path, capsys):
+    # at gamma*t = 0.01 a decoherent row still reads Ambiguous, and at
+    # 1e-310 every decoherent row reads Coherence
+    out = tmp_path / "out"
+    assert main(["table", "--horizon", horizon, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --horizon {float(horizon)!r} is below ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_table_answers_at_its_shortest_horizon(tmp_path):
+    out = tmp_path / "out"
+    assert main(["table", "--horizon", repr(cli.MIN_TABLE_HORIZON),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "table.json").read_text())["all_pass"] is True
+
+
+@pytest.mark.parametrize("command, kw", [
+    ("simulate", {}), ("sweep", {"gammas": [0.01, 0.02]})])
+def test_a_ground_level_that_is_not_a_doublet_exits_2(command, kw, tmp_path,
+                                                      capsys):
+    # the spin-1 Sz^2 ground level is the single state m = 0
+    cfg = _write_cfg(tmp_path, spin=1.0, hamiltonian="both_symmetric", **kw)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: hamiltonian: ")
+    assert err.count("\n") == 1
+    assert "dimension 1, need a doublet" in err
+    assert not out.exists()
 
 
 def test_a_huge_spin_is_named_in_a_short_message(tmp_path, capsys):

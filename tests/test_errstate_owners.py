@@ -8,7 +8,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lindsymlab"
 
-OWNERS = {("lindblad.py", "liouvillian_matrix"), ("symmetry.py", "frob")}
+OWNERS = {("lindblad.py", "liouvillian_matrix"), ("operators.py", "frob")}
 
 
 def errstate_uses(source: str) -> list:

@@ -109,7 +109,7 @@ def _assert_rk4_unchanged(rho0, h, o, gamma, steps):
 @pytest.mark.parametrize("sc", catalog(), ids=lambda sc: sc.name)
 def test_stacked_rk4_is_bit_identical_on_every_row(sc):
     system = prepare(sc, 0.1)
-    for rho0 in probe_densities(system.ground):
+    for rho0 in probe_densities(system.basis):
         _assert_rk4_unchanged(rho0, system.h, system.o, 0.1, 300)
 
 
@@ -312,7 +312,7 @@ def test_evolve_expm_projects_a_trace_losing_propagator(monkeypatch):
     # propagator loses trace to roundoff until it drifts past DEFAULT_TOL
     sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
     system = prepare(sc, 10.0, 7.5)
-    rho0 = probe_densities(system.ground)[0]  # the equal superposition
+    rho0 = probe_densities(system.basis)[0]  # the equal superposition
     traj = evolve_expm(rho0, system.liouvillian, 200.0, 201)
     assert traj.meta["projected"]
     trace = np.trace(traj.states, axis1=1, axis2=2)
@@ -347,7 +347,7 @@ def test_evolve_expm_refuses_a_trajectory_that_is_not_finite():
         warnings.simplefilter("error")
         with pytest.raises(PropagationError, match="expm trajectory up to "
                            "t_max=1e\\+300 is not finite: .*t_max too large"):
-            evolve_expm(probe_densities(system.ground), system.liouvillian,
+            evolve_expm(probe_densities(system.basis), system.liouvillian,
                         1e300, 201)
 
 
@@ -414,7 +414,7 @@ def test_evolve_expm_projects_only_the_states_of_a_stack_that_drift():
     # per-state loop
     sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
     system = prepare(sc, 10.0, 7.5)
-    probes = probe_densities(system.ground)
+    probes = probe_densities(system.basis)
     stacked = evolve_expm(probes, system.liouvillian, 60.0, 201)
     assert stacked.meta["projected"].tolist() == [True, True, False]
     _assert_expm_matches_reference(stacked, probes, system.liouvillian, 60.0,
@@ -430,7 +430,7 @@ def test_evolve_expm_projects_only_the_states_of_a_stack_that_drift():
 def test_evolve_expm_matches_the_per_state_loop_on_a_stack_of_one():
     sc = {sc.name: sc for sc in catalog()}["both_symmetric:sxsy"]
     system = prepare(sc, 0.1, 3.5)
-    probes = probe_densities(system.ground)[1:2]  # the quarter phase
+    probes = probe_densities(system.basis)[1:2]  # the quarter phase
     traj = evolve_expm(probes, system.liouvillian, 200.0, 201)
     _assert_expm_matches_reference(traj, probes, system.liouvillian, 200.0,
                                    201)
@@ -440,12 +440,12 @@ def test_subspace_block_identity_on_protected_channel(hams):
     h = hams["q_symmetric"]
     o = _op("sy2")
     gamma = 0.25
-    gs = ground_subspace(h)
-    block = subspace_block(liouvillian_matrix(h, o, gamma), gs.basis)
+    basis = ground_subspace(h)
+    block = subspace_block(liouvillian_matrix(h, o, gamma), basis)
     res = block_identity_test(block)
     assert res.proportional
     # the scalar follows from the two subspace averages of O and O'O
-    p = gs.projector
+    p = basis @ basis.conj().T
     assert schur_test(p, o).proportional
     assert schur_test(p, o.conj().T @ o).proportional
     lam = np.trace(p @ o @ p) / 2
@@ -457,8 +457,8 @@ def test_subspace_block_identity_on_protected_channel(hams):
 def test_subspace_block_detects_leaky_channel(hams):
     h = hams["q_symmetric"]
     o = _op("sysz")
-    gs = ground_subspace(h)
-    block = subspace_block(liouvillian_matrix(h, o, 0.25), gs.basis)
+    block = subspace_block(liouvillian_matrix(h, o, 0.25),
+                           ground_subspace(h))
     res = block_identity_test(block)
     assert not res.proportional
     assert res.residual > 1e-3
@@ -472,7 +472,7 @@ def test_evolve_expm_steps_a_stack_of_systems_each_as_if_alone():
     by = {sc.name: sc for sc in catalog()}
     systems = [prepare(by[name], 10.0, 7.5)
                for name in ("both_symmetric:sx2", "both_symmetric:sx2sz")]
-    probes = np.stack([probe_densities(system.ground) for system in systems])
+    probes = np.stack([probe_densities(system.basis) for system in systems])
     stacked = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
                           60.0, 201)
     assert stacked.states.shape == (2, 3, 201, 16, 16)

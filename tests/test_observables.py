@@ -89,12 +89,12 @@ def test_observe_subspace_on_a_stack_matches_each_trajectory_alone(
     # and one call per trajectory, bit for bit
     for name, system, probes in row_probes:
         traj = propagate(system, probes, 200.0)
-        stacked = observe_subspace(traj, system.ground.basis)
+        stacked = observe_subspace(traj, system.basis)
         assert stacked[0].shape == stacked[1].shape == (3, 201)
         for k, states in enumerate(traj.states):
             alone = observe_subspace(
                 Trajectory(times=traj.times, states=states),
-                system.ground.basis)
+                system.basis)
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[k].view(np.uint64),
                                       want.view(np.uint64)), name

@@ -108,8 +108,8 @@ def test_delta_rho_first_order_accuracy(hams, trev):
     # like gamma^2
     h = hams["tr_invariant"]
     o = _op("isz")
-    gs = ground_subspace(h, pairing=trev)
-    psi = (gs.basis[:, 0] + gs.basis[:, 1]) / np.sqrt(2)
+    basis = ground_subspace(h, pairing=trev)
+    psi = (basis[:, 0] + basis[:, 1]) / np.sqrt(2)
     rho0 = np.outer(psi, psi.conj())
     t = 5.0
     ref = evolve_expm(rho0, liouvillian_matrix(h, o, 0.0), t, 11)
