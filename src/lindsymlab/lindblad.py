@@ -195,16 +195,15 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     return Trajectory(times=times, states=states, meta={"dt": dt_eff})
 
 
-def _step_samples(flat: np.ndarray, props: list, which: np.ndarray) -> None:
+def _step_samples(flat: np.ndarray, prop: np.ndarray) -> None:
     """Fill samples 1.. of every state in flat (systems, states, n_samples,
-    d^2) from sample 0, one matmul per step. props[j] holds one propagator
-    per system, as (systems, 1, D, D), or one (D, D) for every state.
-    Each stack element is the gemv that its propagator @ flat[s, i, k]
-    would make, so no state's bytes depend on its neighbours; the states
-    are never the columns of one gemm."""
-    for k, j in enumerate(which):
-        np.matmul(props[j], flat[..., k, :, None],
-                  out=flat[..., k + 1, :, None])
+    d^2) from sample 0 as sample k + 1 = prop @ sample k, one matmul per
+    step. prop holds one propagator per system, as (systems, 1, D, D), or
+    one (D, D) for every state. Each stack element is the gemv that its
+    propagator @ flat[s, i, k] would make, so no state's bytes depend on
+    its neighbours; the states are never the columns of one gemm."""
+    for k in range(flat.shape[-2] - 1):
+        np.matmul(prop, flat[..., k, :, None], out=flat[..., k + 1, :, None])
 
 
 def _trace_drift(flat: np.ndarray, d: int) -> np.ndarray:
@@ -218,20 +217,21 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     """Propagate through the matrix exponential of the Liouvillian l_mat.
 
     Exact up to roundoff for any step, so it serves as the reference the
-    RK4 route is validated against. The steps of the sample grid can
-    differ in the last bit, so one propagator is built per distinct step
-    and shared by a stack rho0 (..., d, d). l_mat is one Liouvillian
-    (D, D), a stack of one system, or a stack (n, D, D), one per system,
-    paired with rho0 (n, ..., d, d): each system gets its own propagators,
-    and a stack of one views its propagators instead of copying them. The
-    whole stack advances by one matmul per sample step, which runs each
-    state's own matrix-vector product, so a state's bytes are those of a
-    single-state call on its own Liouvillian.
+    RK4 route is validated against. One step propagator P = expm(L h),
+    h = times[1], is built per system, and states[..., k, :, :] is
+    P^k rho0; times are the linspace labels, which can differ from k h in
+    the last bit. rho0 is one state or a stack (..., d, d). l_mat is one
+    Liouvillian (D, D), a stack of one system, or a stack (n, D, D), one
+    per system, paired with rho0 (n, ..., d, d), and a stack of one views
+    its propagator instead of copying it. The whole stack advances by one
+    matmul per sample step, which runs each state's own matrix-vector
+    product, so a state's bytes are those of a single-state call on its
+    own Liouvillian.
 
     A Liouvillian of large norm can exponentiate to a step propagator that
     loses trace at roundoff level on every step. If a stored sample's
     trace then drifts from its rho0's by more than DEFAULT_TOL, the bound
-    evolve_rk4 holds its samples to as well, each step propagator P of its
+    evolve_rk4 holds its samples to as well, the step propagator P of its
     system is projected onto trace-preserving maps, P + (vec(I)/d)(vec(I)^T
     - vec(I)^T P), that state alone is run again and meta["projected"][i]
     set.
@@ -240,7 +240,7 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
         ValueError: a Liouvillian stack whose length is not rho0's first
             axis.
         PropagationError: the trace still drifts past DEFAULT_TOL with the
-            projected propagators, or a sample is not finite.
+            projected propagator, or a sample is not finite.
     """
     d = rho0.shape[-1]
     times = sample_times(t_max, n_samples, d)
@@ -253,30 +253,25 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     # call expm skip its import time
     import scipy.linalg
 
-    steps, which = np.unique(np.diff(times), return_inverse=True)
-    # one (systems, 1, D, D) array per distinct step; np.stack would copy
-    # a lone propagator (16 MB at spin 31/2), so that one is a view
-    props = []
-    for step in steps:
-        p = [scipy.linalg.expm(l * step) for l in l_stack]
-        props.append(p[0][None, None] if systems == 1 else np.stack(p)[:, None])
+    # one (systems, 1, D, D) array; np.stack would copy a lone propagator
+    # (16 MB at spin 31/2), so that one is a view
+    p = [scipy.linalg.expm(l * times[1]) for l in l_stack]
+    prop = p[0][None, None] if systems == 1 else np.stack(p)[:, None]
     states = np.empty(rho0.shape[:-2] + (n_samples, d, d), dtype=complex)
     # a view of states: one row of vec(rho) per system, state and sample
     flat = states.reshape(systems, -1, n_samples, d * d)
     flat[:, :, 0] = rho0.reshape(systems, -1, d * d)
-    _step_samples(flat, props, which)
+    _step_samples(flat, prop)
     drift = _trace_drift(flat, d)
     # a trajectory that is not finite is not projected but refused below
     projected = (DEFAULT_TOL < drift) & (drift < np.inf)
     trace_row, trace_props = vec(np.eye(d)), {}
     for s, i in np.argwhere(projected):
         if s not in trace_props:  # built once per system that drifts
-            trace_props[s] = [
-                p[s, 0] + np.outer(trace_row / d,
-                                   trace_row - trace_row @ p[s, 0])
-                for p in props]
+            trace_props[s] = prop[s, 0] + np.outer(
+                trace_row / d, trace_row - trace_row @ prop[s, 0])
         alone = flat[s:s + 1, i:i + 1]
-        _step_samples(alone, trace_props[s], which)
+        _step_samples(alone, trace_props[s])
         drift_i = _trace_drift(alone, d)[0, 0]
         if not drift_i <= DEFAULT_TOL:
             raise PropagationError(

@@ -85,3 +85,19 @@ def record_calls(monkeypatch):
 def liouvillian_builds(record_calls):
     """The argument tuples of every liouvillian_matrix call, in order."""
     return record_calls("lindblad.liouvillian_matrix")
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """The matrix of every scipy.linalg.expm call, in order; lindblad calls
+    it through the module attribute, so patching that attribute counts it."""
+    import scipy.linalg
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    return calls

@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from lindsymlab import classify, observables, operators, symmetry
 from lindsymlab.cli import main
@@ -237,22 +236,18 @@ def test_catalog_rejects_tampered_claims(scenarios):
 
 
 def test_a_table_makes_one_expm_and_one_interaction_picture_per_row(
-        record_calls, monkeypatch):
-    # each row propagates its three probes in one evolve_expm call, whose
-    # grid has one distinct step, and runs them through one delta_rho
+        record_calls, expm_calls):
+    # each row's Liouvillian is exponentiated once and its three probes run
+    # through one delta_rho, on any grid: at gamma = 0.1 the steps of
+    # linspace(0, 20 / gamma, 201) take one value, at 0.3 they take 9
     pictures = record_calls("response.interaction_picture")
-    expms = []
-    expm = scipy.linalg.expm
-
-    def counting(a, *args, **kwargs):
-        expms.append(a)
-        return expm(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counting)
-    verdicts = reproduce_table()
-    assert all(v.passed and v.oracle_agrees for v in verdicts)
-    assert len(verdicts) == 16
-    assert (len(expms), len(pictures)) == (16, 16)
+    for gamma in (0.1, 0.3):
+        expm_calls.clear()
+        pictures.clear()
+        verdicts = reproduce_table(gamma=gamma)
+        assert all(v.passed and v.oracle_agrees for v in verdicts), gamma
+        assert len(verdicts) == 16
+        assert (len(expm_calls), len(pictures)) == (16, 16), gamma
 
 
 _WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
@@ -327,29 +322,21 @@ def test_the_stacked_table_matches_one_row_at_a_time(scenarios, gamma):
                 assert got == want, (v.name, field.name)
 
 
-def test_a_table_propagates_and_observes_once(record_calls, monkeypatch):
+def test_a_table_propagates_and_observes_once(record_calls, expm_calls):
     # one call of each on the whole (16, 3, 4, 4) probe stack; each row's
-    # Liouvillian is exponentiated once, as its grid has one distinct step,
-    # and the oracle corrects each row's three probes in its own call
+    # Liouvillian is exponentiated once, and the oracle corrects each row's
+    # three probes in its own call
     evolves = record_calls("lindblad.evolve_expm")
     observes = record_calls("observables.observe_subspace")
     deltas = record_calls("response.delta_rho")
-    expms = []
-    expm = scipy.linalg.expm
-
-    def counting(a, *args, **kwargs):
-        expms.append(a)
-        return expm(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counting)
     verdicts = reproduce_table()
     assert all(v.passed and v.oracle_agrees for v in verdicts)
     assert (len(evolves), len(observes), len(deltas)) == (1, 1, 16)
     rho0, l_mat = evolves[0][:2]
     assert rho0.shape == (16, 3, 4, 4) and l_mat.shape == (16, 16, 16)
     assert all(call[0].shape == (3, 4, 4) for call in deltas)
-    assert len(expms) == 16
-    assert all(a.shape == (16, 16) for a in expms)
+    assert len(expm_calls) == 16
+    assert all(a.shape == (16, 16) for a in expm_calls)
 
 
 def test_a_fresh_table_builds_time_reversal_once():

@@ -536,7 +536,8 @@ def test_simulate_builds_one_liouvillian(tmp_path, liouvillian_builds):
 @pytest.mark.parametrize("integrator", ["expm", "rk4"])
 def test_sweep_prepares_once_and_integrates_once(integrator, tmp_path,
                                                  record_calls,
-                                                 liouvillian_builds):
+                                                 liouvillian_builds,
+                                                 expm_calls):
     calls = {name: record_calls(name) for name in (
         "symmetry.time_reversal", "spectra.ground_subspace",
         "response.interaction_picture")}
@@ -546,8 +547,26 @@ def test_sweep_prepares_once_and_integrates_once(integrator, tmp_path,
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(
         calls, 1)
-    # the gamma = 0 reference, then one Liouvillian per gamma
+    # the system prepared at gamma = 0, then one Liouvillian per gamma
     assert [args[2] for args in liouvillian_builds] == [0.0] + gammas
+    # rho0 lies in H's ground level, so it is its own gamma = 0 evolution
+    # and nothing is exponentiated for it
+    assert len(expm_calls) == (len(gammas) if integrator == "expm" else 0)
+
+
+def test_an_rk4_sweep_leaves_scipy_linalg_unloaded(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
+                     integrator="rk4", gammas=[1e-3, 2e-3])
+    code = ("import sys; from lindsymlab.cli import main; "
+            f"code = main(['sweep', '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]); "
+            "print(code, 'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 _SIMULATE_NAMES = {"csv": "trajectory.csv", "summary": "summary.json"}

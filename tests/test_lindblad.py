@@ -288,23 +288,31 @@ def test_evolve_expm_grid_validation(hams):
             evolve_expm(rho0, l_mat, 1.0, n_samples)
 
 
-def test_evolve_expm_steps_each_distinct_grid_step_by_its_own_propagator(
-        hams):
+def test_evolve_expm_steps_every_grid_by_one_propagator(hams, expm_calls):
     # the steps of linspace(0, 5, 201) take 9 distinct values that differ
-    # in the last bits; each must be exponentiated on its own
+    # in the last bits; every sample step is still P = expm(L times[1]),
+    # one expm per system, and times keeps the linspace labels
     times = np.linspace(0.0, 5.0, 201)
     assert len(np.unique(np.diff(times))) == 9
-    h, o = hams["both_symmetric"], _op("sxsy")
-    rho0 = _random_density(np.random.default_rng(3))
-    l_mat = liouvillian_matrix(h, o, 0.2)
-    v = vec(rho0)
-    expected = [v.reshape(4, 4)]
-    for step in np.diff(times):
-        v = scipy.linalg.expm(l_mat * step) @ v
-        expected.append(v.reshape(4, 4))
-    traj = evolve_expm(rho0, l_mat, 5.0, 201)
+    h = hams["both_symmetric"]
+    l_mats = np.stack([liouvillian_matrix(h, _op(name), 0.2)
+                       for name in ("sxsy", "sx2sz")])
+    rho0 = np.stack([_random_density(np.random.default_rng(seed))
+                     for seed in (3, 4)])
+    traj = evolve_expm(rho0, l_mats, 5.0, 201)
+    assert len(expm_calls) == 2
     assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.states, np.array(expected))
+    expected = []
+    for l_mat, rho in zip(l_mats, rho0):
+        prop = scipy.linalg.expm(l_mat * times[1])
+        v = vec(rho)
+        states = [v.reshape(4, 4)]
+        for _ in times[1:]:
+            v = prop @ v
+            states.append(v.reshape(4, 4))
+        expected.append(states)
+    assert np.array_equal(traj.states.view(np.uint64),
+                          np.array(expected).view(np.uint64))
 
 
 def test_evolve_expm_projects_a_trace_losing_propagator(monkeypatch):
@@ -353,30 +361,27 @@ def test_evolve_expm_refuses_a_trajectory_that_is_not_finite():
 
 def _expm_reference(probes, l_mat, t_max, n_samples):
     """Each state of probes through a loop of its own, the reference the
-    stacked evolve_expm is pinned to: one P @ v per sample step, then the
-    trace projection decided on that state's drift alone. Returns the
-    states and the projected flags."""
+    stacked evolve_expm is pinned to: one P @ v per sample step with
+    P = expm(L times[1]), then the trace projection decided on that
+    state's drift alone. Returns the states and the projected flags."""
     d = probes.shape[-1]
-    times = np.linspace(0.0, t_max, n_samples)
-    steps, which = np.unique(np.diff(times), return_inverse=True)
-    props = [scipy.linalg.expm(l_mat * step) for step in steps]
+    prop = scipy.linalg.expm(l_mat * np.linspace(0.0, t_max, n_samples)[1])
     trace_row = vec(np.eye(d))
-    trace_props = [p + np.outer(trace_row / d, trace_row - trace_row @ p)
-                   for p in props]
+    trace_prop = prop + np.outer(trace_row / d, trace_row - trace_row @ prop)
     states, projected = [], []
 
-    def run(out, props):
-        for k, j in enumerate(which):
-            out[k + 1] = props[j] @ out[k]
+    def run(out, prop):
+        for k in range(n_samples - 1):
+            out[k + 1] = prop @ out[k]
         traces = out[:, ::d + 1].sum(axis=1)
         return float(np.max(np.abs(traces - traces[0])))
 
     for rho0 in probes:
         out = np.empty((n_samples, d * d), dtype=complex)
         out[0] = vec(rho0)
-        projected.append(DEFAULT_TOL < run(out, props) < np.inf)
+        projected.append(DEFAULT_TOL < run(out, prop) < np.inf)
         if projected[-1]:
-            run(out, trace_props)
+            run(out, trace_prop)
         states.append(out.reshape(n_samples, d, d))
     return np.stack(states), projected
 
@@ -408,15 +413,16 @@ def test_evolve_expm_steps_each_state_of_a_stack_as_if_alone(row_probes):
 
 
 def test_evolve_expm_projects_only_the_states_of_a_stack_that_drift():
-    # sx2sz at spin 15/2 and gamma = 10 up to t = 60: the equal and quarter
+    # sx2sz at spin 15/2 and gamma = 10 up to t = 50: the equal and quarter
     # probes drift past DEFAULT_TOL and are projected, the basis probe is
-    # not, and each keeps the bits of its own single-state call and of the
-    # per-state loop
+    # not; up to t = 60 each state keeps the bits of its own single-state
+    # call and of the per-state loop
     sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
     system = prepare(sc, 10.0, 7.5)
     probes = probe_densities(system.basis)
+    assert evolve_expm(probes, system.liouvillian, 50.0, 201).meta[
+        "projected"].tolist() == [True, True, False]
     stacked = evolve_expm(probes, system.liouvillian, 60.0, 201)
-    assert stacked.meta["projected"].tolist() == [True, True, False]
     _assert_expm_matches_reference(stacked, probes, system.liouvillian, 60.0,
                                    201)
     for rho0, states, projected in zip(probes, stacked.states,
@@ -465,19 +471,19 @@ def test_subspace_block_detects_leaky_channel(hams):
 
 
 def test_evolve_expm_steps_a_stack_of_systems_each_as_if_alone():
-    # two systems at spin 15/2 and gamma = 10 up to t = 60: sx2 drifts
-    # nowhere, sx2sz drifts in its equal and quarter probes; only those
-    # two states are projected, with sx2sz's own propagators, and each
-    # system keeps the bits of its single-system call
+    # two systems at spin 15/2 and gamma = 10 up to t = 50: sx2 drifts
+    # nowhere, sx2sz drifts in its equal and quarter probes, and only those
+    # two states are projected, with sx2sz's own propagator; up to t = 60
+    # each system keeps the bits of its single-system call
     by = {sc.name: sc for sc in catalog()}
     systems = [prepare(by[name], 10.0, 7.5)
                for name in ("both_symmetric:sx2", "both_symmetric:sx2sz")]
     probes = np.stack([probe_densities(system.basis) for system in systems])
-    stacked = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
-                          60.0, 201)
+    l_mats = np.stack([s.liouvillian for s in systems])
+    assert evolve_expm(probes, l_mats, 50.0, 201).meta[
+        "projected"].tolist() == [[False, False, False], [True, True, False]]
+    stacked = evolve_expm(probes, l_mats, 60.0, 201)
     assert stacked.states.shape == (2, 3, 201, 16, 16)
-    assert stacked.meta["projected"].tolist() == [[False, False, False],
-                                                  [True, True, False]]
     for system, rho0, states, projected in zip(
             systems, probes, stacked.states, stacked.meta["projected"]):
         alone = evolve_expm(rho0, system.liouvillian, 60.0, 201)

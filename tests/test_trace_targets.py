@@ -20,7 +20,7 @@ def test_every_trace_target_resolves():
                if not callable(getattr(importlib.import_module(home), attr,
                                        None))]
     assert missing == []
-    # bench/test_bench.py checks that tracing replaces cli.evolve_expm, the
-    # name sweep calls for its gamma = 0 reference
+    # bench/test_bench.py checks that tracing replaces cli.evolve_expm,
+    # which cli re-exports for that check alone
     from lindsymlab import cli, lindblad
     assert cli.evolve_expm is lindblad.evolve_expm
