@@ -27,6 +27,7 @@ expected verdict is derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -195,14 +196,18 @@ def catalog() -> list:
 @dataclass(frozen=True)
 class ScenarioSystem:
     """A scenario as an open system: the Hamiltonian h, the coupling o,
-    the (d, 2) basis of h's ground doublet, gamma and the Liouvillian.
-    prepare guarantees that the basis has two columns."""
+    the (d, 2) basis of h's ground doublet (two columns, by prepare),
+    gamma, and the Liouvillian, built once when a route first reads it."""
 
     h: ComplexMatrix
     o: ComplexMatrix
     basis: ComplexMatrix
     gamma: float
-    liouvillian: ComplexMatrix
+
+    @cached_property
+    def liouvillian(self) -> ComplexMatrix:
+        """Raises PropagationError when the Liouvillian's norm overflows."""
+        return liouvillian_matrix(self.h, self.o, self.gamma)
 
 
 def prepare(sc, gamma: float = DEFAULT_GAMMA,
@@ -218,8 +223,6 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA,
     Raises:
         ValueError: invalid spin, operator spec, or pairing, or a ground
             level that is not two-dimensional: every route reads a doublet.
-        PropagationError: from liouvillian_matrix, when the Liouvillian's
-            norm overflows.
     """
     spins = spin_matrices(spin)
     h = build_hamiltonian(sc.hamiltonian, spins)
@@ -230,8 +233,7 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA,
     if basis.shape[1] != 2:
         raise ValueError(f"hamiltonian: its ground level at spin {spin:g} "
                          f"has dimension {basis.shape[1]}, need a doublet")
-    return ScenarioSystem(h=h, o=o, basis=basis, gamma=gamma,
-                          liouvillian=liouvillian_matrix(h, o, gamma))
+    return ScenarioSystem(h=h, o=o, basis=basis, gamma=gamma)
 
 
 def probe_densities(basis: ComplexMatrix) -> np.ndarray:
@@ -277,13 +279,13 @@ def doublet_block(system: ScenarioSystem) -> Proportionality:
 _WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
 
 
-def assess(systems: list, horizon: float = DEFAULT_HORIZON) -> list:
+def assess(systems: list, t_max: float) -> list:
     """Run every verdict route on a stack of prepared systems at once.
 
-    The systems share their dimension and gamma. Their probe states
-    propagate exactly up to gamma*t = horizon in one evolve_expm call on
-    the stacked Liouvillians and are observed in one pass, each in its own
-    system's doublet. For each system the worst probe (Ambiguous, then
+    The systems share their dimension. Their probe states propagate
+    exactly up to t_max in one evolve_expm call on the stacked
+    Liouvillians and are observed in one pass, each in its own system's
+    doublet. For each system the worst probe (Ambiguous, then
     Decoherence, then Coherence) sets the coherence verdict, and the
     series quantities come from the equal superposition; the first-order
     response oracle, the doublet block and the Schur projection add the
@@ -291,16 +293,13 @@ def assess(systems: list, horizon: float = DEFAULT_HORIZON) -> list:
     order, a dict of the Verdict fields the routes measure.
 
     Raises:
-        ValueError: the systems do not share gamma.
-        PropagationError: a probe trajectory is not finite.
+        ValueError: t_max is not a finite number > 0.
+        PropagationError: a Liouvillian or a probe trajectory is not finite.
     """
-    gamma = systems[0].gamma
-    if any(system.gamma != gamma for system in systems):
-        raise ValueError("assess needs one gamma for every system")
     bases = np.stack([system.basis for system in systems])
     probes = np.stack([probe_densities(basis) for basis in bases])
     traj = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
-                       horizon / gamma, TABLE_SAMPLES)
+                       t_max, TABLE_SAMPLES)
     s_v, trace_g, blocks = observe_subspace(traj, bases[:, None, None])
     rho_g = normalize_subspace(blocks[:, 0])  # the equal superposition
     max_drift = np.linalg.norm(rho_g - rho_g[:, :1], axis=(-2, -1)).max(-1)
@@ -363,7 +362,7 @@ def run_scenario(scenarios: list, gamma: float = DEFAULT_GAMMA,
         systems.append(system)
     return [Verdict(name=sc.name, claims=sc.claims,
                     expected_coherence=sc.expected_coherence, **routes)
-            for sc, routes in zip(scenarios, assess(systems, horizon))]
+            for sc, routes in zip(scenarios, assess(systems, horizon / gamma))]
 
 
 def response_oracle_coherent(system: ScenarioSystem,

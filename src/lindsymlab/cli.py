@@ -31,7 +31,7 @@ from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
                        compute_signature, doublet_block, prepare, propagate,
                        reproduce_table)
 from .lindblad import (MAX_TRAJECTORY_ENTRIES, PropagationError,
-                       evolve_expm, liouvillian_matrix, vec)
+                       evolve_expm, vec)
 from .observables import PositivityError, coherence_verdict, observe_subspace
 from .operators import (OperatorSpec, build_coupling, canonical_name,
                         spin_matrices)
@@ -299,11 +299,12 @@ def cmd_simulate(args) -> int:
     args.t_max = t_max  # main names it if the doublet cannot be observed
 
     system, rho0 = _prepare_doublet(cfg, cfg.gamma)
+    # reads the Liouvillian, so one that overflows is refused before RK4
+    block = doublet_block(system)
     traj = propagate(system, rho0, t_max, cfg.n_samples, cfg.integrator,
                      cfg.dt)
     s_v, trace_g, blocks = observe_subspace(traj, system.basis)
     verdict = coherence_verdict(s_v)
-    block = doublet_block(system)
 
     rows = [",".join([
         _fmt(t), _fmt(cfg.gamma * t), _fmt(s), _fmt(tr),
@@ -387,7 +388,7 @@ def cmd_table(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Fit how ||rho - rho_0 - delta_rho|| at t_max scales with gamma, from
-    one system prepared at gamma = 0 whose Liouvillian each gamma rebuilds."""
+    one system prepared at gamma = 0 and replaced, not rebuilt, per gamma."""
     cfg = load_config(args.config)
     outputs = Outputs(args.out, cfg.csv_name or "sweep.csv",
                       cfg.summary_name or "sweep_summary.json")
@@ -405,8 +406,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"n_quad={cfg.n_quad} at dimension {d} needs more than "
             f"{MAX_TRAJECTORY_ENTRIES} stored entries")
-    trajs = [propagate(replace(ref, gamma=g, liouvillian=liouvillian_matrix(
-                           ref.h, ref.o, g)), rho0, t_max, cfg.n_samples,
+    trajs = [propagate(replace(ref, gamma=g), rho0, t_max, cfg.n_samples,
                        cfg.integrator, cfg.dt) for g in gammas]
     # rho0 lies in H's ground level, so it is its own gamma = 0 evolution;
     # delta_rho is gamma times one integral: gamma * unit keeps every bit

@@ -38,11 +38,11 @@ def sample_times(t_max: float, n_samples: int, d: int) -> np.ndarray:
     """The sample grid of both propagators, for d x d states.
 
     Raises:
-        ValueError: t_max <= 0 or n_samples < 2.
+        ValueError: t_max is not a finite number > 0, or n_samples < 2.
         PropagationError: over MAX_TRAJECTORY_ENTRIES entries to store.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < np.inf:  # NaN fails too
+        raise ValueError(f"t_max must be a finite number > 0, got {t_max!r}")
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if n_samples * d * d > MAX_TRAJECTORY_ENTRIES:
@@ -144,50 +144,56 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
 
     The requested dt is snapped so that an integer number of equal steps
     lands exactly on each of the n_samples uniformly spaced sample times.
-    Stored samples are re-Hermitized as (rho + rho^dag)/2.
+    Stored samples are re-Hermitized as (rho + rho^dag)/2. An input too
+    large to integrate warns nowhere but ends in a refusal below.
 
     Raises:
-        StepSizeError: if the run needs more than RK4_MAX_STEPS steps, or
-            if a stored sample's trace drifts from rho0's by more than
-            DEFAULT_TOL (or is not a number), the signature of a step size
-            outside the stable region.
+        StepSizeError: the default step is not a finite number > 0, the
+            run needs more than RK4_MAX_STEPS steps, or a stored sample's
+            trace drifts from rho0's by more than DEFAULT_TOL (or is not a
+            number), the signature of a step size outside the stable region.
         PropagationError: a stored sample is not finite.
     """
     d = rho0.shape[0]
     times = sample_times(t_max, n_samples, d)
-    if dt is None:
-        dt = default_dt(h, o, gamma)
     intervals = n_samples - 1
-    steps_per_sample = max(1.0, np.ceil(t_max / dt / intervals))
-    if steps_per_sample * intervals > RK4_MAX_STEPS:
-        raise StepSizeError(
-            f"t_max={t_max:g} at dt={dt:.3g} needs "
-            f"{steps_per_sample * intervals:.3g} RK4 steps, more than the "
-            f"budget of {RK4_MAX_STEPS}")
-    steps_per_sample = int(steps_per_sample)
-    dt_eff = t_max / (intervals * steps_per_sample)
-
-    states = np.empty((n_samples, d, d), dtype=complex)
-    rho = np.asarray(rho0, dtype=complex).copy()
-    states[0] = (rho + rho.conj().T) / 2
-    trace0 = np.trace(rho)
-
-    ops = rhs_operators(h, o)
-    half_dt = 0.5 * dt_eff
-    sixth_dt = dt_eff / 6.0
-    for k in range(1, n_samples):
-        for _ in range(steps_per_sample):
-            k1 = rhs(rho, ops, gamma)
-            k2 = rhs(rho + half_dt * k1, ops, gamma)
-            k3 = rhs(rho + half_dt * k2, ops, gamma)
-            k4 = rhs(rho + dt_eff * k3, ops, gamma)
-            rho = rho + sixth_dt * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[k] = (rho + rho.conj().T) / 2
-        err = abs(np.trace(states[k]) - trace0)
-        if not err <= DEFAULT_TOL:  # NaN fails too
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dt is None:
+            dt = default_dt(h, o, gamma)
+            if not 0 < dt < np.inf:
+                raise StepSizeError(
+                    f"the default RK4 step at gamma={gamma:g} is {dt!r}: "
+                    f"hamiltonian (e_g), coupling or gamma too large")
+        steps_per_sample = max(1.0, np.ceil(t_max / dt / intervals))
+        if steps_per_sample * intervals > RK4_MAX_STEPS:
             raise StepSizeError(
-                f"trace drifted to {err:.3e} at t={times[k]:.4g} of "
-                f"t_max={t_max:g}; reduce dt")
+                f"t_max={t_max:g} at dt={dt:.3g} needs "
+                f"{steps_per_sample * intervals:.3g} RK4 steps, more than "
+                f"the budget of {RK4_MAX_STEPS}")
+        steps_per_sample = int(steps_per_sample)
+        dt_eff = t_max / (intervals * steps_per_sample)
+
+        states = np.empty((n_samples, d, d), dtype=complex)
+        rho = np.asarray(rho0, dtype=complex).copy()
+        states[0] = (rho + rho.conj().T) / 2
+        trace0 = np.trace(rho)
+
+        ops = rhs_operators(h, o)
+        half_dt = 0.5 * dt_eff
+        sixth_dt = dt_eff / 6.0
+        for k in range(1, n_samples):
+            for _ in range(steps_per_sample):
+                k1 = rhs(rho, ops, gamma)
+                k2 = rhs(rho + half_dt * k1, ops, gamma)
+                k3 = rhs(rho + half_dt * k2, ops, gamma)
+                k4 = rhs(rho + dt_eff * k3, ops, gamma)
+                rho = rho + sixth_dt * (k1 + 2 * k2 + 2 * k3 + k4)
+            states[k] = (rho + rho.conj().T) / 2
+            err = abs(np.trace(states[k]) - trace0)
+            if not err <= DEFAULT_TOL:  # NaN fails too
+                raise StepSizeError(
+                    f"trace drifted to {err:.3e} at t={times[k]:.4g} of "
+                    f"t_max={t_max:g}; reduce dt")
     if not np.isfinite(states).all():
         raise PropagationError(
             f"the rk4 trajectory at gamma={gamma:g} is not finite: "

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from lindsymlab import classify, observables, operators, symmetry
 from lindsymlab.cli import main
 from lindsymlab.classify import (CatalogIntegrityError, Scenario,
-                                 SymmetryClaims, Verdict, assess, compute_signature,
+                                 SymmetryClaims, Verdict, compute_signature,
                                  doublet_block, prepare, probe_densities,
                                  propagate, reproduce_table,
                                  response_oracle_coherent, run_scenario)
@@ -347,8 +348,11 @@ def test_a_fresh_table_builds_time_reversal_once():
     assert operators.spin_matrices.cache_info().misses == 1
 
 
-def test_assess_needs_one_gamma(scenarios):
-    systems = [prepare(scenarios["tr_invariant:sz"], gamma)
-               for gamma in (0.1, 0.2)]
-    with pytest.raises(ValueError, match="gamma"):
-        assess(systems)
+def test_a_table_whose_t_max_overflows_is_refused_by_the_sample_grid():
+    # horizon / gamma = 20 / 1e-320 is inf: the grid refuses it before
+    # linspace makes a NaN grid that every later step would warn on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t_max must be a finite "
+                           "number > 0, got inf"):
+            reproduce_table(gamma=1e-320)

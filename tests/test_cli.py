@@ -266,6 +266,9 @@ def _diag_coupling(big):
                        [0, 0, 0, 1]]}
 
 
+_COUPLING_1E154 = {"matrix": [[1e154, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                              [0, 0, 0, 1]]}
+
 # S+ at spin 3/2 drains both_symmetric's ground doublet by t_max = 400
 _R3 = float(np.sqrt(3.0))
 _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
@@ -286,6 +289,28 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
                  ("t_max", "dt"), id="rk4-trace-past-the-observe-gate"),
     pytest.param("sweep", {"integrator": "rk4", "t_max": 1e7},
                  ("t_max", "dt"), id="sweep-rk4-step-budget"),
+    # RK4's steps overflow to NaN, and its trace guard refuses them
+    pytest.param("simulate", {"integrator": "rk4", "e_g": 1e150, "dt": 0.1},
+                 ("dt",), id="rk4-e_g-1e150-dt"),
+    pytest.param("sweep", {"integrator": "rk4", "e_g": 1e150, "dt": 0.1},
+                 ("dt",), id="sweep-rk4-e_g-1e150-dt"),
+    # simulate tests the doublet block first, so its Liouvillian is
+    # refused before RK4 runs ...
+    pytest.param("simulate", {"integrator": "rk4",
+                              "coupling": _COUPLING_1E154},
+                 ("Liouvillian", "coupling"), id="rk4-matrix-1e154"),
+    # ... but an rk4 sweep builds none, so RK4's own refusals answer
+    # these: the channel's rate overflows and the default step is 0.0 ...
+    pytest.param("sweep", {"integrator": "rk4", "coupling": _COUPLING_1E154},
+                 ("default RK4 step", "coupling"),
+                 id="sweep-rk4-matrix-1e154"),
+    # ... or a given step overflows to NaN ...
+    pytest.param("sweep", {"integrator": "rk4", "coupling": _COUPLING_1E154,
+                           "dt": 0.1}, ("nan", "dt"),
+                 id="sweep-rk4-matrix-1e154-dt"),
+    # ... or the step budget runs out before gamma = 1e308's step of 0.0
+    pytest.param("sweep", {"integrator": "rk4", "gammas": [1e300, 1e308]},
+                 ("budget", "t_max", "dt"), id="sweep-rk4-gammas-1e300-1e308"),
     pytest.param("simulate", {"coupling": _diag_coupling(1e308)},
                  ("coupling",), id="matrix-1e308"),
     pytest.param("simulate", {"coupling": _diag_coupling(1e154)},
@@ -364,6 +389,7 @@ def test_inputs_the_propagators_cannot_integrate_exit_2(command, kw, keys,
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert err.count("\n") == 1, err
     for key in keys:
         assert key in err, (key, err)
     assert not out.exists()
@@ -528,9 +554,14 @@ def test_a_huge_spin_is_named_in_a_short_message(tmp_path, capsys):
 
 
 def test_simulate_builds_one_liouvillian(tmp_path, liouvillian_builds):
-    cfg = _write_cfg(tmp_path, t_max=5.0, n_samples=11)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert len(liouvillian_builds) == 1
+    # the doublet block and the stationarity read it under both integrators
+    for integrator in ("expm", "rk4"):
+        cfg = _write_cfg(tmp_path, t_max=5.0, n_samples=11,
+                         integrator=integrator)
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / integrator)]) == 0
+        assert [args[2] for args in liouvillian_builds] == [0.1]
+        liouvillian_builds.clear()
 
 
 @pytest.mark.parametrize("integrator", ["expm", "rk4"])
@@ -547,8 +578,10 @@ def test_sweep_prepares_once_and_integrates_once(integrator, tmp_path,
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(
         calls, 1)
-    # the system prepared at gamma = 0, then one Liouvillian per gamma
-    assert [args[2] for args in liouvillian_builds] == [0.0] + gammas
+    # the system prepared at gamma = 0 builds none; expm builds one
+    # Liouvillian per gamma, and RK4 reads none
+    assert [args[2] for args in liouvillian_builds] == (
+        gammas if integrator == "expm" else [])
     # rho0 lies in H's ground level, so it is its own gamma = 0 evolution
     # and nothing is exponentiated for it
     assert len(expm_calls) == (len(gammas) if integrator == "expm" else 0)

@@ -240,13 +240,28 @@ def test_rk4_checks_its_step_budget_before_the_first_step(hams,
         evolve_rk4(rho0, h, o, 0.1, 1.0, dt=0.5 / RK4_MAX_STEPS, n_samples=3)
 
 
-def test_rk4_trace_guard_fails_on_nan(hams):
-    # a Hamiltonian far too stiff for dt overflows to inf - inf = NaN
+def test_rk4_refuses_a_default_step_that_underflows(hams):
+    # at gamma = 1e308 the channel's rate overflows and 0.01 / rate is 0.0,
+    # which the step count would divide by
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    with pytest.raises(StepSizeError, match="nan"), \
-            np.errstate(over="ignore", invalid="ignore"):
-        evolve_rk4(rho0, 1e200 * hams["both_symmetric"], _op("sx2sz"), 0.1,
-                   1.0, dt=0.5, n_samples=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would fail here
+        with pytest.raises(StepSizeError, match=re.escape(
+                "the default RK4 step at gamma=1e+308 is 0.0: hamiltonian "
+                "(e_g), coupling or gamma too large")):
+            evolve_rk4(rho0, hams["tr_invariant"], _op("sz"), 1e308, 1.0,
+                       n_samples=3)
+
+
+def test_rk4_trace_guard_fails_on_nan(hams):
+    # a Hamiltonian far too stiff for dt overflows to inf - inf = NaN;
+    # evolve_rk4 owns that overflow, so only its trace guard speaks
+    rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would fail here
+        with pytest.raises(StepSizeError, match="nan"):
+            evolve_rk4(rho0, 1e200 * hams["both_symmetric"], _op("sx2sz"),
+                       0.1, 1.0, dt=0.5, n_samples=3)
 
 
 def test_rk4_refuses_a_sample_that_keeps_its_trace_but_is_not_finite(
@@ -286,6 +301,15 @@ def test_evolve_expm_grid_validation(hams):
     for n_samples in (1, 0):
         with pytest.raises(ValueError, match="samples"):
             evolve_expm(rho0, l_mat, 1.0, n_samples)
+
+
+@pytest.mark.parametrize("t_max", [np.inf, np.nan, -np.inf])
+def test_sample_times_refuses_a_t_max_that_is_not_finite(t_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t_max must be a finite "
+                           "number > 0"):
+            lindblad.sample_times(t_max, 3, 4)
 
 
 def test_evolve_expm_steps_every_grid_by_one_propagator(hams, expm_calls):
