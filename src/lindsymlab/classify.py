@@ -275,8 +275,24 @@ def doublet_block(system: ScenarioSystem) -> Proportionality:
                                               system.basis))
 
 
-# Order in which one probe's verdict overrides another's for the row.
-_WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
+def decide(system: ScenarioSystem, states: np.ndarray, s_v: np.ndarray,
+           trace_g: np.ndarray) -> dict:
+    """The dynamics and doublet-block fields of one system's stack of k
+    observed states (k, samples, d, d), with s_v and trace_g (k, samples)
+    from observe_subspace: the worst state's verdict, the peak entropy over
+    all states, and the first state's terminal entropy, population and
+    stationarity residual ||L vec(rho_end)||."""
+    block = doublet_block(system)
+    return dict(
+        measured_coherence=coherence_verdict(s_v),
+        block_identity=block.proportional,
+        block_residual=block.residual,
+        peak_entropy=float(np.max(s_v)),
+        terminal_entropy=float(s_v[0, -1]),
+        terminal_trace_g=float(trace_g[0, -1]),
+        stationarity=float(np.linalg.norm(system.liouvillian
+                                          @ vec(states[0, -1]))),
+    )
 
 
 def assess(systems: list, t_max: float) -> list:
@@ -285,12 +301,11 @@ def assess(systems: list, t_max: float) -> list:
     The systems share their dimension. Their probe states propagate
     exactly up to t_max in one evolve_expm call on the stacked
     Liouvillians and are observed in one pass, each in its own system's
-    doublet. For each system the worst probe (Ambiguous, then
-    Decoherence, then Coherence) sets the coherence verdict, and the
-    series quantities come from the equal superposition; the first-order
-    response oracle, the doublet block and the Schur projection add the
-    non-dynamical verdicts, system by system. Returns, per system in
-    order, a dict of the Verdict fields the routes measure.
+    doublet. decide turns each system's observed probes into its dynamics
+    and doublet-block fields, the equal superposition first; the
+    first-order response oracle and the Schur projection add the
+    remaining verdicts, system by system. Returns, per system in order, a
+    dict of the Verdict fields the routes measure.
 
     Raises:
         ValueError: t_max is not a finite number > 0.
@@ -310,26 +325,16 @@ def assess(systems: list, t_max: float) -> list:
         # temporary is the size of the whole stack
         states = traj.states[i]  # (probes, samples, d, d)
         adjoint = states.conj().swapaxes(-2, -1)
-        verdicts = {coherence_verdict(probe) for probe in s_v[i]}
-        bi = doublet_block(system)
         projector = system.basis @ system.basis.conj().T
         schur_o = schur_test(projector, system.o)
         schur_q = schur_test(projector, system.o.conj().T @ system.o)
         routes.append(dict(
-            measured_coherence=next(v for v in _WORST_FIRST
-                                    if v in verdicts),
+            decide(system, states, s_v[i], trace_g[i]),
             oracle_coherent=response_oracle_coherent(system, probes[i]),
-            block_identity=bi.proportional,
-            block_residual=bi.residual,
             schur_proportional=schur_o.proportional and schur_q.proportional,
             schur_residual=schur_o.residual,
-            peak_entropy=float(np.max(s_v[i])),
-            terminal_entropy=float(s_v[i, 0, -1]),
-            terminal_trace_g=float(trace_g[i, 0, -1]),
             terminal_rho_g=rho_g[i, -1],
             max_drift=float(max_drift[i]),
-            stationarity=float(np.linalg.norm(system.liouvillian
-                                              @ vec(states[0, -1]))),
             trace_err=float(np.abs(np.trace(states, axis1=-2, axis2=-1)
                                    - 1.0).max()),
             herm_err=float(np.linalg.norm(states - adjoint,

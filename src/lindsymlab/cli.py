@@ -28,11 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
-                       compute_signature, doublet_block, prepare, propagate,
+                       compute_signature, decide, prepare, propagate,
                        reproduce_table)
-from .lindblad import (MAX_TRAJECTORY_ENTRIES, PropagationError,
-                       evolve_expm, vec)
-from .observables import PositivityError, coherence_verdict, observe_subspace
+from .lindblad import MAX_TRAJECTORY_ENTRIES, PropagationError, evolve_expm
+from .observables import PositivityError, observe_subspace
 from .operators import (OperatorSpec, build_coupling, canonical_name,
                         spin_matrices)
 from .response import delta_rho, scaling_exponent
@@ -51,6 +50,10 @@ class ConfigError(Exception):
 # still reads Ambiguous, and every row is resolved from 0.02 up at gamma
 # 1e-6 to 1000; the bound keeps a factor of five in hand.
 MIN_TABLE_HORIZON = 0.1
+
+# sweep fits no discrepancy at or below this. Over the 39 catalog H x O
+# pairs at t_max 5 and 50, roundoff reaches 7.8e-13 (RK4 at t_max 50).
+SWEEP_FLOOR = 3e-12
 
 
 def _positive(text: str) -> float:
@@ -299,12 +302,11 @@ def cmd_simulate(args) -> int:
     args.t_max = t_max  # main names it if the doublet cannot be observed
 
     system, rho0 = _prepare_doublet(cfg, cfg.gamma)
-    # reads the Liouvillian, so one that overflows is refused before RK4
-    block = doublet_block(system)
+    system.liouvillian  # decide reads it after RK4: refuse an overflow first
     traj = propagate(system, rho0, t_max, cfg.n_samples, cfg.integrator,
                      cfg.dt)
     s_v, trace_g, blocks = observe_subspace(traj, system.basis)
-    verdict = coherence_verdict(s_v)
+    routes = decide(system, traj.states[None], s_v[None], trace_g[None])
 
     rows = [",".join([
         _fmt(t), _fmt(cfg.gamma * t), _fmt(s), _fmt(tr),
@@ -315,19 +317,13 @@ def cmd_simulate(args) -> int:
         "gamma": cfg.gamma,
         "t_max": t_max,
         "integrator": cfg.integrator,
-        "terminal_entropy": float(s_v[-1]),
-        "peak_entropy": float(np.max(s_v)),
-        "terminal_trace_g": float(trace_g[-1]),
-        "verdict": verdict.value,
-        "block_identity": bool(block.proportional),
-        "block_residual": float(block.residual),
-        "stationarity": float(np.linalg.norm(system.liouvillian
-                                             @ vec(traj.states[-1]))),
+        "verdict": routes.pop("measured_coherence").value,
+        **routes,
         "csv": outputs.data.name,
     }
     outputs.write("\n".join([CSV_HEADER] + rows) + "\n", summary)
     print(f"wrote {outputs.data} and {outputs.summary} "
-          f"(verdict: {verdict.value})")
+          f"(verdict: {summary['verdict']})")
     return 0
 
 
@@ -416,10 +412,11 @@ def cmd_sweep(args) -> int:
     for gamma, traj in zip(gammas, trajs):
         s_v, _, _ = observe_subspace(traj, ref.basis)
         disc = float(np.linalg.norm(traj.states[-1] - rho0 - gamma * unit))
-        if disc == 0:
+        if disc <= SWEEP_FLOOR:
             raise ConfigError(
-                f"the discrepancy at gamma={gamma:g} is exactly zero, so no "
-                f"exponent can be fitted (coupling, alpha/beta)")
+                f"the discrepancy at gamma={gamma:g} is {disc:.2g}, within "
+                f"the roundoff floor {SWEEP_FLOOR:g}: no exponent can be "
+                f"fitted (coupling, alpha/beta)")
         discrepancies.append(disc)
         rows.append(",".join([_fmt(gamma), _fmt(s_v[-1]), _fmt(disc)]))
 

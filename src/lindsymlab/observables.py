@@ -72,15 +72,16 @@ def coherence_verdict(s_v: np.ndarray) -> Coherence:
     """Classify a trajectory by the peak of its subspace entropy s_v.
 
     Coherent when max s_v stays below DEFAULT_COH_TOL, decoherent when it
-    exceeds DEFAULT_DEC_TOL, ambiguous in between. The thresholds are fixed
-    and sit four decades apart because coherent runs are zero up to
-    integrator noise while decoherent ones reach order 0.1 and above;
+    exceeds DEFAULT_DEC_TOL, ambiguous in between, or NaN. The thresholds
+    are fixed and sit four decades apart because coherent runs are zero up
+    to integrator noise while decoherent ones reach order 0.1 and above;
     anything between the thresholds means the scenario or the tolerances
-    need attention.
+    need attention. A stack of series (..., samples) gets the worst of
+    their verdicts: Ambiguous, then Decoherence, then Coherence.
     """
-    peak = float(np.max(s_v))
-    if peak < DEFAULT_COH_TOL:
-        return Coherence.COHERENT
-    if peak > DEFAULT_DEC_TOL:
-        return Coherence.DECOHERENT
-    return Coherence.AMBIGUOUS
+    peaks = np.max(s_v, axis=-1)
+    coherent = peaks < DEFAULT_COH_TOL
+    decoherent = peaks > DEFAULT_DEC_TOL
+    if not np.all(coherent | decoherent):
+        return Coherence.AMBIGUOUS
+    return Coherence.DECOHERENT if np.any(decoherent) else Coherence.COHERENT

@@ -294,7 +294,7 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
                  ("dt",), id="rk4-e_g-1e150-dt"),
     pytest.param("sweep", {"integrator": "rk4", "e_g": 1e150, "dt": 0.1},
                  ("dt",), id="sweep-rk4-e_g-1e150-dt"),
-    # simulate tests the doublet block first, so its Liouvillian is
+    # simulate reads its Liouvillian first, so one that overflows is
     # refused before RK4 runs ...
     pytest.param("simulate", {"integrator": "rk4",
                               "coupling": _COUPLING_1E154},
@@ -377,6 +377,19 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
     pytest.param("sweep", {"spin": 0.5, "hamiltonian": "q_symmetric",
                            "coupling": "sx"}, ("discrepancy",),
                  id="sweep-zero-discrepancy"),
+    # ... and a roundoff-level one fits no exponent either: sxsysz_sym
+    # leaves the default state in place, and at gamma 1e-12 or 1e-300 the
+    # first-order change is below roundoff
+    *(pytest.param("sweep", {"hamiltonian": ham, "coupling": op,
+                             "gammas": gammas, "integrator": integrator,
+                             "t_max": None},
+                   (f"gamma={gammas[0]:g}", f"floor {cli.SWEEP_FLOOR:g}"),
+                   id=f"sweep-{integrator}-roundoff-{op}-{gammas[0]:g}")
+      for integrator in ("expm", "rk4")
+      for ham, op, gammas in (
+          ("q_symmetric", "sxsysz_sym", [1e-3, 2e-3, 4e-3]),
+          ("both_symmetric", "sx2sz", [1e-12, 2e-12]),
+          ("both_symmetric", "sx2sz", [1e-300, 2e-300]))),
 ])
 def test_inputs_the_propagators_cannot_integrate_exit_2(command, kw, keys,
                                                         tmp_path, capsys):

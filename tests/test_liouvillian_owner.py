@@ -3,44 +3,14 @@ liouvillian_matrix only inside ScenarioSystem.liouvillian, so a system
 builds its Liouvillian at most once, when a route first reads it, and no
 command or propagator builds one of its own."""
 
-import ast
-from pathlib import Path
+from owners import call_of, matches, package_owners
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lindsymlab"
-
+LIOUVILLIAN = call_of({"liouvillian_matrix"})
 OWNERS = {("classify.py", "ScenarioSystem.liouvillian")}
 
 
-def liouvillian_calls(source: str) -> list:
-    """(line, enclosing "Class.function", function or "<module>") for
-    every call of liouvillian_matrix in source, by name or as an
-    attribute."""
-    found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)):
-            owner = node.name if owner == "<module>" else (
-                f"{owner}.{node.name}")
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else None)
-            if name == "liouvillian_matrix":
-                found.append((node.lineno, owner))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), "<module>")
-    return sorted(found)
-
-
 def test_only_the_system_builds_its_liouvillian():
-    calls = {(path.name, owner)
-             for path in sorted(SRC.glob("*.py"))
-             for _, owner in liouvillian_calls(path.read_text())}
-    assert calls == OWNERS
+    assert package_owners(LIOUVILLIAN) == OWNERS
 
 
 def test_the_check_sees_liouvillian_calls():
@@ -53,5 +23,5 @@ def test_the_check_sees_liouvillian_calls():
               "    return replace(ref, l=liouvillian_matrix(ref.h, ref.o, g))\n"
               "def unrelated():\n"
               "    return liouvillian(1)\n")
-    assert liouvillian_calls(source) == [(2, "<module>"), (5, "System.read"),
-                                         (7, "sweep")]
+    assert matches(LIOUVILLIAN, source) == [(2, "<module>"), (5, "System.read"),
+                                            (7, "sweep")]

@@ -58,6 +58,18 @@ def test_coherence_verdict_thresholds():
     assert coherence_verdict(s_v(1e-9)) is Coherence.COHERENT
     assert coherence_verdict(s_v(0.5)) is Coherence.DECOHERENT
     assert coherence_verdict(s_v(1e-4)) is Coherence.AMBIGUOUS
+    assert coherence_verdict(s_v(np.nan)) is Coherence.AMBIGUOUS
+
+
+def test_coherence_verdict_of_a_stack_is_its_worst_series():
+    def stack(*peaks):
+        return np.stack([np.linspace(0, peak, 5) for peak in peaks])
+
+    assert coherence_verdict(stack(0.5, 1e-4)) is Coherence.AMBIGUOUS
+    assert coherence_verdict(stack(1e-9, 0.5)) is Coherence.DECOHERENT
+    assert coherence_verdict(stack(1e-9, 1e-12)) is Coherence.COHERENT
+    assert coherence_verdict(np.stack([stack(1e-9, 1e-9), stack(0.5, 1e-4)])
+                             ) is Coherence.AMBIGUOUS
 
 
 def test_coherence_values_are_report_labels():
