@@ -13,12 +13,11 @@ to each row's verdict:
     on the doublet (with its quadratic the same),
   * the first-order response oracle, which calls no propagator.
 
-A row passes (`Verdict.passed`) when the dynamics give its expected
-verdict and the doublet block agrees with them. The Schur route and the
-oracle's agreement with the dynamics (`Verdict.oracle_agrees`) are
-reported but decide no pass. The block, Schur and oracle routes are
-first-order criteria: they match the dynamics on the spin-3/2 table, but
-beyond spin 3/2 they can say coherent where the dynamics decohere.
+A row passes (`Verdict.passed`) only when all four routes agree
+(`Verdict.routes_agree`): the dynamics give its expected verdict, and the
+block, Schur and oracle routes each give the dynamics' verdict. These
+first-order criteria match the dynamics on the spin-3/2 table, but beyond
+spin 3/2 they can say coherent where the dynamics decohere.
 
 `protected` is the one statement of the paper's rule, and every row's
 expected verdict is derived from it.
@@ -100,12 +99,19 @@ class Verdict:
     min_eig: float
 
     @property
-    def passed(self) -> bool:
-        """The dynamics give the expected verdict and the doublet block
-        agrees with them."""
+    def routes_agree(self) -> bool:
+        """The dynamics give the expected verdict, and the doublet block,
+        the Schur projection and the oracle each give the dynamics' one."""
         coherent = self.measured_coherence is Coherence.COHERENT
         return (self.measured_coherence == self.expected_coherence
-                and self.block_identity == coherent)
+                and self.block_identity == coherent
+                and self.schur_proportional == coherent
+                and self.oracle_agrees)
+
+    @property
+    def passed(self) -> bool:
+        """A row passes when all four routes agree."""
+        return self.routes_agree
 
     @property
     def oracle_agrees(self) -> bool:
@@ -374,21 +380,19 @@ def response_oracle_coherent(system: ScenarioSystem,
                              probes: np.ndarray) -> bool:
     """Verdict from the first-order response, independent of the propagators.
 
-    probes is probe_densities(system.basis). For each probe the
+    probes is probe_densities(system.basis). For each probe the exact
     first-order correction at gamma = 1e-3 and gamma*t = 0.5 is projected
     onto the doublet and compared against the initial subspace state:
     coherence means the correction only rescales it. A probe lies in the
     ground eigenspace, so it is its own coherent evolution and no
-    propagator is called. The projected integrand is constant in the
-    quadrature variable, so Simpson is exact here and the check is
-    insensitive to the panel count.
+    propagator is called.
     """
     gamma = 1e-3
     t = 0.5 / gamma
     basis = system.basis
     coherent = True
     for rho0, delta in zip(probes, delta_rho(probes, system.o, system.h,
-                                             gamma, t, 128)):
+                                             gamma, t)):
         d_g = basis.conj().T @ delta @ basis
         r_g = basis.conj().T @ rho0 @ basis
         coeff = np.trace(r_g.conj().T @ d_g) / np.trace(r_g.conj().T @ r_g)

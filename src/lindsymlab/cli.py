@@ -30,7 +30,7 @@ import numpy as np
 from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
                        compute_signature, decide, prepare, propagate,
                        reproduce_table)
-from .lindblad import MAX_TRAJECTORY_ENTRIES, PropagationError, evolve_expm
+from .lindblad import PropagationError, evolve_expm
 from .observables import PositivityError, observe_subspace
 from .operators import (OperatorSpec, build_coupling, canonical_name,
                         spin_matrices)
@@ -51,9 +51,12 @@ class ConfigError(Exception):
 # 1e-6 to 1000; the bound keeps a factor of five in hand.
 MIN_TABLE_HORIZON = 0.1
 
-# sweep fits no discrepancy at or below this. Over the 39 catalog H x O
-# pairs at t_max 5 and 50, roundoff reaches 7.8e-13 (RK4 at t_max 50).
+# sweep refuses a discrepancy at or below SWEEP_FLOOR or, if larger, the
+# per-step floor times the RK4 or expm sample steps. Over the 39 catalog
+# H x O pairs at t_max 5 to 500, roundoff reaches 5.4e-17 per RK4 step,
+# 1.1e-16 per fine expm step, and 2.1e-14 in all on a coarse expm grid.
 SWEEP_FLOOR = 3e-12
+SWEEP_FLOOR_PER_STEP = 4e-16
 
 
 def _positive(text: str) -> float:
@@ -139,7 +142,6 @@ class RunConfig:
     alpha: complex = complex(1 / np.sqrt(2.0))
     beta: complex = complex(1 / np.sqrt(2.0))
     n_samples: int = 201
-    n_quad: int = 128
     gammas: list = field(default_factory=list)
     # None: each command writes its own default file names
     csv_name: str | None = None
@@ -148,7 +150,7 @@ class RunConfig:
 
 _NUMBERS = {"spin": {"positive": True}, "gamma": {"positive": True},
             "t_max": {"positive": True}, "dt": {"positive": True},
-            "n_samples": {"integer": True}, "n_quad": {"integer": True}}
+            "n_samples": {"integer": True}}
 _KNOWN_KEYS = {*_NUMBERS, "hamiltonian", "coupling", "e_g", "integrator",
                "alpha", "beta", "gammas", "csv", "summary"}
 
@@ -180,8 +182,6 @@ def _read(doc: dict) -> RunConfig:
                           f"got {cfg.integrator!r}")
     if cfg.n_samples < 2:
         raise ConfigError("n_samples must be at least 2")
-    if cfg.n_quad < 16 or cfg.n_quad % 2:
-        raise ConfigError("n_quad must be an even panel count >= 16")
     for key, name in (("csv", cfg.csv_name), ("summary", cfg.summary_name)):
         if name is not None and (not isinstance(name, str)
                                  or name in ("", ".", "..")
@@ -396,27 +396,24 @@ def cmd_sweep(args) -> int:
     args.t_max = t_max  # for main, as in cmd_simulate
 
     ref, rho0 = _prepare_doublet(cfg, 0.0)
-    # delta_rho stacks one d x d matrix per quadrature node
-    d = rho0.shape[0]
-    if (cfg.n_quad + 1) * d * d > MAX_TRAJECTORY_ENTRIES:
-        raise ConfigError(
-            f"n_quad={cfg.n_quad} at dimension {d} needs more than "
-            f"{MAX_TRAJECTORY_ENTRIES} stored entries")
     trajs = [propagate(replace(ref, gamma=g), rho0, t_max, cfg.n_samples,
                        cfg.integrator, cfg.dt) for g in gammas]
     # rho0 lies in H's ground level, so it is its own gamma = 0 evolution;
-    # delta_rho is gamma times one integral: gamma * unit keeps every bit
-    unit = delta_rho(rho0, ref.o, ref.h, 1.0, t_max, cfg.n_quad)
+    # delta_rho multiplies by gamma last: gamma * unit keeps every bit
+    unit = delta_rho(rho0, ref.o, ref.h, 1.0, t_max)
 
     rows, discrepancies = [], []
     for gamma, traj in zip(gammas, trajs):
         s_v, _, _ = observe_subspace(traj, ref.basis)
         disc = float(np.linalg.norm(traj.states[-1] - rho0 - gamma * unit))
-        if disc <= SWEEP_FLOOR:
+        # RK4 records its step; expm steps from sample to sample
+        steps = t_max / traj.meta.get("dt", traj.times[1])
+        floor = max(SWEEP_FLOOR, SWEEP_FLOOR_PER_STEP * steps)
+        if disc <= floor:
             raise ConfigError(
                 f"the discrepancy at gamma={gamma:g} is {disc:.2g}, within "
-                f"the roundoff floor {SWEEP_FLOOR:g}: no exponent can be "
-                f"fitted (coupling, alpha/beta)")
+                f"the roundoff floor {floor:g} of {steps:.0f} steps: no "
+                f"exponent can be fitted (coupling, alpha/beta, t_max)")
         discrepancies.append(disc)
         rows.append(",".join([_fmt(gamma), _fmt(s_v[-1]), _fmt(disc)]))
 
@@ -424,7 +421,6 @@ def cmd_sweep(args) -> int:
     summary = {
         "gammas": gammas,
         "t_max": t_max,
-        "n_quad": cfg.n_quad,
         "discrepancies": discrepancies,
         "fitted_exponent": exponent,
         "csv": outputs.data.name,

@@ -31,6 +31,17 @@ def eigh(h: ComplexMatrix):
     return np.linalg.eigh(h)
 
 
+def same_level(vals: np.ndarray, energy) -> np.ndarray:
+    """Mask (..., len(vals)) of the ascending eigenvalues vals within 1e-9
+    times their spread of energy, or of each of an array of energies; all
+    of them when the spread is roundoff, at most 1e-14 of max(1, |vals[0]|).
+    """
+    spread = float(vals[-1] - vals[0])
+    if spread <= 1e-14 * max(1.0, abs(float(vals[0]))):
+        spread = np.inf
+    return np.abs(vals - np.asarray(energy)[..., None]) <= 1e-9 * spread
+
+
 def _phase_fix(v: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude component real and positive."""
     idx = int(np.argmax(np.abs(v)))
@@ -42,26 +53,23 @@ def ground_subspace(h: ComplexMatrix,
                     pairing: AntiUnitaryOp | None = None) -> ComplexMatrix:
     """The ground level of h as an orthonormal basis, one column per state.
 
-    Eigenvalues within 1e-9 times the spectral spread of the minimum
-    count as ground states. Each basis vector is phase-fixed so its
-    largest-magnitude component is real positive. For a two-dimensional
-    ground level, a caller-supplied anti-unitary that commutes with h
-    fixes the second vector proportional to the image of the first,
-    re-orthonormalized; the anti-unitary must map the subspace to itself.
-    The level's dimension is the basis's column count; classify.prepare
-    refuses any but two.
+    The level of the minimum (same_level) holds the ground states. Each
+    basis vector is phase-fixed so its largest-magnitude component is
+    real positive. For a two-dimensional ground level, a caller-supplied
+    anti-unitary that commutes with h fixes the second vector proportional
+    to the image of the first, re-orthonormalized; the anti-unitary must
+    map the subspace to itself. The level's dimension is the basis's
+    column count; classify.prepare refuses any but two.
 
     Raises:
         ValueError: if pairing is supplied but maps the first ground state
             out of the subspace (it then does not commute with h there).
     """
     vals, vecs = eigh(h)
-    spread = float(vals[-1] - vals[0])
-    full = spread <= 1e-14 * max(1.0, abs(float(vals[0])))
-    columns = (range(len(vals)) if full
-               else np.flatnonzero(vals - vals[0] <= 1e-9 * spread))
-    basis = np.column_stack([_phase_fix(vecs[:, k]) for k in columns])
-    if pairing is not None and basis.shape[1] == 2 and not full:
+    ground = same_level(vals, vals[0])
+    basis = np.column_stack([_phase_fix(vecs[:, k])
+                             for k in np.flatnonzero(ground)])
+    if pairing is not None and basis.shape[1] == 2 and not ground.all():
         phi_plus = basis[:, 0]
         partner = pairing.act_state(phi_plus)
         leak = partner - basis @ basis.conj().T @ partner

@@ -101,3 +101,14 @@ def expm_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "expm", counting)
     return calls
+
+
+@pytest.fixture
+def response_eighs(monkeypatch):
+    """The matrix of every eigh call made inside lindsymlab.response, in
+    order: one per delta_rho call."""
+    from lindsymlab import response, spectra
+    calls = []
+    monkeypatch.setattr(response, "eigh",
+                        lambda h: calls.append(h) or spectra.eigh(h))
+    return calls

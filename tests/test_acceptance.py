@@ -155,7 +155,7 @@ def test_ac07_first_order_response(systems):
         full = evolve_expm(rho0, liouvillian_matrix(system.h, system.o, g),
                            t, 11).states[-1]
         corr = ref.states[-1] + delta_rho(ref.states[-1], system.o,
-                                          system.h, g, t, n_quad=256)
+                                          system.h, g, t)
         resid.append(float(np.linalg.norm(full - corr)))
     slope = scaling_exponent(gammas, resid)
     assert abs(slope - 2.0) <= 0.1, (slope, resid)

@@ -236,19 +236,22 @@ def test_catalog_rejects_tampered_claims(scenarios):
         run_scenario([wrong])
 
 
-def test_a_table_makes_one_expm_and_one_interaction_picture_per_row(
-        record_calls, expm_calls):
+def test_a_table_makes_one_expm_and_one_oracle_eigh_per_row(
+        record_calls, expm_calls, response_eighs):
     # each row's Liouvillian is exponentiated once and its three probes run
-    # through one delta_rho, on any grid: at gamma = 0.1 the steps of
-    # linspace(0, 20 / gamma, 201) take one value, at 0.3 they take 9
-    pictures = record_calls("response.interaction_picture")
+    # through one delta_rho, which diagonalizes H once, on any grid: at
+    # gamma = 0.1 the steps of linspace(0, 20 / gamma, 201) take one value,
+    # at 0.3 they take 9
+    deltas = record_calls("response.delta_rho")
     for gamma in (0.1, 0.3):
         expm_calls.clear()
-        pictures.clear()
+        deltas.clear()
+        response_eighs.clear()
         verdicts = reproduce_table(gamma=gamma)
         assert all(v.passed and v.oracle_agrees for v in verdicts), gamma
         assert len(verdicts) == 16
-        assert (len(expm_calls), len(pictures)) == (16, 16), gamma
+        assert (len(expm_calls), len(deltas), len(response_eighs)) == (
+            16, 16, 16), gamma
 
 
 _WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
@@ -296,7 +299,10 @@ def _run_scenario_reference(sc, gamma, horizon=20.0):
                                       axis=(-2, -1)).max()),
         min_eig=float(np.linalg.eigvalsh((traj.states + adjoint) / 2).min()),
     ), {"passed": (combined == sc.expected_coherence
-                   and bi.proportional == (combined is Coherence.COHERENT)),
+                   and bi.proportional == (combined is Coherence.COHERENT)
+                   and (schur_o.proportional and schur_q.proportional)
+                   == (combined is Coherence.COHERENT)
+                   and oracle_coherent == (combined is Coherence.COHERENT)),
         "oracle_agrees": (oracle_coherent
                           == (combined is Coherence.COHERENT))}
 

@@ -12,10 +12,8 @@ import pytest
 
 from lindsymlab import classify, cli, observables
 from lindsymlab.classify import catalog, run_scenario
-from lindsymlab.cli import RunConfig, build_parser, cmd_table, main
-from lindsymlab.lindblad import MAX_TRAJECTORY_ENTRIES
+from lindsymlab.cli import build_parser, cmd_table, main
 from lindsymlab.observables import Coherence
-from lindsymlab.operators import MAX_DIM
 
 LN2 = np.log(2.0)
 
@@ -261,6 +259,48 @@ def test_table_reports_an_ambiguous_row(tmp_path, capsys, monkeypatch):
     assert line.split()[-1] == "FAIL"
 
 
+def _flip_schur(monkeypatch):
+    """Every Schur projection reports the opposite proportionality."""
+    schur_test = classify.schur_test
+
+    def flipped(projector, op):
+        found = schur_test(projector, op)
+        return dataclasses.replace(found, proportional=not found.proportional)
+
+    monkeypatch.setattr(classify, "schur_test", flipped)
+
+
+def _flip_oracle(monkeypatch):
+    """The first-order oracle reports the opposite verdict."""
+    oracle = classify.response_oracle_coherent
+    monkeypatch.setattr(classify, "response_oracle_coherent",
+                        lambda system, probes: not oracle(system, probes))
+
+
+@pytest.mark.parametrize("flip, schur, oracle", [
+    pytest.param(_flip_schur, "no", "ok", id="schur"),
+    pytest.param(_flip_oracle, "yes", "DIS", id="oracle")])
+def test_a_row_whose_routes_disagree_fails(flip, schur, oracle, tmp_path,
+                                           capsys, monkeypatch):
+    # the dynamics and the doublet block still say Coherence, as the row
+    # expects; one other route says otherwise, and the row fails
+    picks = [sc for sc in catalog() if sc.name == "tr_invariant:sx2"]
+    monkeypatch.setattr(classify, "catalog", lambda: picks)
+    flip(monkeypatch)
+    assert main(["table", "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "table.json").read_text())
+    row, = doc["rows"]
+    assert (row["expected"], row["measured"], row["block_identity"]) == (
+        "Coherence", "Coherence", True)
+    assert row["schur_proportional"] is (schur == "yes")
+    assert row["oracle_agrees"] is doc["oracle_all_agree"] is (oracle == "ok")
+    assert row["passed"] is doc["all_pass"] is False
+    line, = [ln for ln in (tmp_path / "table.txt").read_text().splitlines()
+             if ln.startswith("tr_invariant:sx2 ")]
+    assert line.split()[-3:] == [schur, oracle, "FAIL"]
+
+
 def _diag_coupling(big):
     return {"matrix": [[big, 0, 0, 0], [0, big, 0, 0], [0, 0, 1, 0],
                        [0, 0, 0, 1]]}
@@ -368,8 +408,8 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
     pytest.param("simulate", {"hamiltonian": "both_symmetric", "coupling": "sz",
                               "e_g": 1e300, "t_max": None, "n_samples": 201},
                  ("e_g",), id="e_g-1e300-default-grid"),
-    # refused before delta_rho stacks n_quad + 1 matrices
-    pytest.param("sweep", {"n_quad": 2**30}, ("n_quad",),
+    # n_quad is not a key: refused as an unknown one, whatever its value
+    pytest.param("sweep", {"n_quad": 2**30}, ("unknown keys", "n_quad"),
                  id="sweep-n-quad-2e30"),
     pytest.param("sweep", {"gammas": [1e-3, 1e-3]}, ("distinct",),
                  id="sweep-one-distinct-gamma"),
@@ -390,6 +430,14 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
           ("q_symmetric", "sxsysz_sym", [1e-3, 2e-3, 4e-3]),
           ("both_symmetric", "sx2sz", [1e-12, 2e-12]),
           ("both_symmetric", "sx2sz", [1e-300, 2e-300]))),
+    # the floor grows with the integrator's steps: 200 000 expm sample
+    # steps leave 3.8e-12 of roundoff at gamma 1e-12, above the 3e-12 a
+    # short run is held to
+    pytest.param("sweep", {"hamiltonian": "both_symmetric", "coupling": "sx2sz",
+                           "gammas": [1e-12, 2e-12], "t_max": None,
+                           "n_samples": 200001},
+                 ("gamma=1e-12", "200000 steps"),
+                 id="sweep-expm-roundoff-200000-steps"),
 ])
 def test_inputs_the_propagators_cannot_integrate_exit_2(command, kw, keys,
                                                         tmp_path, capsys):
@@ -515,12 +563,6 @@ def test_simulate_spin_31_2_sx2sz_keeps_its_trace(tmp_path):
     assert summary["block_identity"] is False
 
 
-def test_default_n_quad_fits_at_every_accepted_spin():
-    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    n_quad = defaults["n_quad"]
-    assert (n_quad + 1) * MAX_DIM * MAX_DIM <= MAX_TRAJECTORY_ENTRIES
-
-
 @pytest.mark.parametrize("horizon", ["0.01", "1e-310"])
 def test_table_refuses_a_horizon_too_short_to_resolve_its_rows(
         horizon, tmp_path, capsys):
@@ -581,10 +623,12 @@ def test_simulate_builds_one_liouvillian(tmp_path, liouvillian_builds):
 def test_sweep_prepares_once_and_integrates_once(integrator, tmp_path,
                                                  record_calls,
                                                  liouvillian_builds,
-                                                 expm_calls):
+                                                 expm_calls, response_eighs):
+    # one delta_rho, which diagonalizes H once
     calls = {name: record_calls(name) for name in (
         "symmetry.time_reversal", "spectra.ground_subspace",
-        "response.interaction_picture")}
+        "response.delta_rho")}
+    calls["response.eigh"] = response_eighs
     gammas = [1e-3, 2e-3, 4e-3]
     cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
                      integrator=integrator, gammas=gammas)
@@ -701,7 +745,7 @@ def test_an_unwritable_output_file_exits_2(argv, blocked, tmp_path, capsys,
 
 def test_sweep_recovers_first_order_scaling(tmp_path):
     cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
-                     n_quad=128, gammas=[1e-3, 2e-3, 4e-3, 8e-3])
+                     gammas=[1e-3, 2e-3, 4e-3, 8e-3])
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "sweep_summary.json").read_text())
@@ -714,9 +758,21 @@ def test_sweep_recovers_first_order_scaling(tmp_path):
     assert np.all(np.diff(data[:, 2]) > 0)
 
 
+def test_sweep_fits_the_second_order_term_at_a_long_t_max(tmp_path, capsys):
+    # delta_rho is exact at any t_max * ||H||, so the discrepancy is the
+    # gamma^2 term (1.000 before, when 128 Simpson panels set it)
+    cfg = _write_cfg(tmp_path, hamiltonian="tr_invariant", coupling="sx2sz",
+                     t_max=50.0, gamma=None, n_samples=None,
+                     gammas=[1e-8, 2e-8, 4e-8])
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["fitted_exponent"] == pytest.approx(2.0, abs=0.02)
+
+
 def test_sweep_gamma_flag_and_validation(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
-                     n_quad=128)
+    cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11)
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out),
                  "--gamma", "1e-3,4e-3"]) == 0
@@ -857,8 +913,8 @@ def test_config_error_paths(tmp_path, capsys):
             ("summary", {"summary": ["a.json"]}),
             ("summary", {"summary": ".."}),
             ("n_samples", {"n_samples": 2.7}),
-            ("n_quad", {"n_quad": 130.5}),
-            ("n_quad", {"n_quad": 15}),
+            # n_quad is not a key: delta_rho has no quadrature to set
+            ("n_quad", {"n_quad": 128}),
             # JSON numbers only: no booleans, no numeric strings
             ("gamma", {"gamma": True}),
             ("dt", {"dt": True}),

@@ -24,11 +24,12 @@ TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 SRC = ROOT / "src" / "lindsymlab"
 
-# Kept without a reader, each for the reason given. These are the
+# Kept without a reader, each for the reason given. All but the first are
 # diagnostics the run record planned in ROADMAP.md is to report.
 KEEP = {
-    "Trajectory.meta": ("test_lindblad asserts the RK4 step and the "
-                        "per-state expm projection it records"),
+    "interaction_picture": ("bench/tracing.py traces it, and the tests' "
+                            "Simpson reference for delta_rho builds on it, "
+                            "until the benchmark drops the trace target"),
     "Verdict.max_drift": "AC3 asserts the coherent rows' subspace drift",
     "Verdict.stationarity": "AC2 asserts the plateau is stationary",
     "Verdict.terminal_rho_g": "AC2 asserts the plateau is maximally mixed",
