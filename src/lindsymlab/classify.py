@@ -3,9 +3,11 @@
 Three model Hamiltonians (one protected by the quaternion group, one by
 time reversal, one by both) are paired with concrete coupling operators
 covering every combination of hermiticity, [O, T] = 0, and [O, Q] = 0 that
-each block admits. The harness verifies every claimed symmetry signature
-computationally, runs the dissipative dynamics, and reports four routes
-to each row's verdict:
+each block admits. Each row states the symmetry signature its coupling
+claims, as the paper's table does; the rows are constant, so the tests,
+not every run, check each claim against compute_signature. The harness
+runs the dissipative dynamics and reports four routes to each row's
+verdict:
 
   * dynamics: peak entropy of the normalized ground-doublet state,
   * algebra: the doublet block of the Liouvillian proportional to identity,
@@ -13,11 +15,12 @@ to each row's verdict:
     on the doublet (with its quadratic the same),
   * the first-order response oracle, which calls no propagator.
 
-A row passes (`Verdict.passed`) only when all four routes agree
-(`Verdict.routes_agree`): the dynamics give its expected verdict, and the
-block, Schur and oracle routes each give the dynamics' verdict. These
-first-order criteria match the dynamics on the spin-3/2 table, but beyond
-spin 3/2 they can say coherent where the dynamics decohere.
+The four routes agree (`Verdict.routes_agree`) when the block, Schur and
+oracle routes each give the dynamics' verdict, whatever the row expects;
+a row passes (`Verdict.passed`) when they agree and the dynamics give its
+expected verdict. These first-order criteria match the dynamics on the
+spin-3/2 table, but beyond spin 3/2 they can say coherent where the
+dynamics decohere.
 
 `protected` is the one statement of the paper's rule, and every row's
 expected verdict is derived from it.
@@ -45,10 +48,6 @@ DEFAULT_GAMMA = 0.1
 DEFAULT_HORIZON = 20.0
 # Samples per probe trajectory on the table's gamma*t-uniform grid.
 TABLE_SAMPLES = 201
-
-
-class CatalogIntegrityError(Exception):
-    """A scenario's claimed symmetry signature fails computational checks."""
 
 
 @dataclass(frozen=True)
@@ -100,18 +99,19 @@ class Verdict:
 
     @property
     def routes_agree(self) -> bool:
-        """The dynamics give the expected verdict, and the doublet block,
-        the Schur projection and the oracle each give the dynamics' one."""
+        """The doublet block, the Schur projection and the oracle each give
+        the dynamics' verdict."""
         coherent = self.measured_coherence is Coherence.COHERENT
-        return (self.measured_coherence == self.expected_coherence
-                and self.block_identity == coherent
+        return (self.block_identity == coherent
                 and self.schur_proportional == coherent
                 and self.oracle_agrees)
 
     @property
     def passed(self) -> bool:
-        """A row passes when all four routes agree."""
-        return self.routes_agree
+        """A row passes when all four routes agree and the dynamics give
+        its expected verdict."""
+        return (self.routes_agree
+                and self.measured_coherence == self.expected_coherence)
 
     @property
     def oracle_agrees(self) -> bool:
@@ -179,9 +179,8 @@ def catalog() -> list:
     """All 16 scenarios, each carrying the symmetry signature its row claims.
 
     Each row's expected verdict is `protected` of its Hamiltonian's
-    measured signature and its coupling's claimed one; run_scenario checks
-    the claimed signature against the operator algebra when it builds the
-    row's system.
+    measured signature and its coupling's claimed one: the Hamiltonians
+    are measured here, and the claims are the table's data.
     """
     spins = spin_matrices(1.5)
     h_claims = {ham: compute_signature(
@@ -355,22 +354,14 @@ def run_scenario(scenarios: list, gamma: float = DEFAULT_GAMMA,
     """Run a stack of scenarios end to end; their Verdicts, in order.
 
     One scenario is a stack of one. Every scenario is prepared at gamma
-    and its claimed signature checked before any is propagated; assess
-    then runs all of them as one stack.
+    before any is propagated; assess then runs all of them as one stack.
+    Each Verdict carries its scenario's claimed signature as given.
 
     Raises:
-        CatalogIntegrityError: claimed symmetry signature fails verification.
         PropagationError: a Liouvillian overflows, or a probe trajectory is
             not finite.
     """
-    systems = []
-    for sc in scenarios:
-        system = prepare(sc, gamma)
-        measured, _ = compute_signature(system.o)
-        if measured != sc.claims:
-            raise CatalogIntegrityError(
-                f"{sc.name}: claims {sc.claims} but measured {measured}")
-        systems.append(system)
+    systems = [prepare(sc, gamma) for sc in scenarios]
     return [Verdict(name=sc.name, claims=sc.claims,
                     expected_coherence=sc.expected_coherence, **routes)
             for sc, routes in zip(scenarios, assess(systems, horizon / gamma))]
@@ -405,12 +396,11 @@ def reproduce_table(gamma: float = DEFAULT_GAMMA,
                     horizon: float = DEFAULT_HORIZON) -> list:
     """The full table: every row's Verdict, in name order.
 
-    The rows are prepared and checked in name order, then run as one
-    stack by run_scenario. The verdict classification is
-    gamma-independent at fixed gamma*t horizon.
+    The rows are prepared in name order, then run as one stack by
+    run_scenario. The verdict classification is gamma-independent at
+    fixed gamma*t horizon.
 
     Raises:
-        CatalogIntegrityError: a row's claimed signature fails verification.
         PropagationError: a row's Liouvillian overflows at gamma, or a probe
             trajectory is not finite.
     """

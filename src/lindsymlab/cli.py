@@ -384,7 +384,9 @@ def cmd_table(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Fit how ||rho - rho_0 - delta_rho|| at t_max scales with gamma, from
-    one system prepared at gamma = 0 and replaced, not rebuilt, per gamma."""
+    one system prepared at gamma = 0 and replaced, not rebuilt, per gamma.
+    Each gamma is propagated, observed and held to the roundoff floor
+    before the next is propagated, so a refusal costs one trajectory."""
     cfg = load_config(args.config)
     outputs = Outputs(args.out, cfg.csv_name or "sweep.csv",
                       cfg.summary_name or "sweep_summary.json")
@@ -396,18 +398,18 @@ def cmd_sweep(args) -> int:
     args.t_max = t_max  # for main, as in cmd_simulate
 
     ref, rho0 = _prepare_doublet(cfg, 0.0)
-    trajs = [propagate(replace(ref, gamma=g), rho0, t_max, cfg.n_samples,
-                       cfg.integrator, cfg.dt) for g in gammas]
-    # rho0 lies in H's ground level, so it is its own gamma = 0 evolution;
-    # delta_rho multiplies by gamma last: gamma * unit keeps every bit
-    unit = delta_rho(rho0, ref.o, ref.h, 1.0, t_max)
-
-    rows, discrepancies = [], []
-    for gamma, traj in zip(gammas, trajs):
+    rows, discrepancies, unit = [], [], None
+    for gamma in gammas:
+        traj = propagate(replace(ref, gamma=gamma), rho0, t_max,
+                         cfg.n_samples, cfg.integrator, cfg.dt)
         s_v, _, _ = observe_subspace(traj, ref.basis)
+        if unit is None:
+            # once, after a propagator has accepted the coupling. rho0 lies
+            # in H's ground level, so it is its own gamma = 0 evolution;
+            # delta_rho multiplies by gamma last: gamma * unit keeps every bit
+            unit = delta_rho(rho0, ref.o, ref.h, 1.0, t_max)
         disc = float(np.linalg.norm(traj.states[-1] - rho0 - gamma * unit))
-        # RK4 records its step; expm steps from sample to sample
-        steps = t_max / traj.meta.get("dt", traj.times[1])
+        steps = t_max / traj.meta["dt"]
         floor = max(SWEEP_FLOOR, SWEEP_FLOOR_PER_STEP * steps)
         if disc <= floor:
             raise ConfigError(

@@ -240,7 +240,7 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     evolve_rk4 holds its samples to as well, the step propagator P of its
     system is projected onto trace-preserving maps, P + (vec(I)/d)(vec(I)^T
     - vec(I)^T P), that state alone is run again and meta["projected"][i]
-    set.
+    set. meta["dt"] is the step h, as evolve_rk4 records its own.
 
     Raises:
         ValueError: a Liouvillian stack whose length is not rho0's first
@@ -289,7 +289,8 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
             f"the expm trajectory up to t_max={t_max:g} is not finite: "
             f"hamiltonian (e_g), coupling, gamma or t_max too large")
     return Trajectory(times=times, states=states,
-                      meta={"projected": projected.reshape(rho0.shape[:-2])})
+                      meta={"dt": times[1],
+                            "projected": projected.reshape(rho0.shape[:-2])})
 
 
 def subspace_block(l_matrix: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatrix:

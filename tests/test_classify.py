@@ -6,8 +6,8 @@ import pytest
 
 from lindsymlab import classify, observables, operators, symmetry
 from lindsymlab.cli import main
-from lindsymlab.classify import (CatalogIntegrityError, Scenario,
-                                 SymmetryClaims, Verdict, compute_signature,
+from lindsymlab.classify import (Scenario, SymmetryClaims, Verdict,
+                                 compute_signature,
                                  doublet_block, prepare, probe_densities,
                                  propagate, reproduce_table,
                                  response_oracle_coherent, run_scenario)
@@ -226,14 +226,23 @@ def test_audit_lists_rows_outside_the_catalog(scenarios, monkeypatch,
     assert str(custom.claims) in audit
 
 
-def test_catalog_rejects_tampered_claims(scenarios):
-    import dataclasses
-    sc = scenarios["tr_invariant:sz"]
-    wrong = dataclasses.replace(
-        sc, claims=SymmetryClaims(hermitian=False, commutes_t=True,
-                                  commutes_q=True))
-    with pytest.raises(CatalogIntegrityError):
-        run_scenario([wrong])
+def test_every_claimed_signature_is_measured(scenarios, spins):
+    # the claims are constant data, so they are checked here, where a
+    # change to the code could break them, and not on every run
+    for name, sc in scenarios.items():
+        o = build_coupling(sc.coupling, spins)
+        assert compute_signature(o)[0] == sc.claims, name
+
+
+def test_routes_agree_reads_no_expectation(scenarios):
+    # a decoherent row expected coherent: every route says Decoherence, so
+    # they agree, and only the expectation fails the row
+    wrong = dataclasses.replace(scenarios["tr_invariant:sz"],
+                                expected_coherence=Coherence.COHERENT)
+    [v] = run_scenario([wrong])
+    assert v.measured_coherence is Coherence.DECOHERENT
+    assert v.routes_agree
+    assert not v.passed
 
 
 def test_a_table_makes_one_expm_and_one_oracle_eigh_per_row(
@@ -260,11 +269,9 @@ _WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
 def _run_scenario_reference(sc, gamma, horizon=20.0):
     """One row end to end through its own calls, the way the table ran
     before it became one stack: the reference the stacked table is pinned
-    to. Returns the row's Verdict and the values its pass and
-    oracle-agreement rules must give."""
+    to. Returns the row's Verdict and the values its pass, route-agreement
+    and oracle-agreement rules must give."""
     system = prepare(sc, gamma)
-    measured, _ = compute_signature(system.o)
-    assert measured == sc.claims, sc.name
     probes = probe_densities(system.basis)
     traj = propagate(system, probes, horizon / gamma)
     s_v, trace_g, blocks = observe_subspace(traj, system.basis)
@@ -278,6 +285,11 @@ def _run_scenario_reference(sc, gamma, horizon=20.0):
     schur_o = schur_test(projector, system.o)
     schur_q = schur_test(projector, system.o.conj().T @ system.o)
     oracle_coherent = response_oracle_coherent(system, probes)
+    coherent = combined is Coherence.COHERENT
+    routes_agree = (bi.proportional == coherent
+                    and (schur_o.proportional and schur_q.proportional)
+                    == coherent
+                    and oracle_coherent == coherent)
     return Verdict(
         name=sc.name, claims=sc.claims,
         expected_coherence=sc.expected_coherence,
@@ -298,19 +310,15 @@ def _run_scenario_reference(sc, gamma, horizon=20.0):
         herm_err=float(np.linalg.norm(traj.states - adjoint,
                                       axis=(-2, -1)).max()),
         min_eig=float(np.linalg.eigvalsh((traj.states + adjoint) / 2).min()),
-    ), {"passed": (combined == sc.expected_coherence
-                   and bi.proportional == (combined is Coherence.COHERENT)
-                   and (schur_o.proportional and schur_q.proportional)
-                   == (combined is Coherence.COHERENT)
-                   and oracle_coherent == (combined is Coherence.COHERENT)),
-        "oracle_agrees": (oracle_coherent
-                          == (combined is Coherence.COHERENT))}
+    ), {"passed": routes_agree and combined == sc.expected_coherence,
+        "oracle_agrees": oracle_coherent == coherent,
+        "routes_agree": routes_agree}
 
 
 @pytest.mark.parametrize("gamma", [0.025, 0.1, 0.4])
 def test_the_stacked_table_matches_one_row_at_a_time(scenarios, gamma):
     # every field of every row, floats and the terminal block as uint64,
-    # and what the row's pass and oracle-agreement rules give
+    # and what the row's pass, route- and oracle-agreement rules give
     verdicts = reproduce_table(gamma=gamma)
     assert len(verdicts) == 16
     for v in verdicts:

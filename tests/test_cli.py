@@ -644,6 +644,20 @@ def test_sweep_prepares_once_and_integrates_once(integrator, tmp_path,
     assert len(expm_calls) == (len(gammas) if integrator == "expm" else 0)
 
 
+@pytest.mark.parametrize("integrator", ["expm", "rk4"])
+def test_a_refused_sweep_stops_at_the_gamma_it_refuses(integrator, tmp_path,
+                                                       capsys, record_calls):
+    # gamma 1e-12's discrepancy is under the roundoff floor, so the two
+    # gammas after it are never propagated
+    propagations = record_calls("classify.propagate")
+    cfg = _write_cfg(tmp_path, hamiltonian="both_symmetric", coupling="sx2sz",
+                     t_max=5.0, n_samples=201, integrator=integrator,
+                     gammas=[1e-12, 2e-12, 4e-12])
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "gamma=1e-12" in capsys.readouterr().err
+    assert [args[0].gamma for args in propagations] == [1e-12]
+
+
 def test_an_rk4_sweep_leaves_scipy_linalg_unloaded(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
