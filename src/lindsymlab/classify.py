@@ -242,18 +242,19 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA,
 
 
 def probe_densities(basis: ComplexMatrix) -> np.ndarray:
-    """Three states of the doublet with (d, 2) basis that jointly witness
-    a for-all-states property, as densities (3, d, d): the equal,
-    quarter-phase and basis superpositions, in that order.
+    """Three states of the doublet with (d, 2) basis, or of each basis of
+    a stack (..., d, 2), that jointly witness a for-all-states property,
+    as densities (..., 3, d, d): the equal, quarter-phase and basis
+    superpositions, in that order.
 
     A single initial state can sit in a decaying-but-form-invariant
     direction of a decoherent channel; the three cannot all do so
     simultaneously.
     """
-    fp, fm = basis[:, 0], basis[:, 1]
-    return np.stack([np.outer(psi, psi.conj())
-                     for psi in ((fp + fm) / np.sqrt(2.0),
-                                 (fp + 1j * fm) / np.sqrt(2.0), fp)])
+    fp, fm = basis[..., 0], basis[..., 1]
+    psi = np.stack([(fp + fm) / np.sqrt(2.0), (fp + 1j * fm) / np.sqrt(2.0),
+                    fp], axis=-2)
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
@@ -317,7 +318,7 @@ def assess(systems: list, t_max: float) -> list:
         PropagationError: a Liouvillian or a probe trajectory is not finite.
     """
     bases = np.stack([system.basis for system in systems])
-    probes = np.stack([probe_densities(basis) for basis in bases])
+    probes = probe_densities(bases)
     traj = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
                        t_max, TABLE_SAMPLES)
     s_v, trace_g, blocks = observe_subspace(traj, bases[:, None, None])

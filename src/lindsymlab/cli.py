@@ -33,7 +33,7 @@ from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
 from .lindblad import PropagationError, evolve_expm
 from .observables import PositivityError, observe_subspace
 from .operators import (OperatorSpec, build_coupling, canonical_name,
-                        spin_matrices)
+                        half_integer, spin_matrices)
 from .response import delta_rho, scaling_exponent
 from .spectra import SubspaceDepletedError
 
@@ -439,9 +439,9 @@ def cmd_classify_op(args) -> int:
     if args.config is not None:
         cfg = load_config(args.config)
         # the quaternion group exists here only on the 4-dimensional space
-        if cfg.spin != 1.5:
+        if half_integer(cfg.spin) != 1.5:
             raise ConfigError(f"spin: classify-op measures the signature at "
-                              f"spin 1.5 only, got {cfg.spin:g}")
+                              f"spin 1.5 only, got {cfg.spin!r}")
         spec = cfg.coupling
     else:
         spec = OperatorSpec(name=args.operator)

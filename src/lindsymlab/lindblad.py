@@ -204,9 +204,8 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
 def _step_samples(flat: np.ndarray, prop: np.ndarray) -> None:
     """Fill samples 1.. of every state in flat (systems, states, n_samples,
     d^2) from sample 0 as sample k + 1 = prop @ sample k, one matmul per
-    step. prop holds one propagator per system, as (systems, 1, D, D), or
-    one (D, D) for every state. Each stack element is the gemv that its
-    propagator @ flat[s, i, k] would make, so no state's bytes depend on
+    step, with prop (systems, 1, D, D). Each stack element is the gemv of
+    its propagator @ flat[s, i, k] alone, so no state's bytes depend on
     its neighbours; the states are never the columns of one gemm."""
     for k in range(flat.shape[-2] - 1):
         np.matmul(prop, flat[..., k, :, None], out=flat[..., k + 1, :, None])
@@ -222,17 +221,15 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
                 n_samples: int) -> Trajectory:
     """Propagate through the matrix exponential of the Liouvillian l_mat.
 
-    Exact up to roundoff for any step, so it serves as the reference the
-    RK4 route is validated against. One step propagator P = expm(L h),
-    h = times[1], is built per system, and states[..., k, :, :] is
-    P^k rho0; times are the linspace labels, which can differ from k h in
-    the last bit. rho0 is one state or a stack (..., d, d). l_mat is one
-    Liouvillian (D, D), a stack of one system, or a stack (n, D, D), one
-    per system, paired with rho0 (n, ..., d, d), and a stack of one views
-    its propagator instead of copying it. The whole stack advances by one
-    matmul per sample step, which runs each state's own matrix-vector
-    product, so a state's bytes are those of a single-state call on its
-    own Liouvillian.
+    Exact up to roundoff for any step, so RK4 is validated against it. rho0
+    is one state or a stack (..., d, d); l_mat is one Liouvillian (D, D),
+    or a stack (n, D, D), one per system, paired with rho0 (n, ..., d, d).
+    One scipy.linalg.expm call on the stack gives each system's step
+    propagator P = expm(L h), h = times[1], slice by slice, with the bytes
+    of its own call; states[..., k, :, :] is P^k rho0, and times are the
+    linspace labels, which can differ from k h in the last bit. One matmul
+    per sample step runs each state's own matrix-vector product, so a
+    state's bytes are those of a single-state call on its own Liouvillian.
 
     A Liouvillian of large norm can exponentiate to a step propagator that
     loses trace at roundoff level on every step. If a stored sample's
@@ -243,30 +240,22 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     set. meta["dt"] is the step h, as evolve_rk4 records its own.
 
     Raises:
-        ValueError: a Liouvillian stack whose length is not rho0's first
-            axis.
+        ValueError: a Liouvillian stack not as long as rho0's first axis.
         PropagationError: the trace still drifts past DEFAULT_TOL with the
             projected propagator, or a sample is not finite.
     """
     d = rho0.shape[-1]
     times = sample_times(t_max, n_samples, d)
     l_stack = l_mat.reshape((-1,) + l_mat.shape[-2:])  # a lone one is 1 system
-    systems = len(l_stack)
     if rho0.shape[:l_mat.ndim - 2] != l_mat.shape[:-2]:
-        raise ValueError(f"{systems} Liouvillians for a stack of states of "
-                         f"shape {rho0.shape}")
-    # scipy.linalg is imported here, its only user, so that runs that never
-    # call expm skip its import time
-    import scipy.linalg
-
-    # one (systems, 1, D, D) array; np.stack would copy a lone propagator
-    # (16 MB at spin 31/2), so that one is a view
-    p = [scipy.linalg.expm(l * times[1]) for l in l_stack]
-    prop = p[0][None, None] if systems == 1 else np.stack(p)[:, None]
+        raise ValueError(f"{len(l_stack)} Liouvillians for a stack of states "
+                         f"of shape {rho0.shape}")
+    import scipy.linalg  # here, its only user: runs without expm skip it
+    prop = scipy.linalg.expm(l_stack * times[1])[:, None]  # a view: no copy
     states = np.empty(rho0.shape[:-2] + (n_samples, d, d), dtype=complex)
     # a view of states: one row of vec(rho) per system, state and sample
-    flat = states.reshape(systems, -1, n_samples, d * d)
-    flat[:, :, 0] = rho0.reshape(systems, -1, d * d)
+    flat = states.reshape(len(prop), -1, n_samples, d * d)
+    flat[:, :, 0] = rho0.reshape(len(prop), -1, d * d)
     _step_samples(flat, prop)
     drift = _trace_drift(flat, d)
     # a trajectory that is not finite is not projected but refused below
@@ -274,7 +263,7 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     trace_row, trace_props = vec(np.eye(d)), {}
     for s, i in np.argwhere(projected):
         if s not in trace_props:  # built once per system that drifts
-            trace_props[s] = prop[s, 0] + np.outer(
+            trace_props[s] = prop[s:s + 1] + np.outer(
                 trace_row / d, trace_row - trace_row @ prop[s, 0])
         alone = flat[s:s + 1, i:i + 1]
         _step_samples(alone, trace_props[s])

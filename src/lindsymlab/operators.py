@@ -56,6 +56,15 @@ class OperatorSpec:
             raise ValueError("OperatorSpec needs exactly one of name or matrix")
 
 
+def half_integer(s: float) -> float | None:
+    """The spin round(2s)/2 that s stands for, or None unless 2s > 0 lies
+    within 1e-12 of an integer."""
+    two_s = 2 * s
+    if 0 < two_s < np.inf and abs(two_s - round(two_s)) <= 1e-12:
+        return round(two_s) / 2
+    return None
+
+
 @functools.cache
 def spin_matrices(s: float) -> SpinTriple:
     """Build Sx, Sy, Sz for total spin s via ladder operators.
@@ -63,27 +72,27 @@ def spin_matrices(s: float) -> SpinTriple:
     Built once per spin and process; the matrices are read-only.
 
     Args:
-        s: half-integer spin quantum number (1/2, 1, 3/2, ...).
+        s: half-integer spin quantum number (1/2, 1, 3/2, ...), built as
+            half_integer(s), so a spin within 1e-12 of one is that one.
 
     Returns:
         SpinTriple with (2s+1)-dimensional Hermitian matrices; Sz is
         diagonal with entries s, s-1, ..., -s.
 
     Raises:
-        ValueError: if 2s is not a positive integer or the dimension
-            exceeds the dense-storage cap.
+        ValueError: if half_integer(s) is None or the dimension exceeds
+            the dense-storage cap.
     """
-    two_s = 2 * s
-    if not 0 < two_s < np.inf or abs(two_s - round(two_s)) > 1e-12:
+    if (spin := half_integer(s)) is None:
         raise ValueError(f"spin must be a positive half-integer, got {s}")
-    dim = int(round(two_s)) + 1
+    dim = int(2 * spin) + 1
     if dim > MAX_DIM:
         raise ValueError(f"spin {s} is above {(MAX_DIM - 1) / 2}, the "
                          f"largest spin stored densely")
-    m = np.array([s - k for k in range(dim)], dtype=float)
+    m = np.array([spin - k for k in range(dim)], dtype=float)
     s_plus = np.zeros((dim, dim), dtype=complex)
     for k in range(1, dim):
-        s_plus[k - 1, k] = np.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
+        s_plus[k - 1, k] = np.sqrt(spin * (spin + 1) - m[k] * (m[k] + 1))
     s_minus = s_plus.conj().T
     sx = (s_plus + s_minus) / 2
     sy = (s_plus - s_minus) / 2j

@@ -38,13 +38,19 @@ _COUPLINGS = ("sy2", "sxsy_sym", "sxsysz", "sysz", "sx2", "sz", "isz", "sx",
 
 def _entries() -> dict:
     entries = {}
-    for gamma in ("0.025", "0.1", "0.3", "0.4"):
+    # 1e-8: reads 13/16, a known-wrong answer past the propagator's horizon
+    for gamma in ("0.025", "0.1", "0.3", "0.4", "1e-8"):
         entries[f"table-gamma-{gamma}"] = dict(
             argv=["table", "--gamma", gamma, "--out", "out"], config=None)
     for op in ("sy2", "sx2sz", "sxsy", "sx"):  # sx: the dark default state
         entries[f"simulate-expm-both_symmetric-{op}"] = dict(
             argv=["simulate", "--config", "run.json", "--out", "out"],
             config={"hamiltonian": "both_symmetric", "coupling": op})
+    for spin in ("3.5", "7.5"):  # one system's 64^2 and 256^2 Liouvillians
+        entries[f"simulate-expm-both_symmetric-sx2sz-spin-{spin}"] = dict(
+            argv=["simulate", "--config", "run.json", "--out", "out"],
+            config={"hamiltonian": "both_symmetric", "coupling": "sx2sz",
+                    "spin": float(spin)})
     entries["simulate-rk4-both_symmetric-sx2sz-horizon-0.5"] = dict(
         argv=["simulate", "--config", "run.json", "--integrator", "rk4",
               "--horizon", "0.5", "--out", "out"],

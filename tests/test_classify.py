@@ -107,6 +107,21 @@ def test_probe_states_layout(scenarios):
     assert abs(np.trace(equal @ basis) - 1.0) > 1e-3
 
 
+def test_probes_of_a_stack_of_bases_are_each_basis_probes(scenarios):
+    # one call on the (16, 4, 2) stack gives each row's own probes as
+    # uint64, and one basis gives the outer products of the three states
+    bases = np.stack([prepare(sc).basis for sc in scenarios.values()])
+    probes = probe_densities(bases)
+    assert probes.shape == (16, 3, 4, 4)
+    for basis, row in zip(bases, probes):
+        fp, fm = basis[:, 0], basis[:, 1]
+        outer = np.stack([np.outer(psi, psi.conj())
+                          for psi in ((fp + fm) / np.sqrt(2.0),
+                                      (fp + 1j * fm) / np.sqrt(2.0), fp)])
+        for got in (row, probe_densities(basis)):
+            assert np.array_equal(got.view(np.uint64), outer.view(np.uint64))
+
+
 def test_run_scenario_protected_row(scenarios):
     [v] = run_scenario([scenarios["q_symmetric:sy2"]])
     system = prepare(scenarios["q_symmetric:sy2"])
@@ -247,10 +262,11 @@ def test_routes_agree_reads_no_expectation(scenarios):
 
 def test_a_table_makes_one_expm_and_one_oracle_eigh_per_row(
         record_calls, expm_calls, response_eighs):
-    # each row's Liouvillian is exponentiated once and its three probes run
-    # through one delta_rho, which diagonalizes H once, on any grid: at
-    # gamma = 0.1 the steps of linspace(0, 20 / gamma, 201) take one value,
-    # at 0.3 they take 9
+    # each row's Liouvillian is exponentiated once, as one slice of a
+    # single expm call on the stack, and its three probes run through one
+    # delta_rho, which diagonalizes H once, on any grid: at gamma = 0.1 the
+    # steps of linspace(0, 20 / gamma, 201) take one value, at 0.3 they
+    # take 9
     deltas = record_calls("response.delta_rho")
     for gamma in (0.1, 0.3):
         expm_calls.clear()
@@ -260,7 +276,8 @@ def test_a_table_makes_one_expm_and_one_oracle_eigh_per_row(
         assert all(v.passed and v.oracle_agrees for v in verdicts), gamma
         assert len(verdicts) == 16
         assert (len(expm_calls), len(deltas), len(response_eighs)) == (
-            16, 16, 16), gamma
+            1, 16, 16), gamma
+        assert expm_calls[0].shape == (16, 16, 16), gamma
 
 
 _WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
@@ -338,9 +355,9 @@ def test_the_stacked_table_matches_one_row_at_a_time(scenarios, gamma):
 
 
 def test_a_table_propagates_and_observes_once(record_calls, expm_calls):
-    # one call of each on the whole (16, 3, 4, 4) probe stack; each row's
-    # Liouvillian is exponentiated once, and the oracle corrects each row's
-    # three probes in its own call
+    # one call of each on the whole (16, 3, 4, 4) probe stack; one expm
+    # call exponentiates the 16 rows' Liouvillians, and the oracle corrects
+    # each row's three probes in its own call
     evolves = record_calls("lindblad.evolve_expm")
     observes = record_calls("observables.observe_subspace")
     deltas = record_calls("response.delta_rho")
@@ -350,8 +367,7 @@ def test_a_table_propagates_and_observes_once(record_calls, expm_calls):
     rho0, l_mat = evolves[0][:2]
     assert rho0.shape == (16, 3, 4, 4) and l_mat.shape == (16, 16, 16)
     assert all(call[0].shape == (3, 4, 4) for call in deltas)
-    assert len(expm_calls) == 16
-    assert all(a.shape == (16, 16) for a in expm_calls)
+    assert [a.shape for a in expm_calls] == [(16, 16, 16)]
 
 
 def test_a_fresh_table_builds_time_reversal_once():

@@ -608,6 +608,29 @@ def test_a_huge_spin_is_named_in_a_short_message(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_spin_within_1e_12_of_a_half_integer_is_built_as_it(tmp_path,
+                                                               capsys):
+    # 1.5000000000001 passes the half-integer check, so it is spin 3/2:
+    # simulate writes spin 1.5's bytes, and classify-op measures it
+    written = []
+    for spin in (1.5, 1.5000000000001):
+        cfg = _write_cfg(tmp_path, name=f"{spin!r}.json", spin=spin,
+                         hamiltonian="both_symmetric", coupling="sx2")
+        out = tmp_path / repr(spin)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert main(["classify-op", "--config", cfg]) == 0
+        assert "[O,Q]=0:   yes" in capsys.readouterr().out
+    assert written[0] == written[1]
+    # 1e-11 off is no half-integer; the refusal prints the spin in full
+    cfg = _write_cfg(tmp_path, spin=1.50000000001, coupling="sx2")
+    assert main(["classify-op", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: spin: classify-op measures the signature "
+                            "at spin 1.5 only, got 1.50000000001\n")
+
+
 def test_simulate_builds_one_liouvillian(tmp_path, liouvillian_builds):
     # the doublet block and the stationarity read it under both integrators
     for integrator in ("expm", "rk4"):

@@ -315,7 +315,8 @@ def test_sample_times_refuses_a_t_max_that_is_not_finite(t_max):
 def test_evolve_expm_steps_every_grid_by_one_propagator(hams, expm_calls):
     # the steps of linspace(0, 5, 201) take 9 distinct values that differ
     # in the last bits; every sample step is still P = expm(L times[1]),
-    # one expm per system, and times keeps the linspace labels
+    # one slice per system of one expm call on the stack, and times keeps
+    # the linspace labels
     times = np.linspace(0.0, 5.0, 201)
     assert len(np.unique(np.diff(times))) == 9
     h = hams["both_symmetric"]
@@ -324,7 +325,7 @@ def test_evolve_expm_steps_every_grid_by_one_propagator(hams, expm_calls):
     rho0 = np.stack([_random_density(np.random.default_rng(seed))
                      for seed in (3, 4)])
     traj = evolve_expm(rho0, l_mats, 5.0, 201)
-    assert len(expm_calls) == 2
+    assert [a.shape for a in expm_calls] == [(2, 16, 16)]
     assert np.array_equal(traj.times, times)
     expected = []
     for l_mat, rho in zip(l_mats, rho0):
