@@ -39,7 +39,7 @@ from .observables import Coherence, coherence_verdict, observe_subspace
 from .operators import (ComplexMatrix, OperatorSpec, build_coupling,
                         build_hamiltonian, frob, spin_matrices)
 from .response import delta_rho
-from .spectra import ground_subspace, normalize_subspace
+from .spectra import ground_subspace
 from .symmetry import (Proportionality, commutes_with_antiunitary,
                        commutes_with_unitary, is_hermitian, quaternion_group,
                        schur_test, time_reversal)
@@ -266,8 +266,8 @@ def propagate(system: ScenarioSystem, rho0: ComplexMatrix, t_max: float,
     them; RK4 reads only h, o and gamma, and takes one state.
 
     Raises:
-        PropagationError: RK4 is over its step budget or loses the trace
-            (StepSizeError), or a sampled state is not finite.
+        PropagationError: RK4 is over its step budget or loses the trace,
+            or a sampled state is not finite.
     """
     if integrator == "rk4":
         return evolve_rk4(rho0, system.h, system.o, system.gamma, t_max,
@@ -322,7 +322,8 @@ def assess(systems: list, t_max: float) -> list:
     traj = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
                        t_max, TABLE_SAMPLES)
     s_v, trace_g, blocks = observe_subspace(traj, bases[:, None, None])
-    rho_g = normalize_subspace(blocks[:, 0])  # the equal superposition
+    # the equal superposition, normalized
+    rho_g = blocks[:, 0] / trace_g[:, 0, :, None, None]
     max_drift = np.linalg.norm(rho_g - rho_g[:, :1], axis=(-2, -1)).max(-1)
 
     routes = []

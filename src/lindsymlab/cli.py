@@ -31,11 +31,10 @@ from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
                        compute_signature, decide, prepare, propagate,
                        reproduce_table)
 from .lindblad import PropagationError, evolve_expm
-from .observables import PositivityError, observe_subspace
+from .observables import ObservationError, observe_subspace
 from .operators import (OperatorSpec, build_coupling, canonical_name,
                         half_integer, spin_matrices)
 from .response import delta_rho, scaling_exponent
-from .spectra import SubspaceDepletedError
 
 # evolve_expm is re-exported, not called: bench/test_bench.py checks that
 # tracing wraps it under this module's name too.
@@ -517,8 +516,8 @@ def main(argv=None) -> int:
     except (ConfigError, PropagationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SubspaceDepletedError, PositivityError) as exc:
-        # only observing a trajectory raises these, after the command has
+    except ObservationError as exc:
+        # only observing a trajectory raises it, after the command has
         # set args.t_max; table's t_max comes from its two flags
         flags = (f" (--horizon {args.horizon:g} / --gamma {args.gamma:g})"
                  if args.command == "table" else "")

@@ -21,11 +21,9 @@ from .symmetry import DEFAULT_TOL, Proportionality
 
 
 class PropagationError(Exception):
-    """A propagator cannot integrate its input to a finite trajectory."""
-
-
-class StepSizeError(PropagationError):
-    """RK4 would exceed its step budget, or visibly loses the trace."""
+    """A propagator refuses its input: the trajectory would be too large to
+    store or to step through, would lose the trace, or would not be
+    finite."""
 
 
 # Most RK4 steps one evolve_rk4 call may take; checked before the first.
@@ -148,11 +146,11 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
     large to integrate warns nowhere but ends in a refusal below.
 
     Raises:
-        StepSizeError: the default step is not a finite number > 0, the
-            run needs more than RK4_MAX_STEPS steps, or a stored sample's
-            trace drifts from rho0's by more than DEFAULT_TOL (or is not a
-            number), the signature of a step size outside the stable region.
-        PropagationError: a stored sample is not finite.
+        PropagationError: the default step is not a finite number > 0;
+            the run needs more than RK4_MAX_STEPS steps; a stored sample's
+            trace drifts from rho0's by more than DEFAULT_TOL or is not a
+            number, the signature of a step outside the stable region; or
+            a stored sample is not finite.
     """
     d = rho0.shape[0]
     times = sample_times(t_max, n_samples, d)
@@ -161,12 +159,12 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
         if dt is None:
             dt = default_dt(h, o, gamma)
             if not 0 < dt < np.inf:
-                raise StepSizeError(
+                raise PropagationError(
                     f"the default RK4 step at gamma={gamma:g} is {dt!r}: "
                     f"hamiltonian (e_g), coupling or gamma too large")
         steps_per_sample = max(1.0, np.ceil(t_max / dt / intervals))
         if steps_per_sample * intervals > RK4_MAX_STEPS:
-            raise StepSizeError(
+            raise PropagationError(
                 f"t_max={t_max:g} at dt={dt:.3g} needs "
                 f"{steps_per_sample * intervals:.3g} RK4 steps, more than "
                 f"the budget of {RK4_MAX_STEPS}")
@@ -191,7 +189,7 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
             states[k] = (rho + rho.conj().T) / 2
             err = abs(np.trace(states[k]) - trace0)
             if not err <= DEFAULT_TOL:  # NaN fails too
-                raise StepSizeError(
+                raise PropagationError(
                     f"trace drifted to {err:.3e} at t={times[k]:.4g} of "
                     f"t_max={t_max:g}; reduce dt")
     if not np.isfinite(states).all():

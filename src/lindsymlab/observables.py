@@ -7,11 +7,12 @@ import enum
 import numpy as np
 
 from .operators import ComplexMatrix
-from .spectra import normalize_subspace, subspace_density
+from .spectra import subspace_density
 
 
-class PositivityError(Exception):
-    """Raised when a state has an eigenvalue too negative to be roundoff."""
+class ObservationError(Exception):
+    """A subspace state cannot be observed: its population is too small to
+    normalize, or it has an eigenvalue too negative to be roundoff."""
 
 
 # Eigenvalues above this (negative) floor are treated as roundoff and
@@ -23,16 +24,16 @@ def von_neumann_entropy(rho: ComplexMatrix) -> np.ndarray:
     """Von Neumann entropy -tr(rho ln rho) in nats.
 
     rho is a unit-trace Hermitian matrix, or a stack of them of shape
-    (..., d, d), as normalize_subspace returns; the result has shape (...).
-    Eigenvalues in [NEG_EIG_FLOOR, 0) are clamped to zero and 0 ln 0
-    counts as 0.
+    (..., d, d); the result has shape (...). Eigenvalues in
+    [NEG_EIG_FLOOR, 0) are clamped to zero and 0 ln 0 counts as 0.
 
     Raises:
-        PositivityError: if any eigenvalue lies below NEG_EIG_FLOOR.
+        ObservationError: if any eigenvalue lies below NEG_EIG_FLOOR.
     """
     lam = np.linalg.eigvalsh(rho)
     if lam.min() < NEG_EIG_FLOOR:
-        raise PositivityError(f"eigenvalue {lam.min():.3e} below {NEG_EIG_FLOOR}")
+        raise ObservationError(
+            f"eigenvalue {lam.min():.3e} below {NEG_EIG_FLOOR}")
     lam = np.clip(lam, 0.0, 1.0)
     terms = np.where(lam > 0, lam * np.log(np.where(lam > 0, lam, 1.0)), 0.0)
     return 0.0 - terms.sum(axis=-1)  # 0.0 - x is never IEEE -0.0
@@ -41,21 +42,25 @@ def von_neumann_entropy(rho: ComplexMatrix) -> np.ndarray:
 def observe_subspace(traj, basis: ComplexMatrix) -> tuple:
     """Observe a whole trajectory inside the span of basis in one pass.
 
-    Returns (s_v, trace_g, blocks): the entropy of the normalized subspace
-    state in nats; the raw subspace population, which can leak below one
-    and is not guaranteed monotone; and the raw (unnormalized) subspace
-    blocks basis^dag rho(t_k) basis, of shape (samples, g, g). A stack of
-    trajectories adds its leading axes to all three.
+    Returns (s_v, trace_g, blocks): the entropy of the subspace state
+    normalized by its population, in nats; that population, taken once per
+    sample, which can leak below one and is not guaranteed monotone; and
+    the raw (unnormalized) subspace blocks basis^dag rho(t_k) basis, of
+    shape (samples, g, g). A stack of trajectories adds its leading axes
+    to all three.
 
     Raises:
-        SubspaceDepletedError: if a sample's subspace population is too
-            small to normalize.
-        PositivityError: if a normalized block has an eigenvalue below
-            NEG_EIG_FLOOR.
+        ObservationError: if a sample's population is at or below 1e-12,
+            where normalizing would amplify numerical noise, or a
+            normalized block has an eigenvalue below NEG_EIG_FLOOR.
     """
     blocks = subspace_density(traj.states, basis)
     trace_g = np.trace(blocks, axis1=-2, axis2=-1).real
-    return von_neumann_entropy(normalize_subspace(blocks)), trace_g, blocks
+    if np.any(trace_g <= 1e-12):
+        raise ObservationError(
+            f"subspace population {np.min(trace_g):.3e} below floor")
+    return (von_neumann_entropy(blocks / trace_g[..., None, None]), trace_g,
+            blocks)
 
 
 class Coherence(str, enum.Enum):

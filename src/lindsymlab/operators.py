@@ -57,10 +57,11 @@ class OperatorSpec:
 
 
 def half_integer(s: float) -> float | None:
-    """The spin round(2s)/2 that s stands for, or None unless 2s > 0 lies
-    within 1e-12 of an integer."""
+    """The spin round(2s)/2 that s stands for, or None unless 2s lies
+    within 1e-12 of a positive integer."""
     two_s = 2 * s
-    if 0 < two_s < np.inf and abs(two_s - round(two_s)) <= 1e-12:
+    if (0 < two_s < np.inf and round(two_s) >= 1
+            and abs(two_s - round(two_s)) <= 1e-12):
         return round(two_s) / 2
     return None
 

@@ -14,10 +14,6 @@ from .operators import ComplexMatrix, frob
 from .symmetry import AntiUnitaryOp, is_hermitian
 
 
-class SubspaceDepletedError(Exception):
-    """Raised when the subspace population is too small to normalize."""
-
-
 def eigh(h: ComplexMatrix):
     """Hermitian eigendecomposition with an explicit hermiticity gate.
 
@@ -92,17 +88,3 @@ def subspace_density(rho: ComplexMatrix, basis: ComplexMatrix) -> ComplexMatrix:
     propagators own their samples' trace and finiteness.
     """
     return basis.conj().swapaxes(-2, -1) @ rho @ basis
-
-
-def normalize_subspace(rho_g: ComplexMatrix) -> ComplexMatrix:
-    """Rescale a subspace block, or each of a stack of them, to unit trace.
-
-    Raises:
-        SubspaceDepletedError: if a block trace is at or below 1e-12,
-            where normalization would amplify numerical noise.
-    """
-    tr = np.trace(rho_g, axis1=-2, axis2=-1).real
-    if np.any(tr <= 1e-12):
-        raise SubspaceDepletedError(
-            f"subspace population {np.min(tr):.3e} below floor")
-    return rho_g / tr[..., None, None]

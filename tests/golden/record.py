@@ -74,7 +74,17 @@ def _entries() -> dict:
              {"integrator": "rk4", "coupling": {"matrix": [
                  [1e154, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                  [0, 0, 0, 1]]}}),
-            ("sweep-drained", "sweep", {**_DRAINED, "gammas": [0.1, 0.2]})):
+            ("sweep-drained", "sweep", {**_DRAINED, "gammas": [0.1, 0.2]}),
+            # the last two: RK4's trace refusal and a state that is no
+            # longer positive when observed
+            ("rk4-trace-drift", "simulate", {
+                "hamiltonian": "both_symmetric", "coupling": "sx2sz",
+                "gamma": 2.0, "integrator": "rk4", "dt": 0.3,
+                "t_max": 20.0, "n_samples": 11}),
+            ("rk4-not-positive", "simulate", {
+                "hamiltonian": "both_symmetric", "coupling": "sxsy",
+                "gamma": 2.0, "integrator": "rk4", "dt": 0.4,
+                "t_max": 10.0, "n_samples": 11})):
         entries[f"exit-2-{name}"] = dict(
             argv=[command, "--config", "run.json", "--out", "out"],
             config={**_EXIT_2_BASE, **kw})

@@ -15,7 +15,6 @@ from lindsymlab.lindblad import vec
 from lindsymlab.observables import (Coherence, coherence_verdict,
                                     observe_subspace)
 from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
-from lindsymlab.spectra import normalize_subspace
 from lindsymlab.symmetry import schur_test
 
 
@@ -294,7 +293,7 @@ def _run_scenario_reference(sc, gamma, horizon=20.0):
     s_v, trace_g, blocks = observe_subspace(traj, system.basis)
     verdicts = {coherence_verdict(probe) for probe in s_v}
     combined = next(v for v in _WORST_FIRST if v in verdicts)
-    rho_g = normalize_subspace(blocks[0])
+    rho_g = blocks[0] / trace_g[0, :, None, None]
     max_drift = np.linalg.norm(rho_g - rho_g[0], axis=(-2, -1)).max()
     adjoint = traj.states.conj().swapaxes(-2, -1)
     bi = doublet_block(system)

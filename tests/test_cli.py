@@ -631,6 +631,16 @@ def test_a_spin_within_1e_12_of_a_half_integer_is_built_as_it(tmp_path,
                             "at spin 1.5 only, got 1.50000000001\n")
 
 
+def test_a_spin_near_zero_is_refused_as_a_spin(tmp_path, capsys):
+    # round(2 * 1e-13) is 0: the spin key is named, not a one-state level
+    cfg = _write_cfg(tmp_path, spin=1e-13)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: spin must be a positive half-integer, got 1e-13\n")
+    assert not out.exists()
+
+
 def test_simulate_builds_one_liouvillian(tmp_path, liouvillian_builds):
     # the doublet block and the stationarity read it under both integrators
     for integrator in ("expm", "rk4"):

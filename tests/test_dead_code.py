@@ -15,10 +15,16 @@ A field or method of a class is read by an attribute load of its name
 reads it, a keyword argument in a constructor call does not, and neither
 does an assignment. Methods named `__dunder__` are called by Python itself
 and are not checked.
+
+An exception class of the package is used only when an `except` clause in
+src/lindsymlab names it. Raising it does not count: a class that no caller
+tells apart from its base is a second name for one refusal.
 """
 
 import ast
 from pathlib import Path
+
+from owners import catch_of, matches
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -157,6 +163,26 @@ def uncalled(defining: dict, others: list, keep=KEEP) -> list:
     return sorted(dead)
 
 
+def uncaught(defining: dict) -> list:
+    """Exception classes of each module in defining (module name -> source)
+    that no except clause in any of the sources names. A class is an
+    exception class when one of its bases is named *Error or *Exception,
+    or is itself an exception class of defining."""
+    bases = {(mod, top.name): {getattr(base, "id", getattr(base, "attr", None))
+                               for base in top.bases}
+             for mod, src in defining.items() for top in ast.parse(src).body
+             if isinstance(top, ast.ClassDef)}
+    errors, grown = set(), True
+    while grown:
+        found = {name for (_, name), names in bases.items()
+                 if any(str(base).endswith(("Error", "Exception"))
+                        or base in errors for base in names)}
+        errors, grown = found, found != errors
+    return sorted(f"{mod}.{name}" for mod, name in bases if name in errors
+                  and not any(matches(catch_of({name}), src)
+                              for src in defining.values()))
+
+
 def _package_and_bench():
     return ({path.stem: path.read_text() for path in SRC.glob("*.py")},
             [path.read_text() for path in (ROOT / "bench").glob("*.py")])
@@ -164,6 +190,10 @@ def _package_and_bench():
 
 def test_every_package_definition_has_a_caller():
     assert uncalled(*_package_and_bench()) == []
+
+
+def test_every_package_exception_is_caught_by_name():
+    assert uncaught(_package_and_bench()[0]) == []
 
 
 def test_every_keep_entry_names_an_existing_member_without_a_reader():
@@ -211,3 +241,18 @@ def test_the_check_sees_dead_and_self_calling_code():
         "a.Record.keyword_only", "a.Record.looping", "a.Record.uncalled",
         "a.Record.unread", "a.Thing", "a.Thing.make", "a.UNUSED", "a.dead",
         "a.recursive", "a.shadow"]
+
+
+def test_the_check_sees_exceptions_no_clause_names():
+    defining = {"a": ("class Refused(Exception):\n    pass\n"
+                      "class Narrower(Refused):\n    pass\n"
+                      "class OnlyRaised(ValueError):\n    pass\n"
+                      "class Record:\n    pass\n"
+                      "def run():\n    try:\n"
+                      "        raise OnlyRaised('no')\n"
+                      "    except (KeyError, Refused):\n        pass\n"),
+                "b": ("import a\ntry:\n    a.run()\n"
+                      "except a.Narrower:\n    pass\n"
+                      "class Local(a.Refused):\n"
+                      "    '''Local, named in text only'''\n")}
+    assert uncaught(defining) == ["a.OnlyRaised", "b.Local"]

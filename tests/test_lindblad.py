@@ -11,7 +11,7 @@ import scipy.linalg
 from lindsymlab import lindblad
 from lindsymlab.classify import catalog, prepare, probe_densities
 from lindsymlab.lindblad import (RK4_MAX_STEPS, PropagationError,
-                                 StepSizeError, block_identity_test,
+                                 block_identity_test,
                                  default_dt, evolve_expm, evolve_rk4,
                                  liouvillian_matrix, rhs, rhs_operators,
                                  subspace_block, vec)
@@ -219,7 +219,8 @@ def test_rk4_order_of_accuracy(hams):
 def test_rk4_step_size_error(hams):
     o = _op("sx2sz")
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(PropagationError, match=(
+            r"^trace drifted to \S+ at t=4 of t_max=20; reduce dt$")):
         evolve_rk4(rho0, hams["both_symmetric"], o, 2.0, 20.0,
                    dt=0.3, n_samples=11)
 
@@ -232,11 +233,13 @@ def test_rk4_checks_its_step_budget_before_the_first_step(hams,
     monkeypatch.setattr(lindblad, "rhs", refuse)
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     h, o = hams["tr_invariant"], _op("sz")
-    with pytest.raises(StepSizeError, match="t_max"):
+    with pytest.raises(PropagationError, match="t_max"):
         evolve_rk4(rho0, h, o, 0.1, 1e9, n_samples=3)
-    with pytest.raises(StepSizeError, match="t_max"):
+    with pytest.raises(PropagationError, match="t_max"):
         evolve_rk4(rho0, h, o, 0.1, 1e300, dt=1e-300, n_samples=3)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(PropagationError, match=re.escape(
+            "t_max=1 at dt=5e-07 needs 2e+06 RK4 steps, more than the "
+            "budget of 1000000")):
         evolve_rk4(rho0, h, o, 0.1, 1.0, dt=0.5 / RK4_MAX_STEPS, n_samples=3)
 
 
@@ -246,7 +249,7 @@ def test_rk4_refuses_a_default_step_that_underflows(hams):
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning would fail here
-        with pytest.raises(StepSizeError, match=re.escape(
+        with pytest.raises(PropagationError, match=re.escape(
                 "the default RK4 step at gamma=1e+308 is 0.0: hamiltonian "
                 "(e_g), coupling or gamma too large")):
             evolve_rk4(rho0, hams["tr_invariant"], _op("sz"), 1e308, 1.0,
@@ -259,7 +262,7 @@ def test_rk4_trace_guard_fails_on_nan(hams):
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning would fail here
-        with pytest.raises(StepSizeError, match="nan"):
+        with pytest.raises(PropagationError, match="nan"):
             evolve_rk4(rho0, 1e200 * hams["both_symmetric"], _op("sx2sz"),
                        0.1, 1.0, dt=0.5, n_samples=3)
 

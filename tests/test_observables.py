@@ -5,9 +5,20 @@ from hypothesis import strategies as st
 
 from lindsymlab.classify import propagate
 from lindsymlab.lindblad import Trajectory
-from lindsymlab.observables import (Coherence, PositivityError,
+from lindsymlab.observables import (Coherence, ObservationError,
                                     coherence_verdict, observe_subspace,
                                     von_neumann_entropy)
+
+# the first two of four levels: a sample's subspace block is its top-left
+# 2 x 2 corner
+CORNER = np.eye(4)[:, :2]
+
+
+def _samples(*diagonals) -> Trajectory:
+    """A trajectory of diagonal 4 x 4 states, one per diagonal."""
+    return Trajectory(times=np.arange(len(diagonals), dtype=float),
+                      states=np.array([np.diag(d).astype(complex)
+                                       for d in diagonals]))
 
 
 def test_entropy_frozen_value():
@@ -40,9 +51,11 @@ def test_entropy_is_basis_invariant(seed):
 
 
 def test_entropy_rejects_bad_input():
-    with pytest.raises(PositivityError):
+    with pytest.raises(ObservationError,
+                       match=r"^eigenvalue -1\.000e-03 below -1e-07$"):
         von_neumann_entropy(np.diag([1.001, -1e-3]))
-    with pytest.raises(PositivityError):
+    with pytest.raises(ObservationError,
+                       match=r"^eigenvalue -7\.000e-01 below -1e-07$"):
         von_neumann_entropy(np.diag([0.5, -0.7]))  # trace below zero
 
 
@@ -110,3 +123,40 @@ def test_observe_subspace_on_a_stack_matches_each_trajectory_alone(
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[k].view(np.uint64),
                                       want.view(np.uint64)), name
+
+
+def test_observe_subspace_normalizes_by_the_population_it_returns():
+    s_v, trace_g, blocks = observe_subspace(
+        _samples([0.3, 0.1, 0.4, 0.2], [0.5, 0.5, 0.0, 0.0]), CORNER)
+    assert np.array_equal(trace_g, [0.4, 1.0])
+    assert np.array_equal(blocks[0], np.diag([0.3, 0.1]))
+    # the entropy of diag(0.75, 0.25), then of the maximally mixed doublet
+    assert s_v == pytest.approx([0.5623351446188083, np.log(2.0)],
+                                abs=1e-15)
+
+
+def test_observe_subspace_takes_each_sample_trace_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return trace(*args, **kwargs)
+
+    trace = np.trace
+    monkeypatch.setattr(np, "trace", counted)
+    observe_subspace(_samples(*[[0.3, 0.1, 0.4, 0.2]] * 5), CORNER)
+    assert calls == [(5, 2, 2)]
+
+
+@pytest.mark.parametrize("corner, population", [
+    ([1e-13, 0.0], "1.000e-13"), ([5e-13, 5e-13], "1.000e-12"),
+    ([-0.2, 0.1], "-1.000e-01")])
+def test_observe_subspace_refuses_a_depleted_population(corner, population):
+    # at or below 1e-12, or negative, in one sample of three: the whole
+    # trajectory is refused
+    rest = 1.0 - sum(corner)
+    traj = _samples([0.5, 0.5, 0.0, 0.0], [*corner, rest, 0.0],
+                    [0.5, 0.5, 0.0, 0.0])
+    with pytest.raises(ObservationError, match=(
+            f"^subspace population {population} below floor$")):
+        observe_subspace(traj, CORNER)

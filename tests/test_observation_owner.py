@@ -1,10 +1,10 @@
 """One place answers a doublet that cannot be observed: only cli.main
-catches SubspaceDepletedError or PositivityError in the package, so every
-command turns them into the same exit-2 message and no stage hides one."""
+catches ObservationError in the package, so every command turns it into
+the same exit-2 message and no stage hides one."""
 
 from owners import catch_of, matches, package_owners
 
-OBSERVATION = catch_of({"SubspaceDepletedError", "PositivityError"})
+OBSERVATION = catch_of({"ObservationError"})
 OWNERS = {("cli.py", "main")}
 
 
@@ -14,8 +14,8 @@ def test_only_main_catches_observation_errors():
 
 def test_the_check_sees_observation_catches():
     source = ("def a():\n    try:\n        pass\n"
-              "    except (ValueError, PositivityError):\n        pass\n"
+              "    except (ValueError, ObservationError):\n        pass\n"
               "def b():\n    try:\n        pass\n"
-              "    except spectra.SubspaceDepletedError:\n        pass\n"
+              "    except observables.ObservationError:\n        pass\n"
               "try:\n    pass\nexcept ValueError:\n    pass\n")
     assert matches(OBSERVATION, source) == [(4, "a"), (9, "b")]

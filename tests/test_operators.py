@@ -55,7 +55,8 @@ def test_angular_momentum_algebra(s):
     assert np.allclose(casimir, s * (s + 1) * np.eye(t.dim), atol=1e-12)
 
 
-@pytest.mark.parametrize("s", [0, -0.5, 0.7, 1.2])
+# 1e-13 and 5e-13 lie within 1e-12 of 0, which is no positive half-integer
+@pytest.mark.parametrize("s", [0, -0.5, 0.7, 1.2, 1e-13, 5e-13])
 def test_invalid_spins_rejected(s):
     with pytest.raises(ValueError):
         spin_matrices(s)

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindsymlab.spectra import (SubspaceDepletedError, eigh, ground_subspace,
-                                normalize_subspace, subspace_density)
+from lindsymlab.spectra import eigh, ground_subspace, subspace_density
 
 RT2 = np.sqrt(2.0)
 
@@ -122,17 +121,6 @@ def test_subspace_density_requirements(hams, trev):
     assert abs(np.trace(rg).real - 0.5) < 1e-12
 
 
-def test_normalize_subspace():
-    rg = np.diag([0.3, 0.1]).astype(complex)
-    out = normalize_subspace(rg)
-    assert abs(np.trace(out).real - 1.0) < 1e-14
-    assert np.allclose(out, np.diag([0.75, 0.25]))
-    with pytest.raises(SubspaceDepletedError):
-        normalize_subspace(np.diag([1e-13, 0.0]).astype(complex))
-    with pytest.raises(SubspaceDepletedError):
-        normalize_subspace(np.diag([-0.2, 0.1]).astype(complex))
-
-
 def test_ground_subspace_respects_rel_tol():
     h = np.diag([0.0, 1e-12, 1.0, 2.0])
     assert ground_subspace(h).shape[1] == 2
@@ -150,12 +138,6 @@ def test_stacks_match_one_call_per_matrix(hams, trev):
     blocks = subspace_density(stack, basis)
     assert np.array_equal(
         blocks, np.array([subspace_density(r, basis) for r in stack]))
-    assert np.array_equal(normalize_subspace(blocks),
-                          np.array([normalize_subspace(b) for b in blocks]))
-    depleted = blocks.copy()
-    depleted[5] = 0.0
-    with pytest.raises(SubspaceDepletedError):
-        normalize_subspace(depleted)
 
 
 def test_a_stack_of_bases_matches_one_call_per_basis(hams, trev):
