@@ -76,7 +76,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Measured outcome of one scenario, with every verdict route attached."""
+    """One scenario's route verdicts, its table figures and stationarity."""
 
     name: str
     claims: SymmetryClaims
@@ -90,12 +90,7 @@ class Verdict:
     peak_entropy: float
     terminal_entropy: float
     terminal_trace_g: float
-    terminal_rho_g: ComplexMatrix
-    max_drift: float
     stationarity: float
-    trace_err: float
-    herm_err: float
-    min_eig: float
 
     @property
     def routes_agree(self) -> bool:
@@ -307,8 +302,8 @@ def assess(systems: list, t_max: float) -> list:
     The systems share their dimension. Their probe states propagate
     exactly up to t_max in one evolve_expm call on the stacked
     Liouvillians and are observed in one pass, each in its own system's
-    doublet. decide turns each system's observed probes into its dynamics
-    and doublet-block fields, the equal superposition first; the
+    doublet. decide, the only reader of the states, turns each system's
+    observed probes into its dynamics and doublet-block fields; the
     first-order response oracle and the Schur projection add the
     remaining verdicts, system by system. Returns, per system in order, a
     dict of the Verdict fields the routes measure.
@@ -321,32 +316,18 @@ def assess(systems: list, t_max: float) -> list:
     probes = probe_densities(bases)
     traj = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
                        t_max, TABLE_SAMPLES)
-    s_v, trace_g, blocks = observe_subspace(traj, bases[:, None, None])
-    # the equal superposition, normalized
-    rho_g = blocks[:, 0] / trace_g[:, 0, :, None, None]
-    max_drift = np.linalg.norm(rho_g - rho_g[:, :1], axis=(-2, -1)).max(-1)
+    s_v, trace_g, _ = observe_subspace(traj, bases[:, None, None])
 
     routes = []
     for i, system in enumerate(systems):
-        # each system's conservation figures from its own states, so no
-        # temporary is the size of the whole stack
-        states = traj.states[i]  # (probes, samples, d, d)
-        adjoint = states.conj().swapaxes(-2, -1)
         projector = system.basis @ system.basis.conj().T
         schur_o = schur_test(projector, system.o)
         schur_q = schur_test(projector, system.o.conj().T @ system.o)
         routes.append(dict(
-            decide(system, states, s_v[i], trace_g[i]),
+            decide(system, traj.states[i], s_v[i], trace_g[i]),
             oracle_coherent=response_oracle_coherent(system, probes[i]),
             schur_proportional=schur_o.proportional and schur_q.proportional,
             schur_residual=schur_o.residual,
-            terminal_rho_g=rho_g[i, -1],
-            max_drift=float(max_drift[i]),
-            trace_err=float(np.abs(np.trace(states, axis1=-2, axis2=-1)
-                                   - 1.0).max()),
-            herm_err=float(np.linalg.norm(states - adjoint,
-                                          axis=(-2, -1)).max()),
-            min_eig=float(np.linalg.eigvalsh((states + adjoint) / 2).min()),
         ))
     return routes
 

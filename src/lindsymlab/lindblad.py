@@ -235,7 +235,8 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     evolve_rk4 holds its samples to as well, the step propagator P of its
     system is projected onto trace-preserving maps, P + (vec(I)/d)(vec(I)^T
     - vec(I)^T P), that state alone is run again and meta["projected"][i]
-    set. meta["dt"] is the step h, as evolve_rk4 records its own.
+    set. meta["dt"] is the step h, as evolve_rk4 records its own. An input
+    too large to propagate warns nowhere but ends in a refusal below.
 
     Raises:
         ValueError: a Liouvillian stack not as long as rho0's first axis.
@@ -249,28 +250,30 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
         raise ValueError(f"{len(l_stack)} Liouvillians for a stack of states "
                          f"of shape {rho0.shape}")
     import scipy.linalg  # here, its only user: runs without expm skip it
-    prop = scipy.linalg.expm(l_stack * times[1])[:, None]  # a view: no copy
-    states = np.empty(rho0.shape[:-2] + (n_samples, d, d), dtype=complex)
-    # a view of states: one row of vec(rho) per system, state and sample
-    flat = states.reshape(len(prop), -1, n_samples, d * d)
-    flat[:, :, 0] = rho0.reshape(len(prop), -1, d * d)
-    _step_samples(flat, prop)
-    drift = _trace_drift(flat, d)
-    # a trajectory that is not finite is not projected but refused below
-    projected = (DEFAULT_TOL < drift) & (drift < np.inf)
-    trace_row, trace_props = vec(np.eye(d)), {}
-    for s, i in np.argwhere(projected):
-        if s not in trace_props:  # built once per system that drifts
-            trace_props[s] = prop[s:s + 1] + np.outer(
-                trace_row / d, trace_row - trace_row @ prop[s, 0])
-        alone = flat[s:s + 1, i:i + 1]
-        _step_samples(alone, trace_props[s])
-        drift_i = _trace_drift(alone, d)[0, 0]
-        if not drift_i <= DEFAULT_TOL:
-            raise PropagationError(
-                f"the expm trajectory drifts the trace by {drift_i:.3e} "
-                f"even with trace-preserving steps: hamiltonian (e_g), "
-                f"coupling, gamma or t_max too large")
+    with np.errstate(over="ignore", invalid="ignore"):
+        prop = scipy.linalg.expm(l_stack * times[1])[:, None]  # a view
+        # allocated after expm, whose workspace is then freed
+        states = np.empty(rho0.shape[:-2] + (n_samples, d, d), dtype=complex)
+        # a view of states: one row of vec(rho) per system, state and sample
+        flat = states.reshape(len(prop), -1, n_samples, d * d)
+        flat[:, :, 0] = rho0.reshape(len(prop), -1, d * d)
+        _step_samples(flat, prop)
+        drift = _trace_drift(flat, d)
+        # a trajectory that is not finite is not projected but refused below
+        projected = (DEFAULT_TOL < drift) & (drift < np.inf)
+        trace_row, trace_props = vec(np.eye(d)), {}
+        for s, i in np.argwhere(projected):
+            if s not in trace_props:  # built once per system that drifts
+                trace_props[s] = prop[s:s + 1] + np.outer(
+                    trace_row / d, trace_row - trace_row @ prop[s, 0])
+            alone = flat[s:s + 1, i:i + 1]
+            _step_samples(alone, trace_props[s])
+            drift_i = _trace_drift(alone, d)[0, 0]
+            if not drift_i <= DEFAULT_TOL:
+                raise PropagationError(
+                    f"the expm trajectory drifts the trace by {drift_i:.3e} "
+                    f"even with trace-preserving steps: hamiltonian (e_g), "
+                    f"coupling, gamma or t_max too large")
     if not np.isfinite(states).all():
         raise PropagationError(
             f"the expm trajectory up to t_max={t_max:g} is not finite: "

@@ -167,6 +167,23 @@ def canonical_name(name: str) -> str:
     return key
 
 
+def _literal(matrix, spins: SpinTriple, key: str) -> ComplexMatrix:
+    """matrix as complex, refused under key unless d x d at spins' spin."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.shape != spins.sz.shape:
+        raise ValueError(f"{key}: need a {spins.dim}x{spins.dim} matrix at "
+                         f"spin {(spins.dim - 1) / 2:g}, got shape {a.shape}")
+    return a
+
+
+def _named(name: str, key: str) -> str:
+    """canonical_name(name), its refusal prefixed with key."""
+    try:
+        return canonical_name(name)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     """Resolve a Hamiltonian spec to a Hermitian matrix scaled by E_g.
 
@@ -176,16 +193,15 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
         spins: spin matrices of the working dimension.
 
     Raises:
-        ValueError: unknown name, a Hamiltonian whose Frobenius norm times
-            E_g overflows (checked before the product, and before the
-            Hermiticity test compares norms), or a literal matrix that is
-            not Hermitian.
+        ValueError: unknown name, a coupling's name, a literal that is
+            not d x d, a Hamiltonian whose Frobenius norm times E_g
+            overflows (checked before the product, and before the
+            Hermiticity test compares norms), or a non-Hermitian literal.
     """
     if spec.matrix is not None:
-        h = np.asarray(spec.matrix, dtype=complex)
-        _check_dims(h, spins.sz)
+        h = _literal(spec.matrix, spins, "hamiltonian")
     else:
-        key = canonical_name(spec.name)
+        key = _named(spec.name, "hamiltonian")
         if key not in _HAMILTONIANS:
             raise ValueError(f"{spec.name!r} names a coupling operator, "
                              f"not a Hamiltonian")
@@ -204,16 +220,15 @@ def build_coupling(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     """Resolve a coupling spec to its matrix; hermiticity is never assumed.
 
     Raises:
-        ValueError: unknown name, a Hamiltonian's name, a literal matrix of
-            the wrong shape, or a matrix whose Frobenius norm overflows:
+        ValueError: unknown name, a Hamiltonian's name, a literal matrix
+            that is not d x d, or a matrix whose Frobenius norm overflows:
             every symmetry test compares norms, and inf <= inf would pass
             them all.
     """
     if spec.matrix is not None:
-        o = np.asarray(spec.matrix, dtype=complex)
-        _check_dims(o, spins.sz)
+        o = _literal(spec.matrix, spins, "coupling")
     else:
-        key = canonical_name(spec.name)
+        key = _named(spec.name, "coupling")
         if key not in _COUPLINGS:
             raise ValueError(f"{spec.name!r} names a Hamiltonian, not a "
                              f"coupling operator")

@@ -2,10 +2,11 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import lindsymlab
-from lindsymlab import classify, operators, symmetry
+from lindsymlab import classify, observables, operators, symmetry
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +46,30 @@ def row_probes(scenarios):
         system = classify.prepare(sc, 0.1)
         rows.append((name, system, classify.probe_densities(system.basis)))
     return rows
+
+
+@pytest.fixture(scope="session")
+def probe_figures(row_probes):
+    """Per table row, the conservation figures of the probe trajectories
+    the table propagates at gamma = 0.1 up to gamma*t = 20, each row alone
+    (bit for bit the table's stack): the largest trace error and
+    Hermiticity error over every stored state, the smallest eigenvalue of
+    their Hermitian parts, and of the equal probe's normalized doublet
+    state its largest drift from the start and its terminal value."""
+    figures = {}
+    for name, system, probes in row_probes:
+        traj = classify.propagate(system, probes, 20.0 / system.gamma)
+        states = traj.states
+        adjoint = states.conj().swapaxes(-2, -1)
+        _, trace_g, blocks = observables.observe_subspace(traj, system.basis)
+        rho_g = blocks[0] / trace_g[0, :, None, None]
+        figures[name] = dict(
+            trace_err=np.abs(np.trace(states, axis1=-2, axis2=-1) - 1).max(),
+            herm_err=np.linalg.norm(states - adjoint, axis=(-2, -1)).max(),
+            min_eig=np.linalg.eigvalsh((states + adjoint) / 2).min(),
+            max_drift=np.linalg.norm(rho_g - rho_g[0], axis=(-2, -1)).max(),
+            terminal_rho_g=rho_g[-1])
+    return figures
 
 
 @pytest.fixture

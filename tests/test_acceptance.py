@@ -53,14 +53,15 @@ def test_ac01_table_reproduction(table):
     print(f"AC1 table reproduction: {n_ok}/16 rows in {elapsed:.2f} s: PASS")
 
 
-def test_ac02_entropy_plateau(table):
+def test_ac02_entropy_plateau(table, probe_figures):
     verdicts, _ = table
     plateaued = []
     reported = []
     for v in verdicts:
         if v.measured_coherence is not Coherence.DECOHERENT:
             continue
-        mixed = np.linalg.norm(v.terminal_rho_g - np.eye(2) / 2) < 1e-3
+        mixed = np.linalg.norm(probe_figures[v.name]["terminal_rho_g"]
+                               - np.eye(2) / 2) < 1e-3
         if v.stationarity < 1e-8 and mixed:
             assert abs(v.terminal_entropy - LN2) < 5e-3, v.name
             plateaued.append(v.name)
@@ -71,9 +72,9 @@ def test_ac02_entropy_plateau(table):
           f"{plateaued}; terminal values reported for {reported}: PASS")
 
 
-def test_ac03_coherent_fidelity(table):
+def test_ac03_coherent_fidelity(table, probe_figures):
     verdicts, _ = table
-    drifts = {v.name: v.max_drift for v in verdicts
+    drifts = {v.name: probe_figures[v.name]["max_drift"] for v in verdicts
               if v.expected_coherence is Coherence.COHERENT}
     assert len(drifts) == 8
     for name, drift in drifts.items():
@@ -131,15 +132,16 @@ def test_ac05_dual_propagator_agreement(systems):
           f"x 3 step sizes; observed orders {np.round(orders, 3)}: PASS")
 
 
-def test_ac06_conservation_suite(table):
+def test_ac06_conservation_suite(table, probe_figures):
     verdicts, _ = table
-    for v in verdicts:
-        assert v.trace_err < 1e-8, v.name
-        assert v.herm_err < 1e-8, v.name
-        assert v.min_eig > -1e-7, v.name
+    figures = [probe_figures[v.name] for v in verdicts]
+    for v, fig in zip(verdicts, figures):
+        assert fig["trace_err"] < 1e-8, v.name
+        assert fig["herm_err"] < 1e-8, v.name
+        assert fig["min_eig"] > -1e-7, v.name
     print(f"AC6 conservation: worst trace err "
-          f"{max(v.trace_err for v in verdicts):.2e}, worst min eig "
-          f"{min(v.min_eig for v in verdicts):.2e}: PASS")
+          f"{max(fig['trace_err'] for fig in figures):.2e}, worst min eig "
+          f"{min(fig['min_eig'] for fig in figures):.2e}: PASS")
 
 
 def test_ac07_first_order_response(systems):

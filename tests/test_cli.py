@@ -470,6 +470,22 @@ def test_table_refuses_a_gamma_whose_liouvillian_overflows(gamma, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma", ["1e-20", "1e-30"])
+def test_table_refuses_a_gamma_its_propagator_cannot_resolve(gamma, tmp_path,
+                                                            capsys):
+    # t_max = 20 / gamma is far past what a step propagator resolves: its
+    # steps, or expm's own squarings, overflow, and evolve_expm refuses the
+    # trajectory without printing a numpy warning first
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["table", "--gamma", gamma, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the expm trajectory")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--gamma", "1e-9"), ("--gamma", "1e-12"), ("--gamma", "1e-15"),
     ("--horizon", "1e9"), ("--horizon", "1e12")])
@@ -856,6 +872,11 @@ def test_classify_op_errors(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, coupling={"name": ["sx"]})
     assert main(["classify-op", "--config", cfg]) == 2
     assert "coupling: name must be a string" in capsys.readouterr().err
+    # the signature is measured at spin 3/2, so a literal coupling is 4x4
+    cfg = _write_cfg(tmp_path, coupling={"matrix": np.eye(2).tolist()})
+    assert main(["classify-op", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: coupling: need a 4x4 matrix at spin 1.5, got shape (2, 2)\n")
     # the quaternion group exists only at spin 3/2
     cfg = _write_cfg(tmp_path, spin=3.5, hamiltonian="both_symmetric",
                      coupling="sx2")
@@ -981,7 +1002,13 @@ def test_config_error_paths(tmp_path, capsys):
                                        "matrix": np.eye(4).tolist()}}),
             ("hamiltonian", {"hamiltonian": {"name": "tr_invariant",
                                              "matrix": np.eye(4).tolist()}}),
-            ("coupling", {"coupling": {"scale": 2.0}})]:
+            ("coupling", {"coupling": {"scale": 2.0}}),
+            # a literal matrix of the wrong size and an unknown name are
+            # refused under the key that gave them
+            ("coupling", {"coupling": {"matrix": np.eye(2).tolist()}}),
+            ("hamiltonian", {"hamiltonian": {"matrix": np.eye(2).tolist()}}),
+            ("coupling", {"coupling": "nope"}),
+            ("hamiltonian", {"hamiltonian": "nope"})]:
         code, err = run(_write_cfg(tmp_path, name="nonfinite.json", **kw))
         assert code == 2, kw
         assert key in err, (kw, err)

@@ -30,18 +30,15 @@ TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 SRC = ROOT / "src" / "lindsymlab"
 
-# Kept without a reader, each for the reason given. All but the first are
-# diagnostics the run record planned in ROADMAP.md is to report.
+# Kept without a reader, each for the reason given.
 KEEP = {
     "interaction_picture": ("bench/tracing.py traces it, and the tests' "
                             "Simpson reference for delta_rho builds on it, "
                             "until the benchmark drops the trace target"),
-    "Verdict.max_drift": "AC3 asserts the coherent rows' subspace drift",
-    "Verdict.stationarity": "AC2 asserts the plateau is stationary",
-    "Verdict.terminal_rho_g": "AC2 asserts the plateau is maximally mixed",
-    "Verdict.trace_err": "AC6 asserts trace conservation",
-    "Verdict.herm_err": "AC6 asserts Hermiticity conservation",
-    "Verdict.min_eig": "AC6 asserts positivity",
+    "Verdict.stationarity": ("decide measures it for simulate, which "
+                             "writes it to summary.json, and for the "
+                             "table, where AC2 asserts the plateau is "
+                             "stationary"),
 }
 
 _DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -1,15 +1,16 @@
 """Only the code that builds a matrix or a trajectory silences numpy's
-overflow warnings for it: np.errstate appears in liouvillian_matrix, frob
-and evolve_rk4 and nowhere else in the package, so no caller hides a
-warning that the builder ought to prevent. evolve_rk4 owns its overflow:
-an input too large to step ends in its own step, budget, trace-drift or
-finiteness refusal."""
+overflow warnings for it: np.errstate appears in liouvillian_matrix, frob,
+evolve_rk4 and evolve_expm and nowhere else in the package, so no caller
+hides a warning that the builder ought to prevent. Each propagator owns its
+overflow: an input too large to step ends in evolve_rk4's own step,
+budget, trace-drift or finiteness refusal, or in evolve_expm's trace-drift
+or finiteness refusal."""
 
 from owners import matches, module_name, package_owners
 
 ERRSTATE = module_name({"np", "numpy"}, {"errstate"})
 OWNERS = {("lindblad.py", "liouvillian_matrix"), ("lindblad.py", "evolve_rk4"),
-          ("operators.py", "frob")}
+          ("lindblad.py", "evolve_expm"), ("operators.py", "frob")}
 
 
 def test_only_matrix_builders_use_errstate():
