@@ -50,12 +50,13 @@ class ConfigError(Exception):
 # 1e-6 to 1000; the bound keeps a factor of five in hand.
 MIN_TABLE_HORIZON = 0.1
 
-# sweep refuses a discrepancy at or below SWEEP_FLOOR or, if larger, the
-# per-step floor times the RK4 or expm sample steps. Over the 39 catalog
-# H x O pairs at t_max 5 to 500, roundoff reaches 5.4e-17 per RK4 step,
-# 1.1e-16 per fine expm step, and 2.1e-14 in all on a coarse expm grid.
+# sweep refuses a discrepancy at or below SWEEP_FLOOR or, if larger, its
+# integrator's per-step floor times the RK4 or expm sample steps. Over the
+# 39 catalog H x O pairs at t_max 5 to 500, roundoff reaches 5.4e-17 per
+# RK4 step, 1.1e-16 per fine expm step, and 2.1e-14 in all on a coarse
+# expm grid, so each per-step floor keeps a factor of 1.8 or more in hand.
 SWEEP_FLOOR = 3e-12
-SWEEP_FLOOR_PER_STEP = 4e-16
+SWEEP_FLOOR_PER_STEP = {"rk4": 1e-16, "expm": 4e-16}
 
 
 def _positive(text: str) -> float:
@@ -409,7 +410,8 @@ def cmd_sweep(args) -> int:
             unit = delta_rho(rho0, ref.o, ref.h, 1.0, t_max)
         disc = float(np.linalg.norm(traj.states[-1] - rho0 - gamma * unit))
         steps = t_max / traj.meta["dt"]
-        floor = max(SWEEP_FLOOR, SWEEP_FLOOR_PER_STEP * steps)
+        per_step = SWEEP_FLOOR_PER_STEP[cfg.integrator]
+        floor = max(SWEEP_FLOOR, per_step * steps)
         if disc <= floor:
             raise ConfigError(
                 f"the discrepancy at gamma={gamma:g} is {disc:.2g}, within "

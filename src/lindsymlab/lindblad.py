@@ -50,37 +50,52 @@ def sample_times(t_max: float, n_samples: int, d: int) -> np.ndarray:
     return np.linspace(0.0, t_max, n_samples)
 
 
-def rhs_operators(h: ComplexMatrix, o: ComplexMatrix) -> tuple:
-    """The products rhs needs that do not depend on rho, built once.
+def rhs_operators(h: ComplexMatrix, o: ComplexMatrix, gamma: float) -> tuple:
+    """The products and buffers rhs needs that do not depend on rho,
+    built once.
 
-    Returns left, which stacks [O, H, O^dag O] to multiply rho from the
-    left, right, which stacks [H, -O^dag O, 2 O^dag] to multiply
-    [rho, rho, O rho] from the right, and views of one workspace
-    [rho, rho, O rho, H rho, O^dag O rho] that rhs fills. The views are
-    sliced here once: slicing them on every call would cost much of what
-    the saved product gains. Negation and doubling round exactly, so
-    folding them into right changes no bit of rho O^dag O or of
-    2 O rho O^dag.
+    Returns left, the (3d, d) block [O; H; O^dag O] that multiplies rho
+    from the left in one gemm, right, which stacks [H, -O^dag O, 2 O^dag]
+    to multiply [rho, rho, O rho] from the right, views of one workspace
+    [rho, rho, O rho, H rho, O^dag O rho] that rhs fills, the buffers of
+    the right product and of the differences with their views, and the
+    coefficients [-1j, gamma] of the two terms as a (2, 1, 1) complex
+    stack. The views are sliced here once: slicing them on every call
+    would cost much of what the saved products gain. Negation and
+    doubling round exactly, so folding them into right changes no bit of
+    rho O^dag O or of 2 O rho O^dag. The BLAS forms each entry of
+    left @ rho by the same length-d sum whatever left's height, and a
+    Python scalar multiplies a complex array through the same complex128
+    loop as coef does, so the block and the fold change no bit either.
     """
+    d = h.shape[0]
     o_dag = o.conj().T
     odo = o_dag @ o
-    work = np.empty((5,) + h.shape, dtype=complex)
-    return (np.stack([o, h, odo]), np.stack([h, -odo, 2.0 * o_dag]),
-            work[:2], work[2:], work[:3], work[3:])
+    work = np.empty((5, d, d), dtype=complex)
+    prod = np.empty((3, d, d), dtype=complex)
+    diff = np.empty((2, d, d), dtype=complex)
+    coef = np.array([-1j, gamma], dtype=complex).reshape(2, 1, 1)
+    return (np.concatenate([o, h, odo]), np.stack([h, -odo, 2.0 * o_dag]),
+            work[:2], work[2:].reshape(3 * d, d), work[:3], work[3:],
+            prod, prod[:2], prod[2], diff, diff[0], diff[1], coef)
 
 
-def rhs(rho: ComplexMatrix, ops: tuple, gamma: float) -> ComplexMatrix:
+def rhs(rho: ComplexMatrix, ops: tuple) -> ComplexMatrix:
     """Right-hand side of the master equation in matrix form.
 
-    ops is rhs_operators(h, o) of the system, built once by the caller.
-    The result is a fresh array, never a view of the workspace in ops.
+    ops is rhs_operators(h, o, gamma) of the system, built once by the
+    caller. The result is a fresh array, never a view of the buffers in
+    ops.
     """
-    left, right, rho_twice, lp, rho_orho, hrho_odorho = ops
+    (left, right, rho_twice, lp, rho_orho, hrho_odorho,
+     rp, rp_head, rp_tail, diff, comm, diss, coef) = ops
     rho_twice[...] = rho
-    np.matmul(left, rho, out=lp)  # O rho, H rho, O^dag O rho
-    rp = rho_orho @ right         # rho H, -rho O^dag O, 2 O rho O^dag
-    diff = hrho_odorho - rp[:2]   # [H, rho], {O^dag O, rho}
-    return -1j * diff[0] + gamma * (rp[2] - diff[1])
+    np.matmul(left, rho, out=lp)        # O rho; H rho; O^dag O rho
+    np.matmul(rho_orho, right, out=rp)  # rho H, -rho O^dag O, 2 O rho O^dag
+    np.subtract(hrho_odorho, rp_head, out=diff)  # [H, rho], {O^dag O, rho}
+    np.subtract(rp_tail, diss, out=diss)  # 2 O rho O^dag - {O^dag O, rho}
+    np.multiply(diff, coef, out=diff)   # -i [H, rho], gamma D(rho)
+    return comm + diss
 
 
 def vec(rho: ComplexMatrix) -> np.ndarray:
@@ -176,15 +191,15 @@ def evolve_rk4(rho0: ComplexMatrix, h: ComplexMatrix, o: ComplexMatrix,
         states[0] = (rho + rho.conj().T) / 2
         trace0 = np.trace(rho)
 
-        ops = rhs_operators(h, o)
+        ops = rhs_operators(h, o, gamma)
         half_dt = 0.5 * dt_eff
         sixth_dt = dt_eff / 6.0
         for k in range(1, n_samples):
             for _ in range(steps_per_sample):
-                k1 = rhs(rho, ops, gamma)
-                k2 = rhs(rho + half_dt * k1, ops, gamma)
-                k3 = rhs(rho + half_dt * k2, ops, gamma)
-                k4 = rhs(rho + dt_eff * k3, ops, gamma)
+                k1 = rhs(rho, ops)
+                k2 = rhs(rho + half_dt * k1, ops)
+                k3 = rhs(rho + half_dt * k2, ops)
+                k4 = rhs(rho + dt_eff * k3, ops)
                 rho = rho + sixth_dt * (k1 + 2 * k2 + 2 * k3 + k4)
             states[k] = (rho + rho.conj().T) / 2
             err = abs(np.trace(states[k]) - trace0)

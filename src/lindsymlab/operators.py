@@ -203,8 +203,8 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     else:
         key = _named(spec.name, "hamiltonian")
         if key not in _HAMILTONIANS:
-            raise ValueError(f"{spec.name!r} names a coupling operator, "
-                             f"not a Hamiltonian")
+            raise ValueError(f"hamiltonian: {spec.name!r} names a coupling "
+                             f"operator, not a Hamiltonian")
         h = _HAMILTONIANS[key](spins)
     if not abs(spec.scale) * frob(h) < math.inf:
         raise ValueError("hamiltonian: its Frobenius norm times e_g "
@@ -212,7 +212,7 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     # a finite norm bounds every entry, so h - h^dag cannot overflow
     if (spec.matrix is not None
             and frob(h - h.conj().T) > 1e-12 * max(1.0, frob(h))):
-        raise ValueError("literal Hamiltonian must be Hermitian")
+        raise ValueError("hamiltonian: literal Hamiltonian must be Hermitian")
     return spec.scale * h
 
 
@@ -230,8 +230,8 @@ def build_coupling(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     else:
         key = _named(spec.name, "coupling")
         if key not in _COUPLINGS:
-            raise ValueError(f"{spec.name!r} names a Hamiltonian, not a "
-                             f"coupling operator")
+            raise ValueError(f"coupling: {spec.name!r} names a Hamiltonian, "
+                             f"not a coupling operator")
         o = _COUPLINGS[key](spins)
     # checked before the product, which would overflow with a numpy
     # warning, and after it, since the norm squares the scaled entries

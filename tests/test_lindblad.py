@@ -53,7 +53,7 @@ def test_rhs_matches_liouvillian_matrix(hams, seed):
     gamma = 0.37
     rho = _random_density(rng)
     lmat = liouvillian_matrix(h, o, gamma)
-    direct = rhs(rho, rhs_operators(h, o), gamma)
+    direct = rhs(rho, rhs_operators(h, o, gamma))
     via_matrix = (lmat @ vec(rho)).reshape(4, 4)
     assert np.linalg.norm(direct - via_matrix) < 1e-12
 
@@ -65,7 +65,7 @@ def test_rhs_preserves_trace_and_hermiticity(hams, seed):
     rho = _random_density(rng)
     # non-Hermitian coupling exercises the general channel form
     o = _op("isz")
-    d = rhs(rho, rhs_operators(hams["both_symmetric"], o), 0.21)
+    d = rhs(rho, rhs_operators(hams["both_symmetric"], o, 0.21))
     assert abs(np.trace(d)) < 1e-12
     assert np.linalg.norm(d - d.conj().T) < 1e-12
 
@@ -102,7 +102,7 @@ def _assert_rk4_unchanged(rho0, h, o, gamma, steps):
     assert np.array_equal(traj.states.view(np.uint64),
                           expected.view(np.uint64))
     rho = traj.states[-1]
-    assert np.array_equal(rhs(rho, rhs_operators(h, o), gamma).view(np.uint64),
+    assert np.array_equal(rhs(rho, rhs_operators(h, o, gamma)).view(np.uint64),
                           _unstacked_rhs(rho, h, o, gamma).view(np.uint64))
 
 
@@ -123,24 +123,26 @@ def test_stacked_rk4_is_bit_identical_at_larger_spins(spin):
         _assert_rk4_unchanged(_random_density(rng, spins.dim), h, o, 0.1, 200)
 
 
-def test_stacked_rk4_is_bit_identical_from_a_sparse_start():
+@pytest.mark.parametrize("gamma", [1e-3, 0.1, 7.3])
+def test_stacked_rk4_is_bit_identical_from_a_sparse_start(gamma):
     # rho lives in the four corners only, so most entries stay exact zeros
-    # whose signs the stacked products must reproduce
+    # whose signs the stacked products and the folded [-1j, gamma] scaling
+    # must reproduce, at a weak, a moderate and a strong coupling
     spins = spin_matrices(7.5)
     psi = np.zeros(spins.dim, dtype=complex)
     psi[0], psi[-1] = 0.6, 0.8j
     for sc in catalog():
         h = build_hamiltonian(sc.hamiltonian, spins)
         o = build_coupling(sc.coupling, spins)
-        _assert_rk4_unchanged(np.outer(psi, psi.conj()), h, o, 0.1, 200)
+        _assert_rk4_unchanged(np.outer(psi, psi.conj()), h, o, gamma, 200)
 
 
 def test_rhs_result_does_not_alias_its_workspace(hams):
     rng = np.random.default_rng(5)
-    ops = rhs_operators(hams["both_symmetric"], _op("sx2sz"))
-    k1 = rhs(_random_density(rng), ops, 0.1)
+    ops = rhs_operators(hams["both_symmetric"], _op("sx2sz"), 0.1)
+    k1 = rhs(_random_density(rng), ops)
     kept = k1.copy()
-    rhs(_random_density(rng), ops, 0.1)
+    rhs(_random_density(rng), ops)
     assert np.array_equal(k1, kept)
     assert not any(np.shares_memory(k1, part) for part in ops)
 
@@ -272,7 +274,7 @@ def test_rk4_refuses_a_sample_that_keeps_its_trace_but_is_not_finite(
     # a right-hand side that is infinite off the diagonal only (inf * 0 in
     # the complex step products makes those entries NaN): every sample
     # keeps rho0's trace, so only the finiteness check can refuse it
-    def off_diagonal_inf(rho, ops, gamma):
+    def off_diagonal_inf(rho, ops):
         return np.where(np.eye(4, dtype=bool), 0.0, np.inf).astype(complex)
 
     monkeypatch.setattr(lindblad, "rhs", off_diagonal_inf)
