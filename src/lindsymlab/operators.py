@@ -103,17 +103,6 @@ def spin_matrices(s: float) -> SpinTriple:
     return SpinTriple(sx=sx, sy=sy, sz=sz)
 
 
-def anticommutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Return ab + ba."""
-    _check_dims(a, b)
-    return a @ b + b @ a
-
-
-def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need equal square matrices, got {a.shape} and {b.shape}")
-
-
 # ---------------------------------------------------------------------------
 # Named catalog.
 #
@@ -124,19 +113,19 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
 
 _HAMILTONIANS = {
     "q_symmetric": lambda t: t.sx @ t.sy @ t.sz + t.sz @ t.sy @ t.sx,
-    "tr_invariant": lambda t: anticommutator(t.sx, t.sz),
+    "tr_invariant": lambda t: t.sx @ t.sz + t.sz @ t.sx,
     "both_symmetric": lambda t: t.sz @ t.sz,
 }
 
 _COUPLINGS = {
     "sy2": lambda t: t.sy @ t.sy,
-    "sxsy_sym": lambda t: anticommutator(t.sx, t.sy),
+    "sxsy_sym": lambda t: t.sx @ t.sy + t.sy @ t.sx,
     "sxsysz": lambda t: t.sx @ t.sy @ t.sz,
     "sysz": lambda t: t.sy @ t.sz,
     "sx2": lambda t: t.sx @ t.sx,
-    "sz": lambda t: t.sz.copy(),
+    "sz": lambda t: t.sz,
     "isz": lambda t: 1j * t.sz,
-    "sx": lambda t: t.sx.copy(),
+    "sx": lambda t: t.sx,
     "sxsysz_sym": lambda t: t.sx @ t.sy @ t.sz + t.sz @ t.sy @ t.sx,
     "i_sxsysz_asym": lambda t: 1j * (t.sx @ t.sy @ t.sz - t.sz @ t.sy @ t.sx),
     "i_sxsysz_sym": lambda t: 1j * (t.sx @ t.sy @ t.sz + t.sz @ t.sy @ t.sx),
@@ -167,21 +156,50 @@ def canonical_name(name: str) -> str:
     return key
 
 
-def _literal(matrix, spins: SpinTriple, key: str) -> ComplexMatrix:
-    """matrix as complex, refused under key unless d x d at spins' spin."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.shape != spins.sz.shape:
-        raise ValueError(f"{key}: need a {spins.dim}x{spins.dim} matrix at "
-                         f"spin {(spins.dim - 1) / 2:g}, got shape {a.shape}")
+# Per builder key: its catalog, what a name from the other catalog names,
+# and its overflow refusal.
+_KINDS = {
+    "hamiltonian": (_HAMILTONIANS, "a coupling operator, not a Hamiltonian",
+                    "its Frobenius norm times e_g overflows"),
+    "coupling": (_COUPLINGS, "a Hamiltonian, not a coupling operator",
+                 "its Frobenius norm overflows"),
+}
+
+
+def _resolve(spec: OperatorSpec, spins: SpinTriple, key: str) -> ComplexMatrix:
+    """spec's unscaled matrix, refused under key: a literal that is not
+    d x d at spins' spin, a name outside key's catalog, or a Frobenius
+    norm times spec.scale that overflows."""
+    catalog, other, overflow = _KINDS[key]
+    if spec.matrix is not None:
+        a = np.asarray(spec.matrix, dtype=complex)
+        if a.shape != spins.sz.shape:
+            raise ValueError(f"{key}: need a {spins.dim}x{spins.dim} matrix "
+                             f"at spin {(spins.dim - 1) / 2:g}, got shape "
+                             f"{a.shape}")
+    else:
+        try:
+            name = canonical_name(spec.name)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        if name not in catalog:
+            raise ValueError(f"{key}: {spec.name!r} names {other}")
+        a = catalog[name](spins)
+    # checked before the product, which would overflow with a numpy
+    # warning, and before any test compares norms: inf <= inf would pass
+    # every symmetry test
+    if not abs(spec.scale) * frob(a) < math.inf:
+        raise ValueError(f"{key}: {overflow}")
     return a
 
 
-def _named(name: str, key: str) -> str:
-    """canonical_name(name), its refusal prefixed with key."""
-    try:
-        return canonical_name(name)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
+def _scaled(a: ComplexMatrix, scale: float, key: str) -> ComplexMatrix:
+    """scale * a as a fresh array, refused under key if its Frobenius norm
+    overflows: the norm squares the scaled entries."""
+    a = scale * a
+    if not frob(a) < math.inf:
+        raise ValueError(f"{key}: {_KINDS[key][2]}")
+    return a
 
 
 def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
@@ -195,25 +213,16 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     Raises:
         ValueError: unknown name, a coupling's name, a literal that is
             not d x d, a Hamiltonian whose Frobenius norm times E_g
-            overflows (checked before the product, and before the
-            Hermiticity test compares norms), or a non-Hermitian literal.
+            overflows (checked before the Hermiticity test compares
+            norms, and again after the product), or a non-Hermitian
+            literal.
     """
-    if spec.matrix is not None:
-        h = _literal(spec.matrix, spins, "hamiltonian")
-    else:
-        key = _named(spec.name, "hamiltonian")
-        if key not in _HAMILTONIANS:
-            raise ValueError(f"hamiltonian: {spec.name!r} names a coupling "
-                             f"operator, not a Hamiltonian")
-        h = _HAMILTONIANS[key](spins)
-    if not abs(spec.scale) * frob(h) < math.inf:
-        raise ValueError("hamiltonian: its Frobenius norm times e_g "
-                         "overflows")
+    h = _resolve(spec, spins, "hamiltonian")
     # a finite norm bounds every entry, so h - h^dag cannot overflow
     if (spec.matrix is not None
             and frob(h - h.conj().T) > 1e-12 * max(1.0, frob(h))):
         raise ValueError("hamiltonian: literal Hamiltonian must be Hermitian")
-    return spec.scale * h
+    return _scaled(h, spec.scale, "hamiltonian")
 
 
 def build_coupling(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
@@ -221,24 +230,7 @@ def build_coupling(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
 
     Raises:
         ValueError: unknown name, a Hamiltonian's name, a literal matrix
-            that is not d x d, or a matrix whose Frobenius norm overflows:
-            every symmetry test compares norms, and inf <= inf would pass
-            them all.
+            that is not d x d, or a matrix whose Frobenius norm overflows,
+            before or after its scale.
     """
-    if spec.matrix is not None:
-        o = _literal(spec.matrix, spins, "coupling")
-    else:
-        key = _named(spec.name, "coupling")
-        if key not in _COUPLINGS:
-            raise ValueError(f"coupling: {spec.name!r} names a Hamiltonian, "
-                             f"not a coupling operator")
-        o = _COUPLINGS[key](spins)
-    # checked before the product, which would overflow with a numpy
-    # warning, and after it, since the norm squares the scaled entries
-    refusal = "coupling: its Frobenius norm overflows"
-    if not abs(spec.scale) * frob(o) < math.inf:
-        raise ValueError(refusal)
-    o = spec.scale * o
-    if not frob(o) < math.inf:
-        raise ValueError(refusal)
-    return o
+    return _scaled(_resolve(spec, spins, "coupling"), spec.scale, "coupling")

@@ -381,6 +381,17 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
     pytest.param("simulate", {"hamiltonian": _diag_coupling(1e200),
                               "e_g": -1e200}, ("hamiltonian", "e_g"),
                  id="hamiltonian-1e200-e_g-minus-1e200"),
+    # finite entries whose squares overflow: refused after the product,
+    # before a symmetry test reads inf <= inf as a symmetry of H
+    pytest.param("simulate", {"hamiltonian": "q_symmetric", "e_g": 1e154},
+                 ("hamiltonian", "e_g"), id="q_symmetric-e_g-1e154"),
+    pytest.param("sweep", {"hamiltonian": "q_symmetric", "e_g": 1e154,
+                           "integrator": "rk4"}, ("hamiltonian", "e_g"),
+                 id="sweep-rk4-q_symmetric-e_g-1e154"),
+    pytest.param("simulate", {"hamiltonian": {"matrix": [
+        [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1e153, 0], [0, 0, 0, 1e153]]},
+                              "e_g": 1e100}, ("hamiltonian", "e_g"),
+                 id="hamiltonian-1e153-e_g-1e100"),
     pytest.param("simulate", {"coupling": {**_diag_coupling(1e200),
                                            "scale": -1e200}},
                  ("coupling",), id="matrix-1e200-scale-minus-1e200"),
@@ -403,8 +414,7 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
                  ("n_samples",), id="n-samples-1e9-rk4"),
     pytest.param("sweep", {"n_samples": 10**9}, ("n_samples",),
                  id="sweep-n-samples-1e9"),
-    # on the default grid the trajectory stays finite, but the doublet
-    # block's norm overflows
+    # on the default grid too, H is refused where it is built
     pytest.param("simulate", {"hamiltonian": "both_symmetric", "coupling": "sz",
                               "e_g": 1e300, "t_max": None, "n_samples": 201},
                  ("e_g",), id="e_g-1e300-default-grid"),
@@ -985,6 +995,10 @@ def test_config_error_paths(tmp_path, capsys):
             ("beta", {"beta": inf}),
             ("alpha", {"alpha": [1e308, 0.0]}),  # |alpha|^2 overflows
             ("coupling", {"coupling": {"name": "sx2", "scale": nan}}),
+            # refused as the config is read, so classify-op refuses it too
+            ("hamiltonian.scale", {"hamiltonian": {"name": "tr_invariant",
+                                                   "scale": 1e200},
+                                   "e_g": 1e200}),
             ("hamiltonian", {"hamiltonian": {"name": "tr_invariant",
                                              "scale": -inf}}),
             ("coupling", {"coupling": {"matrix": sz_rows}}),

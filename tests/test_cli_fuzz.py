@@ -5,12 +5,16 @@ then has up to two of them replaced by a non-finite, huge, negative or
 wrongly typed value, or gains an unknown key. Every `simulate` and `sweep`
 run must end in exit 0, 1 or 2 without an exception or a numpy
 RuntimeWarning, and a rejected run (exit 2) must leave no output
-directory. `spin` stays small, and `n_samples` is either small or above
-the trajectory size limit, so no draw takes long or allocates much.
+directory and print one `error:` line that names a config key or a flag.
+`spin` stays small, and `n_samples` is either small or above the
+trajectory size limit, so no draw takes long or allocates much.
 """
 
+import contextlib
+import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -18,7 +22,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lindsymlab.cli import main
+from lindsymlab.cli import _KNOWN_KEYS, main
 from lindsymlab.lindblad import MAX_TRAJECTORY_ENTRIES
 
 _BAD = st.one_of(
@@ -97,15 +101,29 @@ _VALID = {"hamiltonian": "tr_invariant", "coupling": "sx",
           "gammas": [1e-3, 2e-3]}
 
 
+_FLAGS = ("--config", "--gamma", "--integrator", "--horizon", "--out")
+
+
+def _names_a_key_or_flag(message, doc):
+    """Whether message names, as a whole word, a known key, one of doc's
+    own keys (an unknown key is refused by its name) or a flag."""
+    names = "|".join(map(re.escape, sorted({*_KNOWN_KEYS, *doc, *_FLAGS})))
+    return re.search(rf"(?<![\w-])({names})(?!\w)", message) is not None
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(config_documents(), st.sampled_from(["simulate", "sweep"]))
 @example({**_VALID, "n_samples": MAX_TRAJECTORY_ENTRIES + 1}, "simulate")
+# finite entries whose squares overflow: refused where H is built, before
+# a symmetry test reads inf <= inf as a symmetry
+@example({**_VALID, "hamiltonian": "q_symmetric", "e_g": 1e300}, "simulate")
 def test_any_config_document_exits_0_1_or_2(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = Path(tmp) / "out"
-        with warnings.catch_warnings(record=True) as caught:
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(io.StringIO()) as stderr):
             warnings.simplefilter("always")
             code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code in (0, 1, 2)
@@ -113,3 +131,8 @@ def test_any_config_document_exits_0_1_or_2(doc, command):
                 if issubclass(w.category, RuntimeWarning)] == []
         if code == 2:
             assert not out.exists()
+            # the config's path, which prefixes a read-time refusal, is
+            # not a name
+            lines = stderr.getvalue().replace(str(cfg), "").splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert _names_a_key_or_flag(lines[0], doc), lines[0]

@@ -3,8 +3,14 @@
 The exit code and every non-numeric token must match exactly, and each
 number within RTOL and ATOL, since the last digits can differ on another
 CPU or BLAS. Each entry also prints how many of its texts differ in their
-sha256; that count does not fail the test. `python tests/golden/record.py`
-re-records the corpus.
+sha256; that count does not fail the test. The count depends on the BLAS
+thread count as well as the code: on the 2-CPU host the corpus was recorded
+on, every entry gives 0 at the default thread count, while
+`OPENBLAS_NUM_THREADS=1` makes 2 of the 4 texts of
+`simulate-expm-both_symmetric-sx2sz-spin-7.5` differ, with the same exit
+code, tokens and numbers within the tolerance. Compare counts at one thread
+setting before reading a nonzero count as a moved byte.
+`python tests/golden/record.py` re-records the corpus.
 """
 
 import hashlib

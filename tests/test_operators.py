@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from lindsymlab.operators import (OperatorSpec, anticommutator,
-                                  build_coupling, build_hamiltonian,
-                                  canonical_name, spin_matrices)
+from lindsymlab.operators import (OperatorSpec, build_coupling,
+                                  build_hamiltonian, canonical_name,
+                                  spin_matrices)
 
 RT3 = np.sqrt(3.0)
 HAMILTONIANS = ("q_symmetric", "tr_invariant", "both_symmetric")
@@ -66,13 +66,6 @@ def test_dimension_cap():
     with pytest.raises(ValueError):
         spin_matrices(40.0)
     spin_matrices(31.5)  # dim 64 is still allowed
-
-
-def test_anticommutator_shape_mismatch():
-    with pytest.raises(ValueError):
-        anticommutator(np.eye(2), np.eye(3))
-    with pytest.raises(ValueError):
-        anticommutator(np.eye(2), np.ones((2, 3)))
 
 
 def test_hamiltonian_spectra(spins):
@@ -173,35 +166,39 @@ def test_named_couplings_match_their_products(spins):
 def test_anticommuting_pair_value(spins):
     # {Sx, Sz} for spin 3/2 is the tr_invariant Hamiltonian at scale 1
     h = build_hamiltonian(OperatorSpec(name="tr_invariant"), spins)
-    assert np.allclose(h, anticommutator(spins.sx, spins.sz), atol=1e-15)
+    assert np.allclose(h, spins.sx @ spins.sz + spins.sz @ spins.sx,
+                       atol=1e-15)
 
 
-@pytest.mark.parametrize("matrix, scale", [
-    ([[1e200, 0, 0, 0], [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
-     1e200),
-    ([[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], 1.0),
-    ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], 1e308),
-    ([[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], -1.0),
-    ([[1e200, 0, 0, 0], [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
-     -1e200),
+def _literal(matrix, scale):
+    return OperatorSpec(matrix=np.array(matrix, complex), scale=scale)
+
+
+@pytest.mark.parametrize("spec", [
+    _literal([[1e200, 0, 0, 0], [0, 1e200, 0, 0], [0, 0, 0, 0],
+              [0, 0, 0, 1]], 1e200),
+    _literal([[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+             1.0),
+    _literal([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+             1e308),
+    _literal([[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+             -1.0),
+    _literal([[1e200, 0, 0, 0], [0, 1e200, 0, 0], [0, 0, 0, 0],
+              [0, 0, 0, 1]], -1e200),
+    _literal(np.diag([0, 0, 1e153, 1e153]), 1e100),
+    OperatorSpec(name="both_symmetric", scale=1e300),
+    OperatorSpec(name="both_symmetric", scale=-1e300),
 ], ids=["scaled-1e200", "non-hermitian-1e200", "e_g-1e308",
-        "non-hermitian-1e200-e_g-minus-1", "scaled-minus-1e200"])
-def test_a_hamiltonian_whose_norm_overflows_is_refused_quietly(spins, matrix,
-                                                               scale):
+        "non-hermitian-1e200-e_g-minus-1", "scaled-minus-1e200",
+        "norm-after-e_g", "named-e_g-1e300", "named-e_g-minus-1e300"])
+def test_a_hamiltonian_whose_norm_overflows_is_refused_quietly(spins, spec):
     # refused before the product and before the Hermiticity test, whose
-    # inf > inf would pass a non-Hermitian matrix
+    # inf > inf would pass a non-Hermitian matrix, and after the product,
+    # whose entries can be finite while their squares overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^hamiltonian: .* e_g"):
-            build_hamiltonian(OperatorSpec(matrix=np.array(matrix, complex),
-                                           scale=scale), spins)
-
-
-def test_a_named_hamiltonian_at_e_g_1e300_is_built(spins):
-    # its norm is finite; the Liouvillian is what overflows
-    h = build_hamiltonian(OperatorSpec(name="both_symmetric", scale=1e300),
-                          spins)
-    assert np.isfinite(h).all()
+            build_hamiltonian(spec, spins)
 
 
 @pytest.mark.parametrize("spec", [
