@@ -32,17 +32,13 @@ from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
                        reproduce_table)
 from .lindblad import PropagationError, evolve_expm
 from .observables import ObservationError, observe_subspace
-from .operators import (OperatorSpec, build_coupling, canonical_name,
-                        half_integer, spin_matrices)
+from .operators import (ConfigError, OperatorSpec, build_coupling,
+                        canonical_name, half_integer, spin_matrices)
 from .response import delta_rho, scaling_exponent
 
 # evolve_expm is re-exported, not called: bench/test_bench.py checks that
 # tracing wraps it under this module's name too.
 __all__ = ["evolve_expm", "main"]
-
-
-class ConfigError(Exception):
-    """Invalid configuration; the message names the offending key."""
 
 
 # The shortest horizon gamma*t the table accepts. At 0.01 a decoherent row
@@ -275,12 +271,8 @@ def _t_max(horizon: float, gamma: float, names: tuple) -> float:
 def _prepare_doublet(cfg: RunConfig,
                      gamma: float) -> tuple[ScenarioSystem, np.ndarray]:
     """The system prepared at gamma and the alpha/beta initial state."""
-    try:
-        system = prepare(cfg, gamma, cfg.spin)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    basis = system.basis
-    psi0 = cfg.alpha * basis[:, 0] + cfg.beta * basis[:, 1]
+    system = prepare(cfg, gamma, cfg.spin)
+    psi0 = cfg.alpha * system.basis[:, 0] + cfg.beta * system.basis[:, 1]
     return system, np.outer(psi0, psi0.conj())
 
 
@@ -446,11 +438,8 @@ def cmd_classify_op(args) -> int:
         spec = cfg.coupling
     else:
         spec = OperatorSpec(name=args.operator)
-    try:
-        o = build_coupling(spec, spin_matrices(1.5))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    claims, failing = compute_signature(o)
+    claims, failing = compute_signature(
+        build_coupling(spec, spin_matrices(1.5)))
     shown = (f"{spec.name} (canonical: {canonical_name(spec.name)})"
              if spec.name is not None else "<literal matrix>")
     print(f"operator:  {shown}")

@@ -20,6 +20,11 @@ ComplexMatrix = np.ndarray
 MAX_DIM = 64
 
 
+class ConfigError(ValueError):
+    """An input value refused where it is read or prepared, named by its
+    config key. A ValueError, so that callers catching one keep working."""
+
+
 def frob(a: np.ndarray) -> float:
     """Frobenius norm; inf, without a numpy warning, when it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -81,15 +86,15 @@ def spin_matrices(s: float) -> SpinTriple:
         diagonal with entries s, s-1, ..., -s.
 
     Raises:
-        ValueError: if half_integer(s) is None or the dimension exceeds
+        ConfigError: if half_integer(s) is None or the dimension exceeds
             the dense-storage cap.
     """
     if (spin := half_integer(s)) is None:
-        raise ValueError(f"spin must be a positive half-integer, got {s}")
+        raise ConfigError(f"spin must be a positive half-integer, got {s}")
     dim = int(2 * spin) + 1
     if dim > MAX_DIM:
-        raise ValueError(f"spin {s} is above {(MAX_DIM - 1) / 2}, the "
-                         f"largest spin stored densely")
+        raise ConfigError(f"spin {s} is above {(MAX_DIM - 1) / 2}, the "
+                          f"largest spin stored densely")
     m = np.array([spin - k for k in range(dim)], dtype=float)
     s_plus = np.zeros((dim, dim), dtype=complex)
     for k in range(1, dim):
@@ -152,7 +157,8 @@ def canonical_name(name: str) -> str:
     key = _ALIASES.get(key, key)
     if key not in _COUPLINGS and key not in _HAMILTONIANS:
         known = ", ".join(sorted((*_COUPLINGS, *_HAMILTONIANS)))
-        raise ValueError(f"unknown operator name {name!r}; known names: {known}")
+        raise ConfigError(f"unknown operator name {name!r}; "
+                          f"known names: {known}")
     return key
 
 
@@ -174,22 +180,22 @@ def _resolve(spec: OperatorSpec, spins: SpinTriple, key: str) -> ComplexMatrix:
     if spec.matrix is not None:
         a = np.asarray(spec.matrix, dtype=complex)
         if a.shape != spins.sz.shape:
-            raise ValueError(f"{key}: need a {spins.dim}x{spins.dim} matrix "
-                             f"at spin {(spins.dim - 1) / 2:g}, got shape "
-                             f"{a.shape}")
+            raise ConfigError(f"{key}: need a {spins.dim}x{spins.dim} "
+                              f"matrix at spin {(spins.dim - 1) / 2:g}, got "
+                              f"shape {a.shape}")
     else:
         try:
             name = canonical_name(spec.name)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
         if name not in catalog:
-            raise ValueError(f"{key}: {spec.name!r} names {other}")
+            raise ConfigError(f"{key}: {spec.name!r} names {other}")
         a = catalog[name](spins)
     # checked before the product, which would overflow with a numpy
     # warning, and before any test compares norms: inf <= inf would pass
     # every symmetry test
     if not abs(spec.scale) * frob(a) < math.inf:
-        raise ValueError(f"{key}: {overflow}")
+        raise ConfigError(f"{key}: {overflow}")
     return a
 
 
@@ -198,7 +204,7 @@ def _scaled(a: ComplexMatrix, scale: float, key: str) -> ComplexMatrix:
     overflows: the norm squares the scaled entries."""
     a = scale * a
     if not frob(a) < math.inf:
-        raise ValueError(f"{key}: {_KINDS[key][2]}")
+        raise ConfigError(f"{key}: {_KINDS[key][2]}")
     return a
 
 
@@ -211,25 +217,26 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
         spins: spin matrices of the working dimension.
 
     Raises:
-        ValueError: unknown name, a coupling's name, a literal that is
+        ConfigError: unknown name, a coupling's name, a literal that is
             not d x d, a Hamiltonian whose Frobenius norm times E_g
-            overflows (checked before the Hermiticity test compares
-            norms, and again after the product), or a non-Hermitian
-            literal.
+            overflows (checked before and after the product, both before
+            the Hermiticity test compares norms), or a literal that is not
+            Hermitian once scaled: the H every later stage reads.
     """
-    h = _resolve(spec, spins, "hamiltonian")
+    h = _scaled(_resolve(spec, spins, "hamiltonian"), spec.scale,
+                "hamiltonian")
     # a finite norm bounds every entry, so h - h^dag cannot overflow
     if (spec.matrix is not None
             and frob(h - h.conj().T) > 1e-12 * max(1.0, frob(h))):
-        raise ValueError("hamiltonian: literal Hamiltonian must be Hermitian")
-    return _scaled(h, spec.scale, "hamiltonian")
+        raise ConfigError("hamiltonian: literal Hamiltonian must be Hermitian")
+    return h
 
 
 def build_coupling(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     """Resolve a coupling spec to its matrix; hermiticity is never assumed.
 
     Raises:
-        ValueError: unknown name, a Hamiltonian's name, a literal matrix
+        ConfigError: unknown name, a Hamiltonian's name, a literal matrix
             that is not d x d, or a matrix whose Frobenius norm overflows,
             before or after its scale.
     """

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import ComplexMatrix, frob
+from .operators import ComplexMatrix, ConfigError, frob
 from .symmetry import AntiUnitaryOp, is_hermitian
 
 
@@ -53,12 +53,13 @@ def ground_subspace(h: ComplexMatrix,
     basis vector is phase-fixed so its largest-magnitude component is
     real positive. For a two-dimensional ground level, a caller-supplied
     anti-unitary that commutes with h fixes the second vector proportional
-    to the image of the first, re-orthonormalized; the anti-unitary must
-    map the subspace to itself. The level's dimension is the basis's
+    to the image of the first, re-orthonormalized, unless that image lies
+    within 1e-6 of the first's ray, as T^2 = +1 allows; the anti-unitary
+    must map the subspace to itself. The level's dimension is the basis's
     column count; classify.prepare refuses any but two.
 
     Raises:
-        ValueError: if pairing is supplied but maps the first ground state
+        ConfigError: if pairing is supplied but maps the first ground state
             out of the subspace (it then does not commute with h there).
     """
     vals, vecs = eigh(h)
@@ -70,11 +71,11 @@ def ground_subspace(h: ComplexMatrix,
         partner = pairing.act_state(phi_plus)
         leak = partner - basis @ basis.conj().T @ partner
         if frob(leak) > 1e-9:
-            raise ValueError(
-                "pairing operator maps the ground state out of its subspace")
+            raise ConfigError("hamiltonian: pairing operator maps the "
+                              "ground state out of its subspace")
         partner = partner - phi_plus * (phi_plus.conj() @ partner)
-        partner = partner / np.linalg.norm(partner)
-        basis = np.column_stack([phi_plus, _phase_fix(partner)])
+        if (norm := np.linalg.norm(partner)) > 1e-6:
+            basis = np.column_stack([phi_plus, _phase_fix(partner / norm)])
     return basis
 
 

@@ -32,6 +32,10 @@ _R3 = 3.0 ** 0.5
 _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
             "coupling": {"matrix": [[0, _R3, 0, 0], [0, 0, 2, 0],
                                     [0, 0, 0, _R3], [0, 0, 0, 0]]}}
+# Hermitian to 1e-12 as written, not once e_g = 1e6 scales it
+_SCALED_NOT_HERMITIAN = {"matrix": [[2.25e-6, [0, 1e-13], 0, 0],
+                                    [0, 2.5e-7, 0, 0], [0, 0, 2.5e-7, 0],
+                                    [0, 0, 0, 2.25e-6]]}
 _COUPLINGS = ("sy2", "sxsy_sym", "sxsysz", "sysz", "sx2", "sz", "isz", "sx",
               "sxsysz_sym", "i_sxsysz_asym", "i_sxsysz_sym", "sxsy", "sx2sz")
 
@@ -51,6 +55,12 @@ def _entries() -> dict:
             argv=["simulate", "--config", "run.json", "--out", "out"],
             config={"hamiltonian": "both_symmetric", "coupling": "sx2sz",
                     "spin": float(spin)})
+    # -Sx^2 at spin 1: T^2 = +1 maps each ground state onto its own ray
+    entries["simulate-expm-minus-sx2-spin-1-sx2"] = dict(
+        argv=["simulate", "--config", "run.json", "--out", "out"],
+        config={"hamiltonian": {"matrix": [[-0.5, 0, -0.5], [0, -1, 0],
+                                           [-0.5, 0, -0.5]]},
+                "coupling": "sx2", "spin": 1.0})
     entries["simulate-rk4-both_symmetric-sx2sz-horizon-0.5"] = dict(
         argv=["simulate", "--config", "run.json", "--integrator", "rk4",
               "--horizon", "0.5", "--out", "out"],
@@ -75,6 +85,9 @@ def _entries() -> dict:
                  [1e154, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                  [0, 0, 0, 1]]}}),
             ("sweep-drained", "sweep", {**_DRAINED, "gammas": [0.1, 0.2]}),
+            ("hamiltonian-scaled-not-hermitian", "simulate", {
+                "hamiltonian": _SCALED_NOT_HERMITIAN, "coupling": "sz",
+                "e_g": 1e6}),
             # the last two: RK4's trace refusal and a state that is no
             # longer positive when observed
             ("rk4-trace-drift", "simulate", {

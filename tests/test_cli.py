@@ -14,6 +14,7 @@ from lindsymlab import classify, cli, observables
 from lindsymlab.classify import catalog, run_scenario
 from lindsymlab.cli import build_parser, cmd_table, main
 from lindsymlab.observables import Coherence
+from lindsymlab.operators import spin_matrices
 
 LN2 = np.log(2.0)
 
@@ -624,6 +625,31 @@ def test_a_ground_level_that_is_not_a_doublet_exits_2(command, kw, tmp_path,
     assert not out.exists()
 
 
+def _literal(h):
+    """A matrix as a config's literal operator: rows of [re, im] pairs."""
+    return {"matrix": [[[z.real, z.imag] for z in row] for row in h.tolist()]}
+
+
+@pytest.mark.parametrize("hamiltonian, coupling, verdict", [
+    # exactly degenerate and T-even; Sx^2 is the identity on its ground level
+    (lambda t: -t.sx @ t.sx, "sx2", "Coherence"),
+    # Sz commutes with -Sz^2, and Sx^2 tells its two ground states apart
+    (lambda t: -t.sz @ t.sz + 1e-11 * (t.sx @ t.sx), "sz", "Coherence"),
+    (lambda t: -t.sz @ t.sz + 1e-11 * (t.sx @ t.sx), "sx2", "Decoherence"),
+], ids=["minus-sx2-sx2", "near-degenerate-sz", "near-degenerate-sx2"])
+def test_simulate_at_integer_spin_observes_its_ground_level(
+        hamiltonian, coupling, verdict, tmp_path):
+    # T^2 = +1, and T maps each of these ground states onto its own ray:
+    # pairing by T would take roundoff for the second basis vector
+    cfg = _write_cfg(tmp_path, spin=1, coupling=coupling,
+                     hamiltonian=_literal(hamiltonian(spin_matrices(1))))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == verdict
+    assert abs(summary["terminal_trace_g"] - 1) <= 1e-9
+
+
 def test_a_huge_spin_is_named_in_a_short_message(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, spin=1e300)
     out = tmp_path / "out"
@@ -1044,7 +1070,17 @@ def test_config_error_paths(tmp_path, capsys):
                                                         [0, 0, 0, 0],
                                                         [0, 0, 0, 0],
                                                         [0, 0, 0, 0]]}}),
-            ("coupling", {"coupling": "tr_invariant"})]:
+            ("coupling", {"coupling": "tr_invariant"}),
+            # Hermitian to 1e-12 as written, not once e_g scales it
+            ("hamiltonian", {"coupling": "sz", "e_g": 1e6, "hamiltonian": {
+                "matrix": [[2.25e-6, [0, 1e-13], 0, 0], [0, 2.5e-7, 0, 0],
+                           [0, 0, 2.5e-7, 0], [0, 0, 0, 2.25e-6]]}}),
+            # T-even to 1e-9, but T maps its ground level 1e-3 into the
+            # level 1e-7 above it: the pairing refusal
+            ("hamiltonian", {"spin": 2.5, "coupling": "sz",
+                             "hamiltonian": _literal(
+                                 np.diag([1, 1e-7, 0, 0, 1e-7, 1])
+                                 + 1e-10 * spin_matrices(2.5).sx)})]:
         code, err = run(_write_cfg(tmp_path, name="nonfinite.json", **kw))
         assert code == 2, kw
         assert _names_key(err, key), (kw, err)

@@ -6,6 +6,8 @@ wrongly typed value, or gains an unknown key. Every `simulate` and `sweep`
 run must end in exit 0, 1 or 2 without an exception or a numpy
 RuntimeWarning, and a rejected run (exit 2) must leave no output
 directory and print one `error:` line that names a config key or a flag.
+An answered `simulate` (exit 0) must not find more population in the
+doublet than the state holds.
 `spin` stays small, and `n_samples` is either small or above the
 trajectory size limit, so no draw takes long or allocates much.
 """
@@ -99,6 +101,12 @@ def config_documents(draw):
 # the trajectory size bound is reached by an explicit example
 _VALID = {"hamiltonian": "tr_invariant", "coupling": "sx",
           "gammas": [1e-3, 2e-3]}
+# 1e-6 Sz^2 at spin 3/2 with 1e-13i added to entry (0, 1): Hermitian to
+# 1e-12 as written, but not once e_g scales it by 1e6
+_SCALED_NOT_HERMITIAN = {
+    **_VALID, "coupling": "sz", "e_g": 1e6, "hamiltonian": {"matrix": [
+        [2.25e-6, [0, 1e-13], 0, 0], [0, 2.5e-7, 0, 0], [0, 0, 2.5e-7, 0],
+        [0, 0, 0, 2.25e-6]]}}
 
 
 _FLAGS = ("--config", "--gamma", "--integrator", "--horizon", "--out")
@@ -117,6 +125,9 @@ def _names_a_key_or_flag(message, doc):
 # finite entries whose squares overflow: refused where H is built, before
 # a symmetry test reads inf <= inf as a symmetry
 @example({**_VALID, "hamiltonian": "q_symmetric", "e_g": 1e300}, "simulate")
+# refused where H is built, not by an internal gate that names no key
+@example(_SCALED_NOT_HERMITIAN, "simulate")
+@example(_SCALED_NOT_HERMITIAN, "sweep")
 def test_any_config_document_exits_0_1_or_2(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
@@ -136,3 +147,7 @@ def test_any_config_document_exits_0_1_or_2(doc, command):
             lines = stderr.getvalue().replace(str(cfg), "").splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
             assert _names_a_key_or_flag(lines[0], doc), lines[0]
+        if code == 0 and command == "simulate":
+            summary = json.loads(
+                (out / (doc.get("summary") or "summary.json")).read_text())
+            assert summary["terminal_trace_g"] <= 1 + 1e-9, summary

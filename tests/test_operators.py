@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lindsymlab.operators import (OperatorSpec, build_coupling,
+from lindsymlab.operators import (ConfigError, OperatorSpec, build_coupling,
                                   build_hamiltonian, canonical_name,
                                   spin_matrices)
+from lindsymlab.spectra import eigh
 
 RT3 = np.sqrt(3.0)
 HAMILTONIANS = ("q_symmetric", "tr_invariant", "both_symmetric")
@@ -92,6 +93,14 @@ def test_literal_hamiltonian_must_be_hermitian(spins):
     bad[0, 1] = 1.0  # not symmetric
     with pytest.raises(ValueError):
         build_hamiltonian(OperatorSpec(matrix=bad), spins)
+    # 1e-13i on 1e-6 Sz^2 is Hermitian to 1e-12 at scale 1, but not once
+    # e_g = 1e6 scales it: the scaled H is what spectra.eigh's gate reads
+    a = 1e-6 * (spins.sz @ spins.sz)
+    a[0, 1] += 1e-13j
+    eigh(build_hamiltonian(OperatorSpec(matrix=a), spins))
+    with pytest.raises(ConfigError, match="^hamiltonian: literal "
+                                          "Hamiltonian must be Hermitian$"):
+        build_hamiltonian(OperatorSpec(matrix=a, scale=1e6), spins)
 
 
 def test_literal_coupling_not_required_hermitian(spins):

@@ -1,16 +1,16 @@
 """A signature is measured where its operator can change: the package calls
-compute_signature only in classify.catalog, for the three Hamiltonians it
-builds, and in cli.cmd_classify_op, for the operator it is given. The
-table's claimed coupling signatures are constant data, which the tests
-measure instead of every run."""
+compute_signature only in cli.cmd_classify_op, for the operator it is
+given. The table's claimed signatures, of its three Hamiltonians and of
+its couplings, are constant data, which the tests measure instead of
+every run."""
 
 from owners import call_of, matches, package_owners
 
 SIGNATURE = call_of({"compute_signature"})
-OWNERS = {("classify.py", "catalog"), ("cli.py", "cmd_classify_op")}
+OWNERS = {("cli.py", "cmd_classify_op")}
 
 
-def test_only_the_catalog_and_classify_op_measure_signatures():
+def test_only_classify_op_measures_signatures():
     assert package_owners(SIGNATURE) == OWNERS
 
 

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindsymlab.spectra import eigh, ground_subspace, subspace_density
+from lindsymlab.operators import ConfigError, spin_matrices
+from lindsymlab.spectra import (eigh, ground_subspace, same_level,
+                                subspace_density)
+from lindsymlab.symmetry import time_reversal
 
 RT2 = np.sqrt(2.0)
 
@@ -66,8 +69,24 @@ def test_ground_doublet_both_symmetric_frozen(hams, trev):
 def test_pairing_with_incompatible_antiunitary_raises(hams, trev):
     # the q_symmetric Hamiltonian anticommutes with time reversal: the
     # image of a ground state lies in the excited doublet
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^hamiltonian: pairing"):
         ground_subspace(hams["q_symmetric"], pairing=trev)
+
+
+@pytest.mark.parametrize("spin", [1, 2, 3, 4])
+def test_integer_spin_pairing_keeps_a_basis_of_the_level(spin):
+    # T^2 = +1: T can map a ground state onto its own ray, leaving only
+    # roundoff for a partner; the eigenbasis of the level stays
+    t, trev = spin_matrices(spin), time_reversal(spin)
+    for h in (-t.sx @ t.sx, -t.sy @ t.sy, -t.sz @ t.sz,
+              -t.sz @ t.sz + 1e-11 * (t.sx @ t.sx)):
+        basis = ground_subspace(h, pairing=trev)
+        vals, vecs = eigh(h)
+        level = vecs[:, same_level(vals, vals[0])]
+        assert basis.shape[1] == 2
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(2)) <= 1e-12
+        assert np.linalg.norm(basis @ basis.conj().T
+                              - level @ level.conj().T) <= 1e-12
 
 
 def test_projector_consistency(hams, trev):
