@@ -102,14 +102,11 @@ def _operator(value, key: str, scale: float = 1.0) -> OperatorSpec:
         raise ConfigError(f"{key}: expected a name or an object, "
                           f"got {value!r}")
     for entry in value:
-        if entry not in ("name", "matrix", "scale"):
+        if entry not in ("name", "matrix"):
             raise ConfigError(f"{key}.{entry}: unknown key; an operator "
-                              f"object takes name, matrix and scale")
+                              f"object takes name or matrix")
     if ("name" in value) == ("matrix" in value):
         raise ConfigError(f"{key}: give exactly one of 'name' and 'matrix'")
-    scale = scale * _number(value.get("scale", 1.0), f"{key}.scale")
-    if not math.isfinite(scale):
-        raise ConfigError(f"{key}.scale times e_g overflows")
     if "name" in value:
         if not isinstance(value["name"], str):
             raise ConfigError(f"{key}: name must be a string, "
@@ -139,16 +136,13 @@ class RunConfig:
     beta: complex = complex(1 / np.sqrt(2.0))
     n_samples: int = 201
     gammas: list = field(default_factory=list)
-    # None: each command writes its own default file names
-    csv_name: str | None = None
-    summary_name: str | None = None
 
 
 _NUMBERS = {"spin": {"positive": True}, "gamma": {"positive": True},
             "t_max": {"positive": True}, "dt": {"positive": True},
             "n_samples": {"integer": True}}
 _KNOWN_KEYS = {*_NUMBERS, "hamiltonian", "coupling", "e_g", "integrator",
-               "alpha", "beta", "gammas", "csv", "summary"}
+               "alpha", "beta", "gammas"}
 
 
 def _read(doc: dict) -> RunConfig:
@@ -167,8 +161,7 @@ def _read(doc: dict) -> RunConfig:
         coupling=_operator(doc["coupling"], "coupling"),
         integrator=doc.get("integrator", "expm"),
         gammas=[_number(g, f"gammas[{i}]", positive=True)
-                for i, g in enumerate(gammas)],
-        csv_name=doc.get("csv"), summary_name=doc.get("summary"), **fields)
+                for i, g in enumerate(gammas)], **fields)
     # products, unlike ** 2, overflow to inf instead of raising
     norm = abs(cfg.alpha) * abs(cfg.alpha) + abs(cfg.beta) * abs(cfg.beta)
     if abs(norm - 1.0) > 1e-9:
@@ -178,12 +171,6 @@ def _read(doc: dict) -> RunConfig:
                           f"got {cfg.integrator!r}")
     if cfg.n_samples < 2:
         raise ConfigError("n_samples must be at least 2")
-    for key, name in (("csv", cfg.csv_name), ("summary", cfg.summary_name)):
-        if name is not None and (not isinstance(name, str)
-                                 or name in ("", ".", "..")
-                                 or Path(name).name != name):
-            raise ConfigError(f"{key} must be a plain file name, "
-                              f"got {name!r}")
     return cfg
 
 
@@ -218,15 +205,13 @@ def load_config(path: str) -> RunConfig:
 
 
 class Outputs:
-    """The one writer of a command's data file and JSON summary under
-    --out. Both names are checked before any propagation; --out is created
-    at the end, and each file is written through a temporary name. A
+    """The one writer of a command's data file and JSON summary, each
+    under its command's fixed name in --out. --out is created at the end,
+    and each file is written through a temporary name. A
     failed write is an input error naming --out, and it leaves neither
     file nor a temporary one."""
 
     def __init__(self, out: str, data: str, summary: str):
-        if data == summary:
-            raise ConfigError(f"csv and summary must differ, both are {data!r}")
         self.data = Path(out) / data
         self.summary = Path(out) / summary
 
@@ -281,16 +266,11 @@ CSV_HEADER = "t,gamma_t,s_v,trace_g,re_rho_pp,re_rho_pm,im_rho_pm,re_rho_mm"
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    outputs = Outputs(args.out, cfg.csv_name or "trajectory.csv",
-                      cfg.summary_name or "summary.json")
-    # argparse has already checked both overrides
-    cfg.gamma = args.gamma or cfg.gamma
-    cfg.integrator = args.integrator or cfg.integrator
+    outputs = Outputs(args.out, "trajectory.csv", "summary.json")
     t_max = cfg.t_max
     if args.horizon is not None or t_max is None:
         t_max = _t_max(args.horizon or DEFAULT_HORIZON, cfg.gamma, (
-            "--horizon" if args.horizon else "default horizon",
-            "--gamma" if args.gamma else "gamma"))
+            "--horizon" if args.horizon else "default horizon", "gamma"))
     args.t_max = t_max  # main names it if the doublet cannot be observed
 
     system, rho0 = _prepare_doublet(cfg, cfg.gamma)
@@ -380,12 +360,11 @@ def cmd_sweep(args) -> int:
     Each gamma is propagated, observed and held to the roundoff floor
     before the next is propagated, so a refusal costs one trajectory."""
     cfg = load_config(args.config)
-    outputs = Outputs(args.out, cfg.csv_name or "sweep.csv",
-                      cfg.summary_name or "sweep_summary.json")
-    gammas = cfg.gammas if args.gamma is None else args.gamma
+    outputs = Outputs(args.out, "sweep.csv", "sweep_summary.json")
+    gammas = cfg.gammas
     if len(set(gammas)) < 2:
         raise ConfigError("sweep needs at least two distinct gamma values "
-                          "(config key 'gammas' or --gamma g1,g2,...)")
+                          "(config key 'gammas')")
     t_max = cfg.t_max if cfg.t_max is not None else 5.0
     args.t_max = t_max  # for main, as in cmd_simulate
 
@@ -461,10 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one configured scenario")
     p_sim.add_argument("--config", required=True,
                        help="path to a JSON run configuration")
-    p_sim.add_argument("--gamma", type=_positive, default=None,
-                       help="dissipation rate (overrides the config)")
-    p_sim.add_argument("--integrator", choices=("rk4", "expm"), default=None,
-                       help="propagator (overrides the config)")
     p_sim.add_argument("--horizon", type=_positive, default=None,
                        help="dimensionless horizon gamma*t (overrides t_max)")
     p_sim.add_argument("--out", default=".", help="output directory")
@@ -482,11 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="gamma sweep with first-order oracle")
     p_sw.add_argument("--config", required=True,
                       help="path to a JSON run configuration")
-    p_sw.add_argument("--gamma", default=None,
-                      type=lambda text: [_positive(tok)
-                                         for tok in text.split(",") if tok],
-                      help="comma-separated dissipation rates "
-                           "(overrides 'gammas')")
     p_sw.add_argument("--out", default=".", help="output directory")
     p_sw.set_defaults(func=cmd_sweep)
 

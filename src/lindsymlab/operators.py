@@ -221,13 +221,14 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
             not d x d, a Hamiltonian whose Frobenius norm times E_g
             overflows (checked before and after the product, both before
             the Hermiticity test compares norms), or a literal that is not
-            Hermitian once scaled: the H every later stage reads.
+            Hermitian to 1e-12 of its Frobenius norm once scaled: the H
+            every later stage reads.
     """
     h = _scaled(_resolve(spec, spins, "hamiltonian"), spec.scale,
                 "hamiltonian")
-    # a finite norm bounds every entry, so h - h^dag cannot overflow
-    if (spec.matrix is not None
-            and frob(h - h.conj().T) > 1e-12 * max(1.0, frob(h))):
+    # a finite norm bounds every entry, so h - h^dag cannot overflow; the
+    # bound is relative, so e_g cannot move a literal across it
+    if spec.matrix is not None and frob(h - h.conj().T) > 1e-12 * frob(h):
         raise ConfigError("hamiltonian: literal Hamiltonian must be Hermitian")
     return h
 

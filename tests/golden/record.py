@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 CORPUS = Path(__file__).resolve().parent
 
@@ -36,6 +37,9 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
 _SCALED_NOT_HERMITIAN = {"matrix": [[2.25e-6, [0, 1e-13], 0, 0],
                                     [0, 2.5e-7, 0, 0], [0, 0, 2.5e-7, 0],
                                     [0, 0, 0, 2.25e-6]]}
+# not Hermitian to 1e-12 of its norm at any e_g, 1e-13 among them
+_NOT_HERMITIAN = {"matrix": [[2.25, 1, 0, 0], [0, 0.25, 0, 0],
+                             [0, 0, 0.25, 0], [0, 0, 0, 2.25]]}
 _COUPLINGS = ("sy2", "sxsy_sym", "sxsysz", "sysz", "sx2", "sz", "isz", "sx",
               "sxsysz_sym", "i_sxsysz_asym", "i_sxsysz_sym", "sxsy", "sx2sz")
 
@@ -62,9 +66,10 @@ def _entries() -> dict:
                                            [-0.5, 0, -0.5]]},
                 "coupling": "sx2", "spin": 1.0})
     entries["simulate-rk4-both_symmetric-sx2sz-horizon-0.5"] = dict(
-        argv=["simulate", "--config", "run.json", "--integrator", "rk4",
-              "--horizon", "0.5", "--out", "out"],
-        config={"hamiltonian": "both_symmetric", "coupling": "sx2sz"})
+        argv=["simulate", "--config", "run.json", "--horizon", "0.5",
+              "--out", "out"],
+        config={"hamiltonian": "both_symmetric", "coupling": "sx2sz",
+                "integrator": "rk4"})
     for integrator in ("expm", "rk4"):
         entries[f"sweep-{integrator}-tr_invariant-isz"] = dict(
             argv=["sweep", "--config", "run.json", "--out", "out"],
@@ -88,6 +93,13 @@ def _entries() -> dict:
             ("hamiltonian-scaled-not-hermitian", "simulate", {
                 "hamiltonian": _SCALED_NOT_HERMITIAN, "coupling": "sz",
                 "e_g": 1e6}),
+            ("hamiltonian-not-hermitian-e_g-1e-13", "simulate", {
+                "hamiltonian": _NOT_HERMITIAN, "coupling": "sz",
+                "e_g": 1e-13}),
+            # retired keys: fixed output names, and e_g is H's one scale
+            ("csv-key", "simulate", {"csv": "a.csv"}),
+            ("coupling-scale", "simulate",
+             {"coupling": {"name": "sz", "scale": 2}}),
             # the last two: RK4's trace refusal and a state that is no
             # longer positive when observed
             ("rk4-trace-drift", "simulate", {
@@ -101,6 +113,10 @@ def _entries() -> dict:
         entries[f"exit-2-{name}"] = dict(
             argv=[command, "--config", "run.json", "--out", "out"],
             config={**_EXIT_2_BASE, **kw})
+    # a retired flag: simulate reads gamma from the config
+    entries["exit-2-simulate-gamma-flag"] = dict(
+        argv=["simulate", "--config", "run.json", "--gamma", "0.05",
+              "--out", "out"], config=_EXIT_2_BASE)
     return entries
 
 
@@ -120,8 +136,10 @@ def run(entry: dict, workdir: Path) -> dict:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
+        # argparse wraps its usage line to the terminal's width
         with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
+                contextlib.redirect_stderr(stderr), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
             code = main(list(entry["argv"]))
     except SystemExit as exc:  # argparse refuses a command line
         code = exc.code

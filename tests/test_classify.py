@@ -40,11 +40,11 @@ def test_both_symmetric_block_covers_all_signatures(scenarios):
 
 def test_compute_signature_spot_checks():
     cases = {
-        "sy2": ((True, True, True), ()),
-        "isz": ((False, True, False), ("j", "j_bar", "k_bar", "k")),
-        "sxsysz": ((False, False, True), ()),
-        "sx": ((True, False, False), ("i", "i_bar", "j", "j_bar")),
-        "sx2sz": ((False, False, False), ("j", "j_bar", "k_bar", "k")),
+        "sy2": ((True, True, True, True), ()),
+        "isz": ((False, True, False, False), ("j", "j_bar", "k_bar", "k")),
+        "sxsysz": ((False, False, True, False), ()),
+        "sx": ((True, False, False, False), ("i", "i_bar", "j", "j_bar")),
+        "sx2sz": ((False, False, False, False), ("j", "j_bar", "k_bar", "k")),
     }
     spins = spin_matrices(1.5)
     for name, (want, fails_on) in cases.items():
@@ -55,7 +55,8 @@ def test_compute_signature_spot_checks():
 
 
 def test_claims_render_human_readable():
-    s = str(SymmetryClaims(hermitian=True, commutes_t=False, commutes_q=True))
+    s = str(SymmetryClaims(hermitian=True, commutes_t=False, commutes_q=True,
+                           hermitian_t_even_up_to_phase=False))
     assert "herm=yes" in s
     assert "no" in s
 
@@ -81,7 +82,7 @@ def test_prepare_refuses_a_ground_level_that_is_not_a_doublet(hamiltonian,
     sc = Scenario(name="not_a_doublet", hamiltonian=hamiltonian,
                   coupling=OperatorSpec(name="sx2"),
                   expected_coherence=Coherence.COHERENT,
-                  claims=SymmetryClaims(True, True, True))
+                  claims=SymmetryClaims(True, True, True, True))
     message = f"has dimension {dim}, need a doublet"
     with pytest.raises(ValueError, match=message):
         prepare(sc, spin=spin)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -77,13 +78,13 @@ def test_simulate_decoherent_run(tmp_path):
 
 
 def test_simulate_integrator_and_gamma_overrides(tmp_path):
-    cfg = _write_cfg(tmp_path, coupling="sz", t_max=2.0, n_samples=11)
+    # the config's gamma and integrator override the defaults, 0.1 and expm
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert main(["simulate", "--config", cfg, "--out", str(out_a),
-                 "--gamma", "0.05"]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(out_b),
-                 "--gamma", "0.05", "--integrator", "rk4"]) == 0
+    for out, integrator in ((out_a, None), (out_b, "rk4")):
+        cfg = _write_cfg(tmp_path, coupling="sz", t_max=2.0, n_samples=11,
+                         gamma=0.05, integrator=integrator)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     sa = json.loads((out_a / "summary.json").read_text())
     sb = json.loads((out_b / "summary.json").read_text())
     assert sa["gamma"] == 0.05
@@ -361,12 +362,6 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
     pytest.param("simulate", {"gamma": 1e300, "t_max": 10.0}, ("gamma",),
                  id="gamma-1e300"),
     pytest.param("simulate", {"e_g": 1e300}, ("e_g",), id="e_g-1e300"),
-    pytest.param("simulate", {"coupling": {"name": "sz", "scale": 1e200}},
-                 ("coupling",), id="scale-1e200"),
-    # refused before the product by the scale, which would overflow first
-    pytest.param("simulate", {"coupling": {**_diag_coupling(1e200),
-                                           "scale": 1e200}},
-                 ("coupling",), id="matrix-1e200-scale-1e200"),
     pytest.param("simulate", {"hamiltonian": _diag_coupling(1e200),
                               "e_g": 1e200}, ("hamiltonian", "e_g"),
                  id="hamiltonian-1e200-e_g-1e200"),
@@ -374,7 +369,7 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
     pytest.param("simulate", {"hamiltonian": {"matrix": [
         [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]}},
                  ("hamiltonian",), id="hamiltonian-non-hermitian-1e200"),
-    # a negative e_g or scale overflows the same as a positive one
+    # a negative e_g overflows the same as a positive one
     pytest.param("simulate", {"hamiltonian": {"matrix": [
         [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]},
                               "e_g": -1.0}, ("hamiltonian",),
@@ -393,9 +388,6 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
         [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1e153, 0], [0, 0, 0, 1e153]]},
                               "e_g": 1e100}, ("hamiltonian", "e_g"),
                  id="hamiltonian-1e153-e_g-1e100"),
-    pytest.param("simulate", {"coupling": {**_diag_coupling(1e200),
-                                           "scale": -1e200}},
-                 ("coupling",), id="matrix-1e200-scale-minus-1e200"),
     pytest.param("simulate", _DRAINED, ("t_max", "subspace population"),
                  id="drained-expm"),
     pytest.param("simulate", {**_DRAINED, "integrator": "rk4", "dt": 0.1},
@@ -517,7 +509,6 @@ def test_table_refuses_a_horizon_its_doublet_cannot_be_observed_to(
     assert not out.exists()
 
 
-_OVERFLOW = ["--horizon", "1e308", "--gamma", "1e-300"]
 _UNDERFLOW = ["--horizon", "5e-324", "--gamma", "10"]
 
 
@@ -528,14 +519,14 @@ _UNDERFLOW = ["--horizon", "5e-324", "--gamma", "10"]
     pytest.param(["table", *_UNDERFLOW], None,
                  ("--horizon 5e-324", "--gamma 10.0", "is 0.0"),
                  id="table-underflow"),
-    *(pytest.param(["simulate", *flags], {"integrator": integrator,
-                                          "t_max": None}, names,
-                   id=f"simulate-{integrator}-{label}")
+    *(pytest.param(["simulate", "--horizon", horizon],
+                   {"integrator": integrator, "t_max": None, "gamma": gamma},
+                   names, id=f"simulate-{integrator}-{label}")
       for integrator in ("expm", "rk4")
-      for flags, names, label in (
-          (_OVERFLOW, ("--horizon 1e+308", "--gamma 1e-300", "is inf"),
+      for horizon, gamma, names, label in (
+          ("1e308", 1e-300, ("--horizon 1e+308", "gamma 1e-300", "is inf"),
            "overflow"),
-          (_UNDERFLOW, ("--horizon 5e-324", "--gamma 10.0", "is 0.0"),
+          ("5e-324", 10, ("--horizon 5e-324", "gamma 10.0", "is 0.0"),
            "underflow"))),
     *(pytest.param(["simulate"], {"integrator": integrator, "t_max": None,
                                   "gamma": 1e-320},
@@ -758,39 +749,28 @@ def test_an_rk4_sweep_leaves_scipy_linalg_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-_SIMULATE_NAMES = {"csv": "trajectory.csv", "summary": "summary.json"}
-_SAME = {"csv": "same.txt", "summary": "same.txt"}
-
-
-@pytest.mark.parametrize("command, names, honoured", [
-    # sweep's own defaults are sweep.csv and sweep_summary.json
-    pytest.param("simulate", _SIMULATE_NAMES, True, id="simulate"),
-    pytest.param("sweep", _SIMULATE_NAMES, True, id="sweep"),
-    # one file would overwrite the other; the defaults count
-    pytest.param("simulate", _SAME, False, id="simulate-same"),
-    pytest.param("sweep", _SAME, False, id="sweep-same"),
-    pytest.param("simulate", {"summary": "trajectory.csv"}, False,
-                 id="simulate-summary-is-default-csv"),
-    pytest.param("sweep", {"csv": "sweep_summary.json"}, False,
-                 id="sweep-csv-is-default-summary"),
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("kw, key", [
+    pytest.param({"csv": "a.csv"}, "'csv'", id="csv"),
+    pytest.param({"summary": "b.json"}, "'summary'", id="summary"),
+    pytest.param({"coupling": {"name": "sz", "scale": 2}}, "coupling.scale",
+                 id="coupling-scale"),
+    pytest.param({"hamiltonian": {"name": "tr_invariant", "scale": 1.0}},
+                 "hamiltonian.scale", id="hamiltonian-scale"),
 ])
-def test_explicit_output_names_are_honoured(command, names, honoured,
-                                            tmp_path, capsys,
-                                            liouvillian_builds):
-    cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11,
-                     gammas=[1e-3, 2e-3], **names)
+def test_a_retired_config_key_exits_2_and_is_named(command, kw, key,
+                                                   tmp_path, capsys,
+                                                   liouvillian_builds):
+    # each command writes fixed file names, and e_g is the one scale of an
+    # operator: a config that still sets one is refused as it is read
+    cfg = _write_cfg(tmp_path, **{"coupling": "isz", "t_max": 5.0,
+                                  "n_samples": 11, "gammas": [1e-3, 2e-3],
+                                  **kw})
     out = tmp_path / "out"
-    code = main([command, "--config", cfg, "--out", str(out)])
-    captured = capsys.readouterr()
-    if honoured:
-        assert code == 0
-        assert sorted(p.name for p in out.iterdir()) == sorted(names.values())
-        assert json.loads((out / names["summary"]).read_text())["csv"] == \
-            names["csv"]
-        return
-    # refused before any propagation, with no output directory
-    assert code == 2
-    assert "csv" in captured.err and "summary" in captured.err
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err, err
     assert liouvillian_builds == []
     assert not out.exists()
 
@@ -884,21 +864,6 @@ def test_an_rk4_sweep_is_held_to_its_own_roundoff_floor(tmp_path, capsys):
     assert summary["fitted_exponent"] == pytest.approx(2.0, abs=0.02)
 
 
-def test_sweep_gamma_flag_and_validation(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11)
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out),
-                 "--gamma", "1e-3,4e-3"]) == 0
-    summary = json.loads((out / "sweep_summary.json").read_text())
-    assert summary["gammas"] == [1e-3, 4e-3]
-
-    bad_out = tmp_path / "bad"
-    assert main(["sweep", "--config", cfg, "--out", str(bad_out),
-                 "--gamma", "1e-3"]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not bad_out.exists()
-
-
 def test_classify_op_named(capsys):
     assert main(["classify-op", "sxsy"]) == 0
     out = capsys.readouterr().out
@@ -944,8 +909,10 @@ def test_classify_op_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("coupling", [
     {"matrix": [[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]},
-    {"name": "sz", "scale": 1e200},
-], ids=["matrix-1e200", "scale-1e200"])
+    # finite entries whose squares overflow the norm
+    {"matrix": [[1e154, 0, 0, 0], [0, 1e154, 0, 0], [0, 0, 0, 0],
+                [0, 0, 0, 1]]},
+], ids=["matrix-1e200", "matrix-1e154"])
 def test_classify_op_refuses_a_coupling_whose_norm_overflows(coupling,
                                                              tmp_path,
                                                              capsys):
@@ -1020,20 +987,11 @@ def test_config_error_paths(tmp_path, capsys):
             ("alpha", {"alpha": [nan, 0.0]}),
             ("beta", {"beta": inf}),
             ("alpha", {"alpha": [1e308, 0.0]}),  # |alpha|^2 overflows
-            ("coupling", {"coupling": {"name": "sx2", "scale": nan}}),
-            # refused as the config is read, so classify-op refuses it too
-            ("hamiltonian.scale", {"hamiltonian": {"name": "tr_invariant",
-                                                   "scale": 1e200},
-                                   "e_g": 1e200}),
-            ("hamiltonian", {"hamiltonian": {"name": "tr_invariant",
-                                             "scale": -inf}}),
+            ("e_g", {"e_g": nan}),
+            ("e_g", {"e_g": -inf}),
             ("coupling", {"coupling": {"matrix": sz_rows}}),
             ("hamiltonian", {"hamiltonian": {"name": 5}}),
             ("coupling", {"coupling": {"name": ["sx"]}}),
-            ("csv", {"csv": 5}),
-            ("csv", {"csv": "sub/x.csv"}),
-            ("summary", {"summary": ["a.json"]}),
-            ("summary", {"summary": ".."}),
             ("n_samples", {"n_samples": 2.7}),
             # n_quad is not a key: delta_rho has no quadrature to set
             ("n_quad", {"n_quad": 128}),
@@ -1046,9 +1004,9 @@ def test_config_error_paths(tmp_path, capsys):
             ("gammas", {"gammas": 5}),
             ("gammas", {"gammas": [True, 0.002]}),
             ("alpha", {"alpha": [True, 0], "beta": 0}),
-            ("coupling", {"coupling": {"name": "sx2", "scale": True}}),
-            # an operator object takes name, matrix and scale, and exactly
-            # one of name and matrix
+            ("e_g", {"e_g": True}),
+            # an operator object takes exactly one of name and matrix, and
+            # nothing else
             ("coupling.sacle", {"coupling": {"name": "sz", "sacle": 5}}),
             ("hamiltonian.e_g", {"hamiltonian": {"name": "tr_invariant",
                                                  "e_g": 2}}),
@@ -1056,7 +1014,7 @@ def test_config_error_paths(tmp_path, capsys):
                                        "matrix": np.eye(4).tolist()}}),
             ("hamiltonian", {"hamiltonian": {"name": "tr_invariant",
                                              "matrix": np.eye(4).tolist()}}),
-            ("coupling", {"coupling": {"scale": 2.0}}),
+            ("coupling", {"coupling": {}}),
             # a literal matrix of the wrong size and an unknown name are
             # refused under the key that gave them
             ("coupling", {"coupling": {"matrix": np.eye(2).tolist()}}),
@@ -1071,10 +1029,14 @@ def test_config_error_paths(tmp_path, capsys):
                                                         [0, 0, 0, 0],
                                                         [0, 0, 0, 0]]}}),
             ("coupling", {"coupling": "tr_invariant"}),
-            # Hermitian to 1e-12 as written, not once e_g scales it
+            # not Hermitian to 1e-12 of its norm, at any e_g: the bound
+            # is relative
             ("hamiltonian", {"coupling": "sz", "e_g": 1e6, "hamiltonian": {
                 "matrix": [[2.25e-6, [0, 1e-13], 0, 0], [0, 2.5e-7, 0, 0],
                            [0, 0, 2.5e-7, 0], [0, 0, 0, 2.25e-6]]}}),
+            ("hamiltonian", {"coupling": "sz", "e_g": 1e-13, "hamiltonian": {
+                "matrix": [[2.25, 1, 0, 0], [0, 0.25, 0, 0],
+                           [0, 0, 0.25, 0], [0, 0, 0, 2.25]]}}),
             # T-even to 1e-9, but T maps its ground level 1e-3 into the
             # level 1e-7 above it: the pairing refusal
             ("hamiltonian", {"spin": 2.5, "coupling": "sz",
@@ -1138,6 +1100,10 @@ def test_simulate_ignores_the_retired_tolerance_variable(tmp_path, capsys,
     ["table", "--integrator", "rk4"],
     ["sweep", "--config", "run.json", "--integrator", "rk4"],
     ["sweep", "--config", "run.json", "--horizon", "99"],
+    # simulate and sweep read gamma, integrator and gammas from the config
+    ["simulate", "--config", "run.json", "--gamma", "0.05"],
+    ["simulate", "--config", "run.json", "--integrator", "rk4"],
+    ["sweep", "--config", "run.json", "--gamma", "1e-3,2e-3"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -1153,11 +1119,8 @@ def test_subcommands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
     (["table", "--gamma", "nan"], "--gamma"),
     (["table", "--horizon", "0"], "--horizon"),
     (["table", "--horizon", "inf"], "--horizon"),
-    (["simulate", "--config", "CFG", "--gamma", "nan"], "--gamma"),
+    (["simulate", "--config", "CFG", "--horizon", "nan"], "--horizon"),
     (["simulate", "--config", "CFG", "--horizon", "-1"], "--horizon"),
-    (["sweep", "--config", "CFG", "--gamma", "1e-3,abc"], "--gamma"),
-    (["sweep", "--config", "CFG", "--gamma", "1e-3,-2e-3"], "--gamma"),
-    (["sweep", "--config", "CFG", "--gamma", "1e-3,inf"], "--gamma"),
 ])
 def test_bad_numeric_flags_exit_2(argv, flag, tmp_path, capsys):
     cfg = _write_cfg(tmp_path, coupling="isz", t_max=5.0, n_samples=11)
@@ -1168,6 +1131,27 @@ def test_bad_numeric_flags_exit_2(argv, flag, tmp_path, capsys):
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--config", "--horizon", "--out"]),
+    ("sweep", ["--config", "--out"]),
+])
+def test_simulate_and_sweep_take_every_other_run_value_from_the_config(
+        command, flags, capsys):
+    # --horizon is the one way to give gamma*t; no flag repeats a key
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    options = re.findall(r"^ +(--[a-z]+)", capsys.readouterr().out, re.M)
+    assert options == flags
+
+
+def test_the_readme_schema_lists_exactly_the_known_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration schema (JSON)")[1]
+    block = section.split("```json\n")[1].split("```")[0]
+    assert set(json.loads(block)) == cli._KNOWN_KEYS
 
 
 def test_python_dash_m_runs_the_cli_without_an_install():

@@ -2,10 +2,13 @@
 
 Each document starts from plausible values for some of the known keys and
 then has up to two of them replaced by a non-finite, huge, negative or
-wrongly typed value, or gains an unknown key. Every `simulate` and `sweep`
-run must end in exit 0, 1 or 2 without an exception or a numpy
-RuntimeWarning, and a rejected run (exit 2) must leave no output
-directory and print one `error:` line that names a config key or a flag.
+wrongly typed value, or gains an unknown key. Some carry a retired key
+(`csv`, `summary`, an operator's `scale`), and some command lines a
+retired flag (`simulate --gamma` or `--integrator`, `sweep --gamma`): each
+such run must exit 2. Every `simulate` and `sweep` run must end in exit 0,
+1 or 2 without an exception or a numpy RuntimeWarning, and a rejected run
+(exit 2) must leave no output directory and print one `error:` line that
+names a config key or a flag, or argparse's refusal of the flag.
 An answered `simulate` (exit 0) must not find more population in the
 doublet than the state holds.
 `spin` stays small, and `n_samples` is either small or above the
@@ -49,12 +52,10 @@ _MATRIX = st.one_of(
 
 
 def _operator(names):
-    scale = st.one_of(st.sampled_from([1.0, 0.5, -1.0]), _BAD)
     return st.one_of(
         st.sampled_from(names), st.sampled_from(names),
-        st.fixed_dictionaries({"name": st.sampled_from(names)},
-                              optional={"scale": scale}),
-        st.fixed_dictionaries({"matrix": _MATRIX}, optional={"scale": scale}),
+        st.fixed_dictionaries({"name": st.sampled_from(names)}),
+        st.fixed_dictionaries({"matrix": _MATRIX}),
     )
 
 
@@ -72,13 +73,18 @@ _GOOD = {
         st.integers(MAX_TRAJECTORY_ENTRIES + 1, 2**62)),
     "gammas": st.lists(st.sampled_from([1e-3, 2e-3, 4e-3, 0.1]),
                        min_size=2, max_size=3, unique=True),
-    "csv": st.just("a.csv"),
-    "summary": st.just("b.json"),
 }
 _REQUIRED = ("hamiltonian", "coupling", "gammas")
 # normalized (alpha, beta) pairs; one key alone is normalized only by luck
 _STATES = [(0.6, 0.8), ([0.0, 0.8], [0.6, 0.0]), (1.0, 0.0)]
 _UNKNOWN = ("Gamma", "tmax", "seed")
+# each command writes fixed file names, and e_g is H's one scale
+_RETIRED = st.one_of(
+    st.tuples(st.sampled_from(["csv", "summary"]), _BAD),
+    st.tuples(st.just("hamiltonian"), st.fixed_dictionaries(
+        {"name": st.sampled_from(_HAMILTONIANS), "scale": st.just(0.5)})),
+    st.tuples(st.just("coupling"), st.fixed_dictionaries(
+        {"matrix": _MATRIX, "scale": _BAD})))
 
 
 @st.composite
@@ -94,6 +100,9 @@ def config_documents(draw):
         doc[key] = draw(_BAD)
     if draw(st.integers(0, 9)) == 5:  # one document in ten
         doc[draw(st.sampled_from(_UNKNOWN))] = draw(_BAD)
+    if draw(st.integers(0, 9)) == 3:  # one document in ten
+        key, value = draw(_RETIRED)
+        doc[key] = value
     return doc
 
 
@@ -109,7 +118,15 @@ _SCALED_NOT_HERMITIAN = {
         [0, 0, 0, 2.25e-6]]}}
 
 
-_FLAGS = ("--config", "--gamma", "--integrator", "--horizon", "--out")
+_FLAGS = ("--config", "--horizon", "--out")
+_RETIRED_FLAGS = {"simulate": [["--gamma", "0.05"], ["--integrator", "rk4"]],
+                  "sweep": [["--gamma", "1e-3,2e-3"]]}
+
+
+def _carries_a_retired_key(doc):
+    return ("csv" in doc or "summary" in doc
+            or any(isinstance(doc.get(key), dict) and "scale" in doc[key]
+                   for key in ("hamiltonian", "coupling")))
 
 
 def _names_a_key_or_flag(message, doc):
@@ -119,27 +136,50 @@ def _names_a_key_or_flag(message, doc):
     return re.search(rf"(?<![\w-])({names})(?!\w)", message) is not None
 
 
+@st.composite
+def command_lines(draw):
+    """A command and, one time in ten, one of its retired flags."""
+    command = draw(st.sampled_from(["simulate", "sweep"]))
+    if draw(st.integers(0, 9)) == 7:
+        return command, draw(st.sampled_from(_RETIRED_FLAGS[command]))
+    return command, []
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(config_documents(), st.sampled_from(["simulate", "sweep"]))
-@example({**_VALID, "n_samples": MAX_TRAJECTORY_ENTRIES + 1}, "simulate")
+@given(config_documents(), command_lines())
+@example({**_VALID, "n_samples": MAX_TRAJECTORY_ENTRIES + 1},
+         ("simulate", []))
 # finite entries whose squares overflow: refused where H is built, before
 # a symmetry test reads inf <= inf as a symmetry
-@example({**_VALID, "hamiltonian": "q_symmetric", "e_g": 1e300}, "simulate")
+@example({**_VALID, "hamiltonian": "q_symmetric", "e_g": 1e300},
+         ("simulate", []))
 # refused where H is built, not by an internal gate that names no key
-@example(_SCALED_NOT_HERMITIAN, "simulate")
-@example(_SCALED_NOT_HERMITIAN, "sweep")
-def test_any_config_document_exits_0_1_or_2(doc, command):
+@example(_SCALED_NOT_HERMITIAN, ("simulate", []))
+@example(_SCALED_NOT_HERMITIAN, ("sweep", []))
+def test_any_config_document_exits_0_1_or_2(doc, command_line):
+    command, retired = command_line
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = Path(tmp) / "out"
+        argv = [command, "--config", str(cfg), *retired, "--out", str(out)]
         with (warnings.catch_warnings(record=True) as caught,
               contextlib.redirect_stderr(io.StringIO()) as stderr):
             warnings.simplefilter("always")
-            code = main([command, "--config", str(cfg), "--out", str(out)])
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
         assert code in (0, 1, 2)
         assert [w for w in caught
                 if issubclass(w.category, RuntimeWarning)] == []
+        if retired:
+            assert code == 2 and not out.exists()
+            assert stderr.getvalue().splitlines()[-1].endswith(
+                f"unrecognized arguments: {' '.join(retired)}")
+            return
+        if _carries_a_retired_key(doc):
+            assert code == 2
         if code == 2:
             assert not out.exists()
             # the config's path, which prefixes a read-time refusal, is
@@ -148,6 +188,5 @@ def test_any_config_document_exits_0_1_or_2(doc, command):
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
             assert _names_a_key_or_flag(lines[0], doc), lines[0]
         if code == 0 and command == "simulate":
-            summary = json.loads(
-                (out / (doc.get("summary") or "summary.json")).read_text())
+            summary = json.loads((out / "summary.json").read_text())
             assert summary["terminal_trace_g"] <= 1 + 1e-9, summary

@@ -93,14 +93,19 @@ def test_literal_hamiltonian_must_be_hermitian(spins):
     bad[0, 1] = 1.0  # not symmetric
     with pytest.raises(ValueError):
         build_hamiltonian(OperatorSpec(matrix=bad), spins)
-    # 1e-13i on 1e-6 Sz^2 is Hermitian to 1e-12 at scale 1, but not once
-    # e_g = 1e6 scales it: the scaled H is what spectra.eigh's gate reads
+    # the bound is 1e-12 of the scaled H's norm, so e_g moves no literal
+    # across it: 1e-13i on 1e-6 Sz^2 is refused at every scale, and 1e-15i
+    # on Sz^2 passes spectra.eigh's gate at every scale
     a = 1e-6 * (spins.sz @ spins.sz)
     a[0, 1] += 1e-13j
-    eigh(build_hamiltonian(OperatorSpec(matrix=a), spins))
-    with pytest.raises(ConfigError, match="^hamiltonian: literal "
-                                          "Hamiltonian must be Hermitian$"):
-        build_hamiltonian(OperatorSpec(matrix=a, scale=1e6), spins)
+    near = spins.sz @ spins.sz
+    near[0, 1] += 1e-15j
+    for scale in (1e-13, 1.0, 1e6):
+        eigh(build_hamiltonian(OperatorSpec(matrix=near, scale=scale), spins))
+        with pytest.raises(ConfigError, match="^hamiltonian: literal "
+                                              "Hamiltonian must be "
+                                              "Hermitian$"):
+            build_hamiltonian(OperatorSpec(matrix=a, scale=scale), spins)
 
 
 def test_literal_coupling_not_required_hermitian(spins):
