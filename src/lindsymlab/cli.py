@@ -7,8 +7,9 @@ Subcommands:
                discrepancy exponent -> CSV + JSON summary
   classify-op  print the spin-3/2 symmetry signature of a coupling operator
 
-Configs are single JSON documents; literal matrices are nested arrays of
-[re, im] pairs. All CSV output is deterministic: 12 significant digits,
+Configs are single JSON documents; an operator is a catalog name or a
+literal matrix as a list of rows, each entry a number or an [re, im]
+pair. All CSV output is deterministic: 12 significant digits,
 '.' decimal separator, '\\n' line endings, and files are written through a
 temporary name so they appear only when complete. No environment
 variable is read, and every tolerance is fixed.
@@ -33,7 +34,7 @@ from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
 from .lindblad import PropagationError, evolve_expm
 from .observables import ObservationError, observe_subspace
 from .operators import (ConfigError, OperatorSpec, build_coupling,
-                        canonical_name, half_integer, spin_matrices)
+                        half_integer, spin_matrices)
 from .response import delta_rho, scaling_exponent
 
 # evolve_expm is re-exported, not called: bench/test_bench.py checks that
@@ -96,29 +97,17 @@ def _complex(value, key: str) -> complex:
 
 
 def _operator(value, key: str, scale: float = 1.0) -> OperatorSpec:
+    """A catalog name, which the builders resolve, or a literal matrix
+    as a square list of rows."""
     if isinstance(value, str):
         return OperatorSpec(name=value, scale=scale)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: expected a name or an object, "
-                          f"got {value!r}")
-    for entry in value:
-        if entry not in ("name", "matrix"):
-            raise ConfigError(f"{key}.{entry}: unknown key; an operator "
-                              f"object takes name or matrix")
-    if ("name" in value) == ("matrix" in value):
-        raise ConfigError(f"{key}: give exactly one of 'name' and 'matrix'")
-    if "name" in value:
-        if not isinstance(value["name"], str):
-            raise ConfigError(f"{key}: name must be a string, "
-                              f"got {value['name']!r}")
-        return OperatorSpec(name=value["name"], scale=scale)
-    rows = value["matrix"]
-    if not (isinstance(rows, list) and rows
-            and all(isinstance(row, list) and len(row) == len(rows)
-                    for row in rows)):
-        raise ConfigError(f"{key}.matrix: need a square list of rows")
+    if not (isinstance(value, list) and value
+            and all(isinstance(row, list) and len(row) == len(value)
+                    for row in value)):
+        raise ConfigError(f"{key}: need a catalog name or a square list "
+                          f"of rows, got {value!r}")
     return OperatorSpec(scale=scale, matrix=np.array(
-        [[_complex(x, f"{key}.matrix") for x in row] for row in rows]))
+        [[_complex(x, key) for x in row] for row in value]))
 
 
 @dataclass
@@ -407,7 +396,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_classify_op(args) -> int:
     if (args.operator is None) == (args.config is None):
-        raise ConfigError("give an operator name or --config, not both")
+        raise ConfigError("give exactly one of an operator name and "
+                          "--config")
     if args.config is not None:
         cfg = load_config(args.config)
         # the quaternion group exists here only on the 4-dimensional space
@@ -419,9 +409,7 @@ def cmd_classify_op(args) -> int:
         spec = OperatorSpec(name=args.operator)
     claims, failing = compute_signature(
         build_coupling(spec, spin_matrices(1.5)))
-    shown = (f"{spec.name} (canonical: {canonical_name(spec.name)})"
-             if spec.name is not None else "<literal matrix>")
-    print(f"operator:  {shown}")
+    print(f"operator:  {spec.name or '<literal matrix>'}")
     print(f"hermitian: {'yes' if claims.hermitian else 'no'}")
     print(f"[O,T]=0:   {'yes' if claims.commutes_t else 'no'}")
     if failing:

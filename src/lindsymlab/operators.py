@@ -138,30 +138,6 @@ _COUPLINGS = {
     "sx2sz": lambda t: t.sx @ t.sx @ t.sz,
 }
 
-# Accepted spellings -> canonical name. Keys are compared lowercase.
-_ALIASES = {
-    "sy^2": "sy2",
-    "sxsy+sysx": "sxsy_sym",
-    "sx^2": "sx2",
-    "sxsysz+szsysx": "sxsysz_sym",
-    "i(sxsysz-szsysx)": "i_sxsysz_asym",
-    "i(sxsysz+szsysx)": "i_sxsysz_sym",
-    "sx^2sz": "sx2sz",
-    "{sx,sz}": "tr_invariant",
-    "sz^2": "both_symmetric",
-}
-
-def canonical_name(name: str) -> str:
-    """Resolve a catalog name or accepted alias to its canonical form."""
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
-    if key not in _COUPLINGS and key not in _HAMILTONIANS:
-        known = ", ".join(sorted((*_COUPLINGS, *_HAMILTONIANS)))
-        raise ConfigError(f"unknown operator name {name!r}; "
-                          f"known names: {known}")
-    return key
-
-
 # Per builder key: its catalog, what a name from the other catalog names,
 # and its overflow refusal.
 _KINDS = {
@@ -174,8 +150,8 @@ _KINDS = {
 
 def _resolve(spec: OperatorSpec, spins: SpinTriple, key: str) -> ComplexMatrix:
     """spec's unscaled matrix, refused under key: a literal that is not
-    d x d at spins' spin, a name outside key's catalog, or a Frobenius
-    norm times spec.scale that overflows."""
+    d x d at spins' spin, a name that is not in key's catalog exactly as
+    listed, or a Frobenius norm times spec.scale that overflows."""
     catalog, other, overflow = _KINDS[key]
     if spec.matrix is not None:
         a = np.asarray(spec.matrix, dtype=complex)
@@ -183,14 +159,14 @@ def _resolve(spec: OperatorSpec, spins: SpinTriple, key: str) -> ComplexMatrix:
             raise ConfigError(f"{key}: need a {spins.dim}x{spins.dim} "
                               f"matrix at spin {(spins.dim - 1) / 2:g}, got "
                               f"shape {a.shape}")
+    elif spec.name in catalog:
+        a = catalog[spec.name](spins)
+    elif spec.name in _HAMILTONIANS or spec.name in _COUPLINGS:
+        raise ConfigError(f"{key}: {spec.name!r} names {other}")
     else:
-        try:
-            name = canonical_name(spec.name)
-        except ConfigError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-        if name not in catalog:
-            raise ConfigError(f"{key}: {spec.name!r} names {other}")
-        a = catalog[name](spins)
+        known = ", ".join(sorted((*_COUPLINGS, *_HAMILTONIANS)))
+        raise ConfigError(f"{key}: unknown operator name {spec.name!r}; "
+                          f"known names: {known}")
     # checked before the product, which would overflow with a numpy
     # warning, and before any test compares norms: inf <= inf would pass
     # every symmetry test
@@ -220,15 +196,16 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
         ConfigError: unknown name, a coupling's name, a literal that is
             not d x d, a Hamiltonian whose Frobenius norm times E_g
             overflows (checked before and after the product, both before
-            the Hermiticity test compares norms), or a literal that is not
+            the Hermiticity test compares norms), or an H that is not
             Hermitian to 1e-12 of its Frobenius norm once scaled: the H
-            every later stage reads.
+            every later stage reads. A named H passes, with room to spare,
+            so only a literal is ever refused.
     """
     h = _scaled(_resolve(spec, spins, "hamiltonian"), spec.scale,
                 "hamiltonian")
     # a finite norm bounds every entry, so h - h^dag cannot overflow; the
-    # bound is relative, so e_g cannot move a literal across it
-    if spec.matrix is not None and frob(h - h.conj().T) > 1e-12 * frob(h):
+    # bound is relative, so e_g cannot move an H across it
+    if frob(h - h.conj().T) > 1e-12 * frob(h):
         raise ConfigError("hamiltonian: literal Hamiltonian must be Hermitian")
     return h
 

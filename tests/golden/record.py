@@ -26,20 +26,19 @@ from unittest import mock
 CORPUS = Path(__file__).resolve().parent
 
 # The base config of tests/test_cli.py's exit-2 inputs.
-_EXIT_2_BASE = {"hamiltonian": "tr_invariant", "coupling": "sx^2",
+_EXIT_2_BASE = {"hamiltonian": "tr_invariant", "coupling": "sx2",
                 "gamma": 0.1, "t_max": 50.0, "n_samples": 3,
                 "gammas": [1e-3, 2e-3]}
 _R3 = 3.0 ** 0.5
 _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
-            "coupling": {"matrix": [[0, _R3, 0, 0], [0, 0, 2, 0],
-                                    [0, 0, 0, _R3], [0, 0, 0, 0]]}}
+            "coupling": [[0, _R3, 0, 0], [0, 0, 2, 0], [0, 0, 0, _R3],
+                         [0, 0, 0, 0]]}
 # Hermitian to 1e-12 as written, not once e_g = 1e6 scales it
-_SCALED_NOT_HERMITIAN = {"matrix": [[2.25e-6, [0, 1e-13], 0, 0],
-                                    [0, 2.5e-7, 0, 0], [0, 0, 2.5e-7, 0],
-                                    [0, 0, 0, 2.25e-6]]}
+_SCALED_NOT_HERMITIAN = [[2.25e-6, [0, 1e-13], 0, 0], [0, 2.5e-7, 0, 0],
+                         [0, 0, 2.5e-7, 0], [0, 0, 0, 2.25e-6]]
 # not Hermitian to 1e-12 of its norm at any e_g, 1e-13 among them
-_NOT_HERMITIAN = {"matrix": [[2.25, 1, 0, 0], [0, 0.25, 0, 0],
-                             [0, 0, 0.25, 0], [0, 0, 0, 2.25]]}
+_NOT_HERMITIAN = [[2.25, 1, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0],
+                  [0, 0, 0, 2.25]]
 _COUPLINGS = ("sy2", "sxsy_sym", "sxsysz", "sysz", "sx2", "sz", "isz", "sx",
               "sxsysz_sym", "i_sxsysz_asym", "i_sxsysz_sym", "sxsy", "sx2sz")
 
@@ -62,8 +61,8 @@ def _entries() -> dict:
     # -Sx^2 at spin 1: T^2 = +1 maps each ground state onto its own ray
     entries["simulate-expm-minus-sx2-spin-1-sx2"] = dict(
         argv=["simulate", "--config", "run.json", "--out", "out"],
-        config={"hamiltonian": {"matrix": [[-0.5, 0, -0.5], [0, -1, 0],
-                                           [-0.5, 0, -0.5]]},
+        config={"hamiltonian": [[-0.5, 0, -0.5], [0, -1, 0],
+                                [-0.5, 0, -0.5]],
                 "coupling": "sx2", "spin": 1.0})
     entries["simulate-rk4-both_symmetric-sx2sz-horizon-0.5"] = dict(
         argv=["simulate", "--config", "run.json", "--horizon", "0.5",
@@ -86,9 +85,9 @@ def _entries() -> dict:
             ("rk4-step-budget", "simulate",
              {"integrator": "rk4", "t_max": 1e9}),
             ("sweep-rk4-matrix-1e154", "sweep",
-             {"integrator": "rk4", "coupling": {"matrix": [
+             {"integrator": "rk4", "coupling": [
                  [1e154, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
-                 [0, 0, 0, 1]]}}),
+                 [0, 0, 0, 1]]}),
             ("sweep-drained", "sweep", {**_DRAINED, "gammas": [0.1, 0.2]}),
             ("hamiltonian-scaled-not-hermitian", "simulate", {
                 "hamiltonian": _SCALED_NOT_HERMITIAN, "coupling": "sz",
@@ -96,7 +95,8 @@ def _entries() -> dict:
             ("hamiltonian-not-hermitian-e_g-1e-13", "simulate", {
                 "hamiltonian": _NOT_HERMITIAN, "coupling": "sz",
                 "e_g": 1e-13}),
-            # retired keys: fixed output names, and e_g is H's one scale
+            # retired keys: fixed output names, and an operator is a name
+            # or a list of rows, never an object with a scale
             ("csv-key", "simulate", {"csv": "a.csv"}),
             ("coupling-scale", "simulate",
              {"coupling": {"name": "sz", "scale": 2}}),

@@ -21,7 +21,7 @@ LN2 = np.log(2.0)
 
 
 def _write_cfg(tmp_path, name="cfg.json", **kw):
-    base = {"hamiltonian": "tr_invariant", "coupling": "sx^2",
+    base = {"hamiltonian": "tr_invariant", "coupling": "sx2",
             "gamma": 0.1, "t_max": 50.0, "n_samples": 51}
     base.update(kw)
     base = {k: v for k, v in base.items() if v is not None}
@@ -116,7 +116,7 @@ def test_simulate_deterministic_output(tmp_path):
 def test_simulate_literal_matrix_coupling(tmp_path):
     sz_rows = [[1.5, 0, 0, 0], [0, 0.5, 0, 0],
                [0, 0, -0.5, 0], [0, 0, 0, -1.5]]
-    cfg = _write_cfg(tmp_path, coupling={"matrix": sz_rows},
+    cfg = _write_cfg(tmp_path, coupling=sz_rows,
                      t_max=5.0, n_samples=11)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
@@ -304,18 +304,17 @@ def test_a_row_whose_routes_disagree_fails(flip, schur, oracle, tmp_path,
 
 
 def _diag_coupling(big):
-    return {"matrix": [[big, 0, 0, 0], [0, big, 0, 0], [0, 0, 1, 0],
-                       [0, 0, 0, 1]]}
+    return [[big, 0, 0, 0], [0, big, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
-_COUPLING_1E154 = {"matrix": [[1e154, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
-                              [0, 0, 0, 1]]}
+_COUPLING_1E154 = [[1e154, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                   [0, 0, 0, 1]]
 
 # S+ at spin 3/2 drains both_symmetric's ground doublet by t_max = 400
 _R3 = float(np.sqrt(3.0))
 _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
-            "coupling": {"matrix": [[0, _R3, 0, 0], [0, 0, 2, 0],
-                                    [0, 0, 0, _R3], [0, 0, 0, 0]]}}
+            "coupling": [[0, _R3, 0, 0], [0, 0, 2, 0], [0, 0, 0, _R3],
+                         [0, 0, 0, 0]]}
 
 
 @pytest.mark.parametrize("command, kw, keys", [
@@ -366,12 +365,12 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
                               "e_g": 1e200}, ("hamiltonian", "e_g"),
                  id="hamiltonian-1e200-e_g-1e200"),
     # not Hermitian, and refused before inf > inf calls it Hermitian
-    pytest.param("simulate", {"hamiltonian": {"matrix": [
-        [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]}},
+    pytest.param("simulate", {"hamiltonian": [
+        [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]},
                  ("hamiltonian",), id="hamiltonian-non-hermitian-1e200"),
     # a negative e_g overflows the same as a positive one
-    pytest.param("simulate", {"hamiltonian": {"matrix": [
-        [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]},
+    pytest.param("simulate", {"hamiltonian": [
+        [0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
                               "e_g": -1.0}, ("hamiltonian",),
                  id="hamiltonian-non-hermitian-1e200-e_g-minus-1"),
     pytest.param("simulate", {"hamiltonian": _diag_coupling(1e200),
@@ -384,8 +383,8 @@ _DRAINED = {"hamiltonian": "both_symmetric", "t_max": 400.0,
     pytest.param("sweep", {"hamiltonian": "q_symmetric", "e_g": 1e154,
                            "integrator": "rk4"}, ("hamiltonian", "e_g"),
                  id="sweep-rk4-q_symmetric-e_g-1e154"),
-    pytest.param("simulate", {"hamiltonian": {"matrix": [
-        [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1e153, 0], [0, 0, 0, 1e153]]},
+    pytest.param("simulate", {"hamiltonian": [
+        [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1e153, 0], [0, 0, 0, 1e153]],
                               "e_g": 1e100}, ("hamiltonian", "e_g"),
                  id="hamiltonian-1e153-e_g-1e100"),
     pytest.param("simulate", _DRAINED, ("t_max", "subspace population"),
@@ -618,7 +617,7 @@ def test_a_ground_level_that_is_not_a_doublet_exits_2(command, kw, tmp_path,
 
 def _literal(h):
     """A matrix as a config's literal operator: rows of [re, im] pairs."""
-    return {"matrix": [[[z.real, z.imag] for z in row] for row in h.tolist()]}
+    return [[[z.real, z.imag] for z in row] for row in h.tolist()]
 
 
 @pytest.mark.parametrize("hamiltonian, coupling, verdict", [
@@ -753,16 +752,33 @@ def test_an_rk4_sweep_leaves_scipy_linalg_unloaded(tmp_path):
 @pytest.mark.parametrize("kw, key", [
     pytest.param({"csv": "a.csv"}, "'csv'", id="csv"),
     pytest.param({"summary": "b.json"}, "'summary'", id="summary"),
-    pytest.param({"coupling": {"name": "sz", "scale": 2}}, "coupling.scale",
+    pytest.param({"coupling": {"name": "sz", "scale": 2}}, ": coupling: ",
                  id="coupling-scale"),
     pytest.param({"hamiltonian": {"name": "tr_invariant", "scale": 1.0}},
-                 "hamiltonian.scale", id="hamiltonian-scale"),
+                 ": hamiltonian: ", id="hamiltonian-scale"),
+    # an operator is spelled one way: an exact catalog name or a list of
+    # rows, with no alias, case folding, padding or wrapping object
+    pytest.param({"coupling": "sx^2"}, ": coupling: ", id="coupling-alias"),
+    pytest.param({"coupling": "SX2"}, ": coupling: ", id="coupling-upper"),
+    pytest.param({"coupling": " sx2 "}, ": coupling: ", id="coupling-padded"),
+    pytest.param({"coupling": {"name": "sx2"}}, ": coupling: ",
+                 id="coupling-name-object"),
+    pytest.param({"coupling": {"matrix": np.eye(4).tolist()}}, ": coupling: ",
+                 id="coupling-matrix-object"),
+    pytest.param({"hamiltonian": "{sx,sz}"}, ": hamiltonian: ",
+                 id="hamiltonian-alias"),
+    pytest.param({"hamiltonian": "Tr_Invariant"}, ": hamiltonian: ",
+                 id="hamiltonian-mixed-case"),
+    pytest.param({"hamiltonian": {"name": "tr_invariant"}}, ": hamiltonian: ",
+                 id="hamiltonian-name-object"),
 ])
 def test_a_retired_config_key_exits_2_and_is_named(command, kw, key,
                                                    tmp_path, capsys,
                                                    liouvillian_builds):
-    # each command writes fixed file names, and e_g is the one scale of an
-    # operator: a config that still sets one is refused as it is read
+    # each command writes fixed file names, e_g is the one scale of an
+    # operator, and an operator has one spelling: a config that still uses
+    # a retired one is refused as it is read or built, before any
+    # Liouvillian
     cfg = _write_cfg(tmp_path, **{"coupling": "isz", "t_max": 5.0,
                                   "n_samples": 11, "gammas": [1e-3, 2e-3],
                                   **kw})
@@ -871,24 +887,30 @@ def test_classify_op_named(capsys):
     assert "[O,T]=0:   yes" in out
     assert "fails on: j, j_bar, k_bar, k" in out
 
-    assert main(["classify-op", "sy^2"]) == 0
+    assert main(["classify-op", "sy2"]) == 0
     out = capsys.readouterr().out
-    assert "canonical: sy2" in out
+    assert out.splitlines()[0] == "operator:  sy2"
     assert "hermitian: yes" in out
     assert "[O,Q]=0:   yes" in out
 
 
 def test_classify_op_errors(tmp_path, capsys):
+    usage = "error: give exactly one of an operator name and --config\n"
     assert main(["classify-op"]) == 2
+    assert capsys.readouterr() == ("", usage)
     assert main(["classify-op", "no_such_operator"]) == 2
     # Hamiltonian names are not couplings
     assert main(["classify-op", "tr_invariant"]) == 2
-    capsys.readouterr()
-    cfg = _write_cfg(tmp_path, coupling={"name": ["sx"]})
+    # a name is taken exactly as the catalog lists it
+    assert main(["classify-op", "sy^2"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: coupling: unknown operator name 'sy^2'; known names: ")
+    cfg = _write_cfg(tmp_path, coupling=["sx"])
     assert main(["classify-op", "--config", cfg]) == 2
-    assert "coupling: name must be a string" in capsys.readouterr().err
+    assert "coupling: need a catalog name or a square list of rows" in (
+        capsys.readouterr().err)
     # the signature is measured at spin 3/2, so a literal coupling is 4x4
-    cfg = _write_cfg(tmp_path, coupling={"matrix": np.eye(2).tolist()})
+    cfg = _write_cfg(tmp_path, coupling=np.eye(2).tolist())
     assert main(["classify-op", "--config", cfg]) == 2
     assert capsys.readouterr().err == (
         "error: coupling: need a 4x4 matrix at spin 1.5, got shape (2, 2)\n")
@@ -902,16 +924,13 @@ def test_classify_op_errors(tmp_path, capsys):
     # a name and a config name two operators; neither wins
     cfg = _write_cfg(tmp_path, name="both.json", coupling="sx2")
     assert main(["classify-op", "sxsy", "--config", cfg]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "operator name" in captured.err and "--config" in captured.err
+    assert capsys.readouterr() == ("", usage)
 
 
 @pytest.mark.parametrize("coupling", [
-    {"matrix": [[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]},
+    [[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
     # finite entries whose squares overflow the norm
-    {"matrix": [[1e154, 0, 0, 0], [0, 1e154, 0, 0], [0, 0, 0, 0],
-                [0, 0, 0, 1]]},
+    [[1e154, 0, 0, 0], [0, 1e154, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
 ], ids=["matrix-1e200", "matrix-1e154"])
 def test_classify_op_refuses_a_coupling_whose_norm_overflows(coupling,
                                                              tmp_path,
@@ -989,9 +1008,9 @@ def test_config_error_paths(tmp_path, capsys):
             ("alpha", {"alpha": [1e308, 0.0]}),  # |alpha|^2 overflows
             ("e_g", {"e_g": nan}),
             ("e_g", {"e_g": -inf}),
-            ("coupling", {"coupling": {"matrix": sz_rows}}),
-            ("hamiltonian", {"hamiltonian": {"name": 5}}),
-            ("coupling", {"coupling": {"name": ["sx"]}}),
+            ("coupling", {"coupling": sz_rows}),
+            ("hamiltonian", {"hamiltonian": 5}),
+            ("coupling", {"coupling": ["sx"]}),
             ("n_samples", {"n_samples": 2.7}),
             # n_quad is not a key: delta_rho has no quadrature to set
             ("n_quad", {"n_quad": 128}),
@@ -1005,38 +1024,31 @@ def test_config_error_paths(tmp_path, capsys):
             ("gammas", {"gammas": [True, 0.002]}),
             ("alpha", {"alpha": [True, 0], "beta": 0}),
             ("e_g", {"e_g": True}),
-            # an operator object takes exactly one of name and matrix, and
-            # nothing else
-            ("coupling.sacle", {"coupling": {"name": "sz", "sacle": 5}}),
-            ("hamiltonian.e_g", {"hamiltonian": {"name": "tr_invariant",
-                                                 "e_g": 2}}),
-            ("coupling", {"coupling": {"name": "sz",
-                                       "matrix": np.eye(4).tolist()}}),
-            ("hamiltonian", {"hamiltonian": {"name": "tr_invariant",
-                                             "matrix": np.eye(4).tolist()}}),
+            # an operator is a name or a non-empty square list of rows
             ("coupling", {"coupling": {}}),
+            ("coupling", {"coupling": []}),
+            ("hamiltonian", {"hamiltonian": [[1, 0, 0, 0]]}),
+            ("coupling", {"coupling": [[1, 0], [0]]}),
             # a literal matrix of the wrong size and an unknown name are
             # refused under the key that gave them
-            ("coupling", {"coupling": {"matrix": np.eye(2).tolist()}}),
-            ("hamiltonian", {"hamiltonian": {"matrix": np.eye(2).tolist()}}),
+            ("coupling", {"coupling": np.eye(2).tolist()}),
+            ("hamiltonian", {"hamiltonian": np.eye(2).tolist()}),
             ("coupling", {"coupling": "nope"}),
             ("hamiltonian", {"hamiltonian": "nope"}),
             # ... and so are a name of the other kind and a non-Hermitian
             # literal Hamiltonian
             ("hamiltonian", {"hamiltonian": "sx"}),
-            ("hamiltonian", {"hamiltonian": {"matrix": [[0, 1, 0, 0],
-                                                        [0, 0, 0, 0],
-                                                        [0, 0, 0, 0],
-                                                        [0, 0, 0, 0]]}}),
+            ("hamiltonian", {"hamiltonian": [[0, 1, 0, 0], [0, 0, 0, 0],
+                                             [0, 0, 0, 0], [0, 0, 0, 0]]}),
             ("coupling", {"coupling": "tr_invariant"}),
             # not Hermitian to 1e-12 of its norm, at any e_g: the bound
             # is relative
-            ("hamiltonian", {"coupling": "sz", "e_g": 1e6, "hamiltonian": {
-                "matrix": [[2.25e-6, [0, 1e-13], 0, 0], [0, 2.5e-7, 0, 0],
-                           [0, 0, 2.5e-7, 0], [0, 0, 0, 2.25e-6]]}}),
-            ("hamiltonian", {"coupling": "sz", "e_g": 1e-13, "hamiltonian": {
-                "matrix": [[2.25, 1, 0, 0], [0, 0.25, 0, 0],
-                           [0, 0, 0.25, 0], [0, 0, 0, 2.25]]}}),
+            ("hamiltonian", {"coupling": "sz", "e_g": 1e6, "hamiltonian": [
+                [2.25e-6, [0, 1e-13], 0, 0], [0, 2.5e-7, 0, 0],
+                [0, 0, 2.5e-7, 0], [0, 0, 0, 2.25e-6]]}),
+            ("hamiltonian", {"coupling": "sz", "e_g": 1e-13, "hamiltonian": [
+                [2.25, 1, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0],
+                [0, 0, 0, 2.25]]}),
             # T-even to 1e-9, but T maps its ground level 1e-3 into the
             # level 1e-7 above it: the pairing refusal
             ("hamiltonian", {"spin": 2.5, "coupling": "sz",

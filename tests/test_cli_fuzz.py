@@ -3,12 +3,15 @@
 Each document starts from plausible values for some of the known keys and
 then has up to two of them replaced by a non-finite, huge, negative or
 wrongly typed value, or gains an unknown key. Some carry a retired key
-(`csv`, `summary`, an operator's `scale`), and some command lines a
-retired flag (`simulate --gamma` or `--integrator`, `sweep --gamma`): each
-such run must exit 2. Every `simulate` and `sweep` run must end in exit 0,
-1 or 2 without an exception or a numpy RuntimeWarning, and a rejected run
-(exit 2) must leave no output directory and print one `error:` line that
-names a config key or a flag, or argparse's refusal of the flag.
+(`csv`, `summary`) or a retired spelling of an operator (an alias, a name
+in upper case or padded, a `{"name": ...}` or `{"matrix": ...}` object),
+and some command lines a retired flag (`simulate --gamma` or
+`--integrator`, `sweep --gamma`): each such run must exit 2. Every
+`simulate` and `sweep` run must end in exit 0, 1 or 2 without an
+exception or a numpy RuntimeWarning, and a rejected run (exit 2) must
+leave no output directory and print one `error:` line that names a config
+key or a flag, or argparse's refusal of the flag. A retired spelling in
+an otherwise valid document is refused under its own key.
 An answered `simulate` (exit 0) must not find more population in the
 doublet than the state holds.
 `spin` stays small, and `n_samples` is either small or above the
@@ -27,6 +30,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lindsymlab import operators
 from lindsymlab.cli import _KNOWN_KEYS, main
 from lindsymlab.lindblad import MAX_TRAJECTORY_ENTRIES
 
@@ -40,7 +44,7 @@ _BAD = st.one_of(
 )
 
 _HAMILTONIANS = ["q_symmetric", "tr_invariant", "both_symmetric"]
-_COUPLINGS = ["sx", "sz", "isz", "sy2", "sx^2", "sxsy", "sx2sz"]
+_COUPLINGS = ["sx", "sz", "isz", "sy2", "sx2", "sxsy", "sx2sz"]
 _ENTRY = st.one_of(st.sampled_from([0, 1, -0.5, 1e308]),
                    st.lists(st.sampled_from([0, 1, 2.5]), min_size=2,
                             max_size=2), _BAD)
@@ -52,11 +56,10 @@ _MATRIX = st.one_of(
 
 
 def _operator(names):
-    return st.one_of(
-        st.sampled_from(names), st.sampled_from(names),
-        st.fixed_dictionaries({"name": st.sampled_from(names)}),
-        st.fixed_dictionaries({"matrix": _MATRIX}),
-    )
+    """A name three times in four, so that most documents are answered;
+    one_of draws a strategy it is given twice as one branch, so each name
+    branch is its own sampled_from."""
+    return st.one_of(*(st.sampled_from(names) for _ in range(3)), _MATRIX)
 
 
 _GOOD = {
@@ -78,13 +81,25 @@ _REQUIRED = ("hamiltonian", "coupling", "gammas")
 # normalized (alpha, beta) pairs; one key alone is normalized only by luck
 _STATES = [(0.6, 0.8), ([0.0, 0.8], [0.6, 0.0]), (1.0, 0.0)]
 _UNKNOWN = ("Gamma", "tmax", "seed")
-# each command writes fixed file names, and e_g is H's one scale
-_RETIRED = st.one_of(
-    st.tuples(st.sampled_from(["csv", "summary"]), _BAD),
-    st.tuples(st.just("hamiltonian"), st.fixed_dictionaries(
-        {"name": st.sampled_from(_HAMILTONIANS), "scale": st.just(0.5)})),
-    st.tuples(st.just("coupling"), st.fixed_dictionaries(
-        {"matrix": _MATRIX, "scale": _BAD})))
+_ALIASES = {"hamiltonian": ["{sx,sz}", "sz^2"],
+            "coupling": ["sx^2", "sy^2", "sxsy+sysx", "i(sxsysz-szsysx)"]}
+
+
+def _misspelt(key, names):
+    """(key, a retired spelling of one of names)."""
+    name = st.sampled_from(names)
+    return st.tuples(st.just(key), st.one_of(
+        st.sampled_from(_ALIASES[key]), name.map(str.upper),
+        name.map(lambda n: f" {n} "),
+        st.fixed_dictionaries({"name": name}),
+        st.fixed_dictionaries({"matrix": _MATRIX})))
+
+
+_MISSPELT = st.one_of(_misspelt("hamiltonian", _HAMILTONIANS),
+                      _misspelt("coupling", _COUPLINGS))
+# each command writes fixed file names, and an operator has one spelling
+_RETIRED = st.one_of(st.tuples(st.sampled_from(["csv", "summary"]), _BAD),
+                     _MISSPELT)
 
 
 @st.composite
@@ -113,9 +128,9 @@ _VALID = {"hamiltonian": "tr_invariant", "coupling": "sx",
 # 1e-6 Sz^2 at spin 3/2 with 1e-13i added to entry (0, 1): Hermitian to
 # 1e-12 as written, but not once e_g scales it by 1e6
 _SCALED_NOT_HERMITIAN = {
-    **_VALID, "coupling": "sz", "e_g": 1e6, "hamiltonian": {"matrix": [
+    **_VALID, "coupling": "sz", "e_g": 1e6, "hamiltonian": [
         [2.25e-6, [0, 1e-13], 0, 0], [0, 2.5e-7, 0, 0], [0, 0, 2.5e-7, 0],
-        [0, 0, 0, 2.25e-6]]}}
+        [0, 0, 0, 2.25e-6]]}
 
 
 _FLAGS = ("--config", "--horizon", "--out")
@@ -124,9 +139,13 @@ _RETIRED_FLAGS = {"simulate": [["--gamma", "0.05"], ["--integrator", "rk4"]],
 
 
 def _carries_a_retired_key(doc):
+    """A retired key, or an operator that is an object or a string its
+    catalog does not list exactly."""
     return ("csv" in doc or "summary" in doc
-            or any(isinstance(doc.get(key), dict) and "scale" in doc[key]
-                   for key in ("hamiltonian", "coupling")))
+            or any(isinstance(doc[key], dict)
+                   or (isinstance(doc[key], str) and doc[key] not in names)
+                   for key, names in (("hamiltonian", operators._HAMILTONIANS),
+                                      ("coupling", operators._COUPLINGS))))
 
 
 def _names_a_key_or_flag(message, doc):
@@ -190,3 +209,21 @@ def test_any_config_document_exits_0_1_or_2(doc, command_line):
         if code == 0 and command == "simulate":
             summary = json.loads((out / "summary.json").read_text())
             assert summary["terminal_trace_g"] <= 1 + 1e-9, summary
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_MISSPELT, st.sampled_from(["simulate", "sweep"]))
+def test_a_retired_operator_spelling_exits_2_naming_its_key(misspelt,
+                                                             command):
+    key, value = misspelt
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({**_VALID, key: value}))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        # a read-time refusal follows the config's path, a build-time one
+        # starts the line
+        [line] = stderr.getvalue().replace(f"{cfg}: ", "").splitlines()
+        assert line.startswith(f"error: {key}: "), line

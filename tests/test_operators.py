@@ -1,11 +1,13 @@
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lindsymlab import operators
 from lindsymlab.operators import (ConfigError, OperatorSpec, build_coupling,
-                                  build_hamiltonian, canonical_name,
-                                  spin_matrices)
+                                  build_hamiltonian, frob, spin_matrices)
 from lindsymlab.spectra import eigh
 
 RT3 = np.sqrt(3.0)
@@ -15,7 +17,8 @@ HAMILTONIANS = ("q_symmetric", "tr_invariant", "both_symmetric")
 def _known_names() -> set:
     """The catalog names an unknown name's error message lists."""
     with pytest.raises(ValueError, match="known names: ") as info:
-        canonical_name("not-an-operator")
+        build_coupling(OperatorSpec(name="not-an-operator"),
+                       spin_matrices(1.5))
     return set(str(info.value).split("known names: ")[1].split(", "))
 
 
@@ -122,14 +125,31 @@ def test_operator_spec_needs_exactly_one_source():
         OperatorSpec(name="sx", matrix=np.eye(4))
 
 
-def test_canonical_name_aliases():
-    assert canonical_name("Sy^2") == "sy2"
-    assert canonical_name("SXSY+SYSX") == "sxsy_sym"
-    assert canonical_name(" i(SxSySz-SzSySx) ") == "i_sxsysz_asym"
-    assert canonical_name("SZ^2") == "both_symmetric"
-    assert canonical_name("sx2sz") == "sx2sz"
-    with pytest.raises(ValueError):
-        canonical_name("szsz")
+@pytest.mark.parametrize("build, name", [
+    pytest.param(build_coupling, "sy^2", id="coupling-alias"),
+    pytest.param(build_coupling, "SX2", id="coupling-upper"),
+    pytest.param(build_coupling, " sx2 ", id="coupling-padded"),
+    pytest.param(build_hamiltonian, "{sx,sz}", id="hamiltonian-alias"),
+    pytest.param(build_hamiltonian, "Q_Symmetric", id="hamiltonian-mixed"),
+    pytest.param(build_hamiltonian, "tr_invariant\n",
+                 id="hamiltonian-newline")])
+def test_a_name_is_taken_exactly_as_the_catalog_lists_it(spins, build, name):
+    key = build.__name__.removeprefix("build_")
+    with pytest.raises(ConfigError) as info:
+        build(OperatorSpec(name=name), spins)
+    assert str(info.value).startswith(
+        f"{key}: unknown operator name {name!r}; known names: ")
+
+
+@pytest.mark.parametrize("spin", [1.5, 7.5, 31.5])
+@pytest.mark.parametrize("name", HAMILTONIANS)
+def test_every_named_hamiltonian_passes_the_hermiticity_test(name, spin):
+    # build_hamiltonian tests every H, and a named one passes with room to
+    # spare at any e_g, since the bound is relative
+    spins = spin_matrices(spin)
+    for e_g in (1e-300, 1e-13, 1.0, 1e6, 1e100, -3.0):
+        h = build_hamiltonian(OperatorSpec(name=name, scale=e_g), spins)
+        assert frob(h - h.conj().T) <= 1e-14 * frob(h), (e_g, spin)
 
 
 def test_name_catalogs_are_disjoint_and_complete(spins):
@@ -238,3 +258,13 @@ def test_spin_matrices_are_built_once_and_read_only():
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         t.sz[0, 0] = 0.0
+
+
+def test_the_readme_catalog_lists_exactly_the_named_operators():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Operator name catalog")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` ", section, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(operators._COUPLINGS)
+    line = section.split("Hamiltonian names")[1].split("\n\n")[0]
+    assert sorted(re.findall(r"`(\w+)`", line)) == sorted(
+        operators._HAMILTONIANS)

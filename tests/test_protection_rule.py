@@ -9,10 +9,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lindsymlab.classify import (_HAMILTONIAN_CLAIMS, Scenario,
-                                 SymmetryClaims, compute_signature,
-                                 doublet_block, prepare, protected,
-                                 run_scenario)
+from lindsymlab.classify import (Scenario, SymmetryClaims, _claimed,
+                                 compute_signature, doublet_block, prepare,
+                                 protected, run_scenario)
 from lindsymlab.observables import Coherence
 from lindsymlab.operators import (OperatorSpec, build_coupling,
                                   build_hamiltonian)
@@ -49,10 +48,10 @@ def test_catalog_expectations_are_the_papers(scenarios):
 
 
 def test_hamiltonian_signatures(hams):
-    # the catalog states each Hamiltonian's signature as data; it is
-    # measured here, not on every run
-    assert {name: compute_signature(h)[0]
-            for name, h in hams.items()} == _HAMILTONIAN_CLAIMS
+    # the catalog states each Hamiltonian's three columns as data and
+    # derives the fourth; all four are measured here, not on every run
+    assert {name: compute_signature(h)[0] for name, h in hams.items()} == {
+        name: _claimed(name) for name in hams}
 
 
 def _draw(rng, claims, trev, group):
@@ -77,7 +76,7 @@ def _draw(rng, claims, trev, group):
 
 def _scenario(ham, o, claims):
     """A random draw as a Scenario whose expected verdict is the rule's."""
-    coherent = protected(_HAMILTONIAN_CLAIMS[ham], claims)
+    coherent = protected(_claimed(ham), claims)
     return Scenario(name=f"{ham}:random", hamiltonian=OperatorSpec(name=ham),
                     coupling=OperatorSpec(matrix=o), claims=claims,
                     expected_coherence=(Coherence.COHERENT if coherent
@@ -134,8 +133,8 @@ def test_random_couplings_times_a_phase_follow_the_rule(hams, trev, group):
         assert phased == SymmetryClaims(
             False, False, claims.commutes_q,
             claims.hermitian_t_even_up_to_phase), (ham, claims, phi)
-        assert protected(_HAMILTONIAN_CLAIMS[ham], phased) == protected(
-            _HAMILTONIAN_CLAIMS[ham], claims)
+        assert protected(_claimed(ham), phased) == protected(
+            _claimed(ham), claims)
         rows.append(_scenario(ham, np.exp(1j * phi) * o, phased))
     for sc, v in zip(rows, run_scenario(rows)):
         _assert_the_routes_follow_the_rule(v, (sc.name, str(sc.claims)))
