@@ -224,6 +224,51 @@ def _step_samples(flat: np.ndarray, prop: np.ndarray) -> None:
         np.matmul(prop, flat[..., k, :, None], out=flat[..., k + 1, :, None])
 
 
+def _step_propagators(l_stack: np.ndarray, h: float) -> np.ndarray:
+    """expm(l * h) of each slice l of l_stack (n, D, D), bit for bit
+    scipy.linalg.expm(l_stack * h).
+
+    A slice scipy sends down its generic Pade path (both halves of its
+    bandwidth nonzero) runs scipy 1.17.1's expm loop on scipy's own
+    kernels inside one (5, D, D) workspace of the dtype of l_stack * h:
+    l * h is written into its first slab, pick_pade_structure scales it
+    and picks the order, pade_UV_calc leaves the Pade approximant there,
+    and the squarings alternate between the first two slabs. scipy's own
+    call keeps l * h, its output and a fresh slab per squaring beside that
+    workspace. Any other slice (diagonal, triangular, 1 x 1) goes to
+    scipy.linalg.expm itself. For one system the result is a view of the
+    workspace; a longer stack fills one output array.
+    """
+    import scipy.linalg  # here, its only user: runs without expm skip it
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+    dtype = np.result_type(l_stack, h)
+    am = np.empty((5,) + l_stack.shape[1:], dtype=dtype)
+    props = None if len(l_stack) == 1 else np.empty(l_stack.shape, dtype)
+    for i, l in enumerate(l_stack):
+        a = np.multiply(l, h, out=am[0])
+        if not all(scipy.linalg.bandwidth(a)):
+            prop = scipy.linalg.expm(a)
+        else:
+            m, s = pick_pade_structure(am)
+            if m < 0:
+                raise MemoryError(f"expm could not allocate the Pade "
+                                  f"structure (error code {m})")
+            info = pade_UV_calc(am, m)
+            if info <= -11:
+                raise MemoryError(f"expm could not allocate the exponential "
+                                  f"(error code {info})")
+            if info != 0:
+                raise RuntimeError(f"expm got an internal LAPACK error "
+                                   f"(error code {info})")
+            for k in range(s):
+                np.matmul(am[k % 2], am[k % 2], out=am[(k + 1) % 2])
+            prop = am[s % 2]
+        if props is None:
+            return prop[None]
+        props[i] = prop
+    return props
+
+
 def _trace_drift(flat: np.ndarray, d: int) -> np.ndarray:
     """Largest |tr rho(t_k) - tr rho(0)| of each state in flat."""
     traces = flat[..., ::d + 1].sum(axis=-1)  # diagonal entries of vec(rho)
@@ -237,21 +282,23 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     Exact up to roundoff for any step, so RK4 is validated against it. rho0
     is one state or a stack (..., d, d); l_mat is one Liouvillian (D, D),
     or a stack (n, D, D), one per system, paired with rho0 (n, ..., d, d).
-    One scipy.linalg.expm call on the stack gives each system's step
+    One _step_propagators call on the stack gives each system's step
     propagator P = expm(L h), h = times[1], slice by slice, with the bytes
-    of its own call; states[..., k, :, :] is P^k rho0, and times are the
-    linspace labels, which can differ from k h in the last bit. One matmul
-    per sample step runs each state's own matrix-vector product, so a
-    state's bytes are those of a single-state call on its own Liouvillian.
+    of scipy.linalg.expm; states[..., k, :, :] is P^k rho0, and times are
+    the linspace labels, which can differ from k h in the last bit. One
+    matmul per sample step runs each state's own matrix-vector product, so
+    a state's bytes are those of a single-state call on its own
+    Liouvillian.
 
     A Liouvillian of large norm can exponentiate to a step propagator that
     loses trace at roundoff level on every step. If a stored sample's
     trace then drifts from its rho0's by more than DEFAULT_TOL, the bound
     evolve_rk4 holds its samples to as well, the step propagator P of its
-    system is projected onto trace-preserving maps, P + (vec(I)/d)(vec(I)^T
-    - vec(I)^T P), that state alone is run again and meta["projected"][i]
-    set. meta["dt"] is the step h, as evolve_rk4 records its own. An input
-    too large to propagate warns nowhere but ends in a refusal below.
+    system is projected in place onto trace-preserving maps, P +
+    (vec(I)/d)(vec(I)^T - vec(I)^T P), that state alone is run again and
+    meta["projected"][i] set. meta["dt"] is the step h, as evolve_rk4
+    records its own. An input too large to propagate warns nowhere but
+    ends in a refusal below.
 
     Raises:
         ValueError: a Liouvillian stack not as long as rho0's first axis.
@@ -264,10 +311,8 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
     if rho0.shape[:l_mat.ndim - 2] != l_mat.shape[:-2]:
         raise ValueError(f"{len(l_stack)} Liouvillians for a stack of states "
                          f"of shape {rho0.shape}")
-    import scipy.linalg  # here, its only user: runs without expm skip it
     with np.errstate(over="ignore", invalid="ignore"):
-        prop = scipy.linalg.expm(l_stack * times[1])[:, None]  # a view
-        # allocated after expm, whose workspace is then freed
+        prop = _step_propagators(l_stack, times[1])[:, None]  # a view
         states = np.empty(rho0.shape[:-2] + (n_samples, d, d), dtype=complex)
         # a view of states: one row of vec(rho) per system, state and sample
         flat = states.reshape(len(prop), -1, n_samples, d * d)
@@ -276,13 +321,15 @@ def evolve_expm(rho0: ComplexMatrix, l_mat: ComplexMatrix, t_max: float,
         drift = _trace_drift(flat, d)
         # a trajectory that is not finite is not projected but refused below
         projected = (DEFAULT_TOL < drift) & (drift < np.inf)
-        trace_row, trace_props = vec(np.eye(d)), {}
+        trace_row, drifting = vec(np.eye(d)), set()
         for s, i in np.argwhere(projected):
-            if s not in trace_props:  # built once per system that drifts
-                trace_props[s] = prop[s:s + 1] + np.outer(
+            if s not in drifting:  # projected once per system that drifts,
+                # in place: every state has taken its plain steps
+                prop[s, 0] += np.outer(
                     trace_row / d, trace_row - trace_row @ prop[s, 0])
+                drifting.add(s)
             alone = flat[s:s + 1, i:i + 1]
-            _step_samples(alone, trace_props[s])
+            _step_samples(alone, prop[s:s + 1])
             drift_i = _trace_drift(alone, d)[0, 0]
             if not drift_i <= DEFAULT_TOL:
                 raise PropagationError(

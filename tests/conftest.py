@@ -113,19 +113,10 @@ def liouvillian_builds(record_calls):
 
 
 @pytest.fixture
-def expm_calls(monkeypatch):
-    """The matrix of every scipy.linalg.expm call, in order; lindblad calls
-    it through the module attribute, so patching that attribute counts it."""
-    import scipy.linalg
-    calls = []
-    expm = scipy.linalg.expm
-
-    def counting(a, *args, **kwargs):
-        calls.append(a)
-        return expm(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counting)
-    return calls
+def expm_calls(record_calls):
+    """The (l_stack, h) of every _step_propagators call, in order: the one
+    place the package takes the matrix exponential."""
+    return record_calls("lindblad._step_propagators")
 
 
 @pytest.fixture

@@ -58,6 +58,15 @@ def _entries() -> dict:
             argv=["simulate", "--config", "run.json", "--out", "out"],
             config={"hamiltonian": "both_symmetric", "coupling": "sx2sz",
                     "spin": float(spin)})
+    # Liouvillians that scipy's expm exponentiates off its generic Pade
+    # path: sz's is diagonal, the one-way jump's upper-triangular (the
+    # jump reads a known-wrong Coherence: the doublet state moves, pure)
+    for name, coupling in (("sz", "sz"),
+                           ("one-way-jump", [[0, 1, 0, 0], [0, 0, 0, 0],
+                                             [0, 0, 0, 0], [0, 0, 0, 0]])):
+        entries[f"simulate-expm-both_symmetric-{name}"] = dict(
+            argv=["simulate", "--config", "run.json", "--out", "out"],
+            config={"hamiltonian": "both_symmetric", "coupling": coupling})
     # -Sx^2 at spin 1: T^2 = +1 maps each ground state onto its own ray
     entries["simulate-expm-minus-sx2-spin-1-sx2"] = dict(
         argv=["simulate", "--config", "run.json", "--out", "out"],

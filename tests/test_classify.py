@@ -279,7 +279,7 @@ def test_a_table_makes_one_expm_and_one_oracle_eigh_per_row(
         assert len(verdicts) == 16
         assert (len(expm_calls), len(deltas), len(response_eighs)) == (
             1, 16, 16), gamma
-        assert expm_calls[0].shape == (16, 16, 16), gamma
+        assert expm_calls[0][0].shape == (16, 16, 16), gamma
 
 
 _WORST_FIRST = (Coherence.AMBIGUOUS, Coherence.DECOHERENT, Coherence.COHERENT)
@@ -364,7 +364,7 @@ def test_a_table_propagates_and_observes_once(record_calls, expm_calls,
     rho0, l_mat = evolves[0][:2]
     assert rho0.shape == (16, 3, 4, 4) and l_mat.shape == (16, 16, 16)
     assert all(call[0].shape == (3, 4, 4) for call in deltas)
-    assert [a.shape for a in expm_calls] == [(16, 16, 16)]
+    assert [args[0].shape for args in expm_calls] == [(16, 16, 16)]
     assert spectra == [(16, 3, 201, 2, 2)]
 
 

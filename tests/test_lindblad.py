@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -330,7 +331,7 @@ def test_evolve_expm_steps_every_grid_by_one_propagator(hams, expm_calls):
     rho0 = np.stack([_random_density(np.random.default_rng(seed))
                      for seed in (3, 4)])
     traj = evolve_expm(rho0, l_mats, 5.0, 201)
-    assert [a.shape for a in expm_calls] == [(2, 16, 16)]
+    assert [args[0].shape for args in expm_calls] == [(2, 16, 16)]
     assert np.array_equal(traj.times, times)
     expected = []
     for l_mat, rho in zip(l_mats, rho0):
@@ -343,6 +344,68 @@ def test_evolve_expm_steps_every_grid_by_one_propagator(hams, expm_calls):
         expected.append(states)
     assert np.array_equal(traj.states.view(np.uint64),
                           np.array(expected).view(np.uint64))
+
+
+def _step_propagator_cases() -> dict:
+    """The (l_stack, h) pairs _step_propagators is pinned on, by name."""
+    stack = np.stack([prepare(sc, 0.1).liouvillian for sc in catalog()])
+    cases = {f"table-h-{h:g}": (stack, h) for h in (1.0, 0.7, 13.3, 1e-3)}
+    sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
+    cases["spin-15/2"] = (prepare(sc, 0.1, 7.5).liouvillian[None], 1.0)
+    h = build_hamiltonian(OperatorSpec(name="both_symmetric"), SPINS)
+    jump = np.zeros((4, 4), dtype=complex)
+    jump[0, 1] = 1.0  # the one-way jump: an upper-triangular Liouvillian
+    for name, o in (("diagonal", _op("sz")), ("triangular", jump)):
+        cases[name] = (liouvillian_matrix(h, o, 0.1)[None], 1.0)
+    # a real generator exponentiates in real arithmetic
+    cases["real"] = (np.random.default_rng(5).normal(size=(2, 9, 9)), 0.7)
+    return cases
+
+
+STEP_CASES = _step_propagator_cases()
+
+
+@pytest.mark.parametrize("l_stack, h", STEP_CASES.values(), ids=STEP_CASES)
+def test_step_propagators_keep_the_bits_of_scipy_expm(l_stack, h):
+    # the driver runs scipy's private Pade kernels; a scipy release whose
+    # kernels or expm loop differ fails here instead of moving a byte
+    got = lindblad._step_propagators(l_stack, h)
+    want = scipy.linalg.expm(l_stack * h)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_step_propagators_bandwidths_cover_scipy_branches():
+    bands = {name: [scipy.linalg.bandwidth(l) for l in l_stack]
+             for name, (l_stack, _) in STEP_CASES.items()}
+    assert bands["diagonal"] == [(0, 0)]
+    assert bands["triangular"] == [(0, 5)]
+    assert all(all(band) for band in bands["spin-15/2"] + bands["real"])
+
+
+@pytest.mark.parametrize("gamma, projected, slabs", [(0.1, False, 5.5),
+                                                     (10.0, True, 6.5)])
+def test_evolve_expm_works_in_five_slabs_beside_its_liouvillian(
+        gamma, projected, slabs):
+    # scipy.linalg.expm(L h) at spin 15/2 keeps L h, its output, its
+    # (5, D, D) workspace and a slab per squaring: 8.2 slabs of L's size
+    # beyond the trajectory. The driver keeps the workspace alone, and a
+    # drifting system's propagator is projected in place, with one more
+    # slab for the rank-one correction (7.0 if it were projected into a
+    # copy)
+    sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
+    system = prepare(sc, gamma, 7.5)
+    l_mat = system.liouvillian
+    rho0 = probe_densities(system.basis)[0]
+    evolve_expm(rho0, l_mat, 200.0, 201)  # warms every import
+    tracemalloc.start()
+    try:
+        traj = evolve_expm(rho0, l_mat, 200.0, 201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.meta["projected"] == projected
+    assert peak - traj.states.nbytes <= slabs * l_mat.nbytes
 
 
 def test_evolve_expm_projects_a_trace_losing_propagator(monkeypatch):
