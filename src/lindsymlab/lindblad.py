@@ -103,12 +103,33 @@ def vec(rho: ComplexMatrix) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1)
 
 
+def _kron_rows(a: ComplexMatrix, b: ComplexMatrix, i: int, rows: slice,
+               out: np.ndarray) -> np.ndarray:
+    """Rows i d + rows of np.kron(a, b), written into out as
+    out[k, j, l] = a[i, j] * b[k, l] by the broadcast multiply np.kron
+    makes."""
+    return np.multiply(a[i, None, :, None], b[rows, None, :], out=out)
+
+
 def liouvillian_matrix(h: ComplexMatrix, o: ComplexMatrix,
                        gamma: float) -> ComplexMatrix:
     """Supermatrix L with vec(drho/dt) = L vec(rho), row-major convention.
 
-    Uses vec(A X B) = (A kron B^T) vec(X). The left trace vector is a zero
-    mode: vec(I)^dag L = 0, which encodes trace preservation.
+    Uses vec(A X B) = (A kron B^T) vec(X), so L is
+
+        -1j * (H kron I - I kron H^T)
+        + gamma * (2.0 * O kron O* - O^dag O kron I - I kron (O^dag O)^T).
+
+    The left trace vector is a zero mode: vec(I)^dag L = 0, which encodes
+    trace preservation.
+
+    L is assembled in place, one row block L[i d:(i + 1) d] at a time and
+    each block in two halves. Every entry of a kron term is the one
+    complex multiply a[i, j] * b[k, l] that np.kron makes, and the terms
+    are combined elementwise in the order and with the scalars above, so
+    L has the bits of that expression, signed zeros included. Beside L
+    the build holds two half blocks, each 1 / (2 d) of L, and numpy's
+    broadcast multiply buffers its two factors at the same size.
 
     Raises:
         PropagationError: the norm of L overflows, so every later norm on
@@ -116,12 +137,28 @@ def liouvillian_matrix(h: ComplexMatrix, o: ComplexMatrix,
     """
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
+    l_mat = np.empty((d * d, d * d), dtype=complex)
+    half = (d + 1) // 2
+    work = np.empty((2, half, d, d), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        odo = o.conj().T @ o
-        l_h = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        l_d = (2.0 * np.kron(o, o.conj())
-               - np.kron(odo, eye) - np.kron(eye, odo.T))
-        l_mat = l_h + gamma * l_d
+        o_conj = o.conj()
+        odo = o_conj.T @ o
+        for i, block in enumerate(l_mat.reshape(d, d, d, d)):
+            for rows in (slice(0, half), slice(half, d)):
+                out = block[rows]
+                acc, term = work[:, :len(out)]
+                _kron_rows(h, eye, i, rows, acc)
+                _kron_rows(eye, h.T, i, rows, term)
+                np.subtract(acc, term, out=acc)
+                np.multiply(-1j, acc, out=out)
+                _kron_rows(o, o_conj, i, rows, acc)
+                np.multiply(2.0, acc, out=acc)
+                _kron_rows(odo, eye, i, rows, term)
+                np.subtract(acc, term, out=acc)
+                _kron_rows(eye, odo.T, i, rows, term)
+                np.subtract(acc, term, out=acc)
+                np.multiply(gamma, acc, out=acc)
+                np.add(out, acc, out=out)
         if not np.isfinite(np.linalg.norm(l_mat)):
             raise PropagationError(
                 f"the Liouvillian at gamma={gamma:g} overflows: hamiltonian "

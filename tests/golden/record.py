@@ -67,6 +67,15 @@ def _entries() -> dict:
         entries[f"simulate-expm-both_symmetric-{name}"] = dict(
             argv=["simulate", "--config", "run.json", "--out", "out"],
             config={"hamiltonian": "both_symmetric", "coupling": coupling})
+    # amplitude damping inside the doublet, |g+><g-|, reads a known-wrong
+    # Coherence at horizon 2000: the state is mixed only in the first few
+    # units of gamma*t, between the samples 10 apart, and ends pure
+    entries["simulate-expm-both_symmetric-doublet-damping-horizon-2000"] = \
+        dict(argv=["simulate", "--config", "run.json", "--horizon", "2000",
+                   "--out", "out"],
+             config={"hamiltonian": "both_symmetric",
+                     "coupling": [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
+                                  [0, 0, 0, 0]]})
     # -Sx^2 at spin 1: T^2 = +1 maps each ground state onto its own ray
     entries["simulate-expm-minus-sx2-spin-1-sx2"] = dict(
         argv=["simulate", "--config", "run.json", "--out", "out"],

@@ -174,6 +174,71 @@ def test_liouvillian_matrix_refuses_an_overflowing_input(hams, scale, gamma):
             liouvillian_matrix(hams["tr_invariant"], o, gamma)
 
 
+def _liouvillian_reference(h, o, gamma):
+    """L as five full kron products and their sums, the expression
+    liouvillian_matrix assembles row block by row block."""
+    d = h.shape[0]
+    eye = np.eye(d, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        odo = o.conj().T @ o
+        l_h = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        l_d = (2.0 * np.kron(o, o.conj())
+               - np.kron(odo, eye) - np.kron(eye, odo.T))
+        return l_h + gamma * l_d
+
+
+def _ladder_operators(spin, op):
+    """both_symmetric's H and the named coupling at a higher spin."""
+    spins = spin_matrices(spin)
+    return (build_hamiltonian(OperatorSpec(name="both_symmetric"), spins),
+            build_coupling(OperatorSpec(name=op), spins))
+
+
+def _liouvillian_cases() -> dict:
+    """The (h, o, gamma) inputs liouvillian_matrix is pinned on, by name."""
+    cases = {}
+    for sc in catalog():
+        system = prepare(sc, 0.1)
+        cases[f"table-{sc.name}"] = (system.h, system.o, 0.1)
+    for spin in (3.5, 7.5, 11.5):
+        for op in ("sy2", "sxsy_sym", "sxsy", "sx2sz"):
+            for gamma in (0.1, 1e-10, 37.0):
+                cases[f"spin-{spin}-{op}-{gamma:g}"] = (
+                    *_ladder_operators(spin, op), gamma)
+    cases["spin-15.5-sx2sz-0.1"] = (*_ladder_operators(15.5, "sx2sz"), 0.1)
+    rng = np.random.default_rng(37)
+    h = build_hamiltonian(OperatorSpec(name="q_symmetric"), SPINS)
+    o = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    o[0, 1] = complex(-0.0, 0.0)
+    o[2, 3] = complex(0.0, -0.0)
+    for name, pair in (("random", (h, o)), ("random-negated", (-h, -o))):
+        for gamma in (0.1, 1e-300, 1e150):
+            cases[f"{name}-{gamma:g}"] = (*pair, gamma)
+    both = build_hamiltonian(OperatorSpec(name="both_symmetric"), SPINS)
+    cases["real-h"] = (both.real.copy(), _op("sxsy"), 0.1)
+    cases["gamma-0"] = (both, _op("sx2sz"), 0.0)
+    return cases
+
+
+LIOUVILLIAN_CASES = _liouvillian_cases()
+
+
+@pytest.mark.parametrize("h, o, gamma", LIOUVILLIAN_CASES.values(),
+                         ids=LIOUVILLIAN_CASES)
+def test_liouvillian_matrix_keeps_the_bits_of_the_kron_expression(h, o,
+                                                                  gamma):
+    got = liouvillian_matrix(h, o, gamma)
+    want = _liouvillian_reference(h, o, gamma)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_liouvillian_cases_carry_negative_zeros():
+    for name in ("random-0.1", "random-negated-0.1"):
+        parts = LIOUVILLIAN_CASES[name][1].view(np.float64)
+        assert (np.signbit(parts) & (parts == 0)).any()
+
+
 def test_amplitude_damping_closed_form():
     # spin-1/2 lowering channel: populations relax at rate 2*gamma,
     # coherences at rate gamma, for the factor-2 dissipator convention
@@ -406,6 +471,23 @@ def test_evolve_expm_works_in_five_slabs_beside_its_liouvillian(
         tracemalloc.stop()
     assert traj.meta["projected"] == projected
     assert peak - traj.states.nbytes <= slabs * l_mat.nbytes
+
+
+@pytest.mark.parametrize("spin", [3.5, 7.5])
+def test_liouvillian_matrix_builds_in_its_own_output(spin):
+    # five full kron products and their sums peak at 4.0 times L's size
+    # (5.1 at spin 7/2, where numpy's broadcast buffers weigh more); the
+    # row-block build at 1.35 and 1.14: L, two half blocks and the
+    # multiply's buffers
+    h, o = _ladder_operators(spin, "sx2sz")
+    liouvillian_matrix(h, o, 0.1)
+    tracemalloc.start()
+    try:
+        l_mat = liouvillian_matrix(h, o, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * l_mat.nbytes
 
 
 def test_evolve_expm_projects_a_trace_losing_propagator(monkeypatch):
