@@ -36,9 +36,8 @@ import numpy as np
 from .lindblad import (Trajectory, block_identity_test, evolve_expm,
                        evolve_rk4, liouvillian_matrix, subspace_block, vec)
 from .observables import Coherence, coherence_verdict, observe_subspace
-from .operators import (ComplexMatrix, ConfigError, OperatorSpec,
-                        build_coupling, build_hamiltonian, frob,
-                        spin_matrices)
+from .operators import (ComplexMatrix, ConfigError, build_coupling,
+                        build_hamiltonian, frob, spin_matrices)
 from .response import delta_rho
 from .spectra import ground_subspace
 from .symmetry import (Proportionality, commutes_with_antiunitary,
@@ -73,8 +72,8 @@ class SymmetryClaims:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    hamiltonian: OperatorSpec
-    coupling: OperatorSpec
+    hamiltonian: str
+    coupling: str
     expected_coherence: Coherence
     claims: SymmetryClaims
 
@@ -219,8 +218,8 @@ def catalog() -> list:
     """
     return [Scenario(
         name=f"{ham}:{op}",
-        hamiltonian=OperatorSpec(name=ham),
-        coupling=OperatorSpec(name=op),
+        hamiltonian=ham,
+        coupling=op,
         expected_coherence=(
             Coherence.COHERENT if protected(_claimed(ham), _claimed(op))
             else Coherence.DECOHERENT),
@@ -245,22 +244,23 @@ class ScenarioSystem:
         return liouvillian_matrix(self.h, self.o, self.gamma)
 
 
-def prepare(sc, gamma: float = DEFAULT_GAMMA,
-            spin: float = 1.5) -> ScenarioSystem:
-    """Build the open system of a scenario or run config at gamma.
+def prepare(sc, gamma: float = DEFAULT_GAMMA, spin: float = 1.5,
+            e_g: float = 1.0) -> ScenarioSystem:
+    """Build the open system of a scenario or run config at gamma, with
+    the Hamiltonian in the energy unit e_g.
 
-    sc is anything carrying `hamiltonian` and `coupling` OperatorSpecs: a
-    catalog Scenario or a configured run. The doublet basis is paired
-    through time reversal only when the Hamiltonian actually commutes with
-    it; the q_symmetric Hamiltonian anticommutes, and pairing there would
-    pull in excited states.
+    sc is anything carrying a `hamiltonian` and a `coupling`, each a
+    catalog name or a complex array: a catalog Scenario or a configured
+    run. The doublet basis is paired through time reversal only when the
+    Hamiltonian actually commutes with it; the q_symmetric Hamiltonian
+    anticommutes, and pairing there would pull in excited states.
 
     Raises:
-        ConfigError: invalid spin, operator spec, or pairing, or a ground
+        ConfigError: invalid spin, operator, or pairing, or a ground
             level that is not two-dimensional: every route reads a doublet.
     """
     spins = spin_matrices(spin)
-    h = build_hamiltonian(sc.hamiltonian, spins)
+    h = build_hamiltonian(sc.hamiltonian, spins, e_g)
     o = build_coupling(sc.coupling, spins)
     trev = time_reversal(spin)
     pairing = trev if commutes_with_antiunitary(h, trev) else None

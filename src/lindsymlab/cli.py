@@ -33,8 +33,8 @@ from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
                        reproduce_table)
 from .lindblad import PropagationError, evolve_expm
 from .observables import ObservationError, observe_subspace
-from .operators import (ConfigError, OperatorSpec, build_coupling,
-                        half_integer, spin_matrices)
+from .operators import (ComplexMatrix, ConfigError, build_coupling,
+                        build_hamiltonian, half_integer, spin_matrices)
 from .response import delta_rho, scaling_exponent
 
 # evolve_expm is re-exported, not called: bench/test_bench.py checks that
@@ -96,26 +96,26 @@ def _complex(value, key: str) -> complex:
     return complex(_number(pair[0], key), _number(pair[1], key))
 
 
-def _operator(value, key: str, scale: float = 1.0) -> OperatorSpec:
+def _operator(value, key: str) -> str | ComplexMatrix:
     """A catalog name, which the builders resolve, or a literal matrix
     as a square list of rows."""
     if isinstance(value, str):
-        return OperatorSpec(name=value, scale=scale)
+        return value
     if not (isinstance(value, list) and value
             and all(isinstance(row, list) and len(row) == len(value)
                     for row in value)):
         raise ConfigError(f"{key}: need a catalog name or a square list "
                           f"of rows, got {value!r}")
-    return OperatorSpec(scale=scale, matrix=np.array(
-        [[_complex(x, key) for x in row] for row in value]))
+    return np.array([[_complex(x, key) for x in row] for row in value])
 
 
 @dataclass
 class RunConfig:
     """One fully specified simulation."""
 
-    hamiltonian: OperatorSpec
-    coupling: OperatorSpec
+    hamiltonian: str | ComplexMatrix
+    coupling: str | ComplexMatrix
+    e_g: float = 1.0
     spin: float = 1.5
     gamma: float = 0.1
     t_max: float | None = None
@@ -129,9 +129,9 @@ class RunConfig:
 
 _NUMBERS = {"spin": {"positive": True}, "gamma": {"positive": True},
             "t_max": {"positive": True}, "dt": {"positive": True},
-            "n_samples": {"integer": True}}
-_KNOWN_KEYS = {*_NUMBERS, "hamiltonian", "coupling", "e_g", "integrator",
-               "alpha", "beta", "gammas"}
+            "n_samples": {"integer": True}, "e_g": {}}
+_KNOWN_KEYS = {*_NUMBERS, "hamiltonian", "coupling", "integrator", "alpha",
+               "beta", "gammas"}
 
 
 def _read(doc: dict) -> RunConfig:
@@ -145,8 +145,7 @@ def _read(doc: dict) -> RunConfig:
     if not isinstance(gammas := doc.get("gammas", []), list):
         raise ConfigError(f"gammas: expected a list, got {gammas!r}")
     cfg = RunConfig(
-        hamiltonian=_operator(doc["hamiltonian"], "hamiltonian",
-                              _number(doc.get("e_g", 1.0), "e_g")),
+        hamiltonian=_operator(doc["hamiltonian"], "hamiltonian"),
         coupling=_operator(doc["coupling"], "coupling"),
         integrator=doc.get("integrator", "expm"),
         gammas=[_number(g, f"gammas[{i}]", positive=True)
@@ -245,7 +244,7 @@ def _t_max(horizon: float, gamma: float, names: tuple) -> float:
 def _prepare_doublet(cfg: RunConfig,
                      gamma: float) -> tuple[ScenarioSystem, np.ndarray]:
     """The system prepared at gamma and the alpha/beta initial state."""
-    system = prepare(cfg, gamma, cfg.spin)
+    system = prepare(cfg, gamma, cfg.spin, cfg.e_g)
     psi0 = cfg.alpha * system.basis[:, 0] + cfg.beta * system.basis[:, 1]
     return system, np.outer(psi0, psi0.conj())
 
@@ -398,18 +397,21 @@ def cmd_classify_op(args) -> int:
     if (args.operator is None) == (args.config is None):
         raise ConfigError("give exactly one of an operator name and "
                           "--config")
+    spins = spin_matrices(1.5)
     if args.config is not None:
         cfg = load_config(args.config)
         # the quaternion group exists here only on the 4-dimensional space
         if half_integer(cfg.spin) != 1.5:
             raise ConfigError(f"spin: classify-op measures the signature at "
                               f"spin 1.5 only, got {cfg.spin!r}")
-        spec = cfg.coupling
+        # refused as simulate refuses it, in prepare's order
+        build_hamiltonian(cfg.hamiltonian, spins, cfg.e_g)
+        value = cfg.coupling
     else:
-        spec = OperatorSpec(name=args.operator)
-    claims, failing = compute_signature(
-        build_coupling(spec, spin_matrices(1.5)))
-    print(f"operator:  {spec.name or '<literal matrix>'}")
+        value = args.operator
+    claims, failing = compute_signature(build_coupling(value, spins))
+    print(f"operator:  "
+          f"{value if isinstance(value, str) else '<literal matrix>'}")
     print(f"hermitian: {'yes' if claims.hermitian else 'no'}")
     print(f"[O,T]=0:   {'yes' if claims.commutes_t else 'no'}")
     if failing:

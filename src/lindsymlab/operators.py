@@ -44,23 +44,6 @@ class SpinTriple:
         return self.sx.shape[0]
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """A named catalog operator or a literal matrix, times a real scale.
-
-    scale plays the role of the energy unit E_g for Hamiltonians and is an
-    ordinary prefactor for coupling operators (default 1).
-    """
-
-    name: str | None = None
-    matrix: ComplexMatrix | None = None
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if (self.name is None) == (self.matrix is None):
-            raise ValueError("OperatorSpec needs exactly one of name or matrix")
-
-
 def half_integer(s: float) -> float | None:
     """The spin round(2s)/2 that s stands for, or None unless 2s lies
     within 1e-12 of a positive integer."""
@@ -138,59 +121,45 @@ _COUPLINGS = {
     "sx2sz": lambda t: t.sx @ t.sx @ t.sz,
 }
 
-# Per builder key: its catalog, what a name from the other catalog names,
-# and its overflow refusal.
+# Per builder key: its catalog, and what a name from the other catalog
+# names.
 _KINDS = {
-    "hamiltonian": (_HAMILTONIANS, "a coupling operator, not a Hamiltonian",
-                    "its Frobenius norm times e_g overflows"),
-    "coupling": (_COUPLINGS, "a Hamiltonian, not a coupling operator",
-                 "its Frobenius norm overflows"),
+    "hamiltonian": (_HAMILTONIANS, "a coupling operator, not a Hamiltonian"),
+    "coupling": (_COUPLINGS, "a Hamiltonian, not a coupling operator"),
 }
 
 
-def _resolve(spec: OperatorSpec, spins: SpinTriple, key: str) -> ComplexMatrix:
-    """spec's unscaled matrix, refused under key: a literal that is not
-    d x d at spins' spin, a name that is not in key's catalog exactly as
-    listed, or a Frobenius norm times spec.scale that overflows."""
-    catalog, other, overflow = _KINDS[key]
-    if spec.matrix is not None:
-        a = np.asarray(spec.matrix, dtype=complex)
+def _resolve(value: str | ComplexMatrix, spins: SpinTriple,
+             key: str) -> ComplexMatrix:
+    """The matrix of value, a catalog name or a complex array, refused
+    under key: a literal that is not d x d at spins' spin, or a name that
+    is not in key's catalog exactly as listed."""
+    catalog, other = _KINDS[key]
+    if not isinstance(value, str):
+        a = np.asarray(value, dtype=complex)
         if a.shape != spins.sz.shape:
             raise ConfigError(f"{key}: need a {spins.dim}x{spins.dim} "
                               f"matrix at spin {(spins.dim - 1) / 2:g}, got "
                               f"shape {a.shape}")
-    elif spec.name in catalog:
-        a = catalog[spec.name](spins)
-    elif spec.name in _HAMILTONIANS or spec.name in _COUPLINGS:
-        raise ConfigError(f"{key}: {spec.name!r} names {other}")
-    else:
-        known = ", ".join(sorted((*_COUPLINGS, *_HAMILTONIANS)))
-        raise ConfigError(f"{key}: unknown operator name {spec.name!r}; "
-                          f"known names: {known}")
-    # checked before the product, which would overflow with a numpy
-    # warning, and before any test compares norms: inf <= inf would pass
-    # every symmetry test
-    if not abs(spec.scale) * frob(a) < math.inf:
-        raise ConfigError(f"{key}: {overflow}")
-    return a
+        return a
+    if value in catalog:
+        return catalog[value](spins)
+    if value in _HAMILTONIANS or value in _COUPLINGS:
+        raise ConfigError(f"{key}: {value!r} names {other}")
+    known = ", ".join(sorted((*_COUPLINGS, *_HAMILTONIANS)))
+    raise ConfigError(f"{key}: unknown operator name {value!r}; "
+                      f"known names: {known}")
 
 
-def _scaled(a: ComplexMatrix, scale: float, key: str) -> ComplexMatrix:
-    """scale * a as a fresh array, refused under key if its Frobenius norm
-    overflows: the norm squares the scaled entries."""
-    a = scale * a
-    if not frob(a) < math.inf:
-        raise ConfigError(f"{key}: {_KINDS[key][2]}")
-    return a
-
-
-def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
-    """Resolve a Hamiltonian spec to a Hermitian matrix scaled by E_g.
+def build_hamiltonian(value: str | ComplexMatrix, spins: SpinTriple,
+                      e_g: float = 1.0) -> ComplexMatrix:
+    """Resolve a Hamiltonian to a Hermitian matrix scaled by E_g.
 
     Args:
-        spec: one of the named Hamiltonians (q_symmetric, tr_invariant,
-            both_symmetric) or a literal Hermitian matrix; spec.scale is E_g.
+        value: one of the named Hamiltonians (q_symmetric, tr_invariant,
+            both_symmetric) or a literal Hermitian matrix.
         spins: spin matrices of the working dimension.
+        e_g: the energy unit E_g, which multiplies the matrix.
 
     Raises:
         ConfigError: unknown name, a coupling's name, a literal that is
@@ -201,8 +170,14 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
             every later stage reads. A named H passes, with room to spare,
             so only a literal is ever refused.
     """
-    h = _scaled(_resolve(spec, spins, "hamiltonian"), spec.scale,
-                "hamiltonian")
+    a = _resolve(value, spins, "hamiltonian")
+    # checked before the product, which would overflow with a numpy
+    # warning, and after it, since the norm squares the scaled entries;
+    # both before any test compares norms: inf <= inf would pass every
+    # symmetry test
+    if not (abs(e_g) * frob(a) < math.inf and frob(h := e_g * a) < math.inf):
+        raise ConfigError("hamiltonian: its Frobenius norm times e_g "
+                          "overflows")
     # a finite norm bounds every entry, so h - h^dag cannot overflow; the
     # bound is relative, so e_g cannot move an H across it
     if frob(h - h.conj().T) > 1e-12 * frob(h):
@@ -210,12 +185,20 @@ def build_hamiltonian(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
     return h
 
 
-def build_coupling(spec: OperatorSpec, spins: SpinTriple) -> ComplexMatrix:
-    """Resolve a coupling spec to its matrix; hermiticity is never assumed.
+def build_coupling(value: str | ComplexMatrix,
+                   spins: SpinTriple) -> ComplexMatrix:
+    """Resolve a coupling to its matrix; hermiticity is never assumed.
+
+    The matrix is not copied: `sz` and `sx` come back as the cached,
+    read-only spin_matrices arrays, and a complex literal as the caller's
+    own array. No stage writes into a coupling.
 
     Raises:
         ConfigError: unknown name, a Hamiltonian's name, a literal matrix
-            that is not d x d, or a matrix whose Frobenius norm overflows,
-            before or after its scale.
+            that is not d x d, or a matrix whose Frobenius norm overflows:
+            every symmetry test compares norms, and inf <= inf passes.
     """
-    return _scaled(_resolve(spec, spins, "coupling"), spec.scale, "coupling")
+    o = _resolve(value, spins, "coupling")
+    if not frob(o) < math.inf:
+        raise ConfigError("coupling: its Frobenius norm overflows")
+    return o

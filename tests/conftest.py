@@ -27,7 +27,7 @@ def trev():
 @pytest.fixture(scope="session")
 def hams(spins):
     return {
-        name: operators.build_hamiltonian(operators.OperatorSpec(name=name), spins)
+        name: operators.build_hamiltonian(name, spins)
         for name in ("q_symmetric", "tr_invariant", "both_symmetric")
     }
 

@@ -15,7 +15,7 @@ from lindsymlab.classify import (catalog, prepare, probe_densities,
 from lindsymlab.lindblad import (evolve_expm, evolve_rk4, default_dt,
                                  liouvillian_matrix, rhs, rhs_operators, vec)
 from lindsymlab.observables import Coherence
-from lindsymlab.operators import OperatorSpec, build_hamiltonian, spin_matrices
+from lindsymlab.operators import build_hamiltonian, spin_matrices
 from lindsymlab.response import delta_rho, scaling_exponent
 from lindsymlab.spectra import ground_subspace
 from lindsymlab.symmetry import (commutes_with_antiunitary, quaternion_group,
@@ -211,7 +211,7 @@ def test_ac09_kramers_suite():
     trev = time_reversal(1.5)
     dims = {}
     for name in ("q_symmetric", "tr_invariant", "both_symmetric"):
-        h = build_hamiltonian(OperatorSpec(name=name), spin_matrices(1.5))
+        h = build_hamiltonian(name, spin_matrices(1.5))
         vals = np.linalg.eigvalsh(h)
         spread = max(vals[-1] - vals[0], 1e-300)
         splits = np.nonzero(np.diff(vals) > 1e-9 * spread)[0]

@@ -14,7 +14,7 @@ from lindsymlab.classify import (Scenario, SymmetryClaims, Verdict,
 from lindsymlab.lindblad import vec
 from lindsymlab.observables import (Coherence, coherence_verdict,
                                     observe_subspace)
-from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
+from lindsymlab.operators import build_coupling, spin_matrices
 from lindsymlab.symmetry import schur_test
 
 
@@ -48,8 +48,7 @@ def test_compute_signature_spot_checks():
     }
     spins = spin_matrices(1.5)
     for name, (want, fails_on) in cases.items():
-        claims, failing = compute_signature(
-            build_coupling(OperatorSpec(name=name), spins))
+        claims, failing = compute_signature(build_coupling(name, spins))
         assert claims == SymmetryClaims(*want), name
         assert failing == fails_on, name
 
@@ -73,15 +72,14 @@ def test_prepare_selects_pairing_by_time_reversal_symmetry(scenarios, trev):
 
 
 @pytest.mark.parametrize("hamiltonian, spin, dim", [
-    pytest.param(OperatorSpec(name="both_symmetric"), 1.0, 1, id="spin-1"),
-    pytest.param(OperatorSpec(matrix=np.eye(4)), 1.5, 4, id="identity")])
+    pytest.param("both_symmetric", 1.0, 1, id="spin-1"),
+    pytest.param(np.eye(4), 1.5, 4, id="identity")])
 def test_prepare_refuses_a_ground_level_that_is_not_a_doublet(hamiltonian,
                                                               spin, dim):
     # every route reads a two-column basis; a one-dimensional level has no
     # probes, and under H = I the whole space would pose as the doublet
     sc = Scenario(name="not_a_doublet", hamiltonian=hamiltonian,
-                  coupling=OperatorSpec(name="sx2"),
-                  expected_coherence=Coherence.COHERENT,
+                  coupling="sx2", expected_coherence=Coherence.COHERENT,
                   claims=SymmetryClaims(True, True, True, True))
     message = f"has dimension {dim}, need a doublet"
     with pytest.raises(ValueError, match=message):

@@ -925,6 +925,29 @@ def test_classify_op_errors(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, name="both.json", coupling="sx2")
     assert main(["classify-op", "sxsy", "--config", cfg]) == 2
     assert capsys.readouterr() == ("", usage)
+    # the config's Hamiltonian is built, at its e_g, before the coupling
+    # and refused as simulate refuses it
+    known = ("known names: both_symmetric, i_sxsysz_asym, i_sxsysz_sym, "
+             "isz, q_symmetric, sx, sx2, sx2sz, sxsy, sxsy_sym, sxsysz, "
+             "sxsysz_sym, sy2, sysz, sz, tr_invariant")
+    for hamiltonian, e_g, message in [
+            ("nope", None, f"unknown operator name 'nope'; {known}"),
+            ("sx", None, "'sx' names a coupling operator, not a Hamiltonian"),
+            ([[2.25, 1, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0],
+              [0, 0, 0, 2.25]], None, "literal Hamiltonian must be Hermitian"),
+            ([[1, 0], [0, 1]], None,
+             "need a 4x4 matrix at spin 1.5, got shape (2, 2)"),
+            ("nonsense", 1e300, f"unknown operator name 'nonsense'; {known}"),
+            ("both_symmetric", 1e300,
+             "its Frobenius norm times e_g overflows")]:
+        cfg = _write_cfg(tmp_path, name="hamiltonian.json",
+                         hamiltonian=hamiltonian, coupling="sz", e_g=e_g)
+        err = f"error: hamiltonian: {message}\n"
+        assert main(["classify-op", "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", err)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize("coupling", [

@@ -18,7 +18,7 @@ import re
 
 import pytest
 
-from golden.record import ENTRIES, load, run, texts
+from golden.record import CORPUS, ENTRIES, load, run, texts
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -82,3 +82,9 @@ def test_assert_close_holds_words_exactly_and_numbers_within_tolerance(
     else:
         with pytest.raises(AssertionError):
             assert_close(got, want, "label")
+
+
+def test_the_readme_states_the_corpus_size():
+    readme = (CORPUS.parent.parent / "README.md").read_text()
+    stated = re.findall(r"a fixed list of (\d+) CLI\s+runs", readme)
+    assert stated == [str(len(list(CORPUS.glob("*.json"))))]

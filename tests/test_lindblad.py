@@ -16,8 +16,8 @@ from lindsymlab.lindblad import (RK4_MAX_STEPS, PropagationError,
                                  default_dt, evolve_expm, evolve_rk4,
                                  liouvillian_matrix, rhs, rhs_operators,
                                  subspace_block, vec)
-from lindsymlab.operators import (OperatorSpec, build_coupling,
-                                  build_hamiltonian, spin_matrices)
+from lindsymlab.operators import (build_coupling, build_hamiltonian,
+                                  spin_matrices)
 from lindsymlab.spectra import ground_subspace
 from lindsymlab.symmetry import DEFAULT_TOL, schur_test
 
@@ -26,7 +26,7 @@ SPINS = spin_matrices(1.5)
 
 
 def _op(name):
-    return build_coupling(OperatorSpec(name=name), SPINS)
+    return build_coupling(name, SPINS)
 
 
 def _random_density(rng, dim=4):
@@ -190,8 +190,8 @@ def _liouvillian_reference(h, o, gamma):
 def _ladder_operators(spin, op):
     """both_symmetric's H and the named coupling at a higher spin."""
     spins = spin_matrices(spin)
-    return (build_hamiltonian(OperatorSpec(name="both_symmetric"), spins),
-            build_coupling(OperatorSpec(name=op), spins))
+    return (build_hamiltonian("both_symmetric", spins),
+            build_coupling(op, spins))
 
 
 def _liouvillian_cases() -> dict:
@@ -207,14 +207,14 @@ def _liouvillian_cases() -> dict:
                     *_ladder_operators(spin, op), gamma)
     cases["spin-15.5-sx2sz-0.1"] = (*_ladder_operators(15.5, "sx2sz"), 0.1)
     rng = np.random.default_rng(37)
-    h = build_hamiltonian(OperatorSpec(name="q_symmetric"), SPINS)
+    h = build_hamiltonian("q_symmetric", SPINS)
     o = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     o[0, 1] = complex(-0.0, 0.0)
     o[2, 3] = complex(0.0, -0.0)
     for name, pair in (("random", (h, o)), ("random-negated", (-h, -o))):
         for gamma in (0.1, 1e-300, 1e150):
             cases[f"{name}-{gamma:g}"] = (*pair, gamma)
-    both = build_hamiltonian(OperatorSpec(name="both_symmetric"), SPINS)
+    both = build_hamiltonian("both_symmetric", SPINS)
     cases["real-h"] = (both.real.copy(), _op("sxsy"), 0.1)
     cases["gamma-0"] = (both, _op("sx2sz"), 0.0)
     return cases
@@ -417,7 +417,7 @@ def _step_propagator_cases() -> dict:
     cases = {f"table-h-{h:g}": (stack, h) for h in (1.0, 0.7, 13.3, 1e-3)}
     sc = {sc.name: sc for sc in catalog()}["both_symmetric:sx2sz"]
     cases["spin-15/2"] = (prepare(sc, 0.1, 7.5).liouvillian[None], 1.0)
-    h = build_hamiltonian(OperatorSpec(name="both_symmetric"), SPINS)
+    h = build_hamiltonian("both_symmetric", SPINS)
     jump = np.zeros((4, 4), dtype=complex)
     jump[0, 1] = 1.0  # the one-way jump: an upper-triangular Liouvillian
     for name, o in (("diagonal", _op("sz")), ("triangular", jump)):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lindsymlab import operators
-from lindsymlab.operators import (ConfigError, OperatorSpec, build_coupling,
+from lindsymlab.operators import (ConfigError, build_coupling,
                                   build_hamiltonian, frob, spin_matrices)
 from lindsymlab.spectra import eigh
 
@@ -17,8 +17,7 @@ HAMILTONIANS = ("q_symmetric", "tr_invariant", "both_symmetric")
 def _known_names() -> set:
     """The catalog names an unknown name's error message lists."""
     with pytest.raises(ValueError, match="known names: ") as info:
-        build_coupling(OperatorSpec(name="not-an-operator"),
-                       spin_matrices(1.5))
+        build_coupling("not-an-operator", spin_matrices(1.5))
     return set(str(info.value).split("known names: ")[1].split(", "))
 
 
@@ -73,29 +72,28 @@ def test_dimension_cap():
 
 
 def test_hamiltonian_spectra(spins):
-    h_q = build_hamiltonian(OperatorSpec(name="q_symmetric"), spins)
+    h_q = build_hamiltonian("q_symmetric", spins)
     assert np.allclose(np.linalg.eigvalsh(h_q),
                        [-RT3 / 2, -RT3 / 2, RT3 / 2, RT3 / 2])
-    h_tr = build_hamiltonian(OperatorSpec(name="tr_invariant"), spins)
+    h_tr = build_hamiltonian("tr_invariant", spins)
     assert np.allclose(np.linalg.eigvalsh(h_tr), [-RT3, -RT3, RT3, RT3])
-    h_b = build_hamiltonian(OperatorSpec(name="both_symmetric"), spins)
+    h_b = build_hamiltonian("both_symmetric", spins)
     assert np.allclose(np.linalg.eigvalsh(h_b), [0.25, 0.25, 2.25, 2.25])
 
 
 def test_hamiltonian_scale_is_energy_unit(spins):
-    h1 = build_hamiltonian(OperatorSpec(name="tr_invariant"), spins)
-    h3 = build_hamiltonian(OperatorSpec(name="tr_invariant", scale=3.0), spins)
+    h1 = build_hamiltonian("tr_invariant", spins)
+    h3 = build_hamiltonian("tr_invariant", spins, e_g=3.0)
     assert np.allclose(h3, 3.0 * h1)
 
 
 def test_literal_hamiltonian_must_be_hermitian(spins):
     good = np.diag([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(
-        build_hamiltonian(OperatorSpec(matrix=good), spins), good)
+    assert np.allclose(build_hamiltonian(good, spins), good)
     bad = np.zeros((4, 4))
     bad[0, 1] = 1.0  # not symmetric
     with pytest.raises(ValueError):
-        build_hamiltonian(OperatorSpec(matrix=bad), spins)
+        build_hamiltonian(bad, spins)
     # the bound is 1e-12 of the scaled H's norm, so e_g moves no literal
     # across it: 1e-13i on 1e-6 Sz^2 is refused at every scale, and 1e-15i
     # on Sz^2 passes spectra.eigh's gate at every scale
@@ -103,26 +101,29 @@ def test_literal_hamiltonian_must_be_hermitian(spins):
     a[0, 1] += 1e-13j
     near = spins.sz @ spins.sz
     near[0, 1] += 1e-15j
-    for scale in (1e-13, 1.0, 1e6):
-        eigh(build_hamiltonian(OperatorSpec(matrix=near, scale=scale), spins))
+    for e_g in (1e-13, 1.0, 1e6):
+        eigh(build_hamiltonian(near, spins, e_g))
         with pytest.raises(ConfigError, match="^hamiltonian: literal "
                                               "Hamiltonian must be "
                                               "Hermitian$"):
-            build_hamiltonian(OperatorSpec(matrix=a, scale=scale), spins)
+            build_hamiltonian(a, spins, e_g)
 
 
 def test_literal_coupling_not_required_hermitian(spins):
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
-    o = build_coupling(OperatorSpec(matrix=bad, scale=2.0), spins)
-    assert np.allclose(o, 2.0 * bad)
+    assert np.array_equal(build_coupling(bad, spins), bad)
 
 
-def test_operator_spec_needs_exactly_one_source():
-    with pytest.raises(ValueError):
-        OperatorSpec()
-    with pytest.raises(ValueError):
-        OperatorSpec(name="sx", matrix=np.eye(4))
+def test_a_coupling_is_not_copied(spins):
+    # no stage writes into a coupling, so the builder hands back the
+    # cached, read-only spin matrix or the caller's own complex array
+    for name in ("sz", "sx"):
+        o = build_coupling(name, spins)
+        assert o is getattr(spins, name)
+        assert not o.flags.writeable
+    literal = np.eye(4, dtype=complex)
+    assert build_coupling(literal, spins) is literal
 
 
 @pytest.mark.parametrize("build, name", [
@@ -136,7 +137,7 @@ def test_operator_spec_needs_exactly_one_source():
 def test_a_name_is_taken_exactly_as_the_catalog_lists_it(spins, build, name):
     key = build.__name__.removeprefix("build_")
     with pytest.raises(ConfigError) as info:
-        build(OperatorSpec(name=name), spins)
+        build(name, spins)
     assert str(info.value).startswith(
         f"{key}: unknown operator name {name!r}; known names: ")
 
@@ -148,7 +149,7 @@ def test_every_named_hamiltonian_passes_the_hermiticity_test(name, spin):
     # spare at any e_g, since the bound is relative
     spins = spin_matrices(spin)
     for e_g in (1e-300, 1e-13, 1.0, 1e6, 1e100, -3.0):
-        h = build_hamiltonian(OperatorSpec(name=name, scale=e_g), spins)
+        h = build_hamiltonian(name, spins, e_g)
         assert frob(h - h.conj().T) <= 1e-14 * frob(h), (e_g, spin)
 
 
@@ -158,20 +159,19 @@ def test_name_catalogs_are_disjoint_and_complete(spins):
     assert set(HAMILTONIANS) <= known
     # each name builds in its own catalog only
     for name in known:
-        spec = OperatorSpec(name=name)
         own, other = ((build_hamiltonian, build_coupling)
                       if name in HAMILTONIANS
                       else (build_coupling, build_hamiltonian))
-        assert own(spec, spins).shape == (4, 4)
+        assert own(name, spins).shape == (4, 4)
         with pytest.raises(ValueError):
-            other(spec, spins)
+            other(name, spins)
 
 
 def test_cross_category_names_rejected(spins):
     with pytest.raises(ValueError):
-        build_hamiltonian(OperatorSpec(name="sx2"), spins)
+        build_hamiltonian("sx2", spins)
     with pytest.raises(ValueError):
-        build_coupling(OperatorSpec(name="tr_invariant"), spins)
+        build_coupling("tr_invariant", spins)
 
 
 def test_named_couplings_match_their_products(spins):
@@ -193,62 +193,50 @@ def test_named_couplings_match_their_products(spins):
     }
     assert set(expected) == _known_names() - set(HAMILTONIANS)
     for name, mat in expected.items():
-        built = build_coupling(OperatorSpec(name=name), spins)
+        built = build_coupling(name, spins)
         assert np.allclose(built, mat, atol=1e-15), name
 
 
 def test_anticommuting_pair_value(spins):
     # {Sx, Sz} for spin 3/2 is the tr_invariant Hamiltonian at scale 1
-    h = build_hamiltonian(OperatorSpec(name="tr_invariant"), spins)
+    h = build_hamiltonian("tr_invariant", spins)
     assert np.allclose(h, spins.sx @ spins.sz + spins.sz @ spins.sx,
                        atol=1e-15)
 
 
-def _literal(matrix, scale):
-    return OperatorSpec(matrix=np.array(matrix, complex), scale=scale)
-
-
-@pytest.mark.parametrize("spec", [
-    _literal([[1e200, 0, 0, 0], [0, 1e200, 0, 0], [0, 0, 0, 0],
-              [0, 0, 0, 1]], 1e200),
-    _literal([[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
-             1.0),
-    _literal([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
-             1e308),
-    _literal([[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
-             -1.0),
-    _literal([[1e200, 0, 0, 0], [0, 1e200, 0, 0], [0, 0, 0, 0],
-              [0, 0, 0, 1]], -1e200),
-    _literal(np.diag([0, 0, 1e153, 1e153]), 1e100),
-    OperatorSpec(name="both_symmetric", scale=1e300),
-    OperatorSpec(name="both_symmetric", scale=-1e300),
+@pytest.mark.parametrize("value, e_g", [
+    (np.diag([1e200, 1e200, 0, 1]), 1e200),
+    ([[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], 1.0),
+    (np.diag([2, 2, 0, 1]), 1e308),
+    ([[0, 1e200, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], -1.0),
+    (np.diag([1e200, 1e200, 0, 1]), -1e200),
+    (np.diag([0, 0, 1e153, 1e153]), 1e100),
+    ("both_symmetric", 1e300),
+    ("both_symmetric", -1e300),
 ], ids=["scaled-1e200", "non-hermitian-1e200", "e_g-1e308",
         "non-hermitian-1e200-e_g-minus-1", "scaled-minus-1e200",
         "norm-after-e_g", "named-e_g-1e300", "named-e_g-minus-1e300"])
-def test_a_hamiltonian_whose_norm_overflows_is_refused_quietly(spins, spec):
+def test_a_hamiltonian_whose_norm_overflows_is_refused_quietly(spins, value,
+                                                               e_g):
     # refused before the product and before the Hermiticity test, whose
     # inf > inf would pass a non-Hermitian matrix, and after the product,
     # whose entries can be finite while their squares overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^hamiltonian: .* e_g"):
-            build_hamiltonian(spec, spins)
+            build_hamiltonian(value, spins, e_g)
 
 
-@pytest.mark.parametrize("spec", [
-    OperatorSpec(matrix=np.diag([1e200, 0, 0, 1]).astype(complex),
-                 scale=1e200),
-    OperatorSpec(matrix=np.diag([1e200, 0, 0, 1]).astype(complex),
-                 scale=-1e200),
-    OperatorSpec(name="sz", scale=1e200),
-    OperatorSpec(name="sz", scale=-1e200),
-], ids=["matrix-times-scale", "matrix-times-minus-scale", "norm-after-scale",
-        "norm-after-minus-scale"])
-def test_a_coupling_whose_norm_overflows_is_refused_quietly(spins, spec):
+@pytest.mark.parametrize("diagonal", [
+    [1e200, 0, 0, 1],
+    # finite entries, each square finite, whose sum of squares overflows
+    [1.34e154, 1.34e154, 0, 1],
+], ids=["entry-1e200", "entries-1.34e154"])
+def test_a_coupling_whose_norm_overflows_is_refused_quietly(spins, diagonal):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^coupling: "):
-            build_coupling(spec, spins)
+            build_coupling(np.diag(diagonal).astype(complex), spins)
 
 
 def test_spin_matrices_are_built_once_and_read_only():

@@ -13,8 +13,7 @@ from lindsymlab.classify import (Scenario, SymmetryClaims, _claimed,
                                  compute_signature, doublet_block, prepare,
                                  protected, run_scenario)
 from lindsymlab.observables import Coherence
-from lindsymlab.operators import (OperatorSpec, build_coupling,
-                                  build_hamiltonian)
+from lindsymlab.operators import build_coupling, build_hamiltonian
 from lindsymlab.symmetry import (commutes_with_antiunitary, is_hermitian,
                                  time_reversal)
 
@@ -77,8 +76,8 @@ def _draw(rng, claims, trev, group):
 def _scenario(ham, o, claims):
     """A random draw as a Scenario whose expected verdict is the rule's."""
     coherent = protected(_claimed(ham), claims)
-    return Scenario(name=f"{ham}:random", hamiltonian=OperatorSpec(name=ham),
-                    coupling=OperatorSpec(matrix=o), claims=claims,
+    return Scenario(name=f"{ham}:random", hamiltonian=ham, coupling=o,
+                    claims=claims,
                     expected_coherence=(Coherence.COHERENT if coherent
                                         else Coherence.DECOHERENT))
 
@@ -151,25 +150,23 @@ def test_the_rows_keep_their_verdicts_under_what_the_generator_does_not_see(
         scenarios, spins, hams):
     # each transformation leaves every route's verdict and the rule's as
     # they are on the catalog row: a phase of O; H, gamma and t to cH, c
-    # gamma and t/c through e_g; and a spin rotation of H and O, on the
+    # gamma and t/c through e_g, as the literal H that build_hamiltonian
+    # scales by e_g = c; and a spin rotation of H and O, on the
     # tr_invariant rows only, since T commutes with rotations and Q8 does
     # not
     rows = sorted(scenarios.values(), key=lambda sc: sc.name)
     couplings = {sc.name: build_coupling(sc.coupling, spins) for sc in rows}
     r = _rotation(spins, (0.3, -1.1, 0.7))
 
-    def spec(matrix):
-        return OperatorSpec(matrix=matrix)
-
     cases = [(f"phase {phi:g}", 0.1, [dataclasses.replace(
-        sc, coupling=spec(np.exp(1j * phi) * couplings[sc.name]))
+        sc, coupling=np.exp(1j * phi) * couplings[sc.name])
         for sc in rows]) for phi in (0.3, np.pi / 2, 2.0, np.pi)]
     cases += [(f"e_g {c:g}", 0.1 * c, [dataclasses.replace(
-        sc, hamiltonian=OperatorSpec(name=sc.hamiltonian.name, scale=c))
+        sc, hamiltonian=build_hamiltonian(sc.hamiltonian, spins, e_g=c))
         for sc in rows]) for c in (1e-2, 10.0)]
     cases.append(("rotation", 0.1, [dataclasses.replace(
-        sc, hamiltonian=spec(r @ hams[sc.hamiltonian.name] @ r.conj().T),
-        coupling=spec(r @ couplings[sc.name] @ r.conj().T))
+        sc, hamiltonian=r @ hams[sc.hamiltonian] @ r.conj().T,
+        coupling=r @ couplings[sc.name] @ r.conj().T)
         for sc in rows if sc.name.startswith("tr_invariant:")]))
     for label, gamma, transformed in cases:
         for sc, v in zip(transformed, run_scenario(transformed, gamma)):
@@ -198,9 +195,8 @@ def test_time_reversal_protects_hermitian_couplings_beyond_spin_3_2():
                 o = (o + o.conj().T) / 2
             assert commutes_with_antiunitary(o, trev)
             assert is_hermitian(o) == hermitian
-            system = prepare(SimpleNamespace(
-                hamiltonian=OperatorSpec(name=ham),
-                coupling=OperatorSpec(matrix=o)), spin=spin)
+            system = prepare(SimpleNamespace(hamiltonian=ham, coupling=o),
+                             spin=spin)
             assert system.basis.shape[1] == 2
             if doublet_block(system).proportional != hermitian:
                 wrong.append((spin, ham, hermitian))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lindsymlab.lindblad import evolve_expm, liouvillian_matrix
-from lindsymlab.operators import OperatorSpec, build_coupling, spin_matrices
+from lindsymlab.operators import build_coupling, spin_matrices
 from lindsymlab.response import (delta_rho, interaction_picture,
                                  scaling_exponent)
 from lindsymlab.spectra import ground_subspace
@@ -12,7 +12,7 @@ SPINS = spin_matrices(1.5)
 
 
 def _op(name):
-    return build_coupling(OperatorSpec(name=name), SPINS)
+    return build_coupling(name, SPINS)
 
 
 def _density(seed, dim=4):
