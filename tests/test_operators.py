@@ -229,9 +229,12 @@ def test_a_hamiltonian_whose_norm_overflows_is_refused_quietly(spins, value,
 
 @pytest.mark.parametrize("diagonal", [
     [1e200, 0, 0, 1],
+    [-1e200, 0, 0, 1],
     # finite entries, each square finite, whose sum of squares overflows
     [1.34e154, 1.34e154, 0, 1],
-], ids=["entry-1e200", "entries-1.34e154"])
+    [-1.34e154, -1.34e154, 0, 1],
+], ids=["entry-1e200", "entry-minus-1e200", "entries-1.34e154",
+        "entries-minus-1.34e154"])
 def test_a_coupling_whose_norm_overflows_is_refused_quietly(spins, diagonal):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
