@@ -174,15 +174,16 @@ def compute_signature(o: ComplexMatrix) -> tuple[SymmetryClaims, tuple]:
     """Measure (hermiticity, [O,T]=0, [O,Q]=0 for all Q, the T clause up to
     a phase) of an operator.
 
-    Q runs over the quaternion group and T is the spin-3/2 time reversal,
-    both on the spin-3/2 space, the only one Q8 is built on; so o is 4x4.
+    Q runs over the quaternion group and T is time reversal, both at the
+    spin of o's dimension (an integer spin is a ConfigError under `spin`).
     If o = e^{i phi} A with A Hermitian, tr(o^2) = e^{2i phi} ||A||_F^2,
     so phi = arg(tr o^2) / 2 up to a sign that flips A alone; the T clause
     tests that A. Also returns the labels of the elements Q with
     [O,Q] != 0, in group order.
     """
-    group = quaternion_group()
-    trev = time_reversal(1.5)
+    spin = (o.shape[0] - 1) / 2
+    group = quaternion_group(spin)
+    trev = time_reversal(spin)
     failing = tuple(label for label, q in zip(group.labels, group.elements)
                     if not commutes_with_unitary(o, q))
     a = o * np.exp(-0.5j * np.angle(np.trace(o @ o)))
@@ -202,9 +203,12 @@ def protected(h: SymmetryClaims, o: SymmetryClaims) -> bool:
     acting irreducibly on the doublet (both commute with the quaternion
     group, O need not be Hermitian), or share the anti-unitary time
     reversal T with O Hermitian, up to a phase of O, which the Lindblad
-    generator does not see. The dynamics bear the rule out on the
-    spin-3/2 table; at higher spin a T-protected coupling can still
-    decohere the doublet.
+    generator does not see. The unitary clause holds at every
+    half-integer spin: the group acts there as its 2-dimensional irrep
+    times a multiplicity space, on which alone H, O and so the generator
+    act (Schur's lemma). The T clause holds on the spin-3/2 table, but at
+    spins 5/2 and 7/2 Hermitian T-even couplings under tr_invariant
+    decohere the doublet while the other three routes say coherent.
     """
     return ((h.commutes_q and o.commutes_q)
             or (h.commutes_t and o.hermitian_t_even_up_to_phase))
@@ -257,7 +261,8 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA, spin: float = 1.5,
 
     Raises:
         ConfigError: invalid spin, operator, or pairing, or a ground
-            level that is not two-dimensional: every route reads a doublet.
+            level that is not two-dimensional: every route reads a doublet
+            (naming e_g too when it is not 1: 0 makes every level one).
     """
     spins = spin_matrices(spin)
     h = build_hamiltonian(sc.hamiltonian, spins, e_g)
@@ -266,8 +271,10 @@ def prepare(sc, gamma: float = DEFAULT_GAMMA, spin: float = 1.5,
     pairing = trev if commutes_with_antiunitary(h, trev) else None
     basis = ground_subspace(h, pairing=pairing)
     if basis.shape[1] != 2:
-        raise ConfigError(f"hamiltonian: its ground level at spin {spin:g} "
-                         f"has dimension {basis.shape[1]}, need a doublet")
+        scaled = "" if e_g == 1 else f" and e_g {e_g!r}"
+        raise ConfigError(f"hamiltonian: its ground level at spin {spin:g}"
+                          f"{scaled} has dimension {basis.shape[1]}, need "
+                          f"a doublet")
     return ScenarioSystem(h=h, o=o, basis=basis, gamma=gamma)
 
 

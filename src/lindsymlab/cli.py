@@ -5,7 +5,7 @@ Subcommands:
   table        the 16-row classification -> text + JSON, exit 0 iff 16/16
   sweep        repeat a run over several gammas, fit the first-order
                discrepancy exponent -> CSV + JSON summary
-  classify-op  print the spin-3/2 symmetry signature of a coupling operator
+  classify-op  print the symmetry signature of a coupling operator
 
 Configs are single JSON documents; an operator is a catalog name or a
 literal matrix as a list of rows, each entry a number or an [re, im]
@@ -34,7 +34,7 @@ from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
 from .lindblad import PropagationError, evolve_expm
 from .observables import ObservationError, observe_subspace
 from .operators import (ComplexMatrix, ConfigError, build_coupling,
-                        build_hamiltonian, half_integer, spin_matrices)
+                        spin_matrices)
 from .response import delta_rho, scaling_exponent
 
 # evolve_expm is re-exported, not called: bench/test_bench.py checks that
@@ -397,19 +397,15 @@ def cmd_classify_op(args) -> int:
     if (args.operator is None) == (args.config is None):
         raise ConfigError("give exactly one of an operator name and "
                           "--config")
-    spins = spin_matrices(1.5)
     if args.config is not None:
         cfg = load_config(args.config)
-        # the quaternion group exists here only on the 4-dimensional space
-        if half_integer(cfg.spin) != 1.5:
-            raise ConfigError(f"spin: classify-op measures the signature at "
-                              f"spin 1.5 only, got {cfg.spin!r}")
-        # refused as simulate refuses it, in prepare's order
-        build_hamiltonian(cfg.hamiltonian, spins, cfg.e_g)
         value = cfg.coupling
+        # prepared, and so refused, as simulate prepares it
+        o = prepare(cfg, cfg.gamma, cfg.spin, cfg.e_g).o
     else:
         value = args.operator
-    claims, failing = compute_signature(build_coupling(value, spins))
+        o = build_coupling(value, spin_matrices(1.5))
+    claims, failing = compute_signature(o)
     print(f"operator:  "
           f"{value if isinstance(value, str) else '<literal matrix>'}")
     print(f"hermitian: {'yes' if claims.hermitian else 'no'}")

@@ -1,8 +1,9 @@
 """Unitary and anti-unitary symmetry machinery.
 
-The unitary side is the eight-element quaternion group in its faithful
-four-dimensional representation (two copies of the pseudo-real spin-1/2
-irrep). The anti-unitary side is time reversal T = exp(-i pi Sy) K, which
+The unitary side is the quaternion group of the pi rotations, {+-1,
++-exp(-i pi S_a)}, which at every half-integer spin acts as its
+2-dimensional irrep times a multiplicity space. The anti-unitary side is
+time reversal T = exp(-i pi Sy) K, from the same y rotation, which
 squares to -1 in half-integer spin and therefore forces two-fold degeneracy
 of every level of a T-symmetric Hamiltonian.
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ComplexMatrix, frob, spin_matrices
+from .operators import ComplexMatrix, ConfigError, frob, spin_matrices
 
 DEFAULT_TOL = 1e-9
 
@@ -57,24 +58,29 @@ class AntiUnitaryOp:
         return self.u @ np.conj(self.u)
 
 
-@functools.cache
-def quaternion_group() -> UnitaryGroup:
-    """The quaternion group acting on the spin-3/2 Hilbert space.
+def _pi_rotation(a: ComplexMatrix) -> ComplexMatrix:
+    """exp(-i pi a) of a Hermitian a, through its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(a)
+    return vecs @ np.diag(np.exp(-1j * np.pi * vals)) @ vecs.conj().T
 
-    The representation is block-structured: identity, the negated identity,
-    and three staggered Pauli pairs, labelled by the quaternion units e, i,
-    j, k and their negatives. Every non-central element has order 4. Built
-    once per process; the element matrices are read-only.
+
+@functools.cache
+def quaternion_group(s: float = 1.5) -> UnitaryGroup:
+    """The quaternion group at spin s: 1, -1 and the pi rotations, as the
+    units e, i = -exp(-i pi Sz), j = exp(-i pi Sy), k = exp(-i pi Sx) and
+    their negatives. Built once per spin and process; read-only.
+
+    Raises:
+        ConfigError: under `spin`, at an integer spin, where the rotations
+            square to +1 and the group has no 2-dimensional irrep.
     """
-    i2 = np.eye(2)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    q1 = np.kron(i2, i2).astype(complex)
-    q3 = -np.kron(i2, 1j * sz)
-    q5 = -1j * np.kron(sx, sy)
-    q7 = -1j * np.kron(sx, sx)
-    elements = (q1, -q1, q3, -q3, q5, -q5, q7, -q7)
+    triple = spin_matrices(s)
+    if triple.dim % 2:
+        raise ConfigError(f"spin: the quaternion group acts on a doublet "
+                          f"at a half-integer spin only, got {s:g}")
+    r_x, r_y, r_z = map(_pi_rotation, (triple.sx, triple.sy, triple.sz))
+    one = np.eye(triple.dim, dtype=complex)
+    elements = (one, -one, -r_z, r_z, r_y, -r_y, -r_x, r_x)
     labels = ("e", "e_bar", "i", "i_bar", "j", "j_bar", "k_bar", "k")
     for arr in elements:
         arr.setflags(write=False)
@@ -94,9 +100,7 @@ def time_reversal(s: float = 1.5) -> AntiUnitaryOp:
         ValueError: if a property check exceeds 1e-10.
     """
     triple = spin_matrices(s)
-    vals, vecs = np.linalg.eigh(triple.sy)
-    u = vecs @ np.diag(np.exp(-1j * np.pi * vals)) @ vecs.conj().T
-    u = u.real.astype(complex)  # exp(-i pi Sy) is real in the Sz basis
+    u = _pi_rotation(triple.sy).real.astype(complex)  # real in Sz basis
     t = AntiUnitaryOp(u=u)
     dim = triple.dim
     checks = [

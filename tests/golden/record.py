@@ -99,6 +99,11 @@ def _entries() -> dict:
     for op in _COUPLINGS:
         entries[f"classify-op-{op}"] = dict(argv=["classify-op", op],
                                             config=None)
+    # a config's coupling, measured at a spin other than 3/2
+    entries["classify-op-config-spin-3.5-sxsy_sym"] = dict(
+        argv=["classify-op", "--config", "run.json"],
+        config={"hamiltonian": "both_symmetric", "coupling": "sxsy_sym",
+                "spin": 3.5})
     for name, command, kw in (
             ("rk4-step-budget", "simulate",
              {"integrator": "rk4", "t_max": 1e9}),

@@ -669,8 +669,8 @@ def test_a_spin_within_1e_12_of_a_half_integer_is_built_as_it(tmp_path,
     assert main(["classify-op", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: spin: classify-op measures the signature "
-                            "at spin 1.5 only, got 1.50000000001\n")
+    assert captured.err == ("error: spin must be a positive half-integer, "
+                            "got 1.50000000001\n")
 
 
 def test_a_spin_near_zero_is_refused_as_a_spin(tmp_path, capsys):
@@ -914,13 +914,12 @@ def test_classify_op_errors(tmp_path, capsys):
     assert main(["classify-op", "--config", cfg]) == 2
     assert capsys.readouterr().err == (
         "error: coupling: need a 4x4 matrix at spin 1.5, got shape (2, 2)\n")
-    # the quaternion group exists only at spin 3/2
+    # the signature is measured at any half-integer spin
     cfg = _write_cfg(tmp_path, spin=3.5, hamiltonian="both_symmetric",
                      coupling="sx2")
-    assert main(["classify-op", "--config", cfg]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "spin" in captured.err
+    assert main(["classify-op", "--config", cfg]) == 0
+    assert capsys.readouterr() == ("operator:  sx2\nhermitian: yes\n"
+                                   "[O,T]=0:   yes\n[O,Q]=0:   yes\n", "")
     # a name and a config name two operators; neither wins
     cfg = _write_cfg(tmp_path, name="both.json", coupling="sx2")
     assert main(["classify-op", "sxsy", "--config", cfg]) == 2
@@ -967,6 +966,66 @@ def test_classify_op_refuses_a_coupling_whose_norm_overflows(coupling,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: coupling")
+
+
+@pytest.mark.parametrize("coupling", [
+    "sy2", "sxsy_sym", "sxsysz", "sysz", "sx2", "sz", "isz", "sx",
+    "sxsysz_sym", "i_sxsysz_asym", "i_sxsysz_sym", "sxsy", "sx2sz"])
+def test_classify_op_gives_a_named_coupling_one_signature_at_every_spin(
+        coupling, tmp_path, capsys):
+    # the pi-rotation and T parities of a spin polynomial do not depend on
+    # the spin, so neither does its signature
+    assert main(["classify-op", coupling]) == 0
+    at_3_2 = capsys.readouterr()
+    for spin in (2.5, 3.5, 7.5):
+        cfg = _write_cfg(tmp_path, spin=spin, hamiltonian="both_symmetric",
+                         coupling=coupling)
+        assert main(["classify-op", "--config", cfg]) == 0
+        assert capsys.readouterr() == at_3_2, spin
+
+
+def test_classify_op_refuses_an_integer_spin(tmp_path, capsys):
+    # the golden spin-1 run has a ground doublet, but Q8 has no doublet
+    # to act on there
+    config = json.loads((Path(__file__).parent / "golden"
+                         / "simulate-expm-minus-sx2-spin-1-sx2.json"
+                         ).read_text())["config"]
+    cfg = tmp_path / "spin-1.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["classify-op", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: spin: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("hamiltonian, e_g, level", [
+    (np.eye(4).tolist(), None, "spin 1.5"),
+    # e_g scales every gap below the level tolerance: e_g is named
+    ("both_symmetric", 0, "spin 1.5 and e_g 0.0"),
+    ("both_symmetric", -0.0, "spin 1.5 and e_g -0.0"),
+    ("both_symmetric", 1e-320, "spin 1.5 and e_g 1e-320"),
+    ("both_symmetric", 1e-15, "spin 1.5 and e_g 1e-15"),
+], ids=["identity", "e_g-0", "e_g-minus-0", "e_g-1e-320", "e_g-1e-15"])
+def test_classify_op_refuses_a_ground_level_as_simulate_does(
+        hamiltonian, e_g, level, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, hamiltonian=hamiltonian, e_g=e_g)
+    err = (f"error: hamiltonian: its ground level at {level} has "
+           f"dimension 4, need a doublet\n")
+    out = tmp_path / "out"
+    for argv in (["simulate", "--config", cfg, "--out", str(out)],
+                 ["classify-op", "--config", cfg]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err), argv[0]
+    assert not out.exists()
+
+
+def test_a_small_e_g_that_leaves_a_doublet_is_answered(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, hamiltonian="both_symmetric", e_g=1e-14)
+    assert main(["classify-op", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("operator:  sx2\n")
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def _names_key(err, key):

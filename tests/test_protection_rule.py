@@ -1,7 +1,8 @@
 """The paper's protection rule, `classify.protected`, against the table's
 16 literal expectations, against random couplings in every symmetry class,
 with and without a phase, under the transformations the generator does not
-see, and on the time-reversal route beyond spin 3/2."""
+see, with random Hamiltonians of each class at spin 3/2, and on both the
+unitary and the time-reversal route beyond spin 3/2."""
 
 import dataclasses
 import itertools
@@ -9,13 +10,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lindsymlab.classify import (Scenario, SymmetryClaims, _claimed,
+from lindsymlab.classify import (Scenario, SymmetryClaims, _claimed, assess,
                                  compute_signature, doublet_block, prepare,
                                  protected, run_scenario)
 from lindsymlab.observables import Coherence
 from lindsymlab.operators import build_coupling, build_hamiltonian
 from lindsymlab.symmetry import (commutes_with_antiunitary, is_hermitian,
-                                 time_reversal)
+                                 quaternion_group, time_reversal)
 
 # The paper's expected fate of coherence for each of the 16 table rows.
 PAPER_TABLE = (
@@ -179,9 +180,8 @@ def test_the_rows_keep_their_verdicts_under_what_the_generator_does_not_see(
 
 
 def test_time_reversal_protects_hermitian_couplings_beyond_spin_3_2():
-    # the quaternion group is represented at spin 3/2 only, but the
-    # anti-unitary route needs no group: a T-even coupling keeps the
-    # Kramers doublet's block proportional exactly when it is Hermitian
+    # a T-even coupling keeps the Kramers doublet's block proportional
+    # exactly when it is Hermitian
     rng = np.random.default_rng(0)
     wrong = []
     for spin, ham in itertools.product((2.5, 3.5),
@@ -201,3 +201,57 @@ def test_time_reversal_protects_hermitian_couplings_beyond_spin_3_2():
             if doublet_block(system).proportional != hermitian:
                 wrong.append((spin, ham, hermitian))
     assert wrong == []
+
+
+def test_random_hamiltonians_in_every_class_follow_the_rule(trev, group):
+    # H, too, is a random member of its class: Q-symmetric, T-even or
+    # both, each with a ground doublet at spin 3/2 (Q8's irrep, or
+    # Kramers'), crossed with every coupling class
+    rng = np.random.default_rng(2)
+    rows = []
+    for (commutes_t, commutes_q), signature, k in itertools.product(
+            ((False, True), (True, False), (True, True)),
+            itertools.product((True, False), repeat=3), range(3)):
+        h_claims = SymmetryClaims(True, commutes_t, commutes_q, commutes_t)
+        h = _draw(rng, h_claims, trev, group)
+        assert compute_signature(h)[0] == h_claims
+        o_claims = SymmetryClaims(*signature, signature[0] and signature[1])
+        o = _draw(rng, o_claims, trev, group)
+        assert compute_signature(o)[0] == o_claims
+        coherent = protected(h_claims, o_claims)
+        rows.append(Scenario(
+            name=f"{h_claims}:{o_claims}:{k}", hamiltonian=h, coupling=o,
+            claims=o_claims, expected_coherence=(
+                Coherence.COHERENT if coherent else Coherence.DECOHERENT)))
+    assert len(rows) == 72
+    for sc, v in zip(rows, run_scenario(rows)):
+        assert v.passed, (sc.name, v.measured_coherence, v.peak_entropy)
+
+
+def test_the_quaternion_group_protects_beyond_spin_3_2():
+    # the unitary twin of the time-reversal test below: at a half-integer
+    # spin Q8 acts as its 2-dimensional irrep times a multiplicity space,
+    # and an H and an O that commute with it act on the latter alone, so
+    # the doublet keeps its coherence to every order, O Hermitian or not
+    rng = np.random.default_rng(0)
+    for spin in (1.5, 2.5, 3.5, 5.5, 7.5):
+        group = quaternion_group(spin)
+        d = int(2 * spin) + 1
+
+        def average(a):
+            return sum(q @ a @ q.conj().T for q in group.elements) / 8
+
+        systems = []
+        for _ in range(6):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = average((a + a.conj().T) / 2)
+            o = average(rng.normal(size=(d, d))
+                        + 1j * rng.normal(size=(d, d)))
+            assert compute_signature(o)[0].commutes_q
+            systems.append(prepare(SimpleNamespace(hamiltonian=h,
+                                                   coupling=o), spin=spin))
+        for routes in assess(systems, 200.0):
+            assert routes["measured_coherence"] is Coherence.COHERENT, (
+                spin, routes["peak_entropy"])
+            assert (routes["block_identity"], routes["schur_proportional"],
+                    routes["oracle_coherent"]) == (True,) * 3, spin

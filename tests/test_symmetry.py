@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lindsymlab.operators import spin_matrices
+from lindsymlab.operators import ConfigError, spin_matrices
 from lindsymlab.symmetry import (AntiUnitaryOp, commutes_with_antiunitary,
                                  commutes_with_unitary, is_hermitian,
                                  quaternion_group, schur_test, time_reversal)
@@ -179,3 +179,43 @@ def test_time_reversal_is_built_once_per_spin_and_read_only():
     assert not t.u.flags.writeable
     with pytest.raises(ValueError):
         t.u[0, 0] = 2.0
+
+
+# The spin-3/2 group as it was written by hand, before it was built from
+# the pi rotations: identity, its negative and three staggered Pauli pairs.
+_I = np.diag([-1j, 1j, -1j, 1j])
+_J = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
+              dtype=complex)
+_K = 1j * np.fliplr(np.eye(4))
+_HAND_WRITTEN = (np.eye(4), -np.eye(4), _I, -_I, _J, -_J, -_K, _K)
+
+
+def test_the_spin_3_2_group_is_the_hand_written_one(group):
+    assert group.labels == ("e", "e_bar", "i", "i_bar", "j", "j_bar",
+                            "k_bar", "k")
+    for q, want in zip(group.elements, _HAND_WRITTEN):
+        assert np.abs(q - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 3.5, 15.5])
+def test_the_group_of_the_pi_rotations_at_a_half_integer_spin(s):
+    group = quaternion_group(s)
+    assert quaternion_group(s) is group
+    d = spin_matrices(s).dim
+    eye = np.eye(d)
+    by_label = dict(zip(group.labels, group.elements))
+    for label, q in by_label.items():
+        assert not q.flags.writeable
+        assert np.linalg.norm(q @ q.conj().T - eye) < 1e-12
+        if label not in ("e", "e_bar"):
+            assert np.linalg.norm(q @ q + eye) < 1e-12
+    assert np.linalg.norm(by_label["i"] @ by_label["j"]
+                          - by_label["k"]) < 1e-12
+    assert np.array_equal(by_label["e"], eye)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 7.0])
+def test_the_group_refuses_an_integer_spin(s):
+    # the pi rotations square to +1: no 2-dimensional irrep to act on
+    with pytest.raises(ConfigError, match="^spin: "):
+        quaternion_group(s)
