@@ -318,18 +318,31 @@ def doublet_block(system: ScenarioSystem) -> Proportionality:
                                               system.basis))
 
 
-def decide(system: ScenarioSystem, states: np.ndarray, s_v: np.ndarray,
-           trace_g: np.ndarray) -> dict:
-    """The dynamics and doublet-block fields of one system's stack of k
-    observed states (k, samples, d, d), with s_v and trace_g (k, samples)
-    from observe_subspace: the worst state's verdict, the peak entropy over
-    all states, and the first state's terminal entropy, population and
-    stationarity residual ||L vec(rho_end)||."""
+def decide(system: ScenarioSystem, probes: np.ndarray, states: np.ndarray,
+           s_v: np.ndarray, trace_g: np.ndarray) -> dict:
+    """Every route's fields for one system, as the Verdict fields they
+    measure.
+
+    probes is probe_densities(system.basis), which the oracle corrects.
+    states (k, samples, d, d) are the k observed states, with s_v and
+    trace_g (k, samples) from observe_subspace. The dynamics fields
+    describe those states: the worst state's verdict, the peak entropy
+    over all states, and the first state's terminal entropy, population
+    and stationarity residual ||L vec(rho_end)||. The doublet block, the
+    Schur test of P O P and P O^dag O P against c P, and the oracle
+    describe the doublet, whatever state was observed.
+    """
     block = doublet_block(system)
+    projector = system.basis @ system.basis.conj().T
+    schur_o = schur_test(projector, system.o)
+    schur_q = schur_test(projector, system.o.conj().T @ system.o)
     return dict(
         measured_coherence=coherence_verdict(s_v),
         block_identity=block.proportional,
         block_residual=block.residual,
+        schur_proportional=schur_o.proportional and schur_q.proportional,
+        schur_residual=schur_o.residual,
+        oracle_coherent=response_oracle_coherent(system, probes),
         peak_entropy=float(np.max(s_v)),
         terminal_entropy=float(s_v[0, -1]),
         terminal_trace_g=float(trace_g[0, -1]),
@@ -341,14 +354,11 @@ def decide(system: ScenarioSystem, states: np.ndarray, s_v: np.ndarray,
 def assess(systems: list, t_max: float) -> list:
     """Run every verdict route on a stack of prepared systems at once.
 
-    The systems share their dimension. Their probe states propagate
-    exactly up to t_max in one evolve_expm call on the stacked
+    The systems share their dimension. Their probe states are built once,
+    propagate exactly up to t_max in one evolve_expm call on the stacked
     Liouvillians and are observed in one pass, each in its own system's
-    doublet. decide, the only reader of the states, turns each system's
-    observed probes into its dynamics and doublet-block fields; the
-    first-order response oracle and the Schur projection add the
-    remaining verdicts, system by system. Returns, per system in order, a
-    dict of the Verdict fields the routes measure.
+    doublet; decide then turns each system's probes and observed states
+    into its route fields. Returns those dicts, per system in order.
 
     Raises:
         ValueError: t_max is not a finite number > 0.
@@ -359,19 +369,8 @@ def assess(systems: list, t_max: float) -> list:
     traj = evolve_expm(probes, np.stack([s.liouvillian for s in systems]),
                        t_max, TABLE_SAMPLES)
     s_v, trace_g, _ = observe_subspace(traj, bases[:, None, None])
-
-    routes = []
-    for i, system in enumerate(systems):
-        projector = system.basis @ system.basis.conj().T
-        schur_o = schur_test(projector, system.o)
-        schur_q = schur_test(projector, system.o.conj().T @ system.o)
-        routes.append(dict(
-            decide(system, traj.states[i], s_v[i], trace_g[i]),
-            oracle_coherent=response_oracle_coherent(system, probes[i]),
-            schur_proportional=schur_o.proportional and schur_q.proportional,
-            schur_residual=schur_o.residual,
-        ))
-    return routes
+    return [decide(*row) for row in zip(systems, probes, traj.states, s_v,
+                                        trace_g)]
 
 
 def run_scenario(scenarios: list, gamma: float = DEFAULT_GAMMA,
@@ -396,12 +395,13 @@ def response_oracle_coherent(system: ScenarioSystem,
                              probes: np.ndarray) -> bool:
     """Verdict from the first-order response, independent of the propagators.
 
-    probes is probe_densities(system.basis). For each probe the exact
-    first-order correction at gamma = 1e-3 and gamma*t = 0.5 is projected
-    onto the doublet and compared against the initial subspace state:
-    coherence means the correction only rescales it. A probe lies in the
-    ground eigenspace, so it is its own coherent evolution and no
-    propagator is called.
+    probes is probe_densities(system.basis): decide hands it the row's
+    slice of the table's probe stack, or the probes simulate builds once
+    for its system. For each probe the exact first-order correction at
+    gamma = 1e-3 and gamma*t = 0.5 is projected onto the doublet and
+    compared against the initial subspace state: coherence means the
+    correction only rescales it. A probe lies in the ground eigenspace, so
+    it is its own coherent evolution and no propagator is called.
     """
     gamma = 1e-3
     t = 0.5 / gamma

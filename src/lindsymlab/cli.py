@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (DEFAULT_GAMMA, DEFAULT_HORIZON, ScenarioSystem,
-                       compute_signature, decide, prepare, propagate,
-                       reproduce_table)
+                       compute_signature, decide, prepare, probe_densities,
+                       propagate, reproduce_table)
 from .lindblad import PropagationError, evolve_expm
 from .observables import ObservationError, observe_subspace
 from .operators import (ComplexMatrix, ConfigError, build_coupling,
@@ -266,7 +266,8 @@ def cmd_simulate(args) -> int:
     traj = propagate(system, rho0, t_max, cfg.n_samples, cfg.integrator,
                      cfg.dt)
     s_v, trace_g, blocks = observe_subspace(traj, system.basis)
-    routes = decide(system, traj.states[None], s_v[None], trace_g[None])
+    routes = decide(system, probe_densities(system.basis), traj.states[None],
+                    s_v[None], trace_g[None])
 
     rows = [",".join([
         _fmt(t), _fmt(cfg.gamma * t), _fmt(s), _fmt(tr),

@@ -44,40 +44,46 @@ class SpinTriple:
         return self.sx.shape[0]
 
 
-def half_integer(s: float) -> float | None:
-    """The spin round(2s)/2 that s stands for, or None unless 2s lies
-    within 1e-12 of a positive integer."""
+def checked_spin(s: float) -> float:
+    """The spin round(2s)/2 that s stands for, on which every per-spin
+    cache is keyed, so a spin within 1e-12 of a half-integer shares that
+    one's entry.
+
+    Raises:
+        ConfigError: unless 2s lies within 1e-12 of a positive integer,
+            or if the dimension exceeds the dense-storage cap; either
+            message names s as given.
+    """
     two_s = 2 * s
-    if (0 < two_s < np.inf and round(two_s) >= 1
+    if not (0 < two_s < np.inf and round(two_s) >= 1
             and abs(two_s - round(two_s)) <= 1e-12):
-        return round(two_s) / 2
-    return None
+        raise ConfigError(f"spin must be a positive half-integer, got {s}")
+    if round(two_s) + 1 > MAX_DIM:
+        raise ConfigError(f"spin {s} is above {(MAX_DIM - 1) / 2}, the "
+                          f"largest spin stored densely")
+    return round(two_s) / 2
 
 
-@functools.cache
 def spin_matrices(s: float) -> SpinTriple:
     """Build Sx, Sy, Sz for total spin s via ladder operators.
 
-    Built once per spin and process; the matrices are read-only.
-
-    Args:
-        s: half-integer spin quantum number (1/2, 1, 3/2, ...), built as
-            half_integer(s), so a spin within 1e-12 of one is that one.
+    Built once per half-integer spin (checked_spin) and process; the
+    matrices are read-only.
 
     Returns:
         SpinTriple with (2s+1)-dimensional Hermitian matrices; Sz is
         diagonal with entries s, s-1, ..., -s.
 
     Raises:
-        ConfigError: if half_integer(s) is None or the dimension exceeds
-            the dense-storage cap.
+        ConfigError: as checked_spin refuses s.
     """
-    if (spin := half_integer(s)) is None:
-        raise ConfigError(f"spin must be a positive half-integer, got {s}")
+    return _spin_triple(checked_spin(s))
+
+
+@functools.cache
+def _spin_triple(spin: float) -> SpinTriple:
+    """spin_matrices at a spin checked_spin gave."""
     dim = int(2 * spin) + 1
-    if dim > MAX_DIM:
-        raise ConfigError(f"spin {s} is above {(MAX_DIM - 1) / 2}, the "
-                          f"largest spin stored densely")
     m = np.array([spin - k for k in range(dim)], dtype=float)
     s_plus = np.zeros((dim, dim), dtype=complex)
     for k in range(1, dim):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ComplexMatrix, ConfigError, frob, spin_matrices
+from .operators import (ComplexMatrix, ConfigError, checked_spin, frob,
+                        spin_matrices)
 
 DEFAULT_TOL = 1e-9
 
@@ -64,20 +65,26 @@ def _pi_rotation(a: ComplexMatrix) -> ComplexMatrix:
     return vecs @ np.diag(np.exp(-1j * np.pi * vals)) @ vecs.conj().T
 
 
-@functools.cache
-def quaternion_group(s: float = 1.5) -> UnitaryGroup:
+def quaternion_group(s: float) -> UnitaryGroup:
     """The quaternion group at spin s: 1, -1 and the pi rotations, as the
     units e, i = -exp(-i pi Sz), j = exp(-i pi Sy), k = exp(-i pi Sx) and
-    their negatives. Built once per spin and process; read-only.
+    their negatives. Built once per half-integer spin (checked_spin) and
+    process; read-only.
 
     Raises:
-        ConfigError: under `spin`, at an integer spin, where the rotations
-            square to +1 and the group has no 2-dimensional irrep.
+        ConfigError: as checked_spin refuses s, or under `spin`, at an
+            integer spin, where the rotations square to +1 and the group
+            has no 2-dimensional irrep.
     """
-    triple = spin_matrices(s)
-    if triple.dim % 2:
+    if (spin := checked_spin(s)).is_integer():
         raise ConfigError(f"spin: the quaternion group acts on a doublet "
                           f"at a half-integer spin only, got {s:g}")
+    return _quaternion_group(spin)
+
+
+@functools.cache
+def _quaternion_group(s: float) -> UnitaryGroup:
+    triple = spin_matrices(s)
     r_x, r_y, r_z = map(_pi_rotation, (triple.sx, triple.sy, triple.sz))
     one = np.eye(triple.dim, dtype=complex)
     elements = (one, -one, -r_z, r_z, r_y, -r_y, -r_x, r_x)
@@ -87,18 +94,23 @@ def quaternion_group(s: float = 1.5) -> UnitaryGroup:
     return UnitaryGroup(elements=elements, labels=labels)
 
 
-@functools.cache
-def time_reversal(s: float = 1.5) -> AntiUnitaryOp:
+def time_reversal(s: float) -> AntiUnitaryOp:
     """Construct T = exp(-i pi Sy) K for the given spin.
 
     The unitary part is real and satisfies u S* u^dag = -S for all three
     spin matrices; u u* is -1 for half-integer spin and +1 for integer
-    spin. Both properties are checked at build time. Built once per spin
-    and process; u is read-only.
+    spin. Both properties are checked at build time. Built once per
+    half-integer spin (checked_spin) and process; u is read-only.
 
     Raises:
+        ConfigError: as checked_spin refuses s.
         ValueError: if a property check exceeds 1e-10.
     """
+    return _time_reversal(checked_spin(s))
+
+
+@functools.cache
+def _time_reversal(s: float) -> AntiUnitaryOp:
     triple = spin_matrices(s)
     u = _pi_rotation(triple.sy).real.astype(complex)  # real in Sz basis
     t = AntiUnitaryOp(u=u)

@@ -16,7 +16,7 @@ def spins():
 
 @pytest.fixture(scope="session")
 def group():
-    return symmetry.quaternion_group()
+    return symmetry.quaternion_group(1.5)
 
 
 @pytest.fixture(scope="session")

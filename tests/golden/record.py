@@ -76,6 +76,28 @@ def _entries() -> dict:
              config={"hamiltonian": "both_symmetric",
                      "coupling": [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
                                   [0, 0, 0, 0]]})
+    # the same damping with only the two ends of the default horizon
+    # sampled reads a known-wrong Coherence too (ROADMAP item 3), while the
+    # block, Schur and oracle routes each say the doublet decoheres
+    entries["simulate-expm-both_symmetric-doublet-damping-n_samples-2"] = \
+        dict(argv=["simulate", "--config", "run.json", "--out", "out"],
+             config={"hamiltonian": "both_symmetric",
+                     "coupling": [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
+                                  [0, 0, 0, 0]],
+                     "n_samples": 2})
+    # a horizon far too short for sz to decohere reads a known-wrong
+    # Coherence against all three doublet routes (ROADMAP item 11)
+    entries["simulate-expm-both_symmetric-sz-horizon-1e-8"] = dict(
+        argv=["simulate", "--config", "run.json", "--horizon", "1e-8",
+              "--out", "out"],
+        config={"hamiltonian": "both_symmetric", "coupling": "sz"})
+    # 1e-5 Sz reads a known-wrong Coherence that the block route and the
+    # oracle share and the Schur route does not (ROADMAP items 1 and 11)
+    entries["simulate-expm-both_symmetric-literal-1e-5-sz"] = dict(
+        argv=["simulate", "--config", "run.json", "--out", "out"],
+        config={"hamiltonian": "both_symmetric",
+                "coupling": [[1.5e-5, 0, 0, 0], [0, 5e-6, 0, 0],
+                             [0, 0, -5e-6, 0], [0, 0, 0, -1.5e-5]]})
     # -Sx^2 at spin 1: T^2 = +1 maps each ground state onto its own ray
     entries["simulate-expm-minus-sx2-spin-1-sx2"] = dict(
         argv=["simulate", "--config", "run.json", "--out", "out"],

@@ -177,7 +177,7 @@ def test_ac07_first_order_response(systems):
 
 
 def test_ac08_group_suite():
-    group = quaternion_group()
+    group = quaternion_group(1.5)
     els = group.elements
     for i in range(8):
         for j in range(8):

@@ -346,10 +346,12 @@ def test_the_stacked_table_matches_one_row_at_a_time(scenarios, gamma):
 
 def test_a_table_propagates_and_observes_once(record_calls, expm_calls,
                                               monkeypatch):
-    # one call of each on the whole (16, 3, 4, 4) probe stack; one expm
-    # call exponentiates the 16 rows' Liouvillians, and the oracle corrects
-    # each row's three probes in its own call. The entropy's eigvalsh on the
+    # the probes are built once, on the (16, 4, 2) basis stack, and decide
+    # reads each row's slice; one call of each on the whole (16, 3, 4, 4)
+    # probe stack; one expm call exponentiates the 16 rows' Liouvillians,
+    # and the oracle corrects each row's three probes in its own call. The entropy's eigvalsh on the
     # observed doublet blocks is the only one: no stored state is scanned
+    probes = record_calls("classify.probe_densities")
     evolves = record_calls("lindblad.evolve_expm")
     observes = record_calls("observables.observe_subspace")
     deltas = record_calls("response.delta_rho")
@@ -358,7 +360,9 @@ def test_a_table_propagates_and_observes_once(record_calls, expm_calls,
                         lambda a: spectra.append(a.shape) or eigvalsh(a))
     verdicts = reproduce_table()
     assert all(v.passed and v.oracle_agrees for v in verdicts)
-    assert (len(evolves), len(observes), len(deltas)) == (1, 1, 16)
+    assert (len(probes), len(evolves), len(observes), len(deltas)) == (
+        1, 1, 1, 16)
+    assert probes[0][0].shape == (16, 4, 2)
     rho0, l_mat = evolves[0][:2]
     assert rho0.shape == (16, 3, 4, 4) and l_mat.shape == (16, 16, 16)
     assert all(call[0].shape == (3, 4, 4) for call in deltas)
@@ -367,11 +371,11 @@ def test_a_table_propagates_and_observes_once(record_calls, expm_calls,
 
 
 def test_a_fresh_table_builds_time_reversal_once():
-    symmetry.time_reversal.cache_clear()
-    operators.spin_matrices.cache_clear()
+    symmetry._time_reversal.cache_clear()
+    operators._spin_triple.cache_clear()
     reproduce_table()
-    assert symmetry.time_reversal.cache_info().misses == 1
-    assert operators.spin_matrices.cache_info().misses == 1
+    assert symmetry._time_reversal.cache_info().misses == 1
+    assert operators._spin_triple.cache_info().misses == 1
 
 
 def test_a_table_whose_t_max_overflows_is_refused_by_the_sample_grid():

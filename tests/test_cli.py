@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lindsymlab import classify, cli, observables
-from lindsymlab.classify import catalog, run_scenario
+from lindsymlab.classify import catalog
 from lindsymlab.cli import build_parser, cmd_table, main
 from lindsymlab.observables import Coherence
 from lindsymlab.operators import spin_matrices
@@ -37,6 +37,14 @@ def _read_csv(path):
     return header, data
 
 
+# Every key of simulate's summary.json, in its sorted order: the run's
+# inputs, the CSV name, and the route fields classify.decide returns.
+SUMMARY_KEYS = ["block_identity", "block_residual", "csv", "gamma",
+                "integrator", "oracle_coherent", "peak_entropy",
+                "schur_proportional", "schur_residual", "stationarity",
+                "t_max", "terminal_entropy", "terminal_trace_g", "verdict"]
+
+
 def test_simulate_coherent_run(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -44,6 +52,7 @@ def test_simulate_coherent_run(tmp_path, capsys):
     assert "verdict: Coherence" in capsys.readouterr().out
 
     summary = json.loads((out / "summary.json").read_text())
+    assert list(summary) == SUMMARY_KEYS
     assert summary["verdict"] == "Coherence"
     assert summary["block_identity"] is True
     assert summary["block_residual"] < 1e-9
@@ -1155,20 +1164,60 @@ def test_config_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_simulate_block_test_agrees_with_run_scenario(tmp_path, capsys):
-    # one decoherent and one coherent row: simulate and the table run the
-    # same doublet-block test on the same system
-    for name, coupling in (("tr_invariant:sz", "sz"),
-                           ("tr_invariant:sx2", "sx2")):
-        sc = next(sc for sc in catalog() if sc.name == name)
-        cfg = _write_cfg(tmp_path, coupling=coupling, t_max=5.0,
-                         n_samples=11)
-        out = tmp_path / coupling
+def test_simulate_reports_each_rows_doublet_routes_as_the_table_does(
+        tmp_path, capsys):
+    # the doublet routes read neither the configured state nor the
+    # horizon, so a short run of each row's H and O gives the table row's
+    # block and Schur figures, floats and all, and its oracle verdict
+    assert main(["table", "--gamma", "0.1", "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "table.json").read_text())["rows"]
+    assert len(rows) == 16
+    for row in rows:
+        hamiltonian, coupling = row["scenario"].split(":")
+        cfg = _write_cfg(tmp_path, hamiltonian=hamiltonian,
+                         coupling=coupling, t_max=5.0, n_samples=3)
+        out = tmp_path / row["scenario"]
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        [v] = run_scenario([sc])
-        assert summary["block_identity"] == v.block_identity
+        for key in ("block_identity", "block_residual", "schur_proportional",
+                    "schur_residual"):
+            assert type(summary[key]) is type(row[key]), (row, key)
+            assert summary[key] == row[key], (row["scenario"], key)
+        oracle = row["oracle_agrees"] == (row["measured"] == "Coherence")
+        assert summary["oracle_coherent"] is oracle, row["scenario"]
     capsys.readouterr()
+
+
+def test_the_dark_default_state_reads_coherence_against_the_doublet_routes(
+        tmp_path, capsys):
+    # a known-wrong answer, kept visible: the equal superposition of
+    # both_symmetric:sx is dark, so its verdict reads Coherence, while the
+    # block, Schur and oracle routes each say the doublet decoheres
+    cfg = _write_cfg(tmp_path, hamiltonian="both_symmetric", coupling="sx",
+                     t_max=None, n_samples=None)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["verdict"] == "Coherence"
+    assert (summary["block_identity"], summary["schur_proportional"],
+            summary["oracle_coherent"]) == (False, False, False)
+
+
+def test_simulate_builds_its_probes_once(tmp_path, record_calls):
+    # decide's oracle corrects the three probes of the one system in one
+    # delta_rho call, under either integrator
+    probes = record_calls("classify.probe_densities")
+    deltas = record_calls("response.delta_rho")
+    for integrator in ("expm", "rk4"):
+        cfg = _write_cfg(tmp_path, t_max=5.0, n_samples=11,
+                         integrator=integrator)
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / integrator)]) == 0
+        assert (len(probes), len(deltas)) == (1, 1), integrator
+        assert probes[0][0].shape == (4, 2)
+        assert deltas[0][0].shape == (3, 4, 4)
+        probes.clear()
+        deltas.clear()
 
 
 def test_simulate_ignores_the_retired_tolerance_variable(tmp_path, capsys,

@@ -165,12 +165,21 @@ def test_antiunitary_op_requires_conjugation_flag_semantics():
 
 
 def test_quaternion_group_is_built_once_and_read_only():
-    group = quaternion_group()
-    assert quaternion_group() is group
+    group = quaternion_group(1.5)
+    assert quaternion_group(1.5) is group
     for arr in group.elements:
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         group.elements[0][0, 0] = 2.0
+
+
+@pytest.mark.parametrize("build", [spin_matrices, time_reversal,
+                                   quaternion_group])
+def test_a_spin_within_1e_12_of_a_half_integer_shares_its_cache_entry(build):
+    # the caches are keyed on the half-integer spin that is built, not on
+    # the spin as given
+    assert build(1.5000000000001) is build(1.5)
+    assert build(3.4999999999999) is build(3.5)
 
 
 def test_time_reversal_is_built_once_per_spin_and_read_only():
